@@ -43,7 +43,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_graph(path: str) -> Graph:
     try:
-        text = Path(path).read_text()
+        # open() rather than Path.read_text(): pathlib interns every path
+        # component, and that churn keeps growing the interpreter's table
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read graph file {path}: {exc}") from exc
     try:

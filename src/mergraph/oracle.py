@@ -1,4 +1,4 @@
-"""Exact robustness decisions by exhaustive subset-pair enumeration.
+"""Exact robustness decisions over all disjoint subset pairs.
 
 A nonempty node set S is r-reachable when some member has at least r
 neighbors outside S.  A graph is r-robust when, for every pair of disjoint
@@ -7,30 +7,39 @@ variant counts, per set, the members with >= r outside neighbors
 (``reachable_count``) and requires for every pair that one set consists
 entirely of such members or that the two counts sum to at least s.
 
-Everything here is decided exactly.  Per-subset reachable counts are
-tabulated once over all 2^n subsets (vectorized with numpy), the yes/no
-decision is then made with a subset-sum transform instead of walking all
-~3^n/2 pairs, and only failing graphs pay for a scan to recover the first
-counterexample in canonical enumeration order.
+Everything here is decided exactly, without walking the ~3^n/2 pairs.
+Per-subset reachable counts are tabulated once over all 2^n subsets
+(vectorized with numpy).  A subset-min (zeta) transform then gives, for
+every set M, the best partner among the subsets of M, so looking each
+candidate S1 up at its complement covers every disjoint pair.  The yes/no
+decision runs first; only failing graphs go on to recover a witness.
 
-Canonical enumeration order: each node gets a digit in {0 = unassigned,
-1 = S1, 2 = S2}; digit vectors are compared lexicographically with node 0
-most significant, and the lowest-indexed assigned node is required to sit in
-S1 (the definitions are symmetric in S1/S2, so this halves the space).
-Witnesses are the first failing pair in this order, making failures
-reproducible across runs and platforms.
+Canonical order: each node gets a digit in {0 = unassigned, 1 = S1,
+2 = S2}; digit vectors are compared lexicographically with node 0 most
+significant, and the lowest-indexed assigned node sits in S1 (the
+definitions are symmetric in S1/S2).  Witnesses are the first failing pair
+in this order, making failures reproducible across runs and platforms.
 
-Node counts above ``EXACT_ENUMERATION_CAP`` are rejected: the subset tables
-and worst-case witness scans grow as 2^n and 3^n, so exhaustive checking is
-a desk-scale tool by nature.  Single-node graphs are degenerate: no disjoint
+The order is numeric: with w(S) = sum of 3^(n-1-i) over i in S, a pair
+ranks as w(S1) + 2*w(S2).  No orientation constraint is needed, because
+3^(n-1-i) exceeds the weight of all later nodes together, so the set
+holding the lowest assigned node has the larger w, and of the two
+orientations of a pair the one with that set as S1 ranks lower.  The
+minimum over ordered failing pairs is therefore the canonical witness.  It
+takes one subset-min of w over the eligible sets per partner budget
+k in [0, s-1] (sets with reachable count <= k), so a witness costs
+O(s * n * 2^n) numpy work.
+
+Node counts above ``EXACT_ENUMERATION_CAP`` are rejected: it guards the
+2^n-entry tables, which grow with every node, so exhaustive checking is a
+desk-scale tool by nature.  Single-node graphs are degenerate: no disjoint
 nonempty pair exists, so every check holds vacuously.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Literal
 
 import numpy as np
 
@@ -129,40 +138,35 @@ def _x_count_table(g: Graph, r: int) -> np.ndarray:
     return x
 
 
-def _subset_or(flags: np.ndarray, n: int) -> np.ndarray:
-    """``out[M]`` = OR of ``flags[S]`` over all subsets S of M (zeta transform)."""
-    f = flags.copy()
-    for i in range(n):
-        step = 1 << i
-        fr = f.reshape(-1, 2 * step)
-        fr[:, step:] |= fr[:, :step]
-    return f
-
-
 def _subset_min(vals: np.ndarray, n: int) -> np.ndarray:
-    """``out[M]`` = min of ``vals[S]`` over all subsets S of M."""
+    """``out[M]`` = min of ``vals[S]`` over all subsets S of M (zeta transform)."""
     v = vals.copy()
     for i in range(n):
         step = 1 << i
         vr = v.reshape(-1, 2 * step)
-        vr[:, step:] = np.minimum(vr[:, step:], vr[:, :step])
+        np.minimum(vr[:, step:], vr[:, :step], out=vr[:, step:])
     return v
 
 
 _UNCONSTRAINED = np.int64(1) << 40
 
 
-def _r_robust_decision(g: Graph, r: int) -> bool:
-    """Fast yes/no: does some disjoint nonempty pair have both sets non-reachable?"""
-    x = _x_count_table(g, r)
+def _nonreachable(x: np.ndarray) -> np.ndarray:
+    """Flags the nonempty subsets with no member reaching r outside neighbors."""
     nonreach = x == 0
     nonreach[0] = False
+    return nonreach
+
+
+def _r_robust_decision(nonreach: np.ndarray, n: int) -> bool:
+    """Fast yes/no: is there no disjoint pair with both sets non-reachable?"""
     if not nonreach.any():
         return True
-    reachable_free = _subset_or(nonreach, g.n)
-    full = (1 << g.n) - 1
+    # 0 marks a non-reachable set; a subset-min of 0 under M means M holds one
+    free_min = _subset_min((~nonreach).astype(np.uint8), n)
+    full = (1 << n) - 1
     bad = np.nonzero(nonreach)[0]
-    return not bool(reachable_free[full ^ bad].any())
+    return bool(free_min[full ^ bad].all())
 
 
 def _rs_tables(g: Graph, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -191,27 +195,15 @@ def _min_partner_sum(g: Graph, x: np.ndarray, deficient: np.ndarray) -> int | No
     return int((x[ds][valid] + partner[valid]).min())
 
 
-# -- canonical pair enumeration ----------------------------------------------
+# -- canonical witnesses -------------------------------------------------------
 
-def subset_pair_assignments(n: int) -> Iterator[tuple[int, int]]:
-    """Yield ``(s1_mask, s2_mask)`` for every disjoint nonempty unordered pair.
-
-    Pairs appear exactly once, in the canonical lexicographic order described
-    in the module docstring.
-    """
-
-    def rec(i: int, m1: int, m2: int) -> Iterator[tuple[int, int]]:
-        if i == n:
-            if m1 and m2:
-                yield (m1, m2)
-            return
-        bit = 1 << i
-        yield from rec(i + 1, m1, m2)
-        yield from rec(i + 1, m1 | bit, m2)
-        if m1:
-            yield from rec(i + 1, m1, m2 | bit)
-
-    return rec(0, 0, 0)
+def _rank_weights(n: int) -> np.ndarray:
+    """``w[S]`` = sum of 3^(n-1-i) over the nodes i of S."""
+    w = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):
+        step = 1 << i
+        w.reshape(-1, 2 * step)[:, step:] += 3 ** (n - 1 - i)
+    return w
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:
@@ -222,27 +214,40 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _pair_from_masks(m1: int, m2: int) -> SubsetPair:
+def _pair_from_rank(rank: int, n: int) -> SubsetPair:
+    """Decode a canonical rank: base-3 digit 1 puts node i in S1, 2 in S2."""
+    m1 = m2 = 0
+    for i in range(n - 1, -1, -1):
+        rank, digit = divmod(rank, 3)
+        if digit == 1:
+            m1 |= 1 << i
+        elif digit == 2:
+            m2 |= 1 << i
     return SubsetPair(_mask_to_set(m1), _mask_to_set(m2))
 
 
-def _first_failing_r(g: Graph, r: int) -> SubsetPair:
-    x = _x_count_table(g, r)
-    reach = (x >= 1).tolist()
-    for m1, m2 in subset_pair_assignments(g.n):
-        if not reach[m1] and not reach[m2]:
-            return _pair_from_masks(m1, m2)
-    raise AssertionError("decision said not robust but no failing pair found")
+def _canonical_witness(
+    x: np.ndarray, eligible: np.ndarray, s: int, n: int
+) -> SubsetPair:
+    """First pair in canonical order with both sets eligible and x summing to <= s-1.
 
-
-def _first_failing_rs(g: Graph, r: int, s: int) -> SubsetPair:
-    x_arr, deficient_arr = _rs_tables(g, r)
-    x = x_arr.tolist()
-    deficient = deficient_arr.tolist()
-    for m1, m2 in subset_pair_assignments(g.n):
-        if deficient[m1] and deficient[m2] and x[m1] + x[m2] <= s - 1:
-            return _pair_from_masks(m1, m2)
-    raise AssertionError("decision said not robust but no failing pair found")
+    For each partner budget k, one subset-min over the eligible sets with
+    x <= k gives, under every complement, the lowest-weight partner; a set
+    S1 with x[S1] = s-1-k then ranks its best pair as w[S1] + 2*min.
+    """
+    w = _rank_weights(n)
+    unused = np.int64(3**n)  # above every w, so it never wins a minimum
+    full = (1 << n) - 1
+    best = 3 * unused
+    for k in range(s):
+        s1 = np.nonzero(eligible & (x == s - 1 - k))[0]
+        if s1.size == 0:
+            continue
+        partner = _subset_min(np.where(eligible & (x <= k), w, unused), n)
+        best = min(best, (w[s1] + 2 * partner[full ^ s1]).min())
+    if best >= unused:
+        raise AssertionError("decision said not robust but no failing pair found")
+    return _pair_from_rank(int(best), n)
 
 
 # -- public checks -------------------------------------------------------------
@@ -252,9 +257,11 @@ def is_r_robust(g: Graph, r: int) -> RobustnessVerdict:
     if r < 1:
         raise ValueError("r must be a positive integer")
     _check_cap(g)
-    if _r_robust_decision(g, r):
+    x = _x_count_table(g, r)
+    nonreach = _nonreachable(x)
+    if _r_robust_decision(nonreach, g.n):
         return RobustnessVerdict(True, r)
-    return RobustnessVerdict(False, r, witness=_first_failing_r(g, r))
+    return RobustnessVerdict(False, r, witness=_canonical_witness(x, nonreach, 1, g.n))
 
 
 def max_r_robustness(g: Graph) -> int:
@@ -266,7 +273,7 @@ def max_r_robustness(g: Graph) -> int:
     _check_cap(g)
     gamma = (g.n + 1) // 2
     for r in range(gamma, 0, -1):
-        if _r_robust_decision(g, r):
+        if _r_robust_decision(_nonreachable(_x_count_table(g, r)), g.n):
             return r
     return 0
 
@@ -282,7 +289,8 @@ def is_rs_robust(g: Graph, r: int, s: int) -> RobustnessVerdict:
     worst = _min_partner_sum(g, x, deficient)
     if worst is None or worst >= s:
         return RobustnessVerdict(True, r, s=s)
-    return RobustnessVerdict(False, r, s=s, witness=_first_failing_rs(g, r, s))
+    witness = _canonical_witness(x, deficient, s, g.n)
+    return RobustnessVerdict(False, r, s=s, witness=witness)
 
 
 def max_s_given_r(g: Graph, r: int) -> int:
@@ -333,22 +341,3 @@ def minimality_sweep(
         entries.append((e, verdict))
     return MinimalitySweep(kind, r, s, tuple(entries))
 
-
-def all_disjoint_pairs(n: int) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
-    """Unordered disjoint nonempty pairs via itertools, for small-n cross-checks.
-
-    Independent of :func:`subset_pair_assignments`; tests use it to confirm
-    the canonical enumerator is complete and duplicate-free.
-    """
-    nodes = list(range(n))
-    seen = set()
-    for k1 in range(1, n + 1):
-        for s1 in combinations(nodes, k1):
-            rest = [v for v in nodes if v not in s1]
-            for k2 in range(1, len(rest) + 1):
-                for s2 in combinations(rest, k2):
-                    key = frozenset((frozenset(s1), frozenset(s2)))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    yield frozenset(s1), frozenset(s2)

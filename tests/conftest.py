@@ -2,16 +2,61 @@
 
 The brute-force functions below check definitions directly over explicit
 subset enumerations (itertools-based, no bitmask tricks) so they stay
-independent of the code paths they validate.
+independent of the code paths they validate.  ``subset_pair_assignments``
+walks the ~3^n/2 pairs in the oracle's canonical witness order; it is the
+reference the oracle's transform-based witness recovery is compared with.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import Iterator
 
 from mergraph import Graph, new_graph
-from mergraph.oracle import all_disjoint_pairs
+
+
+def subset_pair_assignments(n: int) -> Iterator[tuple[int, int]]:
+    """Yield ``(s1_mask, s2_mask)`` for every disjoint nonempty unordered pair.
+
+    Pairs appear exactly once, in canonical order: each node gets a digit in
+    {0 = unassigned, 1 = S1, 2 = S2}, digit vectors are compared
+    lexicographically with node 0 most significant, and the lowest-indexed
+    assigned node sits in S1.
+    """
+
+    def rec(i: int, m1: int, m2: int) -> Iterator[tuple[int, int]]:
+        if i == n:
+            if m1 and m2:
+                yield (m1, m2)
+            return
+        bit = 1 << i
+        yield from rec(i + 1, m1, m2)
+        yield from rec(i + 1, m1 | bit, m2)
+        if m1:
+            yield from rec(i + 1, m1, m2 | bit)
+
+    return rec(0, 0, 0)
+
+
+def all_disjoint_pairs(n: int) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
+    """Unordered disjoint nonempty pairs via itertools, for small-n cross-checks.
+
+    Independent of :func:`subset_pair_assignments`; tests use it to confirm
+    the canonical enumerator is complete and duplicate-free.
+    """
+    nodes = list(range(n))
+    seen = set()
+    for k1 in range(1, n + 1):
+        for s1 in combinations(nodes, k1):
+            rest = [v for v in nodes if v not in s1]
+            for k2 in range(1, len(rest) + 1):
+                for s2 in combinations(rest, k2):
+                    key = frozenset((frozenset(s1), frozenset(s2)))
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    yield frozenset(s1), frozenset(s2)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -44,6 +89,30 @@ def brute_is_rs_robust(g: Graph, r: int, s: int) -> bool:
             continue
         return False
     return True
+
+
+def brute_first_failing_pair(
+    g: Graph, r: int, s: int = 1
+) -> tuple[frozenset[int], frozenset[int]] | None:
+    """First pair of the canonical scan that breaks (r, s)-robustness, or None.
+
+    With s = 1 this is the first pair breaking plain r-robustness: both
+    counts must then be 0.
+    """
+    counts: dict[int, tuple[frozenset[int], int]] = {}
+
+    def lookup(mask: int) -> tuple[frozenset[int], int]:
+        if mask not in counts:
+            nodes = frozenset(i for i in range(g.n) if mask >> i & 1)
+            counts[mask] = (nodes, brute_reachable_count(g, nodes, r))
+        return counts[mask]
+
+    for m1, m2 in subset_pair_assignments(g.n):
+        s1, x1 = lookup(m1)
+        s2, x2 = lookup(m2)
+        if x1 < len(s1) and x2 < len(s2) and x1 + x2 <= s - 1:
+            return s1, s2
+    return None
 
 
 def brute_max_clique(g: Graph) -> int:

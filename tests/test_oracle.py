@@ -21,12 +21,14 @@ from mergraph import (
     new_graph,
     reachable_count,
 )
-from mergraph.oracle import all_disjoint_pairs, subset_pair_assignments
 from conftest import (
+    all_disjoint_pairs,
+    brute_first_failing_pair,
     brute_is_r_robust,
     brute_is_rs_robust,
     brute_reachable_count,
     random_graph,
+    subset_pair_assignments,
 )
 
 
@@ -222,23 +224,36 @@ class TestWitnesses:
         assert a == b
         assert not a.holds
 
+    @staticmethod
+    def assert_canonical(g, r, s=None):
+        verdict = is_r_robust(g, r) if s is None else is_rs_robust(g, r, s)
+        expected = brute_first_failing_pair(g, r, 1 if s is None else s)
+        if expected is None:
+            assert verdict.holds
+            return False
+        assert not verdict.holds
+        assert (verdict.witness.s1, verdict.witness.s2) == expected
+        return True
+
     def test_witness_is_first_in_canonical_order(self):
         rng = random.Random(17)
-        checked = 0
-        while checked < 25:
-            g = random_graph(rng, rng.randint(3, 7), rng.random() * 0.8)
-            r = rng.randint(1, (g.n + 1) // 2)
-            verdict = is_r_robust(g, r)
-            if verdict.holds:
-                continue
-            checked += 1
-            for m1, m2 in subset_pair_assignments(g.n):
-                s1 = frozenset(i for i in range(g.n) if m1 >> i & 1)
-                s2 = frozenset(i for i in range(g.n) if m2 >> i & 1)
-                if not is_r_reachable(g, s1, r) and not is_r_reachable(g, s2, r):
-                    assert verdict.witness.s1 == s1
-                    assert verdict.witness.s2 == s2
-                    break
+        checked_r = checked_rs = 0
+        while checked_r < 60 or checked_rs < 60:
+            n = rng.randint(3, 9)
+            g = random_graph(rng, n, rng.random() * 0.8)
+            r = rng.randint(1, (n + 1) // 2)
+            checked_r += self.assert_canonical(g, r)
+            checked_rs += self.assert_canonical(g, r, rng.randint(2, n))
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_family_removal_witnesses_are_canonical(self, n):
+        gamma = (n + 1) // 2
+        g, _ = construct_gamma_merg(n)
+        for e in sorted(g.edges):
+            assert self.assert_canonical(g.remove_edge(*e), gamma), e
+        gg, _ = construct_gamma_gamma_merg(n)
+        for e in sorted(gg.edges):
+            assert self.assert_canonical(gg.remove_edge(*e), gamma, gamma), e
 
 
 class TestEnumeration:
