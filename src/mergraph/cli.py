@@ -19,6 +19,7 @@ switches the human-readable report on stdout to machine-readable JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -72,7 +73,9 @@ def _witness_payload(verdict: oracle.RobustnessVerdict) -> dict | None:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="mergraph", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -14,6 +14,17 @@ every set M, the best partner among the subsets of M, so looking each
 candidate S1 up at its complement covers every disjoint pair.  The yes/no
 decision runs first; only failing graphs go on to recover a witness.
 
+The 2^n tables hold uint8 (counts and degrees are at most n); 255
+marks "no such set" and sums are taken in int64.  A table is built with
+the subset bits split into a low half (n // 2 bits) and a high half: node
+i's outside degree is popcount(a_lo & ~S_lo) + popcount(a_hi & ~S_hi), two
+vectors of length ~2^(n/2), and one broadcast compare of the two halves
+updates the view of the table that covers the subsets containing i.  The
+maximum r comes from one such table, maxout[S] = largest outside degree
+in S: r-robustness fails exactly when a disjoint pair has both maxout
+values below r.  Since full ^ S = full - S, the complement lookup
+``t[full ^ S]`` over all S is the reversed view ``t[::-1]``, not a gather.
+
 Canonical order: each node gets a digit in {0 = unassigned, 1 = S1,
 2 = S2}; digit vectors are compared lexicographically with node 0 most
 significant, and the lowest-indexed assigned node sits in S1 (the
@@ -39,7 +50,7 @@ nonempty pair exists, so every check holds vacuously.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Iterator, Literal
 
 import numpy as np
 
@@ -124,18 +135,57 @@ def is_r_reachable(g: Graph, s: Iterable[int], r: int) -> bool:
 
 # -- per-subset tables and pair-existence transforms --------------------------
 
+# Above every count or degree a table holds (both are at most n), so it never
+# wins a minimum; it marks "no such set" in the uint8 tables.
+_ABSENT = np.uint8(255)
+
+
+def _member_terms(
+    g: Graph, table: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per node i: the view of ``table`` over the subsets containing i, and
+    the two halves of i's outside degree, broadcast to that view's shape.
+
+    Subset ``S`` is split into its low ``n // 2`` bits and its high bits;
+    i's outside degree is popcount(a_lo & ~S_lo) + popcount(a_hi & ~S_hi),
+    so each half is a vector over one half of the bits only.
+    """
+    n = g.n
+    lo_bits = n // 2
+    lo = np.arange(1 << lo_bits, dtype=np.uint32)
+    hi = np.arange(1 << (n - lo_bits), dtype=np.uint32)
+    grid = table.reshape(hi.size, lo.size)
+    lo_mask = lo.size - 1
+    for i, a in enumerate(g.adjacency):
+        out_lo = np.bitwise_count((a & lo_mask) & ~lo)
+        out_hi = np.bitwise_count((a >> lo_bits) & ~hi)
+        if i < lo_bits:
+            step = 1 << i
+            view = grid.reshape(hi.size, -1, 2 * step)[:, :, step:]
+            yield view, out_hi[:, None, None], out_lo.reshape(-1, 2 * step)[None, :, step:]
+        else:
+            step = 1 << (i - lo_bits)
+            view = grid.reshape(-1, 2 * step, lo.size)[:, step:, :]
+            yield view, out_hi.reshape(-1, 2 * step)[:, step:, None], out_lo[None, None, :]
+
+
 def _x_count_table(g: Graph, r: int) -> np.ndarray:
     """``x[S]`` = number of nodes in subset ``S`` with >= r neighbors outside S."""
-    n = g.n
-    idx = np.arange(1 << n, dtype=np.uint64)
-    one = np.uint64(1)
-    x = np.zeros(1 << n, dtype=np.int64)
-    for i in range(n):
-        a = np.uint64(g.adjacency[i])
-        outside_deg = np.bitwise_count(a & ~idx)
-        member = ((idx >> np.uint64(i)) & one).astype(bool)
-        x += (member & (outside_deg >= r)).astype(np.int64)
+    # no outside degree reaches n, so every r >= n gives the same table; the
+    # clamp keeps ``need - out_lo`` inside int16
+    need = min(r, g.n)
+    x = np.zeros(1 << g.n, dtype=np.uint8)
+    for view, out_hi, out_lo in _member_terms(g, x):
+        view += out_hi >= need - out_lo.astype(np.int16)
     return x
+
+
+def _maxout_table(g: Graph) -> np.ndarray:
+    """``maxout[S]`` = largest outside degree among the members of ``S`` (0 for the empty set)."""
+    maxout = np.zeros(1 << g.n, dtype=np.uint8)
+    for view, out_hi, out_lo in _member_terms(g, maxout):
+        np.maximum(view, out_hi + out_lo, out=view)
+    return maxout
 
 
 def _subset_min(vals: np.ndarray, n: int) -> np.ndarray:
@@ -146,9 +196,6 @@ def _subset_min(vals: np.ndarray, n: int) -> np.ndarray:
         vr = v.reshape(-1, 2 * step)
         np.minimum(vr[:, step:], vr[:, :step], out=vr[:, step:])
     return v
-
-
-_UNCONSTRAINED = np.int64(1) << 40
 
 
 def _nonreachable(x: np.ndarray) -> np.ndarray:
@@ -164,15 +211,13 @@ def _r_robust_decision(nonreach: np.ndarray, n: int) -> bool:
         return True
     # 0 marks a non-reachable set; a subset-min of 0 under M means M holds one
     free_min = _subset_min((~nonreach).astype(np.uint8), n)
-    full = (1 << n) - 1
-    bad = np.nonzero(nonreach)[0]
-    return bool(free_min[full ^ bad].all())
+    return bool(free_min[::-1][nonreach].all())
 
 
 def _rs_tables(g: Graph, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Reachable counts plus the deficiency flag (some member lacks r outside)."""
     x = _x_count_table(g, r)
-    sizes = np.bitwise_count(np.arange(1 << g.n, dtype=np.uint64)).astype(np.int64)
+    sizes = np.bitwise_count(np.arange(1 << g.n, dtype=np.uint32))
     deficient = x < sizes
     return x, deficient
 
@@ -185,14 +230,12 @@ def _min_partner_sum(g: Graph, x: np.ndarray, deficient: np.ndarray) -> int | No
     """
     if not deficient.any():
         return None
-    partner_min = _subset_min(np.where(deficient, x, _UNCONSTRAINED), g.n)
-    full = (1 << g.n) - 1
-    ds = np.nonzero(deficient)[0]
-    partner = partner_min[full ^ ds]
-    valid = partner < _UNCONSTRAINED
+    partner_min = _subset_min(np.where(deficient, x, _ABSENT), g.n)
+    partner = partner_min[::-1][deficient]
+    valid = partner < _ABSENT
     if not valid.any():
         return None
-    return int((x[ds][valid] + partner[valid]).min())
+    return int((x[deficient][valid].astype(np.int64) + partner[valid]).min())
 
 
 # -- canonical witnesses -------------------------------------------------------
@@ -237,14 +280,13 @@ def _canonical_witness(
     """
     w = _rank_weights(n)
     unused = np.int64(3**n)  # above every w, so it never wins a minimum
-    full = (1 << n) - 1
     best = 3 * unused
     for k in range(s):
-        s1 = np.nonzero(eligible & (x == s - 1 - k))[0]
-        if s1.size == 0:
+        s1 = eligible & (x == s - 1 - k)
+        if not s1.any():
             continue
         partner = _subset_min(np.where(eligible & (x <= k), w, unused), n)
-        best = min(best, (w[s1] + 2 * partner[full ^ s1]).min())
+        best = min(best, (w[s1] + 2 * partner[::-1][s1]).min())
     if best >= unused:
         raise AssertionError("decision said not robust but no failing pair found")
     return _pair_from_rank(int(best), n)
@@ -267,15 +309,19 @@ def is_r_robust(g: Graph, r: int) -> RobustnessVerdict:
 def max_r_robustness(g: Graph) -> int:
     """Largest r >= 1 for which the graph is r-robust, else 0.
 
-    Descends linearly from ceil(n/2), the largest value any graph on n nodes
-    can achieve; 0 signals "not even 1-robust" (disconnected or edgeless).
+    r-robustness fails exactly when some disjoint pair has both maxout
+    values below r, so the answer is the smallest max(maxout[S1],
+    maxout[S2]) over disjoint nonempty pairs, capped at ceil(n/2), the
+    largest value any graph on n nodes can achieve.  A subset-min of
+    maxout gives every S1 its best partner at once.  0 signals "not even
+    1-robust" (disconnected or edgeless).
     """
     _check_cap(g)
     gamma = (g.n + 1) // 2
-    for r in range(gamma, 0, -1):
-        if _r_robust_decision(_nonreachable(_x_count_table(g, r)), g.n):
-            return r
-    return 0
+    maxout = _maxout_table(g)
+    maxout[0] = _ABSENT
+    partner = _subset_min(maxout, g.n)
+    return min(gamma, int(np.maximum(maxout, partner[::-1]).min()))
 
 
 def is_rs_robust(g: Graph, r: int, s: int) -> RobustnessVerdict:

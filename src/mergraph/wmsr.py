@@ -174,6 +174,8 @@ class SimConfig:
             raise ValueError("roles must cover every node")
         if len(self.initial_states) != n:
             raise ValueError("initial_states must cover every node")
+        if not all(math.isfinite(v) for v in self.initial_states):
+            raise ValueError("initial_states must be finite")
         if self.f < 0:
             raise ValueError("f must be non-negative")
         if self.steps < 1:

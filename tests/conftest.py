@@ -81,6 +81,14 @@ def brute_is_r_robust(g: Graph, r: int) -> bool:
     return True
 
 
+def brute_max_r(g: Graph) -> int:
+    """Largest r in [1, ceil(n/2)] with the graph r-robust, else 0 (linear descent)."""
+    for r in range((g.n + 1) // 2, 0, -1):
+        if brute_is_r_robust(g, r):
+            return r
+    return 0
+
+
 def brute_is_rs_robust(g: Graph, r: int, s: int) -> bool:
     for s1, s2 in all_disjoint_pairs(g.n):
         x1 = brute_reachable_count(g, s1, r)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from mergraph import graph_from_json, max_r_robustness
-from mergraph.cli import main
+from mergraph.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -199,3 +199,32 @@ class TestSimulate:
             )
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.metrics.json").read_bytes() == (tmp_path / "b.metrics.json").read_bytes()
+
+
+class TestParserReuse:
+    def test_repeated_calls_match_fresh_parsers(self, g9, tmp_path, capsys):
+        traj = str(tmp_path / "t.csv")
+        calls = [
+            ("robustness", "--graph", str(g9), "--json"),
+            ("robustness", "--graph", str(g9), "--r", "5"),
+            ("construct", "--n", "9"),  # parse error: missing flags
+            ("robustness", "--graph", str(g9), "--rs"),
+            ("bounds", "--graph", str(g9), "--json"),
+            ("minimality", "--graph", str(g9), "--kind", "r"),
+            ("simulate", "--graph", str(g9), "--scenario", "viiB-gamma", "--out", traj, "--json"),
+            ("simulate", "--graph", str(g9), "--out", traj),
+            ("robustness", "--graph", str(g9), "--rs", "--s", "2", "--json"),
+        ]
+
+        def outcome(argv):
+            code = run_cli(*argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert build_parser() is build_parser()
+        for _ in range(2):
+            assert [outcome(argv) for argv in calls] == fresh

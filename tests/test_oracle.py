@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from mergraph import (
     max_s_given_r,
     minimality_sweep,
     new_graph,
+    oracle,
     reachable_count,
 )
 from conftest import (
@@ -26,6 +28,7 @@ from conftest import (
     brute_first_failing_pair,
     brute_is_r_robust,
     brute_is_rs_robust,
+    brute_max_r,
     brute_reachable_count,
     random_graph,
     subset_pair_assignments,
@@ -126,6 +129,23 @@ class TestMaxR:
             g = random_graph(rng, rng.randint(2, 9), rng.random())
             assert max_r_robustness(g) <= (g.n + 1) // 2
 
+    def test_matches_brute_force_descent(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 8), rng.random())
+            assert max_r_robustness(g) == brute_max_r(g)
+
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_family_removals_agree_with_level_checks(self, n):
+        gamma = (n + 1) // 2
+        for build in (construct_gamma_merg, construct_gamma_gamma_merg):
+            g, _ = build(n)
+            for e in sorted(g.edges):
+                h = g.remove_edge(*e)
+                best = max_r_robustness(h)
+                assert (best >= gamma) == is_r_robust(h, gamma).holds, e
+                assert (best >= gamma - 1) == is_r_robust(h, gamma - 1).holds, e
+
 
 class TestRsRobust:
     def test_complete_5_at_maximum(self):
@@ -191,6 +211,24 @@ class TestAgainstBruteForce:
                 assert is_r_robust(g, r).holds == brute_is_r_robust(g, r)
                 for s in (1, (n + 1) // 2, n):
                     assert is_rs_robust(g, r, s).holds == brute_is_rs_robust(g, r, s)
+
+
+class TestTables:
+    def test_x_table_matches_brute_force_on_every_subset(self):
+        # n = 1..9 covers n = 1 and both even and odd low/high bit splits
+        rng = random.Random(43)
+        for n in range(1, 10):
+            for _ in range(3):
+                g = random_graph(rng, n, rng.random())
+                subsets = [
+                    frozenset(i for i in range(n) if mask >> i & 1)
+                    for mask in range(1 << n)
+                ]
+                for r in range(1, (n + 1) // 2 + 2):
+                    x = oracle._x_count_table(g, r)
+                    assert x.dtype == np.uint8
+                    assert x.tolist() == [brute_reachable_count(g, s, r) for s in subsets]
+                assert not oracle._x_count_table(g, 10**9).any()
 
 
 class TestWitnesses:

@@ -229,6 +229,11 @@ class TestRunSimulation:
         with pytest.raises(ValueError):
             make_config(g, [AgentRole.NORMAL] * 3, 0, 0, [0.0] * 3)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_initial_state_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            make_config(complete_graph(3), [AgentRole.NORMAL] * 3, 0, 5, [0.0, bad, 1.0])
+
 
 class RandomAdversary:
     """Deterministic stateless noise; malicious values depend on (agent, t) only."""
