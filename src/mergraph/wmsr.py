@@ -7,10 +7,21 @@ strictly below (the smallest ones), then moves to the uniform average of its
 own state and the retained values.  With F = 0 this degenerates to plain
 uniform averaging.
 
+Summation order: an update adds the retained values left to right in
+ascending neighbor order, starting from 0.0, and then adds that total to the
+agent's own state: ``own + (((0.0 + v0) + v1) + ...)``.  This is what
+Python's ``sum`` did on floats before 3.12 (3.12 compensates the rounding),
+so trajectories do not depend on the Python version.
+
 Misbehaving agents never follow the update.  A malicious agent broadcasts a
 single forged value per step to all neighbors; a Byzantine agent may send a
 different value to every receiver.  Misbehavior models are value-level:
 rounds are synchronous and lossless, so no message objects are needed.
+Strategy methods must be pure functions of their arguments: a round may call
+one once per step and reuse the value (a malicious broadcast is both logged
+and sent), or call it more than once with the same arguments.  A NaN strategy
+value is an error; an infinite one is an ordinary extreme, which the trim
+removes like any other.
 
 Determinism: given an identical configuration (seed included) a run produces
 a bit-identical trajectory.  Randomness enters only through seeded initial
@@ -46,9 +57,17 @@ class AgentRole(str, Enum):
 
 # -- update rules --------------------------------------------------------------
 
+def _left_sum(values: Iterable[float]) -> float:
+    """``((0.0 + v0) + v1) + ...``: the summation order of every update."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def nominal_step(own: float, neighbor_values: Sequence[float]) -> float:
     """Uniform-weight convex combination of own state and all neighbor values."""
-    total = own + sum(neighbor_values)
+    total = own + _left_sum(neighbor_values)
     return total / (1 + len(neighbor_values))
 
 
@@ -82,7 +101,7 @@ def wmsr_retained(own: float, neighbor_values: Sequence[float], f: int) -> list[
 def wmsr_step(own: float, neighbor_values: Sequence[float], f: int) -> float:
     """One trimmed-consensus update; result lies in [min, max] of own + retained."""
     kept = wmsr_retained(own, neighbor_values, f)
-    return (own + sum(kept)) / (1 + len(kept))
+    return (own + _left_sum(kept)) / (1 + len(kept))
 
 
 # -- adversary scope models ------------------------------------------------------
@@ -165,7 +184,6 @@ class SimConfig:
     steps: int
     seed: int
     initial_states: tuple[float, ...]
-    weight_rule: str = "uniform"
     alpha_floor: float = 0.0
 
     def __post_init__(self) -> None:
@@ -180,8 +198,6 @@ class SimConfig:
             raise ValueError("f must be non-negative")
         if self.steps < 1:
             raise ValueError("steps must be positive")
-        if self.weight_rule != "uniform":
-            raise ValueError("only the uniform weight rule is implemented")
         if not (0.0 <= self.alpha_floor < 1.0):
             raise ValueError("alpha_floor must lie in [0, 1)")
 
@@ -238,6 +254,65 @@ class Trajectory:
         return self.spread(self.steps) < tol
 
 
+def _adjacency_matrix(g: Graph) -> np.ndarray:
+    """(n, n) bool matrix whose row i marks the neighbors of node i."""
+    width = (g.n + 7) // 8
+    raw = b"".join(mask.to_bytes(width, "little") for mask in g.adjacency)
+    bits = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(g.n, width), axis=1, bitorder="little"
+    )
+    return bits[:, : g.n].astype(bool)
+
+
+def _neighbor_index(adj: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Padded int32 index of the listed nodes' neighbors, one column per node.
+
+    Column k lists node ``rows[k]``'s neighbors in ascending order, top to
+    bottom; there is at least one row.  Padding is the column's own node:
+    it gathers the receiver's own state, which the trim never drops, and a
+    node is never its own neighbor, so ``index != rows`` marks the neighbors.
+    """
+    sub = adj[rows]
+    degree = sub.sum(axis=1)
+    width = max(int(degree.max(initial=0)), 1)
+    col, nbr = np.nonzero(sub)
+    pos = np.arange(col.size) - np.repeat(np.cumsum(degree) - degree, degree)
+    index = np.repeat(rows.astype(np.int32)[None, :], width, axis=0)
+    index[pos, col] = nbr
+    return index
+
+
+def _strategy_values(values: list[float], agents: Sequence[int], t: int) -> np.ndarray:
+    """The values as float64; a NaN is an error naming its agent and step."""
+    out = np.array(values, dtype=np.float64)
+    nan = np.isnan(out)
+    if nan.any():
+        raise ValueError(f"agent {agents[int(nan.argmax())]} sent NaN at step {t}")
+    return out
+
+
+def _drop_top(
+    vals: np.ndarray, own: np.ndarray, f: int, kth: int, work: np.ndarray
+) -> np.ndarray:
+    """Per column of ``vals[s]``, mask of the ``f`` largest values above ``own[s]``.
+
+    ``vals`` is (sides, width, columns) and ``own`` (sides, 1, columns).  Among
+    values equal to the threshold (the f-th largest) the topmost are dropped
+    first, as :func:`wmsr_retained` does.  ``kth`` is the threshold's rank,
+    ``width - f`` clipped to the column; ``work`` is scratch of vals' shape.
+    """
+    above = vals > own
+    work.fill(-np.inf)
+    np.copyto(work, vals, where=above)
+    work.partition(kth, axis=1)
+    threshold = work[:, kth, None]
+    over = above & (vals > threshold)
+    tie = above & (vals == threshold)
+    need = f - over.sum(axis=1, keepdims=True)
+    rank = tie.cumsum(axis=1, dtype=np.min_scalar_type(vals.shape[1]))
+    return over | (tie & (rank <= need))
+
+
 def run_simulation(config: SimConfig, adversary: object | None = None) -> Trajectory:
     """Run synchronous rounds: everyone emits, then normal agents trim-average.
 
@@ -245,55 +320,87 @@ def run_simulation(config: SimConfig, adversary: object | None = None) -> Trajec
     strategy's broadcast value; Byzantine agents emit per-receiver values.
     The strategy object must provide ``malicious_value(agent, t)`` and/or
     ``byzantine_value(agent, receiver, t)`` for the roles present, otherwise
-    the role/strategy pairing is rejected.
+    the role/strategy pairing is rejected.  A NaN strategy value raises
+    ``ValueError``.
+
+    A round is a fixed sequence of whole-array operations on the values the
+    normal agents receive: one column per agent, its neighbors' values in
+    ascending neighbor order down the column.  The values below an agent's
+    state are trimmed as the values above it after negation, in a second
+    array stacked with the first.
     """
     g = config.graph
     n = g.n
     roles = config.roles
-    if any(r is AgentRole.MALICIOUS for r in roles) and not hasattr(
-        adversary, "malicious_value"
-    ):
+    f = config.f
+    malicious_value = getattr(adversary, "malicious_value", None)
+    byzantine_value = getattr(adversary, "byzantine_value", None)
+    if malicious_value is None and AgentRole.MALICIOUS in roles:
         raise ValueError("malicious roles present but strategy has no malicious_value")
-    if any(r is AgentRole.BYZANTINE for r in roles) and not hasattr(
-        adversary, "byzantine_value"
-    ):
+    if byzantine_value is None and AgentRole.BYZANTINE in roles:
         raise ValueError("byzantine roles present but strategy has no byzantine_value")
 
-    neighbor_lists = [sorted(g.neighbors(i)) for i in range(n)]
+    adj = _adjacency_matrix(g)
+    role_of = np.array([r.value for r in roles])
+    is_byzantine = role_of == AgentRole.BYZANTINE.value
+    normal = np.flatnonzero(role_of == AgentRole.NORMAL.value)
+    # isolated adversaries send nothing and are logged as 0.0
+    has_neighbor = adj.any(axis=1)
+    malicious = np.flatnonzero((role_of == AgentRole.MALICIOUS.value) & has_neighbor)
+    byzantine = np.flatnonzero(is_byzantine & has_neighbor)
+    index = _neighbor_index(adj, normal)
+    valid = index != normal
+    slot_pos, slot_col = np.nonzero(valid & is_byzantine[index])
+    # a Byzantine agent is logged with what it sends its lowest-indexed neighbor
+    byz_pairs = list(zip(byzantine.tolist(), adj[byzantine].argmax(axis=1).tolist()))
+    byz_pairs += zip(index[slot_pos, slot_col].tolist(), normal[slot_col].tolist())
+    emitters = np.concatenate((malicious, byzantine))
+    agents = emitters.tolist() + [j for j, _ in byz_pairs[byzantine.size :]]
+    malicious = malicious.tolist()
 
-    def sent(j: int, receiver: int, t: int, x: list[float]) -> float:
-        role = roles[j]
-        if role is AgentRole.NORMAL:
-            return x[j]
-        if role is AgentRole.MALICIOUS:
-            return adversary.malicious_value(j, t)
-        return adversary.byzantine_value(j, receiver, t)
-
+    width = index.shape[0]
+    kth = min(max(width - f, 0), width - 1)
+    stacked = np.empty((2,) + index.shape, dtype=np.float64)
+    received, negated = stacked
+    work = np.empty_like(stacked)
     states = np.empty((config.steps + 1, n), dtype=np.float64)
-    x = [float(v) for v in config.initial_states]
+    sent = np.zeros(n, dtype=np.float64)
+    signed_own = np.empty((2, 1, normal.size), dtype=np.float64)
+    own, negated_own = signed_own[:, 0]
+    own[:] = np.array(config.initial_states, dtype=np.float64)[normal]
+    np.negative(own, out=negated_own)
+    sent[normal] = own
     for t in range(config.steps + 1):
-        for i in range(n):
-            if roles[i] is AgentRole.NORMAL:
-                states[t, i] = x[i]
-            elif neighbor_lists[i]:
-                states[t, i] = sent(i, neighbor_lists[i][0], t, x)
-            else:
-                states[t, i] = 0.0
+        pairs = byz_pairs if t < config.steps else byz_pairs[: byzantine.size]
+        values = _strategy_values(
+            [malicious_value(j, t) for j in malicious]
+            + [byzantine_value(j, i, t) for j, i in pairs],
+            agents,
+            t,
+        )
+        sent[emitters] = values[: emitters.size]
+        states[t] = sent
         if t == config.steps:
             break
-        new_x = list(x)
-        for i in range(n):
-            if roles[i] is not AgentRole.NORMAL:
-                continue
-            received = [sent(j, i, t, x) for j in neighbor_lists[i]]
-            kept = wmsr_retained(x[i], received, config.f)
-            weight = 1.0 / (1 + len(kept))
-            if weight < config.alpha_floor:
-                raise ValueError(
-                    f"uniform weight {weight} fell below alpha_floor {config.alpha_floor}"
-                )
-            new_x[i] = (x[i] + sum(kept)) * weight
-        x = new_x
+        np.take(sent, index, out=received, mode="clip")
+        received[slot_pos, slot_col] = values[emitters.size :]
+        np.negative(received, out=negated)
+        drop = _drop_top(stacked, signed_own, f, kth, work)
+        keep = valid & ~(drop[0] | drop[1])
+        weight = 1.0 / (1 + keep.sum(axis=0))
+        low = weight < config.alpha_floor
+        if low.any():
+            raise ValueError(
+                f"uniform weight {float(weight[low.argmax()])} fell below "
+                f"alpha_floor {config.alpha_floor}"
+            )
+        # left fold down each column; + 0.0 turns a -0.0 total into Python
+        # sum's 0.0, which starts from 0
+        np.copyto(received, 0.0, where=~keep)
+        np.add.accumulate(received, axis=0, out=received)
+        own[:] = (own + (received[-1] + 0.0)) * weight
+        np.negative(own, out=negated_own)
+        sent[normal] = own
     return Trajectory(states=states, roles=roles, f=config.f)
 
 

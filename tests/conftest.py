@@ -5,15 +5,22 @@ subset enumerations (itertools-based, no bitmask tricks) so they stay
 independent of the code paths they validate.  ``subset_pair_assignments``
 walks the ~3^n/2 pairs in the oracle's canonical witness order; it is the
 reference the oracle's transform-based witness recovery is compared with.
+``reference_run_simulation`` is the scalar W-MSR round that the simulator's
+array round is compared with, byte for byte.
 """
 
 from __future__ import annotations
 
 import random
+from functools import reduce
 from itertools import combinations
+from operator import add
 from typing import Iterator
 
-from mergraph import Graph, new_graph
+import numpy as np
+
+from mergraph import AgentRole, Graph, Trajectory, new_graph
+from mergraph.wmsr import wmsr_retained
 
 
 def subset_pair_assignments(n: int) -> Iterator[tuple[int, int]]:
@@ -136,3 +143,62 @@ def brute_max_clique(g: Graph) -> int:
         else:
             break
     return best
+
+
+def reference_run_simulation(config, adversary=None):
+    """Per-agent, per-neighbor W-MSR rounds: the reference for ``run_simulation``.
+
+    Every normal agent asks each neighbor, in ascending order, for the value
+    it sends, trims with the scalar :func:`mergraph.wmsr.wmsr_retained` and
+    folds the survivors left to right from 0.0, as Python's ``sum`` did on
+    floats before 3.12.  Adversary roles are checked, strategy values are
+    taken as given (no NaN check).
+    """
+    g = config.graph
+    n = g.n
+    roles = config.roles
+    if any(r is AgentRole.MALICIOUS for r in roles) and not hasattr(
+        adversary, "malicious_value"
+    ):
+        raise ValueError("malicious roles present but strategy has no malicious_value")
+    if any(r is AgentRole.BYZANTINE for r in roles) and not hasattr(
+        adversary, "byzantine_value"
+    ):
+        raise ValueError("byzantine roles present but strategy has no byzantine_value")
+
+    neighbor_lists = [sorted(g.neighbors(i)) for i in range(n)]
+
+    def sent(j: int, receiver: int, t: int, x: list[float]) -> float:
+        role = roles[j]
+        if role is AgentRole.NORMAL:
+            return x[j]
+        if role is AgentRole.MALICIOUS:
+            return adversary.malicious_value(j, t)
+        return adversary.byzantine_value(j, receiver, t)
+
+    states = np.empty((config.steps + 1, n), dtype=np.float64)
+    x = [float(v) for v in config.initial_states]
+    for t in range(config.steps + 1):
+        for i in range(n):
+            if roles[i] is AgentRole.NORMAL:
+                states[t, i] = x[i]
+            elif neighbor_lists[i]:
+                states[t, i] = sent(i, neighbor_lists[i][0], t, x)
+            else:
+                states[t, i] = 0.0
+        if t == config.steps:
+            break
+        new_x = list(x)
+        for i in range(n):
+            if roles[i] is not AgentRole.NORMAL:
+                continue
+            received = [sent(j, i, t, x) for j in neighbor_lists[i]]
+            kept = wmsr_retained(x[i], received, config.f)
+            weight = 1.0 / (1 + len(kept))
+            if weight < config.alpha_floor:
+                raise ValueError(
+                    f"uniform weight {weight} fell below alpha_floor {config.alpha_floor}"
+                )
+            new_x[i] = (x[i] + reduce(add, kept, 0.0)) * weight
+        x = new_x
+    return Trajectory(states=states, roles=roles, f=config.f)

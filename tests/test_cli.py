@@ -89,6 +89,27 @@ class TestRobustness:
         assert run_cli("robustness", "--graph", str(tmp_path / "nope.json")) == 1
 
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n":3,"edges":[[0,1.5]]}',
+            '{"n":3,"edges":[[0,true]]}',
+            '{"n":3.7,"edges":[[0,1]]}',
+            '{"n":3,"edges":[[5]]}',
+            '{"n":3,"edges":[5]}',
+            '{"n":3,"edges":5}',
+            '{"n":3,"edges":[["a","b"]]}',
+        ],
+    )
+    def test_malformed_graph_file(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert run_cli("robustness", "--graph", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse graph file {path}: ")
+        assert "Traceback" not in err
+
+
 class TestBounds:
     def test_cycle_flagged(self, tmp_path, capsys):
         path = tmp_path / "c4.txt"

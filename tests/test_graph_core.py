@@ -182,6 +182,31 @@ class TestSerialization:
         with pytest.raises(ValueError):
             graph_from_json('{"nodes": 3}')
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 3, "edges": [[0, 1.5]]}',
+            '{"n": 3, "edges": [[0, true]]}',
+            '{"n": 3.7, "edges": [[0, 1]]}',
+            '{"n": true, "edges": []}',
+            '{"n": "3", "edges": []}',
+            '{"n": 3, "edges": [[5]]}',
+            '{"n": 3, "edges": [[0, 1, 2]]}',
+            '{"n": 3, "edges": [5]}',
+            '{"n": 3, "edges": 5}',
+            '{"n": 3, "edges": [["a", "b"]]}',
+            '{"n": 3, "edges": [[0, null]]}',
+        ],
+    )
+    def test_malformed_json_graph_rejected(self, text):
+        with pytest.raises(ValueError):
+            graph_from_json(text)
+
+    @pytest.mark.parametrize("n, edges", [(2.0, []), (3, [(0, 1.0)]), (3, [(False, 1)]), (3, [0])])
+    def test_new_graph_requires_int_pairs(self, n, edges):
+        with pytest.raises(ValueError):
+            new_graph(n, edges)
+
     def test_bad_edge_text_rejected(self):
         with pytest.raises(ValueError):
             graph_from_edge_text("3\n0 1 2\n")

@@ -14,6 +14,7 @@ from mergraph import (
     build_scenario,
     byzantine_split_value,
     complete_graph,
+    construct_gamma_gamma_merg,
     construct_gamma_merg,
     initial_states,
     is_f_local,
@@ -26,17 +27,21 @@ from mergraph import (
     trig_malicious_value,
     wmsr_step,
 )
+from mergraph import wmsr
+from mergraph.cli import main as cli_main
 from mergraph.wmsr import (
+    DEFAULT_REMOVAL_EDGES,
     SCENARIO_BYZ_CONST,
     SCENARIO_BYZ_SPLIT,
     SCENARIO_NONE,
     SCENARIO_TRIG_MALICIOUS,
+    SCENARIOS,
     SplitByzantine,
     TrigMalicious,
     trajectory_states_from_csv,
     wmsr_retained,
 )
-from conftest import random_graph
+from conftest import random_graph, reference_run_simulation
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -78,6 +83,11 @@ class TestSteps:
         lo = min([own] + kept)
         hi = max([own] + kept)
         assert lo - 1e-9 <= result <= hi + 1e-9
+
+    def test_sums_fold_left_without_compensation(self):
+        # a compensated sum (Python >= 3.12's sum) gives 1.0 / 4 here
+        assert nominal_step(0.0, [1e16, 1.0, -1e16]) == 0.0
+        assert wmsr_step(0.0, [1e16, 1.0, -1e16], 0) == 0.0
 
     def test_retained_is_multiset_of_survivors(self):
         kept = wmsr_retained(5.0, [9.0, 1.0, 9.0, 5.0, 2.0], 1)
@@ -325,3 +335,153 @@ class TestTrajectoryOutputs:
         assert metrics["hull"][0] <= metrics["hull"][1]
         assert metrics["within_hull"] is True
         assert metrics["f"] == 2
+
+
+class TieAdversary:
+    """Deterministic values per key: small integers and signed zeros, so the
+    trim meets ties at its thresholds, or else sevenths in [-143, 143]."""
+
+    def __init__(self, seed: int, integers: bool):
+        self.seed = seed
+        self.integers = integers
+
+    def _value(self, *key: int) -> float:
+        h = hash((self.seed, *key)) % 2003
+        if not self.integers:
+            return (h - 1000) / 7.0
+        if h % 5 == 0:
+            return -0.0 if h % 2 else 0.0
+        return float(h % 7 - 3)
+
+    def malicious_value(self, agent: int, t: int) -> float:
+        return self._value(agent, t)
+
+    def byzantine_value(self, agent: int, receiver: int, t: int) -> float:
+        return self._value(agent, receiver, t)
+
+
+def _random_run(rng: random.Random, case: int):
+    n = rng.randint(1, 14)
+    g = random_graph(rng, n, rng.random())
+    roles = [AgentRole.NORMAL] * n
+    for i in rng.sample(range(n), rng.randint(0, n)):
+        roles[i] = rng.choice([AgentRole.MALICIOUS, AgentRole.BYZANTINE])
+    integers = rng.random() < 0.5
+    if integers:
+        initial = [float(rng.randint(-3, 3)) for _ in range(n)]
+        initial = [-0.0 if v == 0 and rng.random() < 0.5 else v for v in initial]
+    else:
+        initial = [rng.uniform(-5.0, 5.0) for _ in range(n)]
+    config = SimConfig(
+        graph=g,
+        roles=tuple(roles),
+        f=rng.randint(0, 6),
+        steps=rng.randint(1, 8),
+        seed=case,
+        initial_states=tuple(initial),
+        alpha_floor=rng.choice([0.0, 0.0, 0.0, 0.2, 0.4]),
+    )
+    return config, TieAdversary(case, integers)
+
+
+def _outcome(simulate, config, adversary):
+    try:
+        return trajectory_to_csv(simulate(config, adversary))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestArrayRoundMatchesReference:
+    """The array round writes the bytes of the scalar per-agent loop."""
+
+    def test_random_graphs_and_role_mixes(self):
+        rng = random.Random(41)
+        seen = {"ties": 0, "isolated": 0, "f_ge_degree": 0, "alpha_error": 0}
+        for case in range(600):
+            config, adversary = _random_run(rng, case)
+            expected = _outcome(reference_run_simulation, config, adversary)
+            assert _outcome(run_simulation, config, adversary) == expected, case
+            g = config.graph
+            degrees = [g.degree(i) for i in range(g.n)]
+            seen["ties"] += adversary.integers
+            seen["isolated"] += 0 in degrees
+            seen["f_ge_degree"] += config.f >= max(degrees)
+            seen["alpha_error"] += expected.startswith("ValueError: uniform weight")
+        assert min(seen.values()) >= 20, seen
+
+    def test_all_negative_zero_states(self):
+        # Python's sum starts from 0, so a total of -0.0 values is +0.0
+        config = make_config(complete_graph(4), [AgentRole.NORMAL] * 4, 1, 2, [-0.0] * 4)
+        text = trajectory_to_csv(run_simulation(config))
+        assert text == trajectory_to_csv(reference_run_simulation(config))
+        assert text.splitlines()[1:3] == ["0,-0,-0,-0,-0", "1,0,0,0,0"]
+
+    @pytest.mark.parametrize("n", [9, 10, 49, 50])
+    @pytest.mark.parametrize("kind", ["r", "rs"])
+    def test_packaged_scenarios(self, kind, n):
+        builder = construct_gamma_merg if kind == "r" else construct_gamma_gamma_merg
+        intact, _ = builder(n)
+        gamma = (n + 1) // 2
+        for scenario in SCENARIOS:
+            graphs = [intact]
+            removal = DEFAULT_REMOVAL_EDGES.get((scenario, n))
+            if removal is not None and intact.has_edge(*removal):
+                graphs.append(intact.remove_edge(*removal))
+            f = None
+            if scenario == SCENARIO_TRIG_MALICIOUS:
+                f = (gamma - 1) // 2 if kind == "r" else gamma - 1
+            for g in graphs:
+                config, strategy = build_scenario(g, scenario, f=f, steps=30, seed=1)
+                expected = trajectory_to_csv(reference_run_simulation(config, strategy))
+                assert trajectory_to_csv(run_simulation(config, strategy)) == expected
+
+
+class ConstantMalicious:
+    def __init__(self, value: float):
+        self.value = value
+
+    def malicious_value(self, agent: int, t: int) -> float:
+        return self.value
+
+
+class ConstantByzantine(ConstantMalicious):
+    def byzantine_value(self, agent: int, receiver: int, t: int) -> float:
+        return self.value
+
+
+class TestNonFiniteAdversaryValues:
+    """On the 5-robust n=9 construction with F=2 adversaries."""
+
+    def _config(self, role):
+        g, _ = construct_gamma_merg(9)
+        initial = initial_states(9, SCENARIO_TRIG_MALICIOUS, seed=0)
+        return make_config(g, [role] * 2 + [AgentRole.NORMAL] * 7, 2, 30, initial)
+
+    @pytest.mark.parametrize("strategy", [ConstantMalicious, ConstantByzantine])
+    def test_nan_is_rejected_naming_agent_and_step(self, strategy):
+        role = AgentRole.MALICIOUS if strategy is ConstantMalicious else AgentRole.BYZANTINE
+        with pytest.raises(ValueError, match="agent 0 sent NaN at step 0"):
+            run_simulation(self._config(role), strategy(float("nan")))
+
+    def test_nan_from_the_cli_exits_1(self, tmp_path, monkeypatch, capsys):
+        graph = tmp_path / "g9.json"
+        assert cli_main(["construct", "--n", "9", "--kind", "r", "--out", str(graph)]) == 0
+        monkeypatch.setattr(
+            wmsr, "trig_malicious_value", lambda agent, t: float("nan") if t == 3 else 1.0
+        )
+        out = tmp_path / "run.csv"
+        argv = ["simulate", "--graph", str(graph), "--scenario", SCENARIO_TRIG_MALICIOUS,
+                "--f", "2", "--out", str(out)]
+        assert cli_main(argv) == 1
+        assert "agent 0 sent NaN at step 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategy", [ConstantMalicious, ConstantByzantine])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_infinite_values_are_trimmed(self, strategy, value):
+        role = AgentRole.MALICIOUS if strategy is ConstantMalicious else AgentRole.BYZANTINE
+        traj = run_simulation(self._config(role), strategy(value))
+        normal = traj.normal_states()
+        m0, big_m0 = traj.hull_bounds()
+        assert np.isfinite(normal).all()
+        assert (normal >= m0).all() and (normal <= big_m0).all()
+        assert traj.spread(30) < 1e-3 * traj.spread(0)
