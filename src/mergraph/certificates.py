@@ -16,15 +16,22 @@ level, and they are collected here as certificate checks:
 
 All checks except the last are necessary only: passing never proves
 robustness, failing always disproves it.
+
+The dense-subgraph check is the only one that looks at node subsets.  It
+tabulates the induced edge count of all 2^n subsets in one numpy table
+(see :func:`lemma4_dense_subgraph_holds`), so its budget bounds the size of
+that table rather than a loop over candidates; above the budget the report
+records the check as not evaluated.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import Literal
+
+import numpy as np
 
 from .graph_core import CapExceededError, Graph, complement, max_clique_size
 
@@ -150,30 +157,61 @@ def necessary_clique_size(n: int) -> int:
     return (gamma + 4) // 2
 
 
+def _induced_edge_table(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """``induced[S]`` = number of edges with both ends in subset ``S``, and
+    ``sizes[S]`` = ``|S|``, over all 2^n subsets.
+
+    Filled by doubling over the nodes: for S within nodes 0..i-1,
+    induced[S | 1 << i] = induced[S] + popcount(adj[i] & S).  The popcount is
+    split like the oracle's tables, into the low ``n // 2`` bits of S and
+    its high bits, so each node costs two vectors of length ~2^(n/2) and
+    broadcast adds into the new half of the table.  The dtype holds C(n, 2),
+    so the counts never wrap; the sizes are the sums of the halves' popcounts.
+    """
+    n = g.n
+    lo_bits = n // 2
+    lo = np.arange(1 << lo_bits, dtype=np.uint32)
+    hi = np.arange(1 << (n - lo_bits), dtype=np.uint32)
+    induced = np.zeros(1 << n, dtype=np.min_scalar_type(comb(n, 2)))
+    for i, a in enumerate(g.adjacency):
+        below = induced[: 1 << i]
+        new = induced[1 << i : 2 << i]
+        in_lo = np.bitwise_count(lo & (a & (lo.size - 1)))
+        if i < lo_bits:
+            np.add(below, in_lo[: 1 << i], out=new)
+        else:
+            rows = 1 << (i - lo_bits)
+            in_hi = np.bitwise_count(hi[:rows] & (a >> lo_bits))
+            grid = new.reshape(rows, lo.size)
+            np.add(below.reshape(rows, lo.size), in_hi[:, None], out=grid)
+            grid += in_lo
+    sizes = np.bitwise_count(hi)[:, None] + np.bitwise_count(lo)
+    return induced, sizes.ravel()
+
+
 def lemma4_dense_subgraph_holds(g: Graph, *, max_subsets: int = 2_000_000) -> bool:
     """Even-n check: some (gamma+1)-node subset induces >= floor((gamma^2+2)/2) edges.
 
-    Necessary for gamma-robustness on even n.  Enumerates candidate subsets
-    directly, so it rejects inputs where C(n, gamma+1) exceeds the budget.
+    Necessary for gamma-robustness on even n.  The induced edge count of
+    every one of the 2^n subsets is tabulated at once
+    (:func:`_induced_edge_table`) and read at the subsets of size gamma+1,
+    with no loop over subsets.  The budget is still tested on the number
+    of candidate subsets C(n, gamma+1), and so bounds the table too:
+    2^n <= (n + 2) * C(n, gamma+1).  The default budget admits n <= 22, a
+    4 MiB uint8 table.
     """
     if g.n % 2 != 0:
         raise ValueError("dense-subgraph condition applies to even n only")
-    gamma = g.n // 2
+    n = g.n
+    gamma = n // 2
     k = gamma + 1
-    if comb(g.n, k) > max_subsets:
+    if comb(n, k) > max_subsets:
         raise CapExceededError(
-            f"C({g.n}, {k}) subsets exceed the enumeration budget {max_subsets}"
+            f"C({n}, {k}) subsets exceed the enumeration budget {max_subsets}"
         )
     need = (gamma * gamma + 2) // 2
-    adj = g.adjacency
-    for subset in combinations(range(g.n), k):
-        mask = 0
-        for i in subset:
-            mask |= 1 << i
-        edges = sum((adj[i] & mask).bit_count() for i in subset) // 2
-        if edges >= need:
-            return True
-    return False
+    induced, sizes = _induced_edge_table(g)
+    return bool(np.any((sizes == k) & (induced >= need)))
 
 
 def prop1_gamma_gamma_check(g: Graph) -> bool:

@@ -35,7 +35,9 @@ class Graph:
 
     Instances should normally be built through :func:`new_graph`, which
     normalizes and deduplicates edge pairs.  Direct construction requires
-    edges already in ``(min, max)`` form.
+    edges already in ``(min, max)`` form and checks each of them; graphs
+    derived from edges that were already checked skip that pass
+    (:meth:`_from_checked`).
     """
 
     n: int
@@ -49,6 +51,14 @@ class Graph:
                 raise ValueError(f"self-loop ({u}, {v}) is not allowed")
             if not (0 <= u < v < self.n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+
+    @classmethod
+    def _from_checked(cls, n: int, edges: frozenset[Edge]) -> "Graph":
+        """A graph from edges known to be in range, loop-free and in ``(min, max)`` form."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        return g
 
     @cached_property
     def adjacency(self) -> tuple[int, ...]:
@@ -82,7 +92,7 @@ class Graph:
         e = (min(u, v), max(u, v))
         if e not in self.edges:
             raise ValueError(f"edge {e} not present")
-        return Graph(self.n, self.edges - {e})
+        return Graph._from_checked(self.n, self.edges - {e})
 
     def subset_mask(self, s: Iterable[int]) -> int:
         """Bitmask for a set of nodes, validating membership."""
@@ -122,7 +132,7 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     # frozenset(set) sizes its table to the final count; a frozenset grown
     # pair by pair can keep a table up to twice that (2 MB instead of 1 MB
     # at 20k edges) for the graph's whole life
-    return Graph(n, frozenset(normalized))
+    return Graph._from_checked(n, frozenset(normalized))
 
 
 def complete_graph(n: int) -> Graph:
@@ -130,9 +140,20 @@ def complete_graph(n: int) -> Graph:
 
 
 def complement(g: Graph) -> Graph:
-    """Graph on the same nodes whose edges are exactly the missing pairs."""
-    missing = [e for e in combinations(range(g.n), 2) if e not in g.edges]
-    return Graph(g.n, frozenset(missing))
+    """Graph on the same nodes whose edges are exactly the missing pairs.
+
+    Walks the set bits of each node's complemented neighbor mask above the
+    node itself, so the cost is one step per missing pair.
+    """
+    full = (1 << g.n) - 1
+    missing = []
+    for u, a in enumerate(g.adjacency):
+        rest = (full ^ a) >> (u + 1)
+        while rest:
+            low = rest & -rest
+            missing.append((u, u + low.bit_length()))
+            rest ^= low
+    return Graph._from_checked(g.n, frozenset(missing))
 
 
 def is_spanning_subgraph(g: Graph, h: Graph) -> bool:
@@ -160,18 +181,15 @@ def max_clique_size(g: Graph) -> int:
     Branch-and-bound over candidate bitmasks with a greedy-coloring upper
     bound: candidates are partitioned into color classes (independent sets)
     and a branch is cut once the current clique plus the color index cannot
-    beat the incumbent.  Exactness is the contract; runtime is best-effort
-    and fine for the desk scales this library targets.
+    beat the incumbent.  The branches are walked depth first with an
+    explicit stack, one frame per clique level, so a large clique cannot
+    exhaust the interpreter's recursion limit.  Exactness is the contract;
+    runtime is best-effort and fine for the desk scales this library
+    targets.
     """
     adj = g.adjacency
-    best = 0
 
-    def expand(cand: int, size: int) -> None:
-        nonlocal best
-        if cand == 0:
-            if size > best:
-                best = size
-            return
+    def colored(cand: int) -> tuple[list[int], list[int]]:
         order: list[int] = []
         bound: list[int] = []
         color = 0
@@ -185,15 +203,32 @@ def max_clique_size(g: Graph) -> int:
                 left &= ~(1 << v)
                 order.append(v)
                 bound.append(color)
-        for i in range(len(order) - 1, -1, -1):
-            if size + bound[i] <= best:
-                return
-            v = order[i]
-            expand(cand & adj[v], size + 1)
-            cand &= ~(1 << v)
+        return order, bound
 
-    expand((1 << g.n) - 1, 0)
-    return best
+    best = 0
+    # a frame: candidates left, clique size so far, its colored candidates
+    # and the index of the next one to branch on (highest color first)
+    stack: list[tuple[int, int, list[int], list[int], int]] = []
+    cand, size = (1 << g.n) - 1, 0
+    order, bound = colored(cand)
+    i = len(order) - 1
+    while True:
+        if i >= 0 and size + bound[i] > best:
+            v = order[i]
+            sub = cand & adj[v]
+            cand &= ~(1 << v)
+            i -= 1
+            if sub == 0:
+                best = max(best, size + 1)
+                continue
+            stack.append((cand, size, order, bound, i))
+            cand, size = sub, size + 1
+            order, bound = colored(cand)
+            i = len(order) - 1
+        elif stack:
+            cand, size, order, bound, i = stack.pop()
+        else:
+            return best
 
 
 # -- serialization -----------------------------------------------------------

@@ -532,8 +532,8 @@ def build_scenario(
 def trajectory_to_csv(traj: Trajectory) -> str:
     header = "t," + ",".join(f"node_{i}" for i in range(traj.n))
     lines = [header]
-    for t in range(traj.steps + 1):
-        rendered = ",".join(format(v, ".17g") for v in traj.states[t])
+    for t, row in enumerate(traj.states.tolist()):
+        rendered = ",".join([format(v, ".17g") for v in row])
         lines.append(f"{t},{rendered}")
     return "\n".join(lines) + "\n"
 

@@ -5,6 +5,8 @@ subset enumerations (itertools-based, no bitmask tricks) so they stay
 independent of the code paths they validate.  ``subset_pair_assignments``
 walks the ~3^n/2 pairs in the oracle's canonical witness order; it is the
 reference the oracle's transform-based witness recovery is compared with.
+``brute_dense_subgraph`` is the subset scan that the dense-subgraph
+certificate's induced-edge table is compared with.
 ``reference_run_simulation`` is the scalar W-MSR round that the simulator's
 array round is compared with, byte for byte.
 """
@@ -143,6 +145,22 @@ def brute_max_clique(g: Graph) -> int:
         else:
             break
     return best
+
+
+def brute_dense_subgraph(g: Graph) -> bool:
+    """Even n: some (gamma+1)-node subset induces >= floor((gamma^2+2)/2) edges.
+
+    The subset-by-subset scan that ``lemma4_dense_subgraph_holds`` replaced
+    with a table over all 2^n subsets; it is the reference for that table.
+    """
+    if g.n % 2 != 0:
+        raise ValueError("dense-subgraph condition applies to even n only")
+    gamma = g.n // 2
+    need = (gamma * gamma + 2) // 2
+    for subset in combinations(range(g.n), gamma + 1):
+        if sum(1 for e in combinations(subset, 2) if e in g.edges) >= need:
+            return True
+    return False
 
 
 def reference_run_simulation(config, adversary=None):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -30,7 +31,8 @@ from mergraph import (
     turan_clique_threshold,
     turan_number,
 )
-from conftest import brute_max_clique, random_graph
+from mergraph.certificates import _induced_edge_table
+from conftest import brute_dense_subgraph, brute_max_clique, random_graph
 
 
 def cycle(n: int):
@@ -167,6 +169,66 @@ class TestCliqueAndDenseSubgraph:
     def test_budget(self):
         with pytest.raises(CapExceededError):
             lemma4_dense_subgraph_holds(complete_graph(12), max_subsets=10)
+
+
+def dense_need(n: int) -> int:
+    return (n // 2 * (n // 2) + 2) // 2
+
+
+class TestDenseSubgraphMatchesScan:
+    def test_table_counts_every_subset(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            n = rng.randint(1, 9)
+            g = random_graph(rng, n, rng.random())
+            induced, sizes = _induced_edge_table(g)
+            for mask in range(1 << n):
+                nodes = [i for i in range(n) if mask >> i & 1]
+                assert sizes[mask] == len(nodes)
+                assert induced[mask] == sum(1 for e in combinations(nodes, 2) if e in g.edges)
+
+    def test_random_graphs_around_the_threshold(self):
+        # a (gamma+1)-node core with a few edges fewer or more than needed,
+        # plus random edges elsewhere that other subsets can reach it with
+        rng = random.Random(29)
+        verdicts = {True: 0, False: 0}
+        for _ in range(400):
+            n = rng.choice([2, 4, 6, 8, 10, 12])
+            inside = list(combinations(sorted(rng.sample(range(n), n // 2 + 1)), 2))
+            planted = rng.sample(inside, max(0, min(len(inside), dense_need(n) + rng.randint(-2, 1))))
+            others = [e for e in combinations(range(n), 2) if e not in set(inside)]
+            p = rng.choice([0.0, 0.2, 0.5, 0.8])
+            g = new_graph(n, planted + [e for e in others if rng.random() < p])
+            expected = brute_dense_subgraph(g)
+            assert lemma4_dense_subgraph_holds(g) == expected
+            verdicts[expected] += 1
+        assert min(verdicts.values()) >= 100
+
+    @pytest.mark.parametrize("n", [10, 12])
+    @pytest.mark.parametrize("build", [construct_gamma_merg, construct_gamma_gamma_merg])
+    def test_every_single_edge_removal_of_the_families(self, build, n):
+        g, _ = build(n)
+        assert lemma4_dense_subgraph_holds(g)
+        for u, v in sorted(g.edges):
+            h = g.remove_edge(u, v)
+            assert lemma4_dense_subgraph_holds(h) == brute_dense_subgraph(h)
+
+    def test_n22_at_the_threshold(self):
+        assert lemma4_dense_subgraph_holds(complete_graph(22))
+        core = list(combinations(range(12), 2))
+        need = dense_need(22)
+        assert not lemma4_dense_subgraph_holds(new_graph(22, core[: need - 1]))
+        assert lemma4_dense_subgraph_holds(new_graph(22, core[:need]))
+
+    def test_budget_is_tested_on_the_candidate_count(self):
+        g = complete_graph(12)
+        assert lemma4_dense_subgraph_holds(g, max_subsets=comb(12, 7))
+        with pytest.raises(CapExceededError, match=r"^C\(12, 7\) subsets exceed the enumeration budget 791$"):
+            lemma4_dense_subgraph_holds(g, max_subsets=comb(12, 7) - 1)
+
+    def test_report_leaves_the_check_unevaluated_above_the_budget(self):
+        assert certificate_report(cycle(22)).check("dense_subgraph_gamma").passed is False
+        assert certificate_report(cycle(24)).check("dense_subgraph_gamma").passed is None
 
 
 class TestProp1:

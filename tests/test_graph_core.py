@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import inspect
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mergraph import (
+    Graph,
     complement,
     complete_graph,
     construct_gamma_gamma_merg,
@@ -50,6 +53,14 @@ class TestNewGraph:
         with pytest.raises(ValueError):
             new_graph(3, [(0, 3)])
 
+    @pytest.mark.parametrize(
+        "n, edges",
+        [(0, []), (3, [(1, 1)]), (3, [(0, 3)]), (3, [(-1, 2)]), (3, [(2, 1)]), (3, [(0, 1), (2, 2)])],
+    )
+    def test_direct_construction_checks_each_edge(self, n, edges):
+        with pytest.raises(ValueError):
+            Graph(n, frozenset(edges))
+
     def test_complete_graph_degrees(self):
         g = complete_graph(9)
         assert len(g.edges) == 36
@@ -85,6 +96,12 @@ class TestComplement:
     def test_minimal_rs_graph_complement_is_tiny(self):
         g, _ = construct_gamma_gamma_merg(10)
         assert len(complement(g).edges) == 45 - 43 == 2
+
+    @settings(max_examples=60)
+    @given(graphs(max_n=12))
+    def test_edges_are_the_missing_pairs(self, g):
+        missing = {e for e in combinations(range(g.n), 2) if e not in g.edges}
+        assert complement(g).edges == missing
 
     @settings(max_examples=60)
     @given(graphs(max_n=12))
@@ -151,6 +168,17 @@ class TestMaxClique:
         for _ in range(120):
             g = random_graph(rng, rng.randint(1, 10), rng.choice([0.2, 0.5, 0.8]))
             assert max_clique_size(g) == brute_max_clique(g)
+
+    def test_clique_deeper_than_the_recursion_limit(self):
+        limit = len(inspect.stack()) + 50
+        g = complete_graph(limit + 50)
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit)
+        try:
+            size = max_clique_size(g)
+        finally:
+            sys.setrecursionlimit(old)
+        assert size == limit + 50
 
 
 @settings(max_examples=80)
