@@ -20,9 +20,9 @@ from mergraph import (
     trajectory_to_csv,
 )
 from mergraph.wmsr import (
-    DEFAULT_REMOVAL_EDGES,
     SCENARIO_BYZ_CONST,
     SCENARIO_BYZ_SPLIT,
+    SCENARIO_TABLE,
     SCENARIO_TRIG_MALICIOUS,
 )
 
@@ -64,7 +64,7 @@ def main() -> None:
         g, _ = construct_gamma_merg(n)
         intact = run(g, SCENARIO_BYZ_SPLIT, seed=1, name=f"split_n{n}_intact")
         describe(f"n={n} intact", intact)
-        edge = DEFAULT_REMOVAL_EDGES[(SCENARIO_BYZ_SPLIT, n)]
+        edge = SCENARIO_TABLE[SCENARIO_BYZ_SPLIT].removals[n]
         damaged = run(g.remove_edge(*edge), SCENARIO_BYZ_SPLIT, seed=1, name=f"split_n{n}_removed")
         describe(f"n={n} minus edge {edge}", damaged)
     print("one deleted edge drops the graphs to 4-robust and consensus fails")
@@ -75,17 +75,10 @@ def main() -> None:
         g, _ = construct_gamma_gamma_merg(n)
         intact = run(g, SCENARIO_BYZ_CONST, seed=1, name=f"const_n{n}_intact")
         describe(f"n={n} intact", intact)
-        edge = DEFAULT_REMOVAL_EDGES[(SCENARIO_BYZ_CONST, n)]
+        edge = SCENARIO_TABLE[SCENARIO_BYZ_CONST].removals[n]
         damaged = run(g.remove_edge(*edge), SCENARIO_BYZ_CONST, seed=1, name=f"const_n{n}_removed")
         describe(f"n={n} minus edge {edge}", damaged)
-    print()
-    print("note the n=10 case: the documented demonstration edge (0,2) joins two")
-    print("Byzantine agents, so deleting it cannot change what normal agents hear;")
-    print("the damaged run replays the intact one even though the graph is now only")
-    print("(5,4)-robust.  Removing a normal-normal edge such as (4,9) does break it:")
-    g, _ = construct_gamma_gamma_merg(10)
-    alt = run(g.remove_edge(4, 9), SCENARIO_BYZ_CONST, seed=1)
-    describe("n=10 minus edge (4,9)", alt)
+    print("one deleted edge drops the graphs below (5,5)-robust and consensus fails")
 
 
 if __name__ == "__main__":

@@ -63,7 +63,6 @@ from .wmsr import (
     SimConfig,
     Trajectory,
     build_scenario,
-    byzantine_split_value,
     initial_states,
     is_f_local,
     is_f_total,

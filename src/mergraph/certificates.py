@@ -11,8 +11,8 @@ level, and they are collected here as certificate checks:
 * clique-size floors, including the one obtained by combining the
   (gamma, gamma) edge floor with exact Turán numbers;
 * a dense-induced-subgraph requirement for even n;
-* an exact if-and-only-if test for (gamma, gamma)-robustness via the
-  complement (see :func:`prop1_gamma_gamma_check`).
+* an exact if-and-only-if test for (gamma, gamma)-robustness from the
+  edge count and the degrees (see :func:`prop1_gamma_gamma_check`).
 
 All checks except the last are necessary only: passing never proves
 robustness, failing always disproves it.
@@ -33,7 +33,9 @@ from typing import Literal
 
 import numpy as np
 
-from .graph_core import CapExceededError, Graph, complement, max_clique_size
+# ``complement`` is no longer called here; it stays importable from this
+# module, as ``certificates.complement``, for code written against it
+from .graph_core import CapExceededError, Graph, complement, max_clique_size  # noqa: F401
 
 Parity = Literal["odd", "even", "unknown"]
 
@@ -218,7 +220,9 @@ def prop1_gamma_gamma_check(g: Graph) -> bool:
     """Exact (gamma, gamma)-robustness test, if and only if.
 
     Odd n: true exactly for the complete graph.  Even n: true exactly when
-    the complement has maximum degree <= 1 and at most floor(gamma/2) edges.
+    the complement has maximum degree <= 1 and at most floor(gamma/2) edges,
+    that is when at most floor(gamma/2) pairs are missing and every degree is
+    at least n - 2; the complement itself is never built.
     The even case works because the minimal (gamma, gamma)-robust graphs on
     2*gamma nodes are precisely the complements of matchings with
     floor(gamma/2) edges, and a graph contains one of them as a spanning
@@ -232,10 +236,9 @@ def prop1_gamma_gamma_check(g: Graph) -> bool:
     if g.n % 2 == 1:
         return len(g.edges) == comb(g.n, 2)
     gamma = g.n // 2
-    comp = complement(g)
-    if len(comp.edges) > gamma // 2:
+    if comb(g.n, 2) - len(g.edges) > gamma // 2:
         return False
-    return all(comp.degree(i) <= 1 for i in range(comp.n))
+    return all(mask.bit_count() >= g.n - 2 for mask in g.adjacency)
 
 
 # -- aggregated report ---------------------------------------------------------

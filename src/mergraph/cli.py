@@ -237,10 +237,10 @@ def _cmd_minimality(args: argparse.Namespace) -> int:
 
 def _parse_removal(arg: str, scenario: str, n: int) -> tuple[int, int]:
     if arg == "default":
-        key = (scenario, n)
-        if key not in wmsr.DEFAULT_REMOVAL_EDGES:
+        edge = wmsr.get_scenario(scenario).removals.get(n)
+        if edge is None:
             raise CliError(f"no documented default removal edge for {scenario} at n={n}")
-        return wmsr.DEFAULT_REMOVAL_EDGES[key]
+        return edge
     try:
         u, v = (int(part) for part in arg.split(","))
     except ValueError as exc:
@@ -282,7 +282,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "converged": metrics["converged"],
     }
     _emit(payload, args.json, [
-        f"scenario={args.scenario} f={config.f} steps={config.steps} seed={config.seed}",
+        f"scenario={args.scenario} f={config.f} steps={config.steps} seed={args.seed}",
         f"spread(0)={metrics['spread_initial']:.6g} spread({config.steps})={metrics['spread_final']:.6g}",
         f"converged (tol {args.tol:g}): {'yes' if metrics['converged'] else 'no'}",
         f"trajectory: {out}",

@@ -17,12 +17,15 @@ Two families, both parameterized only by the node count n (gamma = ceil(n/2)):
 The lowest-index choices are one canonical pick among many admissible ones;
 robustness is label-invariant, and a ``variant`` seed applies a recorded
 label permutation for generating differently labeled instances.  Every
-builder returns the graph together with a replayable recipe.
+builder writes only a recipe and returns it together with the graph that
+:func:`replay_recipe` builds from it, so the recipe is the single source of
+each graph's edges.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -91,13 +94,14 @@ def replay_recipe(recipe: ConstructionRecipe) -> Graph:
             for node, nbrs in recipe.attachment_map:
                 edges.extend((node, v) for v in nbrs)
             return new_graph(recipe.n, edges)
-        hub = set(recipe.clique_or_hub)
+        in_hub = set(recipe.clique_or_hub)
+        hub = sorted(in_hub)
         removed = {tuple(sorted(e)) for e in recipe.removed_pairs}
-        edges = [
-            (u, v)
-            for u, v in combinations(range(recipe.n), 2)
-            if (u in hub or v in hub) and (u, v) not in removed
-        ]
+        edges = []
+        for u in range(recipe.n):
+            # a hub node meets every later node, any other node the later hub
+            later = range(u + 1, recipe.n) if u in in_hub else hub[bisect_right(hub, u):]
+            edges.extend((u, v) for v in later if (u, v) not in removed)
         return new_graph(recipe.n, edges)
     if recipe.kind == KIND_GAMMA_GAMMA:
         removed = {tuple(sorted(e)) for e in recipe.removed_pairs}
@@ -106,15 +110,13 @@ def replay_recipe(recipe: ConstructionRecipe) -> Graph:
     raise ValueError(f"unknown recipe kind {recipe.kind!r}")
 
 
-def _apply_variant(
-    graph: Graph, recipe: ConstructionRecipe, variant: int | None
-) -> tuple[Graph, ConstructionRecipe]:
+def _apply_variant(recipe: ConstructionRecipe, variant: int | None) -> ConstructionRecipe:
+    """The recipe relabeled by the variant seed's permutation of the nodes."""
     if variant is None:
-        return graph, recipe
+        return recipe
     rng = np.random.Generator(np.random.PCG64(variant))
-    perm = [int(p) for p in rng.permutation(graph.n)]
-    relabeled = new_graph(graph.n, [(perm[u], perm[v]) for u, v in graph.edges])
-    recipe = ConstructionRecipe(
+    perm = [int(p) for p in rng.permutation(recipe.n)]
+    return ConstructionRecipe(
         kind=recipe.kind,
         n=recipe.n,
         gamma=recipe.gamma,
@@ -133,7 +135,6 @@ def _apply_variant(
         ),
         variant=variant,
     )
-    return relabeled, recipe
 
 
 def construct_gamma_merg(
@@ -144,41 +145,29 @@ def construct_gamma_merg(
         raise ValueError("n must be at least 2")
     gamma = gamma_of(n)
     if n % 2 == 1:
-        clique = tuple(range(gamma + 1))
-        attachments = tuple(
-            (node, tuple(range(gamma))) for node in range(gamma + 1, n)
-        )
-        edges = list(combinations(clique, 2))
-        for node, nbrs in attachments:
-            edges.extend((node, v) for v in nbrs)
         recipe = ConstructionRecipe(
             kind=KIND_GAMMA,
             n=n,
             gamma=gamma,
-            clique_or_hub=clique,
-            attachment_map=attachments,
+            clique_or_hub=tuple(range(gamma + 1)),
+            attachment_map=tuple(
+                (node, tuple(range(gamma))) for node in range(gamma + 1, n)
+            ),
             removed_pairs=(),
             added_pairs=(),
         )
-        return _apply_variant(new_graph(n, edges), recipe, variant)
-    hub = tuple(range(gamma))
-    removed = tuple((2 * i, 2 * i + 1) for i in range((gamma - 1) // 2))
-    removed_set = set(removed)
-    edges = [
-        (u, v)
-        for u, v in combinations(range(n), 2)
-        if (u < gamma or v < gamma) and (u, v) not in removed_set
-    ]
-    recipe = ConstructionRecipe(
-        kind=KIND_GAMMA,
-        n=n,
-        gamma=gamma,
-        clique_or_hub=hub,
-        attachment_map=(),
-        removed_pairs=removed,
-        added_pairs=(),
-    )
-    return _apply_variant(new_graph(n, edges), recipe, variant)
+    else:
+        recipe = ConstructionRecipe(
+            kind=KIND_GAMMA,
+            n=n,
+            gamma=gamma,
+            clique_or_hub=tuple(range(gamma)),
+            attachment_map=(),
+            removed_pairs=tuple((2 * i, 2 * i + 1) for i in range((gamma - 1) // 2)),
+            added_pairs=(),
+        )
+    recipe = _apply_variant(recipe, variant)
+    return replay_recipe(recipe), recipe
 
 
 def construct_gamma_gamma_merg(
@@ -189,7 +178,6 @@ def construct_gamma_gamma_merg(
         raise ValueError("n must be at least 2")
     gamma = gamma_of(n)
     if n % 2 == 1:
-        edges = list(combinations(range(n), 2))
         recipe = ConstructionRecipe(
             kind=KIND_GAMMA_GAMMA,
             n=n,
@@ -199,20 +187,17 @@ def construct_gamma_gamma_merg(
             removed_pairs=(),
             added_pairs=(),
         )
-        return _apply_variant(new_graph(n, edges), recipe, variant)
-    matching = [(2 * i, 2 * i + 1) for i in range(gamma)]
-    keep = (gamma + 1) // 2  # reconnected pairs
-    added = tuple(matching[:keep])
-    removed = tuple(matching[keep:])
-    removed_set = set(removed)
-    edges = [e for e in combinations(range(n), 2) if e not in removed_set]
-    recipe = ConstructionRecipe(
-        kind=KIND_GAMMA_GAMMA,
-        n=n,
-        gamma=gamma,
-        clique_or_hub=(),
-        attachment_map=(),
-        removed_pairs=removed,
-        added_pairs=added,
-    )
-    return _apply_variant(new_graph(n, edges), recipe, variant)
+    else:
+        matching = tuple((2 * i, 2 * i + 1) for i in range(gamma))
+        keep = (gamma + 1) // 2  # reconnected pairs
+        recipe = ConstructionRecipe(
+            kind=KIND_GAMMA_GAMMA,
+            n=n,
+            gamma=gamma,
+            clique_or_hub=(),
+            attachment_map=(),
+            removed_pairs=matching[keep:],
+            added_pairs=matching[:keep],
+        )
+    recipe = _apply_variant(recipe, variant)
+    return replay_recipe(recipe), recipe

@@ -23,11 +23,11 @@ and sent), or call it more than once with the same arguments.  A NaN strategy
 value is an error; an infinite one is an ordinary extreme, which the trim
 removes like any other.
 
-Determinism: given an identical configuration (seed included) a run produces
-a bit-identical trajectory.  Randomness enters only through seeded initial
-states drawn from numpy's PCG64 generator, whose stream is stable across
-platforms; regression data should still store full trajectories rather than
-just seeds.
+Determinism: given an identical configuration a run produces a bit-identical
+trajectory.  Randomness enters only through the initial states, which the
+packaged scenarios draw from a seeded numpy PCG64 generator whose stream is
+stable across platforms; regression data should still store full
+trajectories rather than just seeds.
 
 Trajectory CSV format: header ``t,node_0,...,node_{n-1}``, one row per step
 including t = 0, values rendered with 17 significant digits (lossless for
@@ -42,7 +42,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -130,22 +130,6 @@ def trig_malicious_value(agent: int, t: int) -> float:
     return 1080.0 * (math.cos(phase) if agent % 2 == 0 else math.sin(phase))
 
 
-def byzantine_split_value(
-    agent: int, receiver: int, n: int, t: int, scenario: str
-) -> float:
-    """Per-receiver Byzantine values for the two packaged attack scenarios.
-
-    ``"gamma"``: send 100 to receivers with index <= ceil(n/2) and 0 to the
-    rest.  ``"gamma_gamma"``: agent 3 sends 100 to everyone, the other
-    misbehaving agents send 0 (Byzantine by role, constant by choice).
-    """
-    if scenario == "gamma":
-        return 100.0 if receiver <= (n + 1) // 2 else 0.0
-    if scenario == "gamma_gamma":
-        return 100.0 if agent == 3 else 0.0
-    raise ValueError(f"unknown scenario {scenario!r}")
-
-
 @dataclass(frozen=True)
 class TrigMalicious:
     """Trig-wave broadcast attack; one common value per step."""
@@ -155,21 +139,22 @@ class TrigMalicious:
 
 
 @dataclass(frozen=True)
-class SplitByzantine:
-    """Send 100 to low-indexed receivers, 0 to the rest."""
+class SplitByReceiver:
+    """Byzantine: send 100 to receivers with index <= ceil(n/2), 0 to the rest."""
 
     n: int
 
     def byzantine_value(self, agent: int, receiver: int, t: int) -> float:
-        return byzantine_split_value(agent, receiver, self.n, t, "gamma")
+        return 100.0 if receiver <= (self.n + 1) // 2 else 0.0
 
 
 @dataclass(frozen=True)
-class ConstByzantine:
-    """Agent 3 pushes 100, other misbehaving agents push 0."""
+class ConstByAgent:
+    """Byzantine by role, constant by choice: agent 3 sends 100 to everyone,
+    the other misbehaving agents send 0."""
 
     def byzantine_value(self, agent: int, receiver: int, t: int) -> float:
-        return byzantine_split_value(agent, receiver, 0, t, "gamma_gamma")
+        return 100.0 if agent == 3 else 0.0
 
 
 # -- configuration and trajectories ----------------------------------------------
@@ -182,7 +167,6 @@ class SimConfig:
     roles: tuple[AgentRole, ...]
     f: int
     steps: int
-    seed: int
     initial_states: tuple[float, ...]
     alpha_floor: float = 0.0
 
@@ -410,109 +394,131 @@ SCENARIO_TRIG_MALICIOUS = "viiA-malicious"
 SCENARIO_BYZ_SPLIT = "viiB-gamma"
 SCENARIO_BYZ_CONST = "viiB-gammagamma"
 SCENARIO_NONE = "none"
-SCENARIOS = (
-    SCENARIO_TRIG_MALICIOUS,
-    SCENARIO_BYZ_SPLIT,
-    SCENARIO_BYZ_CONST,
-    SCENARIO_NONE,
-)
 
-# Demonstration single-edge removals per (scenario, n); each reduces the
-# matching construction's robustness below what the scenario's F requires.
-DEFAULT_REMOVAL_EDGES = {
-    (SCENARIO_BYZ_SPLIT, 9): (3, 8),
-    (SCENARIO_BYZ_SPLIT, 10): (4, 9),
-    (SCENARIO_BYZ_CONST, 9): (7, 8),
-    (SCENARIO_BYZ_CONST, 10): (0, 2),
+
+@dataclass(frozen=True)
+class Scenario:
+    """One packaged scenario: roles, F, initial states, strategy and damage.
+
+    Agents ``0..k-1`` misbehave in ``role``, where k is ``adversaries``, or F
+    itself when that is None (then F must satisfy 1 <= F < n).  ``default_f``
+    is None when F depends on the graph and must be given.  Each band
+    ``(first, lo, hi)`` draws the nodes from ``first`` on uniformly from
+    ``[lo, hi)``; a later band overrides an earlier one and a negative
+    ``first`` counts from the end.  Nodes before the first band are not drawn
+    and start at a cosmetic 0.0.  ``strategy`` builds the adversary for an
+    n-node graph (None: no adversary).  ``removals`` maps n to the
+    demonstration edge whose removal drops the matching construction below
+    what F needs; it touches a normal agent, so the damage reaches the
+    dynamics.
+    """
+
+    label: str
+    default_f: int | None
+    role: AgentRole
+    adversaries: int | None
+    min_n: int
+    bands: tuple[tuple[int, float, float], ...]
+    strategy: Callable[[int], object] | None
+    removals: dict[int, tuple[int, int]]
+
+    def roles(self, n: int, f: int) -> tuple[AgentRole, ...]:
+        count = self.adversaries
+        if count is None:
+            if not (1 <= f < n):
+                raise ValueError(f"{self.label} scenario needs 1 <= f < n")
+            count = f
+        count = min(count, n)
+        return (self.role,) * count + (AgentRole.NORMAL,) * (n - count)
+
+    def initial_states(self, n: int, seed: int) -> np.ndarray:
+        """Seeded per-node initial states.
+
+        One draw per drawn node, in ascending node order, so the values are
+        reproducible.  Nodes the scenario fixes as misbehaving keep a
+        cosmetic 0.0 (their entries never influence a run: trajectories log
+        their emitted values instead).
+        """
+        if n < self.min_n:
+            raise ValueError(f"{self.label} scenario needs n >= {self.min_n}")
+        lo = np.zeros(n)
+        hi = np.zeros(n)
+        for first, band_lo, band_hi in self.bands:
+            lo[first:] = band_lo
+            hi[first:] = band_hi
+        drawn = slice(self.bands[0][0], n)
+        out = np.zeros(n)
+        out[drawn] = np.random.Generator(np.random.PCG64(seed)).uniform(lo[drawn], hi[drawn])
+        return out
+
+
+SCENARIO_TABLE = {
+    SCENARIO_TRIG_MALICIOUS: Scenario(
+        label="trig-malicious",
+        default_f=None,
+        role=AgentRole.MALICIOUS,
+        adversaries=None,
+        min_n=1,
+        bands=((0, -1000.0, 1000.0),),
+        strategy=lambda n: TrigMalicious(),
+        removals={},
+    ),
+    SCENARIO_BYZ_SPLIT: Scenario(
+        label="split-Byzantine",
+        default_f=2,
+        role=AgentRole.BYZANTINE,
+        adversaries=2,
+        min_n=8,
+        bands=((2, 15.0, 100.0), (6, 0.0, 7.0), (-1, 8.0, 14.0)),
+        strategy=SplitByReceiver,
+        removals={9: (3, 8), 10: (4, 9)},
+    ),
+    SCENARIO_BYZ_CONST: Scenario(
+        label="constant-Byzantine",
+        default_f=4,
+        role=AgentRole.BYZANTINE,
+        adversaries=4,
+        min_n=6,
+        bands=((4, 50.0, 100.0), (-1, 1.0, 50.0)),
+        strategy=lambda n: ConstByAgent(),
+        removals={9: (7, 8), 10: (7, 9)},
+    ),
+    SCENARIO_NONE: Scenario(
+        label="none",
+        default_f=0,
+        role=AgentRole.NORMAL,
+        adversaries=0,
+        min_n=1,
+        bands=((0, -1000.0, 1000.0),),
+        strategy=None,
+        removals={},
+    ),
 }
+SCENARIOS = tuple(SCENARIO_TABLE)
 
 
-def scenario_default_f(scenario: str) -> int | None:
-    if scenario == SCENARIO_BYZ_SPLIT:
-        return 2
-    if scenario == SCENARIO_BYZ_CONST:
-        return 4
-    if scenario == SCENARIO_NONE:
-        return 0
-    if scenario == SCENARIO_TRIG_MALICIOUS:
-        return None  # depends on the graph; must be given explicitly
-    raise ValueError(f"unknown scenario {scenario!r}")
-
-
-def scenario_roles(n: int, scenario: str, f: int) -> tuple[AgentRole, ...]:
-    roles = [AgentRole.NORMAL] * n
-    if scenario == SCENARIO_TRIG_MALICIOUS:
-        if not (1 <= f < n):
-            raise ValueError("trig-malicious scenario needs 1 <= f < n")
-        for i in range(f):
-            roles[i] = AgentRole.MALICIOUS
-    elif scenario == SCENARIO_BYZ_SPLIT:
-        for i in (0, 1):
-            roles[i] = AgentRole.BYZANTINE
-    elif scenario == SCENARIO_BYZ_CONST:
-        for i in (0, 1, 2, 3):
-            roles[i] = AgentRole.BYZANTINE
-    elif scenario != SCENARIO_NONE:
-        raise ValueError(f"unknown scenario {scenario!r}")
-    return tuple(roles)
+def get_scenario(name: str) -> Scenario:
+    try:
+        return SCENARIO_TABLE[name]
+    except KeyError:
+        raise ValueError(f"unknown scenario {name!r}") from None
 
 
 def initial_states(n: int, scenario: str, seed: int) -> np.ndarray:
-    """Seeded per-node initial states for a scenario.
-
-    Draws are consumed in ascending node order, one per drawn node, so the
-    values are reproducible.  Nodes whose role the scenario fixes as
-    misbehaving get a cosmetic 0.0 (their entries never influence a run:
-    trajectories log their emitted values instead).
-    """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    out = np.zeros(n, dtype=np.float64)
-    if scenario in (SCENARIO_TRIG_MALICIOUS, SCENARIO_NONE):
-        out[:] = rng.uniform(-1000.0, 1000.0, size=n)
-        return out
-    if scenario == SCENARIO_BYZ_SPLIT:
-        if n < 8:
-            raise ValueError("split-Byzantine scenario needs n >= 8")
-        for i in range(2, n):
-            if i == n - 1:
-                lo, hi = 8.0, 14.0
-            elif i <= 5:
-                lo, hi = 15.0, 100.0
-            else:
-                lo, hi = 0.0, 7.0
-            out[i] = rng.uniform(lo, hi)
-        return out
-    if scenario == SCENARIO_BYZ_CONST:
-        if n < 6:
-            raise ValueError("constant-Byzantine scenario needs n >= 6")
-        for i in range(4, n):
-            lo, hi = (50.0, 100.0) if i <= n - 2 else (1.0, 50.0)
-            out[i] = rng.uniform(lo, hi)
-        return out
-    raise ValueError(f"unknown scenario {scenario!r}")
-
-
-def scenario_strategy(n: int, scenario: str):
-    if scenario == SCENARIO_TRIG_MALICIOUS:
-        return TrigMalicious()
-    if scenario == SCENARIO_BYZ_SPLIT:
-        return SplitByzantine(n)
-    if scenario == SCENARIO_BYZ_CONST:
-        return ConstByzantine()
-    if scenario == SCENARIO_NONE:
-        return None
-    raise ValueError(f"unknown scenario {scenario!r}")
+    """Seeded per-node initial states for a named scenario."""
+    return get_scenario(scenario).initial_states(n, seed)
 
 
 def build_scenario(
     graph: Graph, scenario: str, f: int | None = None, steps: int = 30, seed: int = 0
 ) -> tuple[SimConfig, object | None]:
     """Assemble a config + strategy for one of the packaged scenarios."""
+    row = get_scenario(scenario)
     if f is None:
-        f = scenario_default_f(scenario)
+        f = row.default_f
         if f is None:
             raise ValueError(f"scenario {scenario!r} needs an explicit f")
-    roles = scenario_roles(graph.n, scenario, f)
+    roles = row.roles(graph.n, f)
     if sum(1 for r in roles if r is not AgentRole.NORMAL) > f:
         raise ValueError("scenario claims f-total misbehavior but has more adversaries than f")
     config = SimConfig(
@@ -520,11 +526,10 @@ def build_scenario(
         roles=roles,
         f=f,
         steps=steps,
-        seed=seed,
-        initial_states=tuple(float(v) for v in initial_states(graph.n, scenario, seed)),
+        initial_states=tuple(float(v) for v in row.initial_states(graph.n, seed)),
         alpha_floor=1.0 / graph.n,
     )
-    return config, scenario_strategy(graph.n, scenario)
+    return config, row.strategy(graph.n) if row.strategy is not None else None
 
 
 # -- serialization ------------------------------------------------------------------
@@ -536,17 +541,6 @@ def trajectory_to_csv(traj: Trajectory) -> str:
         rendered = ",".join([format(v, ".17g") for v in row])
         lines.append(f"{t},{rendered}")
     return "\n".join(lines) + "\n"
-
-
-def trajectory_states_from_csv(text: str) -> np.ndarray:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or not lines[0].startswith("t,"):
-        raise ValueError("not a trajectory CSV")
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        rows.append([float(c) for c in cells[1:]])
-    return np.asarray(rows, dtype=np.float64)
 
 
 def roles_to_json(traj: Trajectory) -> str:

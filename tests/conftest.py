@@ -8,7 +8,8 @@ reference the oracle's transform-based witness recovery is compared with.
 ``brute_dense_subgraph`` is the subset scan that the dense-subgraph
 certificate's induced-edge table is compared with.
 ``reference_run_simulation`` is the scalar W-MSR round that the simulator's
-array round is compared with, byte for byte.
+array round is compared with, byte for byte; ``trajectory_states_from_csv``
+reads a trajectory CSV back into its state matrix.
 """
 
 from __future__ import annotations
@@ -220,3 +221,15 @@ def reference_run_simulation(config, adversary=None):
             new_x[i] = (x[i] + reduce(add, kept, 0.0)) * weight
         x = new_x
     return Trajectory(states=states, roles=roles, f=config.f)
+
+
+def trajectory_states_from_csv(text: str) -> np.ndarray:
+    """The (steps+1, n) state matrix of a trajectory CSV."""
+    lines = [ln for ln in text.strip().splitlines() if ln]
+    if not lines or not lines[0].startswith("t,"):
+        raise ValueError("not a trajectory CSV")
+    rows = []
+    for ln in lines[1:]:
+        cells = ln.split(",")
+        rows.append([float(c) for c in cells[1:]])
+    return np.asarray(rows, dtype=np.float64)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -250,6 +251,22 @@ class TestProp1:
             g = random_graph(rng, n, rng.choice([0.3, 0.6, 0.85, 0.95, 1.0]))
             gamma = gamma_of(n)
             assert prop1_gamma_gamma_check(g) == is_rs_robust(g, gamma, gamma).holds
+
+    def test_missing_pairs_must_form_a_matching(self):
+        k10 = complete_graph(10)
+        assert prop1_gamma_gamma_check(k10.remove_edge(0, 1).remove_edge(2, 3))
+        # two missing pairs is within floor(5/2), but they share node 0
+        assert not prop1_gamma_gamma_check(k10.remove_edge(0, 1).remove_edge(0, 2))
+
+    def test_sparse_graph_decided_without_a_complement(self):
+        g = new_graph(3000, [])
+        tracemalloc.start()
+        try:
+            assert prop1_gamma_gamma_check(g) is False
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
 
 class TestLemmaProperties:

@@ -180,6 +180,31 @@ class TestSimulate:
         assert metrics["removed_edge"] == [3, 8]
         assert metrics["spread_final"] > 10
 
+    def test_default_removal_edge_reaches_a_normal_agent(self, tmp_path, capsys):
+        graph = tmp_path / "rs10.json"
+        assert run_cli("construct", "--n", "10", "--kind", "rs", "--out", str(graph)) == 0
+        capsys.readouterr()
+        out = tmp_path / "traj.csv"
+        code = run_cli(
+            "simulate", "--graph", str(graph), "--scenario", "viiB-gammagamma",
+            "--seed", "1", "--remove-edge", "default", "--out", str(out),
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [
+            "scenario=viiB-gammagamma f=4 steps=30 seed=1",
+            "spread(0)=75.7802 spread(30)=35.465",
+        ]
+        metrics = json.loads((tmp_path / "traj.metrics.json").read_text())
+        assert metrics["removed_edge"] == [7, 9]
+
+    def test_no_default_removal_edge(self, g9, tmp_path, capsys):
+        assert run_cli(
+            "simulate", "--graph", str(g9), "--scenario", "none",
+            "--remove-edge", "default", "--out", str(tmp_path / "x.csv"),
+        ) == 1
+        assert "no documented default removal edge for none at n=9" in capsys.readouterr().err
+
     def test_absent_edge_rejected(self, g9, tmp_path):
         assert run_cli(
             "simulate", "--graph", str(g9), "--scenario", "viiB-gamma",

@@ -12,11 +12,12 @@ from mergraph import (
     AgentRole,
     SimConfig,
     build_scenario,
-    byzantine_split_value,
     complete_graph,
     construct_gamma_gamma_merg,
     construct_gamma_merg,
     initial_states,
+    is_r_robust,
+    is_rs_robust,
     is_f_local,
     is_f_total,
     new_graph,
@@ -30,18 +31,19 @@ from mergraph import (
 from mergraph import wmsr
 from mergraph.cli import main as cli_main
 from mergraph.wmsr import (
-    DEFAULT_REMOVAL_EDGES,
     SCENARIO_BYZ_CONST,
     SCENARIO_BYZ_SPLIT,
     SCENARIO_NONE,
+    SCENARIO_TABLE,
     SCENARIO_TRIG_MALICIOUS,
     SCENARIOS,
-    SplitByzantine,
+    ConstByAgent,
+    SplitByReceiver,
     TrigMalicious,
-    trajectory_states_from_csv,
+    get_scenario,
     wmsr_retained,
 )
-from conftest import random_graph, reference_run_simulation
+from conftest import random_graph, reference_run_simulation, trajectory_states_from_csv
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -102,18 +104,22 @@ class TestAdversaryValues:
         assert trig_malicious_value(3, 5) == pytest.approx(1080 * math.sin(1))
 
     def test_split_values(self):
-        assert byzantine_split_value(0, 2, 9, 0, "gamma") == 100.0
-        assert byzantine_split_value(1, 8, 9, 3, "gamma") == 0.0
-        assert byzantine_split_value(0, 5, 9, 0, "gamma") == 100.0
-        assert byzantine_split_value(0, 6, 9, 0, "gamma") == 0.0
+        split = SplitByReceiver(9)
+        assert split.byzantine_value(0, 2, 0) == 100.0
+        assert split.byzantine_value(1, 8, 3) == 0.0
+        assert split.byzantine_value(0, 5, 0) == 100.0
+        assert split.byzantine_value(0, 6, 0) == 0.0
 
     def test_const_values(self):
-        assert byzantine_split_value(3, 7, 10, 2, "gamma_gamma") == 100.0
-        assert byzantine_split_value(1, 7, 10, 2, "gamma_gamma") == 0.0
+        const = ConstByAgent()
+        assert const.byzantine_value(3, 7, 2) == 100.0
+        assert const.byzantine_value(1, 7, 2) == 0.0
 
     def test_unknown_scenario(self):
-        with pytest.raises(ValueError):
-            byzantine_split_value(0, 1, 9, 0, "other")
+        with pytest.raises(ValueError, match="unknown scenario 'other'"):
+            get_scenario("other")
+        with pytest.raises(ValueError, match="unknown scenario 'other'"):
+            build_scenario(complete_graph(9), "other")
 
 
 class TestScopeModels:
@@ -160,13 +166,12 @@ class TestInitialStates:
             initial_states(10, "mystery", seed=0)
 
 
-def make_config(g, roles, f, steps, initial, seed=0):
+def make_config(g, roles, f, steps, initial):
     return SimConfig(
         graph=g,
         roles=tuple(roles),
         f=f,
         steps=steps,
-        seed=seed,
         initial_states=tuple(float(v) for v in initial),
     )
 
@@ -185,7 +190,7 @@ class TestRunSimulation:
         with pytest.raises(ValueError):
             run_simulation(config, None)
         with pytest.raises(ValueError):
-            run_simulation(config, SplitByzantine(4))
+            run_simulation(config, SplitByReceiver(4))
 
     def test_byzantine_logged_value_goes_to_lowest_neighbor(self):
         # 0 is byzantine with neighbors {1, 3}; the trajectory logs what it
@@ -223,7 +228,6 @@ class TestRunSimulation:
             roles=(AgentRole.NORMAL,) * 3,
             f=0,
             steps=2,
-            seed=0,
             initial_states=(0.0, 1.0, 2.0),
             alpha_floor=0.9,
         )
@@ -276,9 +280,7 @@ class TestSafetyProperties:
                 roles[i] = rng.choice([AgentRole.MALICIOUS, AgentRole.BYZANTINE])
             if all(role is not AgentRole.NORMAL for role in roles):
                 continue
-            config = make_config(
-                g, roles, f, 12, [rng.uniform(-50, 50) for _ in range(n)], seed=runs
-            )
+            config = make_config(g, roles, f, 12, [rng.uniform(-50, 50) for _ in range(n)])
             traj = run_simulation(config, RandomAdversary(runs))
             runs += 1
             m0, big_m = traj.hull_bounds()
@@ -296,7 +298,7 @@ class TestScenarioAssembly:
         config, strategy = build_scenario(g, SCENARIO_BYZ_SPLIT, seed=0)
         assert config.f == 2
         assert config.roles[:2] == (AgentRole.BYZANTINE, AgentRole.BYZANTINE)
-        assert isinstance(strategy, SplitByzantine)
+        assert isinstance(strategy, SplitByReceiver)
         assert config.claims_f_total()
 
     def test_trig_needs_explicit_f(self):
@@ -308,6 +310,25 @@ class TestScenarioAssembly:
         g, _ = construct_gamma_merg(10)
         with pytest.raises(ValueError):
             build_scenario(g, SCENARIO_BYZ_CONST, f=3, seed=0)
+
+    @pytest.mark.parametrize(
+        "scenario, n, message",
+        [
+            (SCENARIO_BYZ_SPLIT, 1, "split-Byzantine scenario needs n >= 8"),
+            (SCENARIO_BYZ_SPLIT, 7, "split-Byzantine scenario needs n >= 8"),
+            (SCENARIO_BYZ_CONST, 3, "constant-Byzantine scenario needs n >= 6"),
+            (SCENARIO_BYZ_CONST, 5, "constant-Byzantine scenario needs n >= 6"),
+        ],
+    )
+    def test_too_few_nodes(self, scenario, n, message):
+        # fewer nodes than the scenario's adversaries is a ValueError too
+        with pytest.raises(ValueError, match=message):
+            build_scenario(complete_graph(n), scenario)
+
+    def test_trig_needs_f_below_n(self):
+        for f in (0, 9):
+            with pytest.raises(ValueError, match="trig-malicious scenario needs 1 <= f < n"):
+                build_scenario(complete_graph(9), SCENARIO_TRIG_MALICIOUS, f=f)
 
     def test_none_scenario_runs_plain_consensus(self):
         g = complete_graph(6)
@@ -377,7 +398,6 @@ def _random_run(rng: random.Random, case: int):
         roles=tuple(roles),
         f=rng.randint(0, 6),
         steps=rng.randint(1, 8),
-        seed=case,
         initial_states=tuple(initial),
         alpha_floor=rng.choice([0.0, 0.0, 0.0, 0.2, 0.4]),
     )
@@ -424,7 +444,7 @@ class TestArrayRoundMatchesReference:
         gamma = (n + 1) // 2
         for scenario in SCENARIOS:
             graphs = [intact]
-            removal = DEFAULT_REMOVAL_EDGES.get((scenario, n))
+            removal = SCENARIO_TABLE[scenario].removals.get(n)
             if removal is not None and intact.has_edge(*removal):
                 graphs.append(intact.remove_edge(*removal))
             f = None
@@ -485,3 +505,35 @@ class TestNonFiniteAdversaryValues:
         assert np.isfinite(normal).all()
         assert (normal >= m0).all() and (normal <= big_m0).all()
         assert traj.spread(30) < 1e-3 * traj.spread(0)
+
+
+class TestDefaultRemovals:
+    """Every demonstration edge in the table damages what the scenario needs."""
+
+    FAMILIES = {
+        SCENARIO_BYZ_SPLIT: (construct_gamma_merg, lambda g, gamma: is_r_robust(g, gamma)),
+        SCENARIO_BYZ_CONST: (
+            construct_gamma_gamma_merg,
+            lambda g, gamma: is_rs_robust(g, gamma, gamma),
+        ),
+    }
+    ENTRIES = [
+        pytest.param(name, n, edge, id=f"{name}-n{n}-{edge[0]}-{edge[1]}")
+        for name, row in SCENARIO_TABLE.items()
+        for n, edge in sorted(row.removals.items())
+    ]
+
+    def test_only_the_byzantine_scenarios_have_removals(self):
+        assert {entry.values[0] for entry in self.ENTRIES} == set(self.FAMILIES)
+
+    @pytest.mark.parametrize("scenario, n, edge", ENTRIES)
+    def test_edge_breaks_the_target_and_touches_a_normal_agent(self, scenario, n, edge):
+        builder, target = self.FAMILIES[scenario]
+        g, _ = builder(n)
+        assert g.has_edge(*edge)
+        gamma = (n + 1) // 2
+        assert target(g, gamma).holds
+        assert not target(g.remove_edge(*edge), gamma).holds
+        row = SCENARIO_TABLE[scenario]
+        roles = row.roles(n, row.default_f)
+        assert AgentRole.NORMAL in (roles[edge[0]], roles[edge[1]])
