@@ -132,21 +132,14 @@ def turan_clique_threshold(gamma: int) -> int:
 
     Largest k such that the (gamma, gamma) edge floor strictly exceeds the
     exact Turán number for k-clique-free graphs on n = 2*gamma nodes; every
-    graph meeting the floor is then forced to contain a k-clique.  Evaluates
-    to 2*gamma - floor(gamma/2), which the minimal constructions attain with
-    equality, and is never below the coarser floor(4*gamma/3) + 1 estimate.
+    graph meeting the floor is then forced to contain a k-clique.  That k is
+    2*gamma - floor(gamma/2), returned in closed form; the minimal
+    constructions attain it with equality, and it is never below the
+    coarser floor(4*gamma/3) + 1 estimate.
     """
     if gamma < 1:
         raise ValueError("gamma must be positive")
-    n = 2 * gamma
-    floor_edges = edge_lb_gamma_gamma(n)
-    best = 2
-    for k in range(2, n + 1):
-        if floor_edges > turan_number(n, k):
-            best = k
-        else:
-            break
-    return best
+    return 2 * gamma - gamma // 2
 
 
 def necessary_clique_size(n: int) -> int:
@@ -191,6 +184,24 @@ def _induced_edge_table(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return induced, sizes.ravel()
 
 
+def _comb_exceeds(n: int, k: int, limit: int) -> bool:
+    """``comb(n, k) > limit``, for 0 <= k <= n, without the exact binomial
+    once it is clearly over.
+
+    The partial products C(n - k + i, i), i = 0..min(k, n - k), never
+    decrease and end at C(n, k), so the first one above ``limit`` decides.
+    For n = 10**6 and the default budget that is C(500001, 2), where
+    ``comb(n, n // 2 + 1)`` itself would be a 300,000-digit integer.
+    """
+    k = min(k, n - k)
+    c = 1
+    for i in range(1, k + 1):
+        if c > limit:
+            return True
+        c = c * (n - k + i) // i
+    return c > limit
+
+
 def lemma4_dense_subgraph_holds(g: Graph, *, max_subsets: int = 2_000_000) -> bool:
     """Even-n check: some (gamma+1)-node subset induces >= floor((gamma^2+2)/2) edges.
 
@@ -207,7 +218,7 @@ def lemma4_dense_subgraph_holds(g: Graph, *, max_subsets: int = 2_000_000) -> bo
     n = g.n
     gamma = n // 2
     k = gamma + 1
-    if comb(n, k) > max_subsets:
+    if _comb_exceeds(n, k, max_subsets):
         raise CapExceededError(
             f"C({n}, {k}) subsets exceed the enumeration budget {max_subsets}"
         )
@@ -233,10 +244,11 @@ def prop1_gamma_gamma_check(g: Graph) -> bool:
     """
     if g.n < 2:
         raise ValueError("n must be at least 2")
+    m = g.edge_count
     if g.n % 2 == 1:
-        return len(g.edges) == comb(g.n, 2)
+        return m == comb(g.n, 2)
     gamma = g.n // 2
-    if comb(g.n, 2) - len(g.edges) > gamma // 2:
+    if comb(g.n, 2) - m > gamma // 2:
         return False
     return all(mask.bit_count() >= g.n - 2 for mask in g.adjacency)
 
@@ -305,7 +317,7 @@ def certificate_report(g: Graph, *, max_clique_nodes: int = 40) -> CertificateRe
     """
     n = g.n
     gamma = gamma_of(n)
-    m = len(g.edges)
+    m = g.edge_count
     parity: Parity = "even" if n % 2 == 0 else "odd"
     checks: list[CertificateCheck] = []
 
@@ -326,7 +338,7 @@ def certificate_report(g: Graph, *, max_clique_nodes: int = 40) -> CertificateRe
             )
         )
         degree_floor = min_degree_lb_rs(gamma, gamma)
-        min_degree = min(g.degree(i) for i in range(n))
+        min_degree = min(a.bit_count() for a in g.adjacency)
         checks.append(
             CertificateCheck(
                 "min_degree_gamma_gamma", min_degree >= degree_floor,

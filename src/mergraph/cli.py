@@ -140,12 +140,12 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         "n": graph.n,
         "gamma": recipe.gamma,
         "kind": args.kind,
-        "edges": len(graph.edges),
+        "edges": graph.edge_count,
         "graph_path": str(out),
         "recipe_path": str(recipe_path),
     }
     _emit(payload, args.json, [
-        f"n={graph.n} gamma={recipe.gamma} kind={args.kind} edges={len(graph.edges)}",
+        f"n={graph.n} gamma={recipe.gamma} kind={args.kind} edges={graph.edge_count}",
         f"graph: {out}",
         f"recipe: {recipe_path}",
     ])

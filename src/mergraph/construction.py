@@ -19,20 +19,22 @@ robustness is label-invariant, and a ``variant`` seed applies a recorded
 label permutation for generating differently labeled instances.  Every
 builder writes only a recipe and returns it together with the graph that
 :func:`replay_recipe` builds from it, so the recipe is the single source of
-each graph's edges.
+each graph's edges.  Replay checks every node id and pair of the recipe
+first, then emits the neighbor bitmasks directly (a clique or the complete
+graph is a few masks, a removed pair clears two bits), with no edge list in
+between.  :func:`recipe_from_dict` checks the types of a recipe read from
+JSON.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .certificates import gamma_of
-from .graph_core import Edge, Graph, new_graph
+from .graph_core import Edge, Graph
 
 KIND_GAMMA = "gamma"
 KIND_GAMMA_GAMMA = "gamma_gamma"
@@ -71,43 +73,110 @@ class ConstructionRecipe:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
+def _int(value: object) -> int:
+    if type(value) is not int:
+        raise ValueError(f"recipe value {value!r} is not an integer")
+    return value
+
+
+def _ints(values: object) -> tuple[int, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"recipe entry {values!r} is not a list of node ids")
+    return tuple(_int(v) for v in values)
+
+
+def _pair(value: object) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"recipe entry {value!r} is not a pair")
+    return tuple(value)
+
+
 def recipe_from_dict(payload: dict) -> ConstructionRecipe:
+    """The recipe a :meth:`ConstructionRecipe.to_dict` payload describes.
+
+    Refuses, with ``ValueError``, an unknown ``kind``, a count or node id
+    that is not an ``int`` (a ``bool`` is refused too) and an entry that is
+    not a pair where a pair belongs.  Ranges are checked on replay.
+    """
+    if payload["kind"] not in (KIND_GAMMA, KIND_GAMMA_GAMMA):
+        raise ValueError(f"unknown recipe kind {payload['kind']!r}")
+    variant = payload.get("variant")
     return ConstructionRecipe(
         kind=payload["kind"],
-        n=int(payload["n"]),
-        gamma=int(payload["gamma"]),
-        clique_or_hub=tuple(payload["clique_or_hub"]),
+        n=_int(payload["n"]),
+        gamma=_int(payload["gamma"]),
+        clique_or_hub=_ints(payload["clique_or_hub"]),
         attachment_map=tuple(
-            (node, tuple(nbrs)) for node, nbrs in payload["attachment_map"]
+            (_int(node), _ints(nbrs))
+            for node, nbrs in map(_pair, payload["attachment_map"])
         ),
-        removed_pairs=tuple(tuple(e) for e in payload["removed_pairs"]),
-        added_pairs=tuple(tuple(e) for e in payload["added_pairs"]),
-        variant=payload.get("variant"),
+        removed_pairs=tuple(_ints(_pair(e)) for e in payload["removed_pairs"]),
+        added_pairs=tuple(_ints(_pair(e)) for e in payload["added_pairs"]),
+        variant=None if variant is None else _int(variant),
     )
 
 
 def replay_recipe(recipe: ConstructionRecipe) -> Graph:
-    """Rebuild the graph a recipe describes."""
-    if recipe.kind == KIND_GAMMA:
-        if recipe.n % 2 == 1:
-            edges = list(combinations(sorted(recipe.clique_or_hub), 2))
-            for node, nbrs in recipe.attachment_map:
-                edges.extend((node, v) for v in nbrs)
-            return new_graph(recipe.n, edges)
-        in_hub = set(recipe.clique_or_hub)
-        hub = sorted(in_hub)
-        removed = {tuple(sorted(e)) for e in recipe.removed_pairs}
-        edges = []
-        for u in range(recipe.n):
-            # a hub node meets every later node, any other node the later hub
-            later = range(u + 1, recipe.n) if u in in_hub else hub[bisect_right(hub, u):]
-            edges.extend((u, v) for v in later if (u, v) not in removed)
-        return new_graph(recipe.n, edges)
-    if recipe.kind == KIND_GAMMA_GAMMA:
-        removed = {tuple(sorted(e)) for e in recipe.removed_pairs}
-        edges = [e for e in combinations(range(recipe.n), 2) if e not in removed]
-        return new_graph(recipe.n, edges)
-    raise ValueError(f"unknown recipe kind {recipe.kind!r}")
+    """Rebuild the graph a recipe describes, as neighbor bitmasks.
+
+    Every node id is range-checked, and every pair checked for a self-pair,
+    before any bit is set, so a bad recipe raises ``ValueError`` instead of
+    describing a wrong graph.
+    """
+    n = recipe.n
+    if type(n) is not int or n < 1:
+        raise ValueError(f"recipe node count {n!r} is not a positive integer")
+    if recipe.kind not in (KIND_GAMMA, KIND_GAMMA_GAMMA):
+        raise ValueError(f"unknown recipe kind {recipe.kind!r}")
+
+    def check_ids(ids: tuple[int, ...]) -> None:
+        if ids and not (0 <= min(ids) and max(ids) < n):
+            bad = next(v for v in ids if not 0 <= v < n)
+            raise ValueError(f"recipe node {bad} out of range for n={n}")
+
+    check_ids(recipe.clique_or_hub)
+    odd_gamma = recipe.kind == KIND_GAMMA and n % 2 == 1
+    if odd_gamma and len(set(recipe.clique_or_hub)) != len(recipe.clique_or_hub):
+        raise ValueError("recipe clique repeats a node, a self-pair")
+    for node, nbrs in recipe.attachment_map:
+        check_ids((node, *nbrs))
+        if node in nbrs:
+            raise ValueError(f"recipe attaches node {node} to itself")
+    for u, v in recipe.removed_pairs + recipe.added_pairs:
+        check_ids((u, v))
+        if u == v:
+            raise ValueError(f"recipe pair ({u}, {v}) is a self-pair")
+
+    group = 0
+    for v in recipe.clique_or_hub:
+        group |= 1 << v
+    full = (1 << n) - 1
+    if odd_gamma:
+        # the clique, then the attached nodes, set together per neighbor
+        # set (the construction gives them all the same one)
+        masks = [group ^ (1 << u) if group >> u & 1 else 0 for u in range(n)]
+        attached: dict[tuple[int, ...], list[int]] = {}
+        for node, nbrs in recipe.attachment_map:
+            attached.setdefault(nbrs, []).append(node)
+        for nbrs, nodes in attached.items():
+            nbr_mask = node_mask = 0
+            for v in nbrs:
+                nbr_mask |= 1 << v
+            for u in nodes:
+                node_mask |= 1 << u
+            for v in nbrs:
+                masks[v] |= node_mask
+            for u in nodes:
+                masks[u] |= nbr_mask
+    elif recipe.kind == KIND_GAMMA:
+        # a hub node meets every other node, any other node the hub
+        masks = [full ^ (1 << u) if group >> u & 1 else group for u in range(n)]
+    else:
+        masks = [full ^ (1 << u) for u in range(n)]
+    for u, v in recipe.removed_pairs:
+        masks[u] &= ~(1 << v)
+        masks[v] &= ~(1 << u)
+    return Graph._from_masks(n, masks)
 
 
 def _apply_variant(recipe: ConstructionRecipe, variant: int | None) -> ConstructionRecipe:

@@ -1,12 +1,16 @@
-"""Simple undirected graphs on nodes ``0..n-1`` with bitmask adjacency.
+"""Simple undirected graphs on nodes ``0..n-1``, stored as neighbor bitmasks.
 
-Nodes are anonymous integers.  Edges are kept as a frozenset of ``(u, v)``
-pairs with ``u < v``; each node additionally carries a bitmask of its
-neighbors, so subset-heavy operations (induced edge counts, outside-neighbor
-counts) reduce to integer bit arithmetic.  Graphs are immutable after
-construction and safe to share between threads.
+Nodes are anonymous integers.  A graph is its node count ``n`` and one
+integer per node, ``adjacency[u]``, whose bit ``v`` is set exactly when
+``u`` and ``v`` are adjacent; subset-heavy operations (induced edge counts,
+outside-neighbor counts) reduce to bit arithmetic on these masks.  The set
+of ``(u, v)`` pairs with ``u < v`` is a derived view (:attr:`Graph.edges`),
+built on first use and cached; equality and hashing agree with it.  Graphs
+are immutable after construction and safe to share between threads.
 
-Two serialized forms are supported:
+Two serialized forms are supported, both written by walking the set bits of
+each mask above the node itself, so the pairs come out in lexicographic
+order without a sort:
 
 * canonical JSON: ``{"n": <int>, "edges": [[u, v], ...]}`` with ``u < v`` and
   the pairs sorted lexicographically, rendered compactly so equal graphs
@@ -19,8 +23,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from typing import Iterable
+from itertools import combinations, compress, repeat
+from typing import Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
 
@@ -29,45 +33,104 @@ class CapExceededError(RuntimeError):
     """An exact check was asked to exceed its combinatorial budget."""
 
 
-@dataclass(frozen=True)
+# maps the digits of bin() to the bytes 0 and 1, which compress() reads as
+# false and true
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(mask: int) -> bytes:
+    """One byte per bit of ``mask``, lowest bit first: 1 where set, else 0."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
+def _later_neighbors(
+    adjacency: Sequence[int], labels: Sequence
+) -> Iterator[tuple[int, Iterator]]:
+    """For each node ``u`` with a later neighbor: ``u`` and the labels of its
+    neighbors ``v > u``, ascending, read off the set bits of its mask."""
+    for u, a in enumerate(adjacency):
+        above = a >> (u + 1)
+        if above:
+            yield u, compress(labels[u + 1 :], _bits(above))
+
+
+def _pair_masks(n: int, edges: Iterable[Edge], *, normalize: bool) -> tuple[int, ...]:
+    """The neighbor bitmasks of the pairs in ``edges``, each checked as it is read.
+
+    ``n`` and every node id must be an ``int`` (a ``bool`` is refused) and
+    every edge a pair; self-loops and ids outside ``0..n-1`` are refused.
+    With ``normalize`` a reversed pair is accepted, otherwise each pair must
+    already be in ``(min, max)`` form.  Duplicates set the same bits again.
+    """
+    if type(n) is not int:
+        raise ValueError(f"node count {n!r} is not an integer")
+    if n < 1:
+        raise ValueError("a graph needs at least one node")
+    masks = [0] * n
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {edge!r} is not a pair of node ids") from None
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"edge {edge!r} has a node id that is not an integer")
+        if u == v:
+            raise ValueError(f"self-loop ({u}, {v}) is not allowed")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u > v and not normalize:
+            raise ValueError(f"edge ({u}, {v}) is not in (min, max) form")
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return tuple(masks)
+
+
+@dataclass(frozen=True, init=False)
 class Graph:
     """Immutable simple undirected graph on nodes ``0..n-1``.
 
+    The graph is ``n`` and ``adjacency``, one neighbor bitmask per node.
     Instances should normally be built through :func:`new_graph`, which
-    normalizes and deduplicates edge pairs.  Direct construction requires
-    edges already in ``(min, max)`` form and checks each of them; graphs
-    derived from edges that were already checked skip that pass
-    (:meth:`_from_checked`).
+    normalizes and deduplicates edge pairs.  Direct construction,
+    ``Graph(n, edges)``, requires edges already in ``(min, max)`` form and
+    checks each of them.  Builders whose masks are correct by construction
+    (the constructions' recipe replay, :func:`complement`,
+    :meth:`remove_edge`) hand them over with :meth:`_from_masks`.
     """
 
     n: int
-    edges: frozenset[Edge]
+    adjacency: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("a graph needs at least one node")
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop ({u}, {v}) is not allowed")
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+    def __init__(self, n: int, edges: Iterable[Edge]) -> None:
+        masks = _pair_masks(n, edges, normalize=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adjacency", masks)
 
     @classmethod
-    def _from_checked(cls, n: int, edges: frozenset[Edge]) -> "Graph":
-        """A graph from edges known to be in range, loop-free and in ``(min, max)`` form."""
+    def _from_masks(cls, n: int, masks: Sequence[int]) -> "Graph":
+        """A graph from ``n`` neighbor bitmasks, taken as given.
+
+        The caller guarantees that the masks are symmetric, that no node's
+        mask holds its own bit and that no bit at ``n`` or above is set.
+        """
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
-        object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "adjacency", tuple(masks))
         return g
 
+    @property
+    def edge_count(self) -> int:
+        return sum(a.bit_count() for a in self.adjacency) // 2
+
+    def edge_pairs(self) -> Iterator[Edge]:
+        """Every edge as ``(u, v)`` with ``u < v``, in lexicographic order."""
+        for u, vs in _later_neighbors(self.adjacency, range(self.n)):
+            yield from zip(repeat(u), vs)
+
     @cached_property
-    def adjacency(self) -> tuple[int, ...]:
-        """Per-node neighbor bitmasks."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
+    def edges(self) -> frozenset[Edge]:
+        """The edge set as ``(u, v)`` pairs with ``u < v``, built once from the masks."""
+        return frozenset(self.edge_pairs())
 
     def _check_node(self, i: int) -> None:
         if not (0 <= i < self.n):
@@ -75,8 +138,7 @@ class Graph:
 
     def neighbors(self, i: int) -> set[int]:
         self._check_node(i)
-        mask = self.adjacency[i]
-        return {j for j in range(self.n) if mask >> j & 1}
+        return set(compress(range(self.n), _bits(self.adjacency[i])))
 
     def degree(self, i: int) -> int:
         self._check_node(i)
@@ -85,14 +147,17 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check_node(u)
         self._check_node(v)
-        return (min(u, v), max(u, v)) in self.edges
+        return bool(self.adjacency[u] >> v & 1)
 
     def remove_edge(self, u: int, v: int) -> "Graph":
         """Return a copy with one edge removed; the edge must exist."""
         e = (min(u, v), max(u, v))
-        if e not in self.edges:
+        if not (0 <= u < self.n and 0 <= v < self.n and self.adjacency[u] >> v & 1):
             raise ValueError(f"edge {e} not present")
-        return Graph._from_checked(self.n, self.edges - {e})
+        masks = list(self.adjacency)
+        masks[u] ^= 1 << v
+        masks[v] ^= 1 << u
+        return Graph._from_masks(self.n, masks)
 
     def subset_mask(self, s: Iterable[int]) -> int:
         """Bitmask for a set of nodes, validating membership."""
@@ -108,31 +173,10 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
     ``n`` and every node id must be an ``int`` (a ``bool`` is refused) and
     every edge a pair; anything else raises ``ValueError``, as do self-loops
-    and node ids outside ``0..n-1``.  Each pair is checked and normalized as
-    it is read, with no intermediate list.
+    and node ids outside ``0..n-1``.  Each pair is checked and its two bits
+    set as it is read, with no intermediate list.
     """
-    if type(n) is not int:
-        raise ValueError(f"node count {n!r} is not an integer")
-    if n < 1:
-        raise ValueError("a graph needs at least one node")
-    normalized = set()
-    add = normalized.add
-    for edge in edges:
-        try:
-            u, v = edge
-        except (TypeError, ValueError):
-            raise ValueError(f"edge {edge!r} is not a pair of node ids") from None
-        if type(u) is not int or type(v) is not int:
-            raise ValueError(f"edge {edge!r} has a node id that is not an integer")
-        if u == v:
-            raise ValueError(f"self-loop ({u}, {v}) is not allowed")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        add((u, v) if u < v else (v, u))
-    # frozenset(set) sizes its table to the final count; a frozenset grown
-    # pair by pair can keep a table up to twice that (2 MB instead of 1 MB
-    # at 20k edges) for the graph's whole life
-    return Graph._from_checked(n, frozenset(normalized))
+    return Graph._from_masks(n, _pair_masks(n, edges, normalize=True))
 
 
 def complete_graph(n: int) -> Graph:
@@ -140,27 +184,16 @@ def complete_graph(n: int) -> Graph:
 
 
 def complement(g: Graph) -> Graph:
-    """Graph on the same nodes whose edges are exactly the missing pairs.
-
-    Walks the set bits of each node's complemented neighbor mask above the
-    node itself, so the cost is one step per missing pair.
-    """
+    """Graph on the same nodes whose edges are exactly the missing pairs."""
     full = (1 << g.n) - 1
-    missing = []
-    for u, a in enumerate(g.adjacency):
-        rest = (full ^ a) >> (u + 1)
-        while rest:
-            low = rest & -rest
-            missing.append((u, u + low.bit_length()))
-            rest ^= low
-    return Graph._from_checked(g.n, frozenset(missing))
+    return Graph._from_masks(g.n, [full ^ a ^ (1 << u) for u, a in enumerate(g.adjacency)])
 
 
 def is_spanning_subgraph(g: Graph, h: Graph) -> bool:
     """True iff every edge of ``h`` is also an edge of ``g`` (same node set)."""
     if g.n != h.n:
         raise ValueError(f"node counts differ: {g.n} != {h.n}")
-    return h.edges <= g.edges
+    return all(not b & ~a for a, b in zip(g.adjacency, h.adjacency))
 
 
 def induced_edge_count(g: Graph, s: Iterable[int]) -> int:
@@ -234,8 +267,10 @@ def max_clique_size(g: Graph) -> int:
 # -- serialization -----------------------------------------------------------
 
 def graph_to_json(g: Graph) -> str:
-    payload = {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
-    return json.dumps(payload, separators=(",", ":")) + "\n"
+    """Canonical JSON, byte for byte what ``json.dumps`` gives with compact separators."""
+    rows = _later_neighbors(g.adjacency, [str(i) for i in range(g.n)])
+    body = ",".join(f"[{u}," + f"],[{u},".join(vs) + "]" for u, vs in rows)
+    return f'{{"n":{g.n},"edges":[{body}]}}\n'
 
 
 def graph_from_json(text: str) -> Graph:
@@ -248,8 +283,9 @@ def graph_from_json(text: str) -> Graph:
 
 
 def graph_to_edge_text(g: Graph) -> str:
+    rows = _later_neighbors(g.adjacency, [str(i) for i in range(g.n)])
     lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    lines.extend(f"{u} " + f"\n{u} ".join(vs) for u, vs in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -381,7 +381,7 @@ def minimality_sweep(
     if not baseline.holds:
         raise ValueError("graph does not satisfy the target robustness to begin with")
     entries = []
-    for e in sorted(g.edges):
+    for e in g.edge_pairs():
         h = g.remove_edge(*e)
         verdict = is_rs_robust(h, r, s) if kind == "rs" else is_r_robust(h, r)
         entries.append((e, verdict))

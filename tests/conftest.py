@@ -10,12 +10,17 @@ certificate's induced-edge table is compared with.
 ``reference_run_simulation`` is the scalar W-MSR round that the simulator's
 array round is compared with, byte for byte; ``trajectory_states_from_csv``
 reads a trajectory CSV back into its state matrix.
+``reference_graph_to_json`` and ``reference_graph_to_edge_text`` write a
+graph by sorting its edge set, the bytes the bit-walking serializers must
+match; ``reference_turan_clique_threshold`` finds the Turán clique threshold
+by scanning k, the reference for its closed form.
 """
 
 from __future__ import annotations
 
+import json
 import random
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from operator import add
 from typing import Iterator
@@ -23,6 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from mergraph import AgentRole, Graph, Trajectory, new_graph
+from mergraph.certificates import edge_lb_gamma_gamma, turan_number
 from mergraph.wmsr import wmsr_retained
 
 
@@ -233,3 +239,36 @@ def trajectory_states_from_csv(text: str) -> np.ndarray:
         cells = ln.split(",")
         rows.append([float(c) for c in cells[1:]])
     return np.asarray(rows, dtype=np.float64)
+
+
+@lru_cache(maxsize=1)
+def _sorted_edges(g: Graph) -> list[tuple[int, int]]:
+    # one sort serves both references when a test writes a graph both ways
+    return sorted(g.edges)
+
+
+def reference_graph_to_json(g: Graph) -> str:
+    """Canonical graph JSON from the sorted edge set."""
+    payload = {"n": g.n, "edges": [list(e) for e in _sorted_edges(g)]}
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+def reference_graph_to_edge_text(g: Graph) -> str:
+    """Edge-list text from the sorted edge set."""
+    lines = [str(g.n)]
+    lines.extend(f"{u} {v}" for u, v in _sorted_edges(g))
+    return "\n".join(lines) + "\n"
+
+
+def reference_turan_clique_threshold(gamma: int) -> int:
+    """Largest k whose exact Turán number on 2*gamma nodes is below the
+    (gamma, gamma) edge floor, found by scanning k upwards."""
+    n = 2 * gamma
+    floor_edges = edge_lb_gamma_gamma(n)
+    best = 2
+    for k in range(2, n + 1):
+        if floor_edges > turan_number(n, k):
+            best = k
+        else:
+            break
+    return best

@@ -32,8 +32,13 @@ from mergraph import (
     turan_clique_threshold,
     turan_number,
 )
-from mergraph.certificates import _induced_edge_table
-from conftest import brute_dense_subgraph, brute_max_clique, random_graph
+from mergraph.certificates import _comb_exceeds, _induced_edge_table
+from conftest import (
+    brute_dense_subgraph,
+    brute_max_clique,
+    random_graph,
+    reference_turan_clique_threshold,
+)
 
 
 def cycle(n: int):
@@ -125,6 +130,10 @@ class TestTuran:
     def test_threshold_closed_form(self):
         for gamma in range(1, 40):
             assert turan_clique_threshold(gamma) == 2 * gamma - gamma // 2
+
+    def test_closed_form_matches_the_scan_over_k(self):
+        for gamma in range(1, 401):
+            assert turan_clique_threshold(gamma) == reference_turan_clique_threshold(gamma), gamma
 
     def test_threshold_never_below_coarse_estimate(self):
         for gamma in range(1, 40):
@@ -226,6 +235,21 @@ class TestDenseSubgraphMatchesScan:
         assert lemma4_dense_subgraph_holds(g, max_subsets=comb(12, 7))
         with pytest.raises(CapExceededError, match=r"^C\(12, 7\) subsets exceed the enumeration budget 791$"):
             lemma4_dense_subgraph_holds(g, max_subsets=comb(12, 7) - 1)
+
+    def test_budget_test_agrees_with_the_exact_binomial(self):
+        for n in range(0, 41):
+            for k in range(0, n + 1):
+                c = comb(n, k)
+                for limit in {0, 1, c - 1, c, c + 1, 2_000_000}:
+                    assert _comb_exceeds(n, k, limit) == (c > limit), (n, k, limit)
+
+    def test_budget_is_decided_without_the_exact_binomial_at_n_10_6(self):
+        g = new_graph(10**6, [])
+        with pytest.raises(
+            CapExceededError,
+            match=r"^C\(1000000, 500001\) subsets exceed the enumeration budget 2000000$",
+        ):
+            lemma4_dense_subgraph_holds(g)
 
     def test_report_leaves_the_check_unevaluated_above_the_budget(self):
         assert certificate_report(cycle(22)).check("dense_subgraph_gamma").passed is False

@@ -124,6 +124,18 @@ class TestBounds:
         payload = json.loads(capsys.readouterr().out)
         assert payload["implied_r_upper_bound"] == 5
 
+    def test_edgeless_million_node_graph(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text('{"n":1000000,"edges":[]}')
+        assert run_cli("bounds", "--graph", str(path), "--json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        checks = {c["name"]: c for c in payload["checks"]}
+        assert payload["edge_count"] == 0
+        assert checks["dense_subgraph_gamma"]["passed"] is None
+        assert checks["clique_gamma_gamma_turan"]["required"] == 10**6 - 250_000
+        assert checks["min_degree_gamma_gamma"]["observed"] == 0
+        assert payload["prop1_gamma_gamma"] is False
+
 
 class TestMinimality:
     def test_minimal_construction(self, tmp_path, capsys):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+from itertools import combinations
 
 import pytest
 
@@ -15,6 +17,7 @@ from mergraph import (
     is_rs_robust,
     max_clique_size,
     max_r_robustness,
+    new_graph,
     prop1_gamma_gamma_check,
 )
 from mergraph.construction import recipe_from_dict, replay_recipe
@@ -121,6 +124,88 @@ class TestDeterminismAndRecipes:
         restored = recipe_from_dict(json.loads(recipe.to_json()))
         assert restored == recipe
         assert replay_recipe(restored) == g
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 10, 11, 24, 25])
+    @pytest.mark.parametrize("variant", [None, 4])
+    def test_replay_matches_the_edge_list_build(self, n, variant):
+        # the masks replay sets against the pairs the recipe describes,
+        # checked one by one through new_graph
+        for builder in (construct_gamma_merg, construct_gamma_gamma_merg):
+            g, recipe = builder(n, variant=variant)
+            removed = {tuple(sorted(e)) for e in recipe.removed_pairs}
+            if recipe.kind == "gamma_gamma":
+                pairs = combinations(range(n), 2)
+            elif n % 2 == 1:
+                pairs = [*combinations(recipe.clique_or_hub, 2),
+                         *((node, v) for node, nbrs in recipe.attachment_map for v in nbrs)]
+            else:
+                hub = set(recipe.clique_or_hub)
+                pairs = [e for e in combinations(range(n), 2) if hub & set(e)]
+            assert g == new_graph(n, [e for e in pairs if tuple(sorted(e)) not in removed])
+
+
+def _gamma_recipe_dict(n: int, variant: int | None = None) -> dict:
+    return json.loads(construct_gamma_merg(n, variant=variant)[1].to_json())
+
+
+class TestRecipeBoundary:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("clique_or_hub", [0, 1, "2", 3, 4]),
+            ("clique_or_hub", [0, 1, True, 3, 4]),
+            ("removed_pairs", [[0]]),
+            ("removed_pairs", [[0, 1, 2]]),
+            ("removed_pairs", [0]),
+            ("attachment_map", [[6]]),
+            ("attachment_map", [[6, 0]]),
+            ("n", 10.0),
+            ("n", True),
+            ("variant", "3"),
+            ("kind", "gamma_prime"),
+        ],
+    )
+    def test_recipe_from_dict_rejects_malformed_entries(self, field, value):
+        payload = _gamma_recipe_dict(10)
+        payload[field] = value
+        with pytest.raises(ValueError):
+            recipe_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "n, field, value",
+        [
+            (10, "clique_or_hub", [0, 1, 2, 3, 99]),
+            (10, "clique_or_hub", [-1, 1, 2, 3, 4]),
+            (10, "removed_pairs", [[1, 1]]),
+            (10, "removed_pairs", [[0, 99]]),
+            (10, "added_pairs", [[3, 3]]),
+            (9, "clique_or_hub", [0, 1, 2, 3, 3]),
+            (9, "attachment_map", [[6, [0, 1, 6]], [7, [0, 1]], [8, [0, 1]]]),
+            (9, "attachment_map", [[6, [0, 1, 9]]]),
+            (9, "attachment_map", [[99, [0, 1]]]),
+        ],
+    )
+    def test_replay_rejects_out_of_range_ids_and_self_pairs(self, n, field, value):
+        payload = _gamma_recipe_dict(n)
+        payload[field] = value
+        recipe = recipe_from_dict(payload)
+        with pytest.raises(ValueError):
+            replay_recipe(recipe)
+
+    def test_replay_rejects_an_unknown_kind_or_node_count(self):
+        _, recipe = construct_gamma_merg(10)
+        with pytest.raises(ValueError, match="unknown recipe kind"):
+            replay_recipe(dataclasses.replace(recipe, kind="gamma_prime"))
+        with pytest.raises(ValueError, match="node count"):
+            replay_recipe(dataclasses.replace(recipe, n=0))
+
+    def test_hand_written_recipe_replays(self):
+        payload = {
+            "kind": "gamma", "n": 5, "gamma": 3, "clique_or_hub": [0, 1, 2, 3],
+            "attachment_map": [[4, [1, 2, 3]]], "removed_pairs": [], "added_pairs": [],
+        }
+        g = replay_recipe(recipe_from_dict(payload))
+        assert g == new_graph(5, [*combinations(range(4), 2), (1, 4), (2, 4), (3, 4)])
 
 
 class TestVariants:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import inspect
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +25,21 @@ from mergraph import (
     new_graph,
     parse_graph,
 )
-from conftest import brute_max_clique, random_graph
+from conftest import (
+    brute_max_clique,
+    random_graph,
+    reference_graph_to_edge_text,
+    reference_graph_to_json,
+)
+
+
+@st.composite
+def edge_lists(draw, max_n: int = 10):
+    """A node count and a list of pairs, with repeats and reversed pairs."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    ordered = list(permutations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(ordered), max_size=2 * len(ordered))) if ordered else []
+    return n, edges
 
 
 @st.composite
@@ -60,6 +74,13 @@ class TestNewGraph:
     def test_direct_construction_checks_each_edge(self, n, edges):
         with pytest.raises(ValueError):
             Graph(n, frozenset(edges))
+
+    def test_direct_construction_matches_new_graph(self):
+        edges = [(0, 1), (1, 3), (2, 3)]
+        g = Graph(4, edges)
+        assert g == new_graph(4, edges)
+        assert hash(g) == hash(new_graph(4, [(3, 2), (1, 0), (3, 1), (0, 1)]))
+        assert g.adjacency == (0b0010, 0b1001, 0b1000, 0b0110)
 
     def test_complete_graph_degrees(self):
         g = complete_graph(9)
@@ -187,7 +208,69 @@ def test_degree_sum_is_twice_edge_count(g):
     assert sum(g.degree(i) for i in range(g.n)) == 2 * len(g.edges)
 
 
+class TestMasksAreTheGraph:
+    @settings(max_examples=80)
+    @given(edge_lists(max_n=12))
+    def test_edges_are_the_set_bits(self, case):
+        n, edges = case
+        g = new_graph(n, edges)
+        drawn = {(min(e), max(e)) for e in edges}
+        bits = {(u, v) for u in range(n) for v in range(n) if g.adjacency[u] >> v & 1}
+        assert bits == drawn | {(v, u) for u, v in drawn}
+        assert all(a >> n == 0 for a in g.adjacency)
+        assert g.edges == drawn
+        assert list(g.edge_pairs()) == sorted(drawn)
+        assert g.edge_count == len(drawn)
+
+    @settings(max_examples=80)
+    @given(graphs(max_n=12))
+    def test_bit_tests_agree_with_the_edge_set(self, g):
+        for u in range(g.n):
+            assert g.neighbors(u) == {v for v in range(g.n) if (min(u, v), max(u, v)) in g.edges}
+            for v in range(g.n):
+                assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in g.edges)
+
+    def test_edge_set_is_built_once(self):
+        g, _ = construct_gamma_merg(10)
+        assert g.edges is g.edges
+
+    def test_equal_graphs_from_every_builder_hash_alike(self):
+        g, _ = construct_gamma_gamma_merg(10)
+        rebuilt = (
+            new_graph(10, g.edges),
+            Graph(10, sorted(g.edges)),
+            complement(complement(g)),
+            g.remove_edge(0, 1).remove_edge(3, 2),
+        )
+        assert len({g, *rebuilt[:3]}) == 1
+        assert rebuilt[3] == new_graph(10, g.edges - {(0, 1), (2, 3)})
+
+    def test_remove_edge_clears_both_bits(self):
+        g = complete_graph(4).remove_edge(2, 1)
+        assert g.adjacency == (0b1110, 0b1001, 0b1001, 0b0111)
+        with pytest.raises(ValueError, match="not present"):
+            g.remove_edge(1, 2)
+        with pytest.raises(ValueError, match="not present"):
+            g.remove_edge(0, 4)
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("n", [*range(2, 40), 200, 201, 400, 401, 800])
+    def test_bytes_match_the_sorted_references(self, n):
+        for build in (construct_gamma_merg, construct_gamma_gamma_merg):
+            for variant in (None, 61):
+                g, _ = build(n, variant=variant)
+                assert graph_to_json(g) == reference_graph_to_json(g)
+                assert graph_to_edge_text(g) == reference_graph_to_edge_text(g)
+
+    @settings(max_examples=80)
+    @given(graphs(max_n=12))
+    def test_parse_round_trips(self, g):
+        assert graph_to_json(g) == reference_graph_to_json(g)
+        assert graph_to_edge_text(g) == reference_graph_to_edge_text(g)
+        assert parse_graph(graph_to_json(g)) == g
+        assert parse_graph(graph_to_edge_text(g)) == g
+
     def test_json_round_trip(self):
         g, _ = construct_gamma_merg(10)
         assert graph_from_json(graph_to_json(g)) == g
