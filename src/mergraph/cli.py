@@ -154,42 +154,29 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_robustness(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    gamma = certificates.gamma_of(g.n)
-    rs_mode = args.rs or args.s is not None
-
-    if not rs_mode and args.r is None:
+    if args.rs or args.s is not None:
+        r = args.r if args.r is not None else certificates.gamma_of(g.n)
+        if args.s is None:
+            max_s = oracle.max_s_given_r(g, r)
+            _emit({"r": r, "max_s": max_s}, args.json, [f"r={r}: max s = {max_s}"])
+            return EXIT_OK
+        verdict = oracle.is_rs_robust(g, r, args.s)
+    elif args.r is None:
         max_r = oracle.max_r_robustness(g)
         _emit({"max_r": max_r, "n": g.n}, args.json, [f"max r-robustness: {max_r}"])
         return EXIT_OK
-
-    if not rs_mode:
+    else:
         verdict = oracle.is_r_robust(g, args.r)
-        payload = {
-            "r": args.r,
-            "holds": verdict.holds,
-            "witness": _witness_payload(verdict),
-        }
-        lines = [f"{args.r}-robust: {'yes' if verdict.holds else 'no'}"]
-        if verdict.witness is not None:
-            lines.append(f"witness S1={sorted(verdict.witness.s1)} S2={sorted(verdict.witness.s2)}")
-        _emit(payload, args.json, lines)
-        return EXIT_OK if verdict.holds else EXIT_LEVEL_FAILS
 
-    r = args.r if args.r is not None else gamma
-    if args.s is None:
-        max_s = oracle.max_s_given_r(g, r)
-        _emit({"r": r, "max_s": max_s}, args.json, [f"r={r}: max s = {max_s}"])
-        return EXIT_OK
-    verdict = oracle.is_rs_robust(g, r, args.s)
-    payload = {
-        "r": r,
-        "s": args.s,
-        "holds": verdict.holds,
-        "witness": _witness_payload(verdict),
-    }
-    lines = [f"({r},{args.s})-robust: {'yes' if verdict.holds else 'no'}"]
-    if verdict.witness is not None:
-        lines.append(f"witness S1={sorted(verdict.witness.s1)} S2={sorted(verdict.witness.s2)}")
+    witness = _witness_payload(verdict)
+    payload = {"r": verdict.r, "holds": verdict.holds, "witness": witness}
+    level = f"{verdict.r}-robust"
+    if verdict.s is not None:
+        payload["s"] = verdict.s
+        level = f"({verdict.r},{verdict.s})-robust"
+    lines = [f"{level}: {'yes' if verdict.holds else 'no'}"]
+    if witness is not None:
+        lines.append(f"witness S1={witness['s1']} S2={witness['s2']}")
     _emit(payload, args.json, lines)
     return EXIT_OK if verdict.holds else EXIT_LEVEL_FAILS
 

@@ -7,23 +7,27 @@ variant counts, per set, the members with >= r outside neighbors
 (``reachable_count``) and requires for every pair that one set consists
 entirely of such members or that the two counts sum to at least s.
 
-Everything here is decided exactly, without walking the ~3^n/2 pairs.
-Per-subset reachable counts are tabulated once over all 2^n subsets
-(vectorized with numpy).  A subset-min (zeta) transform then gives, for
-every set M, the best partner among the subsets of M, so looking each
-candidate S1 up at its complement covers every disjoint pair.  The yes/no
-decision runs first; only failing graphs go on to recover a witness.
+r-robustness is exactly (r, 1)-robustness, and every check asks one
+question, decided exactly without walking the ~3^n/2 pairs: what is the
+best combination of two per-set values over disjoint nonempty pairs?
 
-The 2^n tables hold uint8 (counts and degrees are at most n); 255
-marks "no such set" and sums are taken in int64.  A table is built with
-the subset bits split into a low half (n // 2 bits) and a high half: node
-i's outside degree is popcount(a_lo & ~S_lo) + popcount(a_hi & ~S_hi), two
-vectors of length ~2^(n/2), and one broadcast compare of the two halves
-updates the view of the table that covers the subsets containing i.  The
-maximum r comes from one such table, maxout[S] = largest outside degree
-in S: r-robustness fails exactly when a disjoint pair has both maxout
-values below r.  Since full ^ S = full - S, the complement lookup
-``t[full ^ S]`` over all S is the reversed view ``t[::-1]``, not a gather.
+One pair table holds a uint8 value for each of the 2^n subsets.  For the
+(r, s) checks it is the reachable count x[S], with ``_ABSENT`` over the
+sets that cannot be in a failing pair (those whose members all reach r,
+the empty set among them); a pair fails when both sets are present and
+their values sum to <= s - 1.  For the maximum r it is maxout[S], the
+largest outside degree in S, with only the empty set marked: r-robustness
+fails exactly when both maxout values of a pair are below r.  One
+subset-min (zeta) transform gives every set M the smallest value among
+its subsets; since full ^ S = full - S, the lookup at every complement is
+the reversed view ``t[::-1]``, and one combine (``np.add`` for (r, s),
+``np.maximum`` for max r) plus a minimum gives the worst pair.  The
+combine runs in uint16: counts and degrees are at most n <= 254, so a
+pair holding ``_ABSENT`` (255) stays at or above it and every real pair
+below.  Only failing graphs go on to read a witness from the same table.
+
+Each table is built per node from two popcount vectors of length
+~2^(n/2), over the low and the high half of the subset bits.
 
 Canonical order: each node gets a digit in {0 = unassigned, 1 = S1,
 2 = S2}; digit vectors are compared lexicographically with node 0 most
@@ -37,9 +41,8 @@ ranks as w(S1) + 2*w(S2).  No orientation constraint is needed, because
 holding the lowest assigned node has the larger w, and of the two
 orientations of a pair the one with that set as S1 ranks lower.  The
 minimum over ordered failing pairs is therefore the canonical witness.  It
-takes one subset-min of w over the eligible sets per partner budget
-k in [0, s-1] (sets with reachable count <= k), so a witness costs
-O(s * n * 2^n) numpy work.
+takes one subset-min of w per partner budget k in [0, s-1] (sets with
+pair-table value <= k), so a witness costs O(s * n * 2^n) numpy work.
 
 Node counts above ``EXACT_ENUMERATION_CAP`` are rejected: it guards the
 2^n-entry tables, which grow with every node, so exhaustive checking is a
@@ -133,11 +136,25 @@ def is_r_reachable(g: Graph, s: Iterable[int], r: int) -> bool:
     return reachable_count(g, s, r) >= 1
 
 
-# -- per-subset tables and pair-existence transforms --------------------------
+# -- per-subset tables and the pair transform ---------------------------------
 
 # Above every count or degree a table holds (both are at most n), so it never
-# wins a minimum; it marks "no such set" in the uint8 tables.
+# wins a minimum; it marks the sets that cannot be in a failing pair.
 _ABSENT = np.uint8(255)
+
+
+def _subset_halves(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The split of subset bits every 2^n table is built over.
+
+    Returns ``(lo_bits, lo, hi, sizes)``: subset S is ``h << lo_bits | l``
+    for ``l`` in ``lo`` (the low ``n // 2`` bits) and ``h`` in ``hi``, and
+    ``sizes[h, l]`` = |S| as a (hi.size, lo.size) uint8 grid.
+    """
+    lo_bits = n // 2
+    lo = np.arange(1 << lo_bits, dtype=np.uint32)
+    hi = np.arange(1 << (n - lo_bits), dtype=np.uint32)
+    sizes = np.bitwise_count(hi)[:, None] + np.bitwise_count(lo)
+    return lo_bits, lo, hi, sizes
 
 
 def _member_terms(
@@ -146,14 +163,11 @@ def _member_terms(
     """Per node i: the view of ``table`` over the subsets containing i, and
     the two halves of i's outside degree, broadcast to that view's shape.
 
-    Subset ``S`` is split into its low ``n // 2`` bits and its high bits;
-    i's outside degree is popcount(a_lo & ~S_lo) + popcount(a_hi & ~S_hi),
-    so each half is a vector over one half of the bits only.
+    i's outside degree is popcount(a_lo & ~S_lo) + popcount(a_hi & ~S_hi)
+    over the halves of :func:`_subset_halves`, so each half is a vector over
+    one half of the bits only.
     """
-    n = g.n
-    lo_bits = n // 2
-    lo = np.arange(1 << lo_bits, dtype=np.uint32)
-    hi = np.arange(1 << (n - lo_bits), dtype=np.uint32)
+    lo_bits, lo, hi, _ = _subset_halves(g.n)
     grid = table.reshape(hi.size, lo.size)
     lo_mask = lo.size - 1
     for i, a in enumerate(g.adjacency):
@@ -180,6 +194,19 @@ def _x_count_table(g: Graph, r: int) -> np.ndarray:
     return x
 
 
+def _pair_table(g: Graph, r: int) -> np.ndarray:
+    """The x table with ``_ABSENT`` over the sets whose members all reach r.
+
+    Those sets, the empty set among them (x = 0 = |S|), cannot be in a
+    failing pair.  The mark is written in place from a 0/1 byte mask.
+    """
+    x = _x_count_table(g, r)
+    sizes = _subset_halves(g.n)[3]
+    grid = x.reshape(sizes.shape)
+    np.maximum(grid, (grid >= sizes).view(np.uint8) * _ABSENT, out=grid)
+    return x
+
+
 def _maxout_table(g: Graph) -> np.ndarray:
     """``maxout[S]`` = largest outside degree among the members of ``S`` (0 for the empty set)."""
     maxout = np.zeros(1 << g.n, dtype=np.uint8)
@@ -198,44 +225,17 @@ def _subset_min(vals: np.ndarray, n: int) -> np.ndarray:
     return v
 
 
-def _nonreachable(x: np.ndarray) -> np.ndarray:
-    """Flags the nonempty subsets with no member reaching r outside neighbors."""
-    nonreach = x == 0
-    nonreach[0] = False
-    return nonreach
+def _best_pair(t: np.ndarray, n: int, combine: np.ufunc) -> int | None:
+    """Smallest ``combine(t[S1], t[S2])`` over disjoint pairs, None if every
+    pair holds an ``_ABSENT`` set (``t[0]`` must be one).
 
-
-def _r_robust_decision(nonreach: np.ndarray, n: int) -> bool:
-    """Fast yes/no: is there no disjoint pair with both sets non-reachable?"""
-    if not nonreach.any():
-        return True
-    # 0 marks a non-reachable set; a subset-min of 0 under M means M holds one
-    free_min = _subset_min((~nonreach).astype(np.uint8), n)
-    return bool(free_min[::-1][nonreach].all())
-
-
-def _rs_tables(g: Graph, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reachable counts plus the deficiency flag (some member lacks r outside)."""
-    x = _x_count_table(g, r)
-    sizes = np.bitwise_count(np.arange(1 << g.n, dtype=np.uint32))
-    deficient = x < sizes
-    return x, deficient
-
-
-def _min_partner_sum(g: Graph, x: np.ndarray, deficient: np.ndarray) -> int | None:
-    """Smallest ``x[S1] + x[S2]`` over disjoint pairs with both sets deficient.
-
-    Returns None when no such pair exists (every pair then satisfies one of
-    the two all-members conditions).
+    ``combine`` is ``np.add`` or ``np.maximum``; both grow with each
+    argument, so the subset-min of ``t`` under the complement of S1 is S1's
+    best partner.  uint16 keeps a sum with ``_ABSENT`` at or above it.
     """
-    if not deficient.any():
-        return None
-    partner_min = _subset_min(np.where(deficient, x, _ABSENT), g.n)
-    partner = partner_min[::-1][deficient]
-    valid = partner < _ABSENT
-    if not valid.any():
-        return None
-    return int((x[deficient][valid].astype(np.int64) + partner[valid]).min())
+    partner = _subset_min(t, n)[::-1]
+    worst = int(combine(t, partner, dtype=np.uint16).min())
+    return None if worst >= _ABSENT else worst
 
 
 # -- canonical witnesses -------------------------------------------------------
@@ -269,23 +269,22 @@ def _pair_from_rank(rank: int, n: int) -> SubsetPair:
     return SubsetPair(_mask_to_set(m1), _mask_to_set(m2))
 
 
-def _canonical_witness(
-    x: np.ndarray, eligible: np.ndarray, s: int, n: int
-) -> SubsetPair:
-    """First pair in canonical order with both sets eligible and x summing to <= s-1.
+def _canonical_witness(t: np.ndarray, s: int, n: int) -> SubsetPair:
+    """First pair in canonical order with pair-table values summing to <= s-1.
 
-    For each partner budget k, one subset-min over the eligible sets with
-    x <= k gives, under every complement, the lowest-weight partner; a set
-    S1 with x[S1] = s-1-k then ranks its best pair as w[S1] + 2*min.
+    For each partner budget k, one subset-min over the sets with t <= k
+    gives, under every complement, the lowest-weight partner; a set S1 with
+    t[S1] = s-1-k then ranks its best pair as w[S1] + 2*min.  Both budgets
+    are below ``_ABSENT``, so the marked sets never take part.
     """
     w = _rank_weights(n)
     unused = np.int64(3**n)  # above every w, so it never wins a minimum
     best = 3 * unused
     for k in range(s):
-        s1 = eligible & (x == s - 1 - k)
+        s1 = t == s - 1 - k
         if not s1.any():
             continue
-        partner = _subset_min(np.where(eligible & (x <= k), w, unused), n)
+        partner = _subset_min(np.where(t <= k, w, unused), n)
         best = min(best, (w[s1] + 2 * partner[::-1][s1]).min())
     if best >= unused:
         raise AssertionError("decision said not robust but no failing pair found")
@@ -294,16 +293,22 @@ def _canonical_witness(
 
 # -- public checks -------------------------------------------------------------
 
+def _failing_pair(g: Graph, r: int, s: int) -> SubsetPair | None:
+    """The canonical pair breaking (r, s)-robustness, or None when it holds."""
+    _check_cap(g)
+    t = _pair_table(g, r)
+    worst = _best_pair(t, g.n, np.add)
+    if worst is None or worst >= s:
+        return None
+    return _canonical_witness(t, s, g.n)
+
+
 def is_r_robust(g: Graph, r: int) -> RobustnessVerdict:
-    """Exact r-robustness check with a counterexample witness on failure."""
+    """Exact r-robustness check, the (r, 1) case, with a counterexample witness on failure."""
     if r < 1:
         raise ValueError("r must be a positive integer")
-    _check_cap(g)
-    x = _x_count_table(g, r)
-    nonreach = _nonreachable(x)
-    if _r_robust_decision(nonreach, g.n):
-        return RobustnessVerdict(True, r)
-    return RobustnessVerdict(False, r, witness=_canonical_witness(x, nonreach, 1, g.n))
+    witness = _failing_pair(g, r, 1)
+    return RobustnessVerdict(witness is None, r, witness=witness)
 
 
 def max_r_robustness(g: Graph) -> int:
@@ -311,17 +316,18 @@ def max_r_robustness(g: Graph) -> int:
 
     r-robustness fails exactly when some disjoint pair has both maxout
     values below r, so the answer is the smallest max(maxout[S1],
-    maxout[S2]) over disjoint nonempty pairs, capped at ceil(n/2), the
-    largest value any graph on n nodes can achieve.  A subset-min of
-    maxout gives every S1 its best partner at once.  0 signals "not even
-    1-robust" (disconnected or edgeless).
+    maxout[S2]) over disjoint nonempty pairs: the same pair transform as
+    the (r, s) checks, with ``np.maximum`` for the sum and the empty set
+    marked ``_ABSENT``.  It is capped at ceil(n/2), the largest value any
+    graph on n nodes can achieve (and the answer when no pair exists).
+    0 signals "not even 1-robust" (disconnected or edgeless).
     """
     _check_cap(g)
     gamma = (g.n + 1) // 2
     maxout = _maxout_table(g)
     maxout[0] = _ABSENT
-    partner = _subset_min(maxout, g.n)
-    return min(gamma, int(np.maximum(maxout, partner[::-1]).min()))
+    worst = _best_pair(maxout, g.n, np.maximum)
+    return gamma if worst is None else min(gamma, worst)
 
 
 def is_rs_robust(g: Graph, r: int, s: int) -> RobustnessVerdict:
@@ -330,30 +336,21 @@ def is_rs_robust(g: Graph, r: int, s: int) -> RobustnessVerdict:
         raise ValueError("r must be a positive integer")
     if not (1 <= s <= g.n):
         raise ValueError(f"s must lie in [1, {g.n}]")
-    _check_cap(g)
-    x, deficient = _rs_tables(g, r)
-    worst = _min_partner_sum(g, x, deficient)
-    if worst is None or worst >= s:
-        return RobustnessVerdict(True, r, s=s)
-    witness = _canonical_witness(x, deficient, s, g.n)
-    return RobustnessVerdict(False, r, s=s, witness=witness)
+    witness = _failing_pair(g, r, s)
+    return RobustnessVerdict(witness is None, r, s=s, witness=witness)
 
 
 def max_s_given_r(g: Graph, r: int) -> int:
     """Largest s in [1, n] with the graph (r, s)-robust; 0 if not even (r, 1).
 
     (r, s)-robustness is monotone in s, so the answer is the smallest
-    reachable-count sum over pairs where neither set has all members
-    reachable, capped at n.
+    pair-table sum over disjoint pairs, capped at n.
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
     _check_cap(g)
-    x, deficient = _rs_tables(g, r)
-    worst = _min_partner_sum(g, x, deficient)
-    if worst is None:
-        return g.n
-    return min(worst, g.n)
+    worst = _best_pair(_pair_table(g, r), g.n, np.add)
+    return g.n if worst is None else min(worst, g.n)
 
 
 def minimality_sweep(

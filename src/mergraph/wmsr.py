@@ -185,15 +185,6 @@ class SimConfig:
         if not (0.0 <= self.alpha_floor < 1.0):
             raise ValueError("alpha_floor must lie in [0, 1)")
 
-    @property
-    def adversaries(self) -> tuple[int, ...]:
-        return tuple(
-            i for i, role in enumerate(self.roles) if role is not AgentRole.NORMAL
-        )
-
-    def claims_f_total(self) -> bool:
-        return is_f_total(self.roles, self.f)
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -233,9 +224,6 @@ class Trajectory:
         """(m0, M0): min and max of the normal agents' initial states."""
         row = self.normal_states()[0]
         return float(row.min()), float(row.max())
-
-    def converged(self, tol: float = 1e-6) -> bool:
-        return self.spread(self.steps) < tol
 
 
 def _adjacency_matrix(g: Graph) -> np.ndarray:
@@ -519,7 +507,7 @@ def build_scenario(
         if f is None:
             raise ValueError(f"scenario {scenario!r} needs an explicit f")
     roles = row.roles(graph.n, f)
-    if sum(1 for r in roles if r is not AgentRole.NORMAL) > f:
+    if not is_f_total(roles, f):
         raise ValueError("scenario claims f-total misbehavior but has more adversaries than f")
     config = SimConfig(
         graph=graph,

@@ -5,6 +5,8 @@ subset enumerations (itertools-based, no bitmask tricks) so they stay
 independent of the code paths they validate.  ``subset_pair_assignments``
 walks the ~3^n/2 pairs in the oracle's canonical witness order; it is the
 reference the oracle's transform-based witness recovery is compared with.
+``brute_best_pair`` is the pair loop that the oracle's pair transform is
+compared with.
 ``brute_dense_subgraph`` is the subset scan that the dense-subgraph
 certificate's induced-edge table is compared with.
 ``reference_run_simulation`` is the scalar W-MSR round that the simulator's
@@ -137,6 +139,24 @@ def brute_first_failing_pair(
         if x1 < len(s1) and x2 < len(s2) and x1 + x2 <= s - 1:
             return s1, s2
     return None
+
+
+def brute_best_pair(t, n: int, combine) -> int | None:
+    """Smallest ``combine(t[S1], t[S2])`` over disjoint nonempty subset masks
+    with neither value 255 (absent), or None when no such pair exists.
+
+    A plain double loop over all ordered mask pairs: the reference for the
+    oracle's subset-min pair transform.
+    """
+    best = None
+    for m1 in range(1, 1 << n):
+        for m2 in range(1, 1 << n):
+            if m1 & m2 or t[m1] == 255 or t[m2] == 255:
+                continue
+            value = combine(int(t[m1]), int(t[m2]))
+            if best is None or value < best:
+                best = value
+    return best
 
 
 def brute_max_clique(g: Graph) -> int:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import operator
 import random
 from itertools import combinations
 
@@ -25,6 +26,7 @@ from mergraph import (
 )
 from conftest import (
     all_disjoint_pairs,
+    brute_best_pair,
     brute_first_failing_pair,
     brute_is_r_robust,
     brute_is_rs_robust,
@@ -156,7 +158,9 @@ class TestRsRobust:
         for _ in range(60):
             g = random_graph(rng, rng.randint(2, 8), rng.random())
             for r in range(1, (g.n + 1) // 2 + 1):
-                assert is_rs_robust(g, r, 1).holds == is_r_robust(g, r).holds
+                plain, rs = is_r_robust(g, r), is_rs_robust(g, r, 1)
+                assert rs.holds == plain.holds
+                assert rs.witness == plain.witness
 
     def test_removing_an_edge_from_minimal_10_node_graph(self):
         g, _ = construct_gamma_gamma_merg(10)
@@ -229,6 +233,30 @@ class TestTables:
                     assert x.dtype == np.uint8
                     assert x.tolist() == [brute_reachable_count(g, s, r) for s in subsets]
                 assert not oracle._x_count_table(g, 10**9).any()
+
+
+class TestBestPair:
+    COMBINES = [(np.add, operator.add), (np.maximum, max)]
+
+    @pytest.mark.parametrize("combine, reference", COMBINES)
+    def test_matches_pair_loop_on_random_tables(self, combine, reference):
+        rng = np.random.default_rng(59)
+        for n in range(1, 9):
+            for absent_share in (0.0, 0.3, 0.7, 0.95):
+                t = rng.integers(0, n + 1, size=1 << n, dtype=np.uint8)
+                t[rng.random(1 << n) < absent_share] = oracle._ABSENT
+                t[0] = oracle._ABSENT  # the empty set is never in a pair
+                assert oracle._best_pair(t, n, combine) == brute_best_pair(t, n, reference)
+
+    @pytest.mark.parametrize("combine, reference", COMBINES)
+    def test_no_present_pair_gives_none(self, combine, reference):
+        for n in range(1, 9):
+            absent = np.full(1 << n, oracle._ABSENT, dtype=np.uint8)
+            assert oracle._best_pair(absent, n, combine) is None
+            only_full = absent.copy()
+            only_full[-1] = 0
+            assert brute_best_pair(only_full, n, reference) is None
+            assert oracle._best_pair(only_full, n, combine) is None
 
 
 class TestWitnesses:

@@ -299,7 +299,7 @@ class TestScenarioAssembly:
         assert config.f == 2
         assert config.roles[:2] == (AgentRole.BYZANTINE, AgentRole.BYZANTINE)
         assert isinstance(strategy, SplitByReceiver)
-        assert config.claims_f_total()
+        assert is_f_total(config.roles, config.f)
 
     def test_trig_needs_explicit_f(self):
         g, _ = construct_gamma_merg(9)
