@@ -2,25 +2,31 @@
 """Every single edge is load-bearing.
 
 The constructions achieve their robustness with the fewest edges possible,
-so deleting any one edge must drop the level.  The sweep below replays the
-exact check after each removal and shows the witness pair that breaks it.
+so deleting any one edge must drop the level.  The sweep below re-decides
+the exact check after each removal.  It records only yes or no, so for the
+first few removals the demo asks ``is_r_robust`` / ``is_rs_robust`` on the
+reduced graph for the canonical witness pair that breaks it.
 """
 
 from mergraph import (
     construct_gamma_gamma_merg,
     construct_gamma_merg,
     gamma_of,
+    is_r_robust,
+    is_rs_robust,
     max_s_given_r,
     minimality_sweep,
 )
 
 
-def show_sweep(title, sweep, limit=6):
+def show_sweep(title, g, sweep, limit=6):
     print(title)
-    for edge, verdict in sweep.entries[:limit]:
+    for edge, holds in sweep.entries[:limit]:
+        h = g.remove_edge(*edge)
+        verdict = is_r_robust(h, sweep.r) if sweep.s is None else is_rs_robust(h, sweep.r, sweep.s)
         w = verdict.witness
         witness = f"S1={sorted(w.s1)} S2={sorted(w.s2)}" if w else ""
-        print(f"  remove {edge}: {'still holds' if verdict.holds else 'breaks'}  {witness}")
+        print(f"  remove {edge}: {'still holds' if holds else 'breaks'}  {witness}")
     if len(sweep.entries) > limit:
         print(f"  ... {len(sweep.entries) - limit} more removals, all the same story")
     print(f"  minimal: {sweep.minimal}")
@@ -32,7 +38,7 @@ def main() -> None:
         gamma = gamma_of(n)
         g, _ = construct_gamma_merg(n)
         sweep = minimality_sweep(g, "r", gamma)
-        show_sweep(f"=== {gamma}-robust graph on {n} nodes ({len(g.edges)} edges) ===", sweep)
+        show_sweep(f"=== {gamma}-robust graph on {n} nodes ({len(g.edges)} edges) ===", g, sweep)
 
     for n in (9, 10):
         gamma = gamma_of(n)
@@ -40,6 +46,7 @@ def main() -> None:
         sweep = minimality_sweep(g, "rs", gamma, gamma)
         show_sweep(
             f"=== ({gamma},{gamma})-robust graph on {n} nodes ({len(g.edges)} edges) ===",
+            g,
             sweep,
         )
 

@@ -63,7 +63,6 @@ from .wmsr import (
     SimConfig,
     Trajectory,
     build_scenario,
-    initial_states,
     is_f_local,
     is_f_total,
     nominal_step,

@@ -43,6 +43,10 @@ Parity = Literal["odd", "even", "unknown"]
 # the report's clique checks run up to this many nodes and are None above it
 MAX_CLIQUE_NODES = 40
 
+# the dense-subgraph check raises CapExceededError above this many candidate
+# subsets C(n, gamma+1); n <= 22 fits
+MAX_DENSE_SUBSETS = 2_000_000
+
 
 def gamma_of(n: int) -> int:
     """ceil(n/2), the maximum r-robustness achievable on n nodes."""
@@ -193,7 +197,7 @@ def _comb_exceeds(n: int, k: int, limit: int) -> bool:
 
     The partial products C(n - k + i, i), i = 0..min(k, n - k), never
     decrease and end at C(n, k), so the first one above ``limit`` decides.
-    For n = 10**6 and the default budget that is C(500001, 2), where
+    For n = 10**6 and ``MAX_DENSE_SUBSETS`` that is C(500001, 2), where
     ``comb(n, n // 2 + 1)`` itself would be a 300,000-digit integer.
     """
     k = min(k, n - k)
@@ -205,15 +209,15 @@ def _comb_exceeds(n: int, k: int, limit: int) -> bool:
     return c > limit
 
 
-def lemma4_dense_subgraph_holds(g: Graph, *, max_subsets: int = 2_000_000) -> bool:
+def lemma4_dense_subgraph_holds(g: Graph) -> bool:
     """Even-n check: some (gamma+1)-node subset induces >= floor((gamma^2+2)/2) edges.
 
     Necessary for gamma-robustness on even n.  The induced edge count of
     every one of the 2^n subsets is tabulated at once
     (:func:`_induced_edge_table`) and read at the subsets of size gamma+1,
-    with no loop over subsets.  The budget is still tested on the number
-    of candidate subsets C(n, gamma+1), and so bounds the table too:
-    2^n <= (n + 2) * C(n, gamma+1).  The default budget admits n <= 22, a
+    with no loop over subsets.  The budget ``MAX_DENSE_SUBSETS`` is still
+    tested on the number of candidate subsets C(n, gamma+1), and so bounds
+    the table too: 2^n <= (n + 2) * C(n, gamma+1).  It admits n <= 22, a
     4 MiB uint8 table.
     """
     if g.n % 2 != 0:
@@ -221,9 +225,9 @@ def lemma4_dense_subgraph_holds(g: Graph, *, max_subsets: int = 2_000_000) -> bo
     n = g.n
     gamma = n // 2
     k = gamma + 1
-    if _comb_exceeds(n, k, max_subsets):
+    if _comb_exceeds(n, k, MAX_DENSE_SUBSETS):
         raise CapExceededError(
-            f"C({n}, {k}) subsets exceed the enumeration budget {max_subsets}"
+            f"C({n}, {k}) subsets exceed the enumeration budget {MAX_DENSE_SUBSETS}"
         )
     need = (gamma * gamma + 2) // 2
     induced, sizes = _induced_edge_table(g)

@@ -64,6 +64,11 @@ def _emit(payload: dict, as_json: bool, human_lines: list[str]) -> None:
             print(line)
 
 
+def _sidecar(out: Path, suffix: str) -> Path:
+    """``out`` with its suffix replaced by ``suffix``, or appended if it has none."""
+    return out.with_suffix(suffix) if out.suffix else Path(str(out) + suffix)
+
+
 def _witness_payload(verdict: oracle.RobustnessVerdict) -> dict | None:
     if verdict.witness is None:
         return None
@@ -133,7 +138,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     else:
         graph, recipe = construction.construct_gamma_gamma_merg(args.n, variant=args.variant)
     out = Path(args.out)
-    recipe_path = out.with_suffix(".recipe.json") if out.suffix else Path(str(out) + ".recipe.json")
+    recipe_path = _sidecar(out, ".recipe.json")
     out.write_text(graph_to_json(graph))
     recipe_path.write_text(recipe.to_json())
     payload = {
@@ -209,14 +214,13 @@ def _cmd_minimality(args: argparse.Namespace) -> int:
         "s": s,
         "minimal": sweep.minimal,
         "entries": [
-            {"edge": list(edge), "holds_after_removal": v.holds}
-            for edge, v in sweep.entries
+            {"edge": list(edge), "holds_after_removal": holds}
+            for edge, holds in sweep.entries
         ],
     }
     lines = [f"target {target}; removals: {len(sweep.entries)}"]
-    for edge, verdict in sweep.entries:
-        state = "still holds" if verdict.holds else "breaks"
-        lines.append(f"  remove {edge}: {state}")
+    for edge, holds in sweep.entries:
+        lines.append(f"  remove {edge}: {'still holds' if holds else 'breaks'}")
     lines.append(f"minimal: {'true' if sweep.minimal else 'false'}")
     _emit(payload, args.json, lines)
     return EXIT_OK
@@ -252,8 +256,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise CliError(str(exc)) from exc
     traj = wmsr.run_simulation(config, strategy)
     out = Path(args.out)
-    metrics_path = out.with_suffix(".metrics.json") if out.suffix else Path(str(out) + ".metrics.json")
-    roles_path = out.with_suffix(".roles.json") if out.suffix else Path(str(out) + ".roles.json")
+    metrics_path = _sidecar(out, ".metrics.json")
+    roles_path = _sidecar(out, ".roles.json")
     out.write_text(wmsr.trajectory_to_csv(traj))
     roles_path.write_text(wmsr.roles_to_json(traj))
     metrics = wmsr.trajectory_metrics(traj, tol=args.tol)

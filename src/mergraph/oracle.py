@@ -88,16 +88,19 @@ class RobustnessVerdict:
 
 @dataclass(frozen=True)
 class MinimalitySweep:
-    """Per-edge verdicts for single-edge removals against a fixed target."""
+    """Per-edge ``(edge, holds)`` decisions for single-edge removals against
+    a fixed target.  They carry no witness: :func:`is_r_robust` or
+    :func:`is_rs_robust` on ``g.remove_edge(*edge)`` gives the pair that
+    breaks it."""
 
     kind: str
     r: int
     s: int | None
-    entries: tuple[tuple[Edge, RobustnessVerdict], ...]
+    entries: tuple[tuple[Edge, bool], ...]
 
     @property
     def minimal(self) -> bool:
-        return all(not verdict.holds for _, verdict in self.entries)
+        return not any(holds for _, holds in self.entries)
 
 
 def _check_cap(g: Graph) -> None:
@@ -359,28 +362,27 @@ def minimality_sweep(
     r: int,
     s: int | None = None,
 ) -> MinimalitySweep:
-    """Re-check the target robustness after each single-edge removal.
+    """Re-decide the target robustness after each single-edge removal.
 
-    The input graph must satisfy the target; the sweep then reports, edge by
-    edge in lexicographic order, whether the removal breaks it.  ``minimal``
-    is True when every removal does.
+    A graph h meets the target, r-robustness (the (r, 1) case) or (r, s)-
+    robustness, iff ``max_s_given_r(h, r)`` reaches 1 or s.  The input graph
+    must meet it; the sweep then reports, edge by edge in lexicographic
+    order, whether the removal keeps it.  ``minimal`` is True when none does.
     """
     if kind not in ("r", "rs"):
         raise ValueError("kind must be 'r' or 'rs'")
-    if kind == "rs":
-        if s is None:
-            raise ValueError("kind 'rs' needs a target s")
-        baseline = is_rs_robust(g, r, s)
-    else:
-        if s is not None:
-            raise ValueError("kind 'r' takes no s")
-        baseline = is_r_robust(g, r)
-    if not baseline.holds:
+    if kind == "rs" and s is None:
+        raise ValueError("kind 'rs' needs a target s")
+    if kind == "r" and s is not None:
+        raise ValueError("kind 'r' takes no s")
+    if r < 1:
+        raise ValueError("r must be a positive integer")
+    need = 1 if s is None else s
+    if not (1 <= need <= g.n):
+        raise ValueError(f"s must lie in [1, {g.n}]")
+    if max_s_given_r(g, r) < need:
         raise ValueError("graph does not satisfy the target robustness to begin with")
-    entries = []
-    for e in g.edge_pairs():
-        h = g.remove_edge(*e)
-        verdict = is_rs_robust(h, r, s) if kind == "rs" else is_r_robust(h, r)
-        entries.append((e, verdict))
-    return MinimalitySweep(kind, r, s, tuple(entries))
-
+    entries = tuple(
+        (e, max_s_given_r(g.remove_edge(*e), r) >= need) for e in g.edge_pairs()
+    )
+    return MinimalitySweep(kind, r, s, entries)

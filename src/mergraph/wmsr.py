@@ -5,7 +5,9 @@ the trimmed update sorts the values received from its neighbors, discards up
 to F of them strictly above its own state (the largest ones) and up to F
 strictly below (the smallest ones), then moves to the uniform average of its
 own state and the retained values.  With F = 0 this degenerates to plain
-uniform averaging.
+uniform averaging.  An agent keeps at most n - 1 values, so each weight is
+at least 1/n: the W-MSR weight floor (LeBlanc et al., IEEE JSAC 2013) holds
+by construction and is not a setting.
 
 Summation order: an update adds the retained values left to right in
 ascending neighbor order, starting from 0.0, and then adds that total to the
@@ -168,7 +170,6 @@ class SimConfig:
     f: int
     steps: int
     initial_states: tuple[float, ...]
-    alpha_floor: float = 0.0
 
     def __post_init__(self) -> None:
         n = self.graph.n
@@ -182,8 +183,6 @@ class SimConfig:
             raise ValueError("f must be non-negative")
         if self.steps < 1:
             raise ValueError("steps must be positive")
-        if not (0.0 <= self.alpha_floor < 1.0):
-            raise ValueError("alpha_floor must lie in [0, 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,12 +359,6 @@ def run_simulation(config: SimConfig, adversary: object | None = None) -> Trajec
         drop = _drop_top(stacked, signed_own, f, kth, work)
         keep = valid & ~(drop[0] | drop[1])
         weight = 1.0 / (1 + keep.sum(axis=0))
-        low = weight < config.alpha_floor
-        if low.any():
-            raise ValueError(
-                f"uniform weight {float(weight[low.argmax()])} fell below "
-                f"alpha_floor {config.alpha_floor}"
-            )
         # left fold down each column; + 0.0 turns a -0.0 total into Python
         # sum's 0.0, which starts from 0
         np.copyto(received, 0.0, where=~keep)
@@ -492,11 +485,6 @@ def get_scenario(name: str) -> Scenario:
         raise ValueError(f"unknown scenario {name!r}") from None
 
 
-def initial_states(n: int, scenario: str, seed: int) -> np.ndarray:
-    """Seeded per-node initial states for a named scenario."""
-    return get_scenario(scenario).initial_states(n, seed)
-
-
 def build_scenario(
     graph: Graph, scenario: str, f: int | None = None, steps: int = 30, seed: int = 0
 ) -> tuple[SimConfig, object | None]:
@@ -515,7 +503,6 @@ def build_scenario(
         f=f,
         steps=steps,
         initial_states=tuple(float(v) for v in row.initial_states(graph.n, seed)),
-        alpha_floor=1.0 / graph.n,
     )
     return config, row.strategy(graph.n) if row.strategy is not None else None
 

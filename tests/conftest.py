@@ -240,10 +240,6 @@ def reference_run_simulation(config, adversary=None):
             received = [sent(j, i, t, x) for j in neighbor_lists[i]]
             kept = wmsr_retained(x[i], received, config.f)
             weight = 1.0 / (1 + len(kept))
-            if weight < config.alpha_floor:
-                raise ValueError(
-                    f"uniform weight {weight} fell below alpha_floor {config.alpha_floor}"
-                )
             new_x[i] = (x[i] + reduce(add, kept, 0.0)) * weight
         x = new_x
     return Trajectory(states=states, roles=roles, f=config.f)

@@ -11,6 +11,7 @@ import pytest
 from mergraph import (
     CapExceededError,
     certificate_report,
+    certificates,
     complete_graph,
     construct_gamma_gamma_merg,
     construct_gamma_merg,
@@ -176,9 +177,10 @@ class TestCliqueAndDenseSubgraph:
         with pytest.raises(ValueError):
             lemma4_dense_subgraph_holds(complete_graph(9))
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(certificates, "MAX_DENSE_SUBSETS", 10)
         with pytest.raises(CapExceededError):
-            lemma4_dense_subgraph_holds(complete_graph(12), max_subsets=10)
+            lemma4_dense_subgraph_holds(complete_graph(12))
 
 
 def dense_need(n: int) -> int:
@@ -230,11 +232,13 @@ class TestDenseSubgraphMatchesScan:
         assert not lemma4_dense_subgraph_holds(new_graph(22, core[: need - 1]))
         assert lemma4_dense_subgraph_holds(new_graph(22, core[:need]))
 
-    def test_budget_is_tested_on_the_candidate_count(self):
+    def test_budget_is_tested_on_the_candidate_count(self, monkeypatch):
         g = complete_graph(12)
-        assert lemma4_dense_subgraph_holds(g, max_subsets=comb(12, 7))
+        monkeypatch.setattr(certificates, "MAX_DENSE_SUBSETS", comb(12, 7))
+        assert lemma4_dense_subgraph_holds(g)
+        monkeypatch.setattr(certificates, "MAX_DENSE_SUBSETS", comb(12, 7) - 1)
         with pytest.raises(CapExceededError, match=r"^C\(12, 7\) subsets exceed the enumeration budget 791$"):
-            lemma4_dense_subgraph_holds(g, max_subsets=comb(12, 7) - 1)
+            lemma4_dense_subgraph_holds(g)
 
     def test_budget_test_agrees_with_the_exact_binomial(self):
         for n in range(0, 41):

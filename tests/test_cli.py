@@ -159,6 +159,19 @@ class TestMinimality:
         path.write_text("4\n0 1\n1 2\n2 3\n0 3\n")
         assert run_cli("minimality", "--graph", str(path), "--kind", "r") == 1
 
+    def test_zero_s_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "gg.json"
+        run_cli("construct", "--n", "10", "--kind", "rs", "--out", str(out))
+        capsys.readouterr()
+        assert run_cli("minimality", "--graph", str(out), "--kind", "rs", "--s", "0") == 1
+        assert capsys.readouterr().err == "error: s must lie in [1, 10]\n"
+
+    def test_infeasible_size(self, tmp_path, capsys):
+        path = tmp_path / "k17.txt"
+        path.write_text("17\n" + "".join(f"{i} {j}\n" for i in range(17) for j in range(i + 1, 17)))
+        assert run_cli("minimality", "--graph", str(path), "--kind", "r") == 3
+        assert "infeasible" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_writes_all_outputs(self, g9, tmp_path, capsys):

@@ -8,12 +8,21 @@ from pathlib import Path
 DEMOS = Path(__file__).parent.parent / "demos"
 
 
-def test_resilient_consensus_outputs_match_the_committed_csvs(tmp_path, capsys):
-    spec = importlib.util.spec_from_file_location(
-        "resilient_consensus_demo", DEMOS / "04_resilient_consensus.py"
-    )
+def load_demo(name: str):
+    spec = importlib.util.spec_from_file_location(f"demo_{Path(name).stem}", DEMOS / name)
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)
+    return demo
+
+
+def test_minimality_output_matches_the_committed_text(capsys):
+    load_demo("03_minimality.py").main()
+    expected = (DEMOS / "out" / "03_minimality.txt").read_bytes()
+    assert capsys.readouterr().out.encode() == expected
+
+
+def test_resilient_consensus_outputs_match_the_committed_csvs(tmp_path, capsys):
+    demo = load_demo("04_resilient_consensus.py")
     demo.OUT = tmp_path
     demo.main()
     capsys.readouterr()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import operator
 import random
+import re
 from itertools import combinations
 
 import numpy as np
@@ -381,7 +382,7 @@ class TestMinimalitySweep:
     def test_triangle_is_not_minimal_for_1_robustness(self):
         sweep = minimality_sweep(complete_graph(3), "r", 1)
         assert not sweep.minimal
-        assert all(v.holds for _, v in sweep.entries)
+        assert all(holds for _, holds in sweep.entries)
 
     def test_minimal_rs_graph_on_10_nodes(self):
         g, _ = construct_gamma_gamma_merg(10)
@@ -402,6 +403,66 @@ class TestMinimalitySweep:
             minimality_sweep(g, "r", 2, 2)
         with pytest.raises(ValueError):
             minimality_sweep(g, "both", 2)
+
+    @pytest.mark.parametrize(
+        "kind, r, s, message",
+        [
+            ("rs", 5, 0, "s must lie in [1, 10]"),
+            ("rs", 5, 11, "s must lie in [1, 10]"),
+            ("rs", 0, 5, "r must be a positive integer"),
+            ("r", 0, None, "r must be a positive integer"),
+        ],
+    )
+    def test_out_of_range_targets(self, kind, r, s, message):
+        g, _ = construct_gamma_gamma_merg(10)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            minimality_sweep(g, kind, r, s)
+
+
+def sweep_cases():
+    """Targets every sweep test runs: both families at their own level for
+    n = 2..12, then 200 connected random graphs with n <= 9, each at a
+    random level it meets."""
+    for n in range(2, 13):
+        gamma = (n + 1) // 2
+        yield construct_gamma_merg(n)[0], "r", gamma, None
+        yield construct_gamma_gamma_merg(n)[0], "rs", gamma, gamma
+    rng = random.Random(17)
+    made = 0
+    while made < 200:
+        g = random_graph(rng, rng.randint(2, 9), rng.random())
+        top = max_r_robustness(g)
+        if top == 0:
+            continue
+        made += 1
+        r = rng.randint(1, top)
+        yield g, "r", r, None
+        r = rng.randint(1, top)
+        yield g, "rs", r, rng.randint(1, max_s_given_r(g, r))
+
+
+class TestSweepDecisions:
+    def test_entries_match_the_per_removal_checks(self):
+        seen = {True: 0, False: 0}
+        for g, kind, r, s in sweep_cases():
+            sweep = minimality_sweep(g, kind, r, s)
+            expected = []
+            for e in sorted(g.edges):
+                h = g.remove_edge(*e)
+                verdict = is_r_robust(h, r) if kind == "r" else is_rs_robust(h, r, s)
+                expected.append((e, verdict.holds))
+                seen[verdict.holds] += 1
+            assert list(sweep.entries) == expected, (g, kind, r, s)
+            assert sweep.minimal == (not any(h for _, h in expected))
+        assert min(seen.values()) >= 500, seen
+
+    def test_no_sweep_recovers_a_witness(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a sweep asked for a witness")
+
+        monkeypatch.setattr(oracle, "_canonical_witness", refuse)
+        for g, kind, r, s in sweep_cases():
+            minimality_sweep(g, kind, r, s)
 
 
 @settings(max_examples=30, deadline=None)

@@ -15,7 +15,6 @@ from mergraph import (
     complete_graph,
     construct_gamma_gamma_merg,
     construct_gamma_merg,
-    initial_states,
     is_r_robust,
     is_rs_robust,
     is_f_local,
@@ -138,32 +137,32 @@ class TestScopeModels:
 
 class TestInitialStates:
     def test_trig_scenario_interval(self):
-        states = initial_states(49, SCENARIO_TRIG_MALICIOUS, seed=0)
+        states = get_scenario(SCENARIO_TRIG_MALICIOUS).initial_states(49, seed=0)
         assert states.shape == (49,)
         assert ((states >= -1000) & (states <= 1000)).all()
 
     def test_split_scenario_bands(self):
         for n in (9, 10):
-            states = initial_states(n, SCENARIO_BYZ_SPLIT, seed=3)
+            states = get_scenario(SCENARIO_BYZ_SPLIT).initial_states(n, seed=3)
             assert states[0] == states[1] == 0.0  # cosmetic adversary slots
             assert all(15 <= states[i] <= 100 for i in range(2, 6))
             assert all(0 <= states[i] <= 7 for i in range(6, n - 1))
             assert 8 <= states[n - 1] <= 14
 
     def test_const_scenario_bands(self):
-        states = initial_states(10, SCENARIO_BYZ_CONST, seed=3)
+        states = get_scenario(SCENARIO_BYZ_CONST).initial_states(10, seed=3)
         assert all(states[i] == 0.0 for i in range(4))
         assert all(50 <= states[i] <= 100 for i in range(4, 9))
         assert 1 <= states[9] <= 50
 
     def test_reproducible(self):
-        a = initial_states(10, SCENARIO_BYZ_SPLIT, seed=12)
-        b = initial_states(10, SCENARIO_BYZ_SPLIT, seed=12)
+        a = get_scenario(SCENARIO_BYZ_SPLIT).initial_states(10, seed=12)
+        b = get_scenario(SCENARIO_BYZ_SPLIT).initial_states(10, seed=12)
         assert (a == b).all()
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):
-            initial_states(10, "mystery", seed=0)
+            get_scenario("mystery").initial_states(10, seed=0)
 
 
 def make_config(g, roles, f, steps, initial):
@@ -220,19 +219,6 @@ class TestRunSimulation:
         a = run_simulation(config, strategy)
         b = run_simulation(config, strategy)
         assert (a.states == b.states).all()
-
-    def test_alpha_floor_violation_detected(self):
-        g = complete_graph(3)
-        config = SimConfig(
-            graph=g,
-            roles=(AgentRole.NORMAL,) * 3,
-            f=0,
-            steps=2,
-            initial_states=(0.0, 1.0, 2.0),
-            alpha_floor=0.9,
-        )
-        with pytest.raises(ValueError):
-            run_simulation(config)
 
     def test_config_validation(self):
         g = complete_graph(3)
@@ -399,7 +385,6 @@ def _random_run(rng: random.Random, case: int):
         f=rng.randint(0, 6),
         steps=rng.randint(1, 8),
         initial_states=tuple(initial),
-        alpha_floor=rng.choice([0.0, 0.0, 0.0, 0.2, 0.4]),
     )
     return config, TieAdversary(case, integers)
 
@@ -416,7 +401,7 @@ class TestArrayRoundMatchesReference:
 
     def test_random_graphs_and_role_mixes(self):
         rng = random.Random(41)
-        seen = {"ties": 0, "isolated": 0, "f_ge_degree": 0, "alpha_error": 0}
+        seen = {"ties": 0, "isolated": 0, "f_ge_degree": 0}
         for case in range(600):
             config, adversary = _random_run(rng, case)
             expected = _outcome(reference_run_simulation, config, adversary)
@@ -426,7 +411,6 @@ class TestArrayRoundMatchesReference:
             seen["ties"] += adversary.integers
             seen["isolated"] += 0 in degrees
             seen["f_ge_degree"] += config.f >= max(degrees)
-            seen["alpha_error"] += expected.startswith("ValueError: uniform weight")
         assert min(seen.values()) >= 20, seen
 
     def test_all_negative_zero_states(self):
@@ -474,7 +458,7 @@ class TestNonFiniteAdversaryValues:
 
     def _config(self, role):
         g, _ = construct_gamma_merg(9)
-        initial = initial_states(9, SCENARIO_TRIG_MALICIOUS, seed=0)
+        initial = get_scenario(SCENARIO_TRIG_MALICIOUS).initial_states(9, seed=0)
         return make_config(g, [role] * 2 + [AgentRole.NORMAL] * 7, 2, 30, initial)
 
     @pytest.mark.parametrize("strategy", [ConstantMalicious, ConstantByzantine])
