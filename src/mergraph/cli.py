@@ -255,12 +255,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     traj = wmsr.run_simulation(config, strategy)
+    # before any output is written: a bad --tol leaves no files behind
+    metrics = wmsr.trajectory_metrics(traj, tol=args.tol)
     out = Path(args.out)
     metrics_path = _sidecar(out, ".metrics.json")
     roles_path = _sidecar(out, ".roles.json")
     out.write_text(wmsr.trajectory_to_csv(traj))
     roles_path.write_text(wmsr.roles_to_json(traj))
-    metrics = wmsr.trajectory_metrics(traj, tol=args.tol)
     metrics["scenario"] = args.scenario
     metrics["seed"] = args.seed
     metrics["removed_edge"] = list(removed_edge) if removed_edge is not None else None

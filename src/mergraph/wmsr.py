@@ -236,7 +236,7 @@ def _adjacency_matrix(g: Graph) -> np.ndarray:
 
 
 def _neighbor_index(adj: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Padded int32 index of the listed nodes' neighbors, one column per node.
+    """Padded index of the listed nodes' neighbors, one column per node.
 
     Column k lists node ``rows[k]``'s neighbors in ascending order, top to
     bottom; there is at least one row.  Padding is the column's own node:
@@ -248,7 +248,8 @@ def _neighbor_index(adj: np.ndarray, rows: np.ndarray) -> np.ndarray:
     width = max(int(degree.max(initial=0)), 1)
     col, nbr = np.nonzero(sub)
     pos = np.arange(col.size) - np.repeat(np.cumsum(degree) - degree, degree)
-    index = np.repeat(rows.astype(np.int32)[None, :], width, axis=0)
+    # intp, so that each round's gather need not convert the index
+    index = np.repeat(rows.astype(np.intp)[None, :], width, axis=0)
     index[pos, col] = nbr
     return index
 
@@ -262,26 +263,46 @@ def _strategy_values(values: list[float], agents: Sequence[int], t: int) -> np.n
     return out
 
 
-def _drop_top(
-    vals: np.ndarray, own: np.ndarray, f: int, kth: int, work: np.ndarray
-) -> np.ndarray:
-    """Per column of ``vals[s]``, mask of the ``f`` largest values above ``own[s]``.
+def _trimmed(received: np.ndarray, own: np.ndarray, f: int) -> np.ndarray:
+    """Mask of the cells the trim drops from each column of ``received``.
 
-    ``vals`` is (sides, width, columns) and ``own`` (sides, 1, columns).  Among
-    values equal to the threshold (the f-th largest) the topmost are dropped
-    first, as :func:`wmsr_retained` does.  ``kth`` is the threshold's rank,
-    ``width - f`` clipped to the column; ``work`` is scratch of vals' shape.
+    ``received`` is (width, columns) with f >= 1; cells equal to the column's
+    ``own`` value (padding among them) are neither above nor below it.  One
+    ascending sort gives the f-th smallest value ``lo`` and the f-th largest
+    ``hi``.  Below own, the cells at most ``lo`` are dropped, above own the
+    cells at least ``hi``: one compare per side.  Where the cut splits a run
+    of values equal to ``lo`` (or ``hi``), only its earliest copies within
+    the f are dropped, as :func:`wmsr_retained` does.
+
+    A NaN cell fails every compare, so it is never dropped, and a column
+    whose own value is NaN drops nothing.  Such a column folds to NaN, so
+    where the sort puts NaN does not matter.
     """
-    above = vals > own
-    work.fill(-np.inf)
-    np.copyto(work, vals, where=above)
-    work.partition(kth, axis=1)
-    threshold = work[:, kth, None]
-    over = above & (vals > threshold)
-    tie = above & (vals == threshold)
-    need = f - over.sum(axis=1, keepdims=True)
-    rank = tie.cumsum(axis=1, dtype=np.min_scalar_type(vals.shape[1]))
-    return over | (tie & (rank <= need))
+    width = received.shape[0]
+    ordered = np.sort(received, axis=0)
+    lo_row, hi_row = min(f, width) - 1, max(width - f, 0)
+    lo, hi = ordered[lo_row], ordered[hi_row]
+    lo_cut = np.minimum(np.nextafter(lo, np.inf), own)
+    hi_cut = np.maximum(np.nextafter(hi, -np.inf), own)
+    splits = []
+    if lo_row + 1 < width:
+        split = (lo < own) & (ordered[lo_row + 1] == lo)
+        if split.any():
+            np.copyto(lo_cut, lo, where=split)
+            splits.append((np.where(split, lo, np.nan), ordered[: lo_row + 1]))
+    if hi_row > 0:
+        split = (hi > own) & (ordered[hi_row - 1] == hi)
+        if split.any():
+            np.copyto(hi_cut, hi, where=split)
+            splits.append((np.where(split, hi, np.nan), ordered[hi_row:]))
+    drop = (received < lo_cut) | (received > hi_cut)
+    count = np.min_scalar_type(width)
+    # NaN marks the columns the cut does not split: nothing equals it
+    for value, cut_rows in splits:
+        ties = received == value
+        need = (cut_rows == value).sum(axis=0, dtype=count)
+        drop |= ties & (ties.cumsum(axis=0, dtype=count) <= need)
+    return drop
 
 
 def run_simulation(config: SimConfig, adversary: object | None = None) -> Trajectory:
@@ -296,9 +317,13 @@ def run_simulation(config: SimConfig, adversary: object | None = None) -> Trajec
 
     A round is a fixed sequence of whole-array operations on the values the
     normal agents receive: one column per agent, its neighbors' values in
-    ascending neighbor order down the column.  The values below an agent's
-    state are trimmed as the values above it after negation, in a second
-    array stacked with the first.
+    ascending neighbor order down the column.  With F >= 1 one ascending
+    sort per round gives each column's two cut values, the F-th smallest and
+    the F-th largest, and the trim is one compare against each; where a cut
+    splits a run of equal values, the earliest copies are dropped (see
+    :func:`wmsr_retained`).  With F = 0 nothing is trimmed and the sort is
+    skipped.  Dropped cells are zeroed and each column is folded top to
+    bottom by one row-wise reduce.
     """
     g = config.graph
     n = g.n
@@ -329,17 +354,16 @@ def run_simulation(config: SimConfig, adversary: object | None = None) -> Trajec
     agents = emitters.tolist() + [j for j, _ in byz_pairs[byzantine.size :]]
     malicious = malicious.tolist()
 
+    received = np.empty(index.shape, dtype=np.float64)
     width = index.shape[0]
-    kth = min(max(width - f, 0), width - 1)
-    stacked = np.empty((2,) + index.shape, dtype=np.float64)
-    received, negated = stacked
-    work = np.empty_like(stacked)
+    count = np.min_scalar_type(width)
+    drop = padding = ~valid
+    weight = 1.0 / (1 + valid.sum(axis=0))
+    # numpy sums a lone column pairwise, so fold it with accumulate instead
+    fold_rows = normal.size > 1
     states = np.empty((config.steps + 1, n), dtype=np.float64)
     sent = np.zeros(n, dtype=np.float64)
-    signed_own = np.empty((2, 1, normal.size), dtype=np.float64)
-    own, negated_own = signed_own[:, 0]
-    own[:] = np.array(config.initial_states, dtype=np.float64)[normal]
-    np.negative(own, out=negated_own)
+    own = np.array(config.initial_states, dtype=np.float64)[normal]
     sent[normal] = own
     for t in range(config.steps + 1):
         pairs = byz_pairs if t < config.steps else byz_pairs[: byzantine.size]
@@ -355,16 +379,17 @@ def run_simulation(config: SimConfig, adversary: object | None = None) -> Trajec
             break
         np.take(sent, index, out=received, mode="clip")
         received[slot_pos, slot_col] = values[emitters.size :]
-        np.negative(received, out=negated)
-        drop = _drop_top(stacked, signed_own, f, kth, work)
-        keep = valid & ~(drop[0] | drop[1])
-        weight = 1.0 / (1 + keep.sum(axis=0))
-        # left fold down each column; + 0.0 turns a -0.0 total into Python
-        # sum's 0.0, which starts from 0
-        np.copyto(received, 0.0, where=~keep)
-        np.add.accumulate(received, axis=0, out=received)
-        own[:] = (own + (received[-1] + 0.0)) * weight
-        np.negative(own, out=negated_own)
+        if f:
+            drop = _trimmed(received, own, f)
+            drop |= padding
+            weight = 1.0 / (1.0 + (width - drop.sum(axis=0, dtype=count)))
+        np.copyto(received, 0.0, where=drop)
+        # + 0.0 turns a -0.0 total into Python sum's 0.0, which starts from 0
+        if fold_rows:
+            total = np.add.reduce(received, axis=0)
+        else:
+            total = np.add.accumulate(received, axis=0)[-1]
+        own = (own + (total + 0.0)) * weight
         sent[normal] = own
     return Trajectory(states=states, roles=roles, f=config.f)
 
@@ -511,10 +536,11 @@ def build_scenario(
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     header = "t," + ",".join(f"node_{i}" for i in range(traj.n))
+    # "%.17g" % v renders every float64 as format(v, ".17g") does
+    template = ",".join(["%.17g"] * traj.n)
     lines = [header]
     for t, row in enumerate(traj.states.tolist()):
-        rendered = ",".join([format(v, ".17g") for v in row])
-        lines.append(f"{t},{rendered}")
+        lines.append(f"{t},{template % tuple(row)}")
     return "\n".join(lines) + "\n"
 
 
@@ -524,6 +550,9 @@ def roles_to_json(traj: Trajectory) -> str:
 
 
 def trajectory_metrics(traj: Trajectory, tol: float = 1e-6) -> dict:
+    """Spread, hull and convergence figures; converged means final spread < tol."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     spreads = traj.spreads()
     m0, big_m0 = traj.hull_bounds()
     initial = float(spreads[0])

@@ -242,6 +242,16 @@ class TestSimulate:
             "--remove-edge", "abc", "--out", str(tmp_path / "x.csv"),
         ) == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive(self, g9, tmp_path, capsys, tol):
+        out = tmp_path / "x.csv"
+        assert run_cli(
+            "simulate", "--graph", str(g9), "--scenario", "viiB-gamma",
+            f"--tol={tol}", "--out", str(out),
+        ) == 1
+        assert "tol must be finite and positive" in capsys.readouterr().err
+        assert list(tmp_path.glob("x*")) == []
+
     def test_trig_scenario_requires_f(self, g9, tmp_path):
         assert run_cli(
             "simulate", "--graph", str(g9), "--scenario", "viiA-malicious",

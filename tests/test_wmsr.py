@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mergraph import (
     AgentRole,
     SimConfig,
+    Trajectory,
     build_scenario,
     complete_graph,
     construct_gamma_gamma_merg,
@@ -333,6 +334,22 @@ class TestTrajectoryOutputs:
         back = trajectory_states_from_csv(text)
         assert (back == traj.states).all()
 
+    def test_csv_renders_special_values_like_format(self):
+        special = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324,
+                   2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+                   0.1, -1 / 3, 1e16, 123456789.0]
+        bits = np.random.default_rng(3).integers(-(1 << 63), 1 << 63, size=2000, dtype=np.int64)
+        row = np.concatenate((special, bits.view(np.float64)))
+        traj = Trajectory(states=row[None, :], roles=(AgentRole.NORMAL,) * row.size, f=0)
+        cells = trajectory_to_csv(traj).splitlines()[1].split(",")
+        assert cells == ["0"] + [format(v, ".17g") for v in row.tolist()]
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        config = make_config(complete_graph(3), [AgentRole.NORMAL] * 3, 0, 2, [0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            trajectory_metrics(run_simulation(config), tol=tol)
+
     def test_metrics_shape(self):
         g, _ = construct_gamma_merg(9)
         config, strategy = build_scenario(g, SCENARIO_BYZ_SPLIT, steps=10, seed=2)
@@ -346,14 +363,18 @@ class TestTrajectoryOutputs:
 
 class TieAdversary:
     """Deterministic values per key: small integers and signed zeros, so the
-    trim meets ties at its thresholds, or else sevenths in [-143, 143]."""
+    trim meets ties at its thresholds, or else sevenths in [-143, 143].  With
+    ``infinite``, about one value in eleven is +inf or -inf instead."""
 
-    def __init__(self, seed: int, integers: bool):
+    def __init__(self, seed: int, integers: bool, infinite: bool = False):
         self.seed = seed
         self.integers = integers
+        self.infinite = infinite
 
     def _value(self, *key: int) -> float:
         h = hash((self.seed, *key)) % 2003
+        if self.infinite and h % 11 == 0:
+            return math.inf if h % 2 else -math.inf
         if not self.integers:
             return (h - 1000) / 7.0
         if h % 5 == 0:
@@ -367,8 +388,8 @@ class TieAdversary:
         return self._value(agent, receiver, t)
 
 
-def _random_run(rng: random.Random, case: int):
-    n = rng.randint(1, 14)
+def _random_run(rng: random.Random, case: int, max_n: int = 14, infinite: bool = False):
+    n = rng.randint(1, max_n)
     g = random_graph(rng, n, rng.random())
     roles = [AgentRole.NORMAL] * n
     for i in rng.sample(range(n), rng.randint(0, n)):
@@ -386,7 +407,29 @@ def _random_run(rng: random.Random, case: int):
         steps=rng.randint(1, 8),
         initial_states=tuple(initial),
     )
-    return config, TieAdversary(case, integers)
+    return config, TieAdversary(case, integers, infinite)
+
+
+def _received(config, adversary, states: np.ndarray, t: int, i: int) -> list[float]:
+    """What normal agent ``i`` receives at step ``t``, in ascending neighbor order."""
+    out = []
+    for j in config.graph.neighbors(i):
+        role = config.roles[j]
+        if role is AgentRole.NORMAL:
+            out.append(float(states[t, j]))
+        elif role is AgentRole.MALICIOUS:
+            out.append(adversary.malicious_value(j, t))
+        else:
+            out.append(adversary.byzantine_value(j, i, t))
+    return out
+
+
+def _cut_splits_a_run(own: float, values: list[float], f: int) -> bool:
+    """True iff the f-th value beyond own on either side has an equal copy
+    beyond the cut, so the trim must choose which copies to drop."""
+    below = sorted(v for v in values if v < own)
+    above = sorted((v for v in values if v > own), reverse=True)
+    return f >= 1 and any(len(side) > f and side[f - 1] == side[f] for side in (below, above))
 
 
 def _outcome(simulate, config, adversary):
@@ -413,12 +456,61 @@ class TestArrayRoundMatchesReference:
             seen["f_ge_degree"] += config.f >= max(degrees)
         assert min(seen.values()) >= 20, seen
 
+    # the NaN states are wanted here, so numpy's inf - inf warning is too
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_infinite_values_and_long_columns(self):
+        # up to 39 values per column, longer than numpy's 8-wide pairwise
+        # block; a kept +inf meeting a kept -inf makes a NaN state
+        rng = random.Random(43)
+        seen = {"infinite": 0, "nan": 0, "long": 0, "split": 0}
+        for case in range(300):
+            config, adversary = _random_run(rng, case, max_n=40, infinite=True)
+            traj = reference_run_simulation(config, adversary)
+            expected = trajectory_to_csv(traj)
+            assert trajectory_to_csv(run_simulation(config, adversary)) == expected, case
+            g = config.graph
+            normal = traj.normal_indices
+            received = [
+                (float(traj.states[t, i]), _received(config, adversary, traj.states, t, i))
+                for t in range(config.steps)
+                for i in normal
+            ]
+            seen["infinite"] += any(math.isinf(v) for _, values in received for v in values)
+            seen["nan"] += bool(normal) and bool(np.isnan(traj.normal_states()).any())
+            seen["long"] += max((g.degree(i) for i in normal), default=0) > 8
+            seen["split"] += any(_cut_splits_a_run(own, values, config.f) for own, values in received)
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("receivers", [1, 6])
+    def test_columns_fold_left(self, receivers):
+        # left to right from 0.0 these sum to 8.0; numpy's pairwise sum of a
+        # lone column gives 5.0 and a compensated sum 7.0
+        values = (1.0, 1.0, 1e16, 1.0, -1e16, 1.0, 1.0, 1.0, 1.0)
+        k = len(values)
+        edges = [(j, k + i) for j in range(k) for i in range(receivers)]
+        roles = [AgentRole.MALICIOUS] * k + [AgentRole.NORMAL] * receivers
+        config = make_config(new_graph(k + receivers, edges), roles, 0, 3, [0.0] * (k + receivers))
+        adversary = FoldAdversary(values)
+        traj = run_simulation(config, adversary)
+        assert (traj.states[1, k:] == 8.0 * (1.0 / (k + 1))).all()
+        expected = trajectory_to_csv(reference_run_simulation(config, adversary))
+        assert trajectory_to_csv(traj) == expected
+
     def test_all_negative_zero_states(self):
         # Python's sum starts from 0, so a total of -0.0 values is +0.0
         config = make_config(complete_graph(4), [AgentRole.NORMAL] * 4, 1, 2, [-0.0] * 4)
         text = trajectory_to_csv(run_simulation(config))
         assert text == trajectory_to_csv(reference_run_simulation(config))
         assert text.splitlines()[1:3] == ["0,-0,-0,-0,-0", "1,0,0,0,0"]
+
+    def test_lone_column_of_negative_zeros(self):
+        # one normal agent: its column is folded apart from the others'
+        roles = [AgentRole.MALICIOUS] * 3 + [AgentRole.NORMAL]
+        config = make_config(complete_graph(4), roles, 1, 2, [-0.0] * 4)
+        adversary = ConstantMalicious(-0.0)
+        text = trajectory_to_csv(run_simulation(config, adversary))
+        assert text == trajectory_to_csv(reference_run_simulation(config, adversary))
+        assert text.splitlines()[2] == "1,-0,-0,-0,0"
 
     @pytest.mark.parametrize("n", [9, 10, 49, 50])
     @pytest.mark.parametrize("kind", ["r", "rs"])
@@ -438,6 +530,16 @@ class TestArrayRoundMatchesReference:
                 config, strategy = build_scenario(g, scenario, f=f, steps=30, seed=1)
                 expected = trajectory_to_csv(reference_run_simulation(config, strategy))
                 assert trajectory_to_csv(run_simulation(config, strategy)) == expected
+
+
+class FoldAdversary:
+    """Malicious agent j always broadcasts ``values[j]``."""
+
+    def __init__(self, values: tuple[float, ...]):
+        self.values = values
+
+    def malicious_value(self, agent: int, t: int) -> float:
+        return self.values[agent]
 
 
 class ConstantMalicious:
