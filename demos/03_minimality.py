@@ -37,13 +37,13 @@ def main() -> None:
     for n in (9, 10):
         gamma = gamma_of(n)
         g, _ = construct_gamma_merg(n)
-        sweep = minimality_sweep(g, "r", gamma)
+        sweep = minimality_sweep(g, gamma)
         show_sweep(f"=== {gamma}-robust graph on {n} nodes ({len(g.edges)} edges) ===", g, sweep)
 
     for n in (9, 10):
         gamma = gamma_of(n)
         g, _ = construct_gamma_gamma_merg(n)
-        sweep = minimality_sweep(g, "rs", gamma, gamma)
+        sweep = minimality_sweep(g, gamma, gamma)
         show_sweep(
             f"=== ({gamma},{gamma})-robust graph on {n} nodes ({len(g.edges)} edges) ===",
             g,

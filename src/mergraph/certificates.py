@@ -19,9 +19,9 @@ robustness, failing always disproves it.
 
 The dense-subgraph check is the only one that looks at node subsets.  It
 tabulates the induced edge count of all 2^n subsets in one numpy table
-(see :func:`lemma4_dense_subgraph_holds`), so its budget bounds the size of
-that table rather than a loop over candidates; above the budget the report
-records the check as not evaluated.
+(see :func:`lemma4_dense_subgraph_holds`), so its budget is a node count,
+``MAX_DENSE_NODES``; above it the report records the check as not
+evaluated.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ Parity = Literal["odd", "even", "unknown"]
 # the report's clique checks run up to this many nodes and are None above it
 MAX_CLIQUE_NODES = 40
 
-# the dense-subgraph check raises CapExceededError above this many candidate
-# subsets C(n, gamma+1); n <= 22 fits
-MAX_DENSE_SUBSETS = 2_000_000
+# the dense-subgraph check raises CapExceededError above this many nodes;
+# its table holds 2^n counts, 4 MiB at n = 22
+MAX_DENSE_NODES = 22
 
 
 def gamma_of(n: int) -> int:
@@ -191,47 +191,27 @@ def _induced_edge_table(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return induced, sizes.ravel()
 
 
-def _comb_exceeds(n: int, k: int, limit: int) -> bool:
-    """``comb(n, k) > limit``, for 0 <= k <= n, without the exact binomial
-    once it is clearly over.
-
-    The partial products C(n - k + i, i), i = 0..min(k, n - k), never
-    decrease and end at C(n, k), so the first one above ``limit`` decides.
-    For n = 10**6 and ``MAX_DENSE_SUBSETS`` that is C(500001, 2), where
-    ``comb(n, n // 2 + 1)`` itself would be a 300,000-digit integer.
-    """
-    k = min(k, n - k)
-    c = 1
-    for i in range(1, k + 1):
-        if c > limit:
-            return True
-        c = c * (n - k + i) // i
-    return c > limit
-
-
 def lemma4_dense_subgraph_holds(g: Graph) -> bool:
     """Even-n check: some (gamma+1)-node subset induces >= floor((gamma^2+2)/2) edges.
 
     Necessary for gamma-robustness on even n.  The induced edge count of
     every one of the 2^n subsets is tabulated at once
     (:func:`_induced_edge_table`) and read at the subsets of size gamma+1,
-    with no loop over subsets.  The budget ``MAX_DENSE_SUBSETS`` is still
-    tested on the number of candidate subsets C(n, gamma+1), and so bounds
-    the table too: 2^n <= (n + 2) * C(n, gamma+1).  It admits n <= 22, a
-    4 MiB uint8 table.
+    with no loop over subsets.  Above ``MAX_DENSE_NODES`` nodes it raises
+    ``CapExceededError`` before any table is built.
     """
     if g.n % 2 != 0:
         raise ValueError("dense-subgraph condition applies to even n only")
     n = g.n
-    gamma = n // 2
-    k = gamma + 1
-    if _comb_exceeds(n, k, MAX_DENSE_SUBSETS):
+    if n > MAX_DENSE_NODES:
         raise CapExceededError(
-            f"C({n}, {k}) subsets exceed the enumeration budget {MAX_DENSE_SUBSETS}"
+            f"dense-subgraph table of 2^{n} subsets infeasible"
+            f" (cap is {MAX_DENSE_NODES} nodes)"
         )
+    gamma = n // 2
     need = (gamma * gamma + 2) // 2
     induced, sizes = _induced_edge_table(g)
-    return bool(np.any((sizes == k) & (induced >= need)))
+    return bool(np.any((sizes == gamma + 1) & (induced >= need)))
 
 
 def prop1_gamma_gamma_check(g: Graph) -> bool:
@@ -272,15 +252,6 @@ class CertificateCheck:
     observed: int | None
     scope: str  # which robustness claim the condition is necessary for
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "required": self.required,
-            "observed": self.observed,
-            "scope": self.scope,
-        }
-
 
 @dataclass(frozen=True)
 class CertificateReport:
@@ -301,14 +272,10 @@ class CertificateReport:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
+        """The fields as a JSON-ready dict (tuples encode as arrays), plus a note."""
         return {
-            "n": self.n,
-            "gamma": self.gamma,
-            "edge_count": self.edge_count,
-            "checks": [c.to_dict() for c in self.checks],
-            "implied_r_upper_bound": self.implied_r_upper_bound,
-            "prop1_gamma_gamma": self.prop1_gamma_gamma,
-            "flags": list(self.flags),
+            **vars(self),
+            "checks": [dict(vars(c)) for c in self.checks],
             "note": "all checks except prop1_gamma_gamma are necessary only",
         }
 

@@ -52,7 +52,7 @@ def _load_graph(path: str) -> Graph:
         raise CliError(f"cannot read graph file {path}: {exc}") from exc
     try:
         return parse_graph(text)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise CliError(f"cannot parse graph file {path}: {exc}") from exc
 
 
@@ -200,13 +200,12 @@ def _cmd_minimality(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     gamma = certificates.gamma_of(g.n)
     r = args.r if args.r is not None else gamma
-    s = None
-    if args.kind == "rs":
-        s = args.s if args.s is not None else gamma
-    try:
-        sweep = oracle.minimality_sweep(g, args.kind, r, s)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    s = args.s
+    if args.kind == "r" and s is not None:
+        raise CliError("kind 'r' takes no s")
+    if args.kind == "rs" and s is None:
+        s = gamma
+    sweep = oracle.minimality_sweep(g, r, s)
     target = f"r={r}" if s is None else f"(r,s)=({r},{s})"
     payload = {
         "kind": args.kind,
@@ -244,16 +243,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     removed_edge = None
     if args.remove_edge is not None:
         removed_edge = _parse_removal(args.remove_edge, args.scenario, g.n)
-        try:
-            g = g.remove_edge(*removed_edge)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-    try:
-        config, strategy = wmsr.build_scenario(
-            g, args.scenario, f=args.f, steps=args.steps, seed=args.seed
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        g = g.remove_edge(*removed_edge)
+    config, strategy = wmsr.build_scenario(
+        g, args.scenario, f=args.f, steps=args.steps, seed=args.seed
+    )
     traj = wmsr.run_simulation(config, strategy)
     # before any output is written: a bad --tol leaves no files behind
     metrics = wmsr.trajectory_metrics(traj, tol=args.tol)

@@ -29,12 +29,12 @@ JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .certificates import gamma_of
-from .graph_core import Edge, Graph
+from .graph_core import MAX_NODES, Edge, Graph
 
 KIND_GAMMA = "gamma"
 KIND_GAMMA_GAMMA = "gamma_gamma"
@@ -45,32 +45,25 @@ class ConstructionRecipe:
     """The exact choices made while instantiating a construction.
 
     Replaying a recipe reproduces the graph bit-exactly, including under
-    variant label permutations.
+    variant label permutations.  A family leaves the node groups and pair
+    lists it does not use empty.
     """
 
     kind: str
     n: int
     gamma: int
-    clique_or_hub: tuple[int, ...]
-    attachment_map: tuple[tuple[int, tuple[int, ...]], ...]
-    removed_pairs: tuple[Edge, ...]
-    added_pairs: tuple[Edge, ...]
+    clique_or_hub: tuple[int, ...] = ()
+    attachment_map: tuple[tuple[int, tuple[int, ...]], ...] = ()
+    removed_pairs: tuple[Edge, ...] = ()
+    added_pairs: tuple[Edge, ...] = ()
     variant: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "gamma": self.gamma,
-            "clique_or_hub": list(self.clique_or_hub),
-            "attachment_map": [[node, list(nbrs)] for node, nbrs in self.attachment_map],
-            "removed_pairs": [list(e) for e in self.removed_pairs],
-            "added_pairs": [list(e) for e in self.added_pairs],
-            "variant": self.variant,
-        }
+        """The fields as a JSON-ready dict; tuples encode as arrays."""
+        return dict(vars(self))
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(vars(self), indent=2, sort_keys=True) + "\n"
 
 
 def _int(value: object) -> int:
@@ -92,11 +85,13 @@ def _pair(value: object) -> tuple:
 
 
 def recipe_from_dict(payload: dict) -> ConstructionRecipe:
-    """The recipe a :meth:`ConstructionRecipe.to_dict` payload describes.
+    """The recipe a :meth:`ConstructionRecipe.to_dict` payload, or the JSON
+    it encodes to, describes; its groups and pairs may be tuples or lists.
 
     Refuses, with ``ValueError``, an unknown ``kind``, a count or node id
     that is not an ``int`` (a ``bool`` is refused too) and an entry that is
-    not a pair where a pair belongs.  Ranges are checked on replay.
+    not a pair where a pair belongs.  Ranges, and the node count against
+    ``MAX_NODES``, are checked on replay.
     """
     if payload["kind"] not in (KIND_GAMMA, KIND_GAMMA_GAMMA):
         raise ValueError(f"unknown recipe kind {payload['kind']!r}")
@@ -119,13 +114,16 @@ def recipe_from_dict(payload: dict) -> ConstructionRecipe:
 def replay_recipe(recipe: ConstructionRecipe) -> Graph:
     """Rebuild the graph a recipe describes, as neighbor bitmasks.
 
-    Every node id is range-checked, and every pair checked for a self-pair,
-    before any bit is set, so a bad recipe raises ``ValueError`` instead of
-    describing a wrong graph.
+    The node count must lie in [1, ``MAX_NODES``].  Every node id is
+    range-checked, and every pair checked for a self-pair, before any bit
+    is set, so a bad recipe raises ``ValueError`` instead of describing a
+    wrong graph.
     """
     n = recipe.n
     if type(n) is not int or n < 1:
         raise ValueError(f"recipe node count {n!r} is not a positive integer")
+    if n > MAX_NODES:
+        raise ValueError(f"recipe node count {n} exceeds the limit of {MAX_NODES} nodes")
     if recipe.kind not in (KIND_GAMMA, KIND_GAMMA_GAMMA):
         raise ValueError(f"unknown recipe kind {recipe.kind!r}")
 
@@ -185,10 +183,8 @@ def _apply_variant(recipe: ConstructionRecipe, variant: int | None) -> Construct
         return recipe
     rng = np.random.Generator(np.random.PCG64(variant))
     perm = [int(p) for p in rng.permutation(recipe.n)]
-    return ConstructionRecipe(
-        kind=recipe.kind,
-        n=recipe.n,
-        gamma=recipe.gamma,
+    return replace(
+        recipe,
         clique_or_hub=tuple(sorted(perm[v] for v in recipe.clique_or_hub)),
         attachment_map=tuple(
             sorted(
@@ -206,13 +202,20 @@ def _apply_variant(recipe: ConstructionRecipe, variant: int | None) -> Construct
     )
 
 
+def _family_gamma(n: int) -> int:
+    """gamma for a construction on n nodes; n must lie in [2, MAX_NODES]."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if n > MAX_NODES:
+        raise ValueError(f"node count {n} exceeds the limit of {MAX_NODES} nodes")
+    return gamma_of(n)
+
+
 def construct_gamma_merg(
     n: int, variant: int | None = None
 ) -> tuple[Graph, ConstructionRecipe]:
     """Build the gamma-robust graph with the minimal edge count for n nodes."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    gamma = gamma_of(n)
+    gamma = _family_gamma(n)
     if n % 2 == 1:
         recipe = ConstructionRecipe(
             kind=KIND_GAMMA,
@@ -222,8 +225,6 @@ def construct_gamma_merg(
             attachment_map=tuple(
                 (node, tuple(range(gamma))) for node in range(gamma + 1, n)
             ),
-            removed_pairs=(),
-            added_pairs=(),
         )
     else:
         recipe = ConstructionRecipe(
@@ -231,9 +232,7 @@ def construct_gamma_merg(
             n=n,
             gamma=gamma,
             clique_or_hub=tuple(range(gamma)),
-            attachment_map=(),
             removed_pairs=tuple((2 * i, 2 * i + 1) for i in range((gamma - 1) // 2)),
-            added_pairs=(),
         )
     recipe = _apply_variant(recipe, variant)
     return replay_recipe(recipe), recipe
@@ -243,18 +242,13 @@ def construct_gamma_gamma_merg(
     n: int, variant: int | None = None
 ) -> tuple[Graph, ConstructionRecipe]:
     """Build the (gamma, gamma)-robust graph with the minimal edge count."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    gamma = gamma_of(n)
+    gamma = _family_gamma(n)
     if n % 2 == 1:
         recipe = ConstructionRecipe(
             kind=KIND_GAMMA_GAMMA,
             n=n,
             gamma=gamma,
             clique_or_hub=tuple(range(n)),
-            attachment_map=(),
-            removed_pairs=(),
-            added_pairs=(),
         )
     else:
         matching = tuple((2 * i, 2 * i + 1) for i in range(gamma))
@@ -263,8 +257,6 @@ def construct_gamma_gamma_merg(
             kind=KIND_GAMMA_GAMMA,
             n=n,
             gamma=gamma,
-            clique_or_hub=(),
-            attachment_map=(),
             removed_pairs=matching[keep:],
             added_pairs=matching[:keep],
         )

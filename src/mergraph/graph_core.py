@@ -23,10 +23,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, compress, repeat
+from itertools import combinations, compress, count, repeat
 from typing import Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
+
+
+# the most nodes a graph may declare: every per-node list is allocated from
+# the declared count before any edge is read, so an outside file or recipe
+# must not be able to ask for more
+MAX_NODES = 1 << 20
 
 
 class CapExceededError(RuntimeError):
@@ -41,6 +47,11 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 def _bits(mask: int) -> bytes:
     """One byte per bit of ``mask``, lowest bit first: 1 where set, else 0."""
     return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
+def members(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, ascending."""
+    return compress(count(), _bits(mask))
 
 
 def _later_neighbors(
@@ -58,14 +69,17 @@ def _pair_masks(n: int, edges: Iterable[Edge], *, normalize: bool) -> tuple[int,
     """The neighbor bitmasks of the pairs in ``edges``, each checked as it is read.
 
     ``n`` and every node id must be an ``int`` (a ``bool`` is refused) and
-    every edge a pair; self-loops and ids outside ``0..n-1`` are refused.
-    With ``normalize`` a reversed pair is accepted, otherwise each pair must
-    already be in ``(min, max)`` form.  Duplicates set the same bits again.
+    every edge a pair; ``n`` above ``MAX_NODES``, self-loops and ids outside
+    ``0..n-1`` are refused.  With ``normalize`` a reversed pair is accepted,
+    otherwise each pair must already be in ``(min, max)`` form.  Duplicates
+    set the same bits again.
     """
     if type(n) is not int:
         raise ValueError(f"node count {n!r} is not an integer")
     if n < 1:
         raise ValueError("a graph needs at least one node")
+    if n > MAX_NODES:
+        raise ValueError(f"node count {n} exceeds the limit of {MAX_NODES} nodes")
     masks = [0] * n
     for edge in edges:
         try:
@@ -138,7 +152,7 @@ class Graph:
 
     def neighbors(self, i: int) -> set[int]:
         self._check_node(i)
-        return set(compress(range(self.n), _bits(self.adjacency[i])))
+        return set(members(self.adjacency[i]))
 
     def degree(self, i: int) -> int:
         self._check_node(i)
@@ -172,9 +186,9 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a validated graph, collapsing duplicate and reversed pairs.
 
     ``n`` and every node id must be an ``int`` (a ``bool`` is refused) and
-    every edge a pair; anything else raises ``ValueError``, as do self-loops
-    and node ids outside ``0..n-1``.  Each pair is checked and its two bits
-    set as it is read, with no intermediate list.
+    every edge a pair; anything else raises ``ValueError``, as do ``n`` above
+    ``MAX_NODES``, self-loops and node ids outside ``0..n-1``.  Each pair is
+    checked and its two bits set as it is read, with no intermediate list.
     """
     return Graph._from_masks(n, _pair_masks(n, edges, normalize=True))
 
@@ -199,13 +213,7 @@ def is_spanning_subgraph(g: Graph, h: Graph) -> bool:
 def induced_edge_count(g: Graph, s: Iterable[int]) -> int:
     """Number of edges with both endpoints in ``s``."""
     mask = g.subset_mask(s)
-    total = 0
-    m = mask
-    while m:
-        i = (m & -m).bit_length() - 1
-        total += (g.adjacency[i] & mask).bit_count()
-        m &= m - 1
-    return total // 2
+    return sum((g.adjacency[i] & mask).bit_count() for i in members(mask)) // 2
 
 
 def max_clique_size(g: Graph) -> int:

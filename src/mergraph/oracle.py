@@ -53,11 +53,11 @@ nonempty pair exists, so every check holds vacuously.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graph_core import CapExceededError, Edge, Graph
+from .graph_core import CapExceededError, Edge, Graph, members
 
 EXACT_ENUMERATION_CAP = 16
 
@@ -89,11 +89,10 @@ class RobustnessVerdict:
 @dataclass(frozen=True)
 class MinimalitySweep:
     """Per-edge ``(edge, holds)`` decisions for single-edge removals against
-    a fixed target.  They carry no witness: :func:`is_r_robust` or
-    :func:`is_rs_robust` on ``g.remove_edge(*edge)`` gives the pair that
-    breaks it."""
+    a fixed target: r-robustness when ``s`` is None, else (r, s)-robustness.
+    They carry no witness: :func:`is_r_robust` or :func:`is_rs_robust` on
+    ``g.remove_edge(*edge)`` gives the pair that breaks it."""
 
-    kind: str
     r: int
     s: int | None
     entries: tuple[tuple[Edge, bool], ...]
@@ -111,27 +110,15 @@ def _check_cap(g: Graph) -> None:
         )
 
 
-def _subset_mask(g: Graph, s: Iterable[int]) -> int:
-    mask = g.subset_mask(s)
-    if mask == 0:
-        raise ValueError("subset must be nonempty")
-    return mask
-
-
 def reachable_count(g: Graph, s: Iterable[int], r: int) -> int:
     """Number of nodes in ``s`` with at least ``r`` neighbors outside ``s``."""
     if r < 1:
         raise ValueError("r must be a positive integer")
-    mask = _subset_mask(g, s)
+    mask = g.subset_mask(s)
+    if mask == 0:
+        raise ValueError("subset must be nonempty")
     outside = ((1 << g.n) - 1) ^ mask
-    count = 0
-    m = mask
-    while m:
-        i = (m & -m).bit_length() - 1
-        if (g.adjacency[i] & outside).bit_count() >= r:
-            count += 1
-        m &= m - 1
-    return count
+    return sum((g.adjacency[i] & outside).bit_count() >= r for i in members(mask))
 
 
 def is_r_reachable(g: Graph, s: Iterable[int], r: int) -> bool:
@@ -252,14 +239,6 @@ def _rank_weights(n: int) -> np.ndarray:
     return w
 
 
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = set()
-    while mask:
-        out.add((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return frozenset(out)
-
-
 def _pair_from_rank(rank: int, n: int) -> SubsetPair:
     """Decode a canonical rank: base-3 digit 1 puts node i in S1, 2 in S2."""
     m1 = m2 = 0
@@ -269,7 +248,7 @@ def _pair_from_rank(rank: int, n: int) -> SubsetPair:
             m1 |= 1 << i
         elif digit == 2:
             m2 |= 1 << i
-    return SubsetPair(_mask_to_set(m1), _mask_to_set(m2))
+    return SubsetPair(frozenset(members(m1)), frozenset(members(m2)))
 
 
 def _canonical_witness(t: np.ndarray, s: int, n: int) -> SubsetPair:
@@ -356,25 +335,15 @@ def max_s_given_r(g: Graph, r: int) -> int:
     return g.n if worst is None else min(worst, g.n)
 
 
-def minimality_sweep(
-    g: Graph,
-    kind: Literal["r", "rs"],
-    r: int,
-    s: int | None = None,
-) -> MinimalitySweep:
+def minimality_sweep(g: Graph, r: int, s: int | None = None) -> MinimalitySweep:
     """Re-decide the target robustness after each single-edge removal.
 
-    A graph h meets the target, r-robustness (the (r, 1) case) or (r, s)-
-    robustness, iff ``max_s_given_r(h, r)`` reaches 1 or s.  The input graph
-    must meet it; the sweep then reports, edge by edge in lexicographic
-    order, whether the removal keeps it.  ``minimal`` is True when none does.
+    The target is r-robustness, the (r, 1) case, when ``s`` is None, else
+    (r, s)-robustness; a graph h meets it iff ``max_s_given_r(h, r)``
+    reaches 1 or s.  The input graph must meet it; the sweep then reports,
+    edge by edge in lexicographic order, whether the removal keeps it.
+    ``minimal`` is True when none does.
     """
-    if kind not in ("r", "rs"):
-        raise ValueError("kind must be 'r' or 'rs'")
-    if kind == "rs" and s is None:
-        raise ValueError("kind 'rs' needs a target s")
-    if kind == "r" and s is not None:
-        raise ValueError("kind 'r' takes no s")
     if r < 1:
         raise ValueError("r must be a positive integer")
     need = 1 if s is None else s
@@ -385,4 +354,4 @@ def minimality_sweep(
     entries = tuple(
         (e, max_s_given_r(g.remove_edge(*e), r) >= need) for e in g.edge_pairs()
     )
-    return MinimalitySweep(kind, r, s, entries)
+    return MinimalitySweep(r, s, entries)

@@ -48,7 +48,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .graph_core import Graph
+from .graph_core import Graph, members
 
 
 class AgentRole(str, Enum):
@@ -67,20 +67,14 @@ def _left_sum(values: Iterable[float]) -> float:
     return total
 
 
-def nominal_step(own: float, neighbor_values: Sequence[float]) -> float:
-    """Uniform-weight convex combination of own state and all neighbor values."""
-    total = own + _left_sum(neighbor_values)
-    return total / (1 + len(neighbor_values))
-
-
 def wmsr_retained(own: float, neighbor_values: Sequence[float], f: int) -> list[float]:
     """Neighbor values surviving the trim: drop up to ``f`` strictly above own
     (largest first) and up to ``f`` strictly below (smallest first).
 
     The survivors keep their input order, so with f = 0 the subsequent
-    average reproduces :func:`nominal_step` bit-for-bit.  Ties among equal
-    extremes are broken by dropping earlier-positioned duplicates first; any
-    consistent rule leaves the same retained multiset.
+    average sums every value in input order.  Ties among equal extremes are
+    broken by dropping earlier-positioned duplicates first; any consistent
+    rule leaves the same retained multiset.
     """
     if f < 0:
         raise ValueError("f must be non-negative")
@@ -106,6 +100,12 @@ def wmsr_step(own: float, neighbor_values: Sequence[float], f: int) -> float:
     return (own + _left_sum(kept)) / (1 + len(kept))
 
 
+def nominal_step(own: float, neighbor_values: Sequence[float]) -> float:
+    """Uniform-weight convex combination of own state and all neighbor values:
+    the trimmed update with nothing trimmed."""
+    return wmsr_step(own, neighbor_values, 0)
+
+
 # -- adversary scope models ------------------------------------------------------
 
 def is_f_total(roles: Sequence[AgentRole], f: int) -> bool:
@@ -116,12 +116,8 @@ def is_f_total(roles: Sequence[AgentRole], f: int) -> bool:
 def is_f_local(g: Graph, s: Iterable[int], f: int) -> bool:
     """True iff every node outside ``s`` has at most ``f`` neighbors inside it."""
     mask = g.subset_mask(s)
-    for i in range(g.n):
-        if mask >> i & 1:
-            continue
-        if (g.adjacency[i] & mask).bit_count() > f:
-            return False
-    return True
+    outside = ((1 << g.n) - 1) ^ mask
+    return all((g.adjacency[i] & mask).bit_count() <= f for i in members(outside))
 
 
 # -- adversary strategies --------------------------------------------------------
@@ -161,9 +157,16 @@ class ConstByAgent:
 
 # -- configuration and trajectories ----------------------------------------------
 
+# the most float64 cells a trajectory, (steps + 1) rows by n, may hold (512 MiB)
+MAX_TRAJECTORY_CELLS = 1 << 26
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything one run depends on; two equal configs give identical runs."""
+    """Everything one run depends on; two equal configs give identical runs.
+
+    A run whose trajectory would exceed ``MAX_TRAJECTORY_CELLS`` is refused.
+    """
 
     graph: Graph
     roles: tuple[AgentRole, ...]
@@ -183,6 +186,11 @@ class SimConfig:
             raise ValueError("f must be non-negative")
         if self.steps < 1:
             raise ValueError("steps must be positive")
+        if (self.steps + 1) * n > MAX_TRAJECTORY_CELLS:
+            raise ValueError(
+                f"{self.steps} steps on {n} nodes exceed the trajectory limit"
+                f" of {MAX_TRAJECTORY_CELLS} cells"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -519,6 +527,8 @@ def build_scenario(
         f = row.default_f
         if f is None:
             raise ValueError(f"scenario {scenario!r} needs an explicit f")
+    if f < 0:
+        raise ValueError("f must be non-negative")
     roles = row.roles(graph.n, f)
     if not is_f_total(roles, f):
         raise ValueError("scenario claims f-total misbehavior but has more adversaries than f")

@@ -110,9 +110,9 @@ def test_criterion_4_minimality():
     for n in range(5, 13):
         gamma = gamma_of(n)
         g, _ = construct_gamma_merg(n)
-        assert minimality_sweep(g, "r", gamma).minimal, ("r", n)
+        assert minimality_sweep(g, gamma).minimal, ("r", n)
         gg, _ = construct_gamma_gamma_merg(n)
-        assert minimality_sweep(gg, "rs", gamma, gamma).minimal, ("rs", n)
+        assert minimality_sweep(gg, gamma, gamma).minimal, ("rs", n)
     gg10, _ = construct_gamma_gamma_merg(10)
     for e in sorted(gg10.edges):
         assert max_s_given_r(gg10.remove_edge(*e), 5) <= 4, e

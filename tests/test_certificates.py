@@ -33,7 +33,7 @@ from mergraph import (
     turan_clique_threshold,
     turan_number,
 )
-from mergraph.certificates import _comb_exceeds, _induced_edge_table
+from mergraph.certificates import MAX_DENSE_NODES, _induced_edge_table
 from conftest import (
     brute_dense_subgraph,
     brute_max_clique,
@@ -178,7 +178,7 @@ class TestCliqueAndDenseSubgraph:
             lemma4_dense_subgraph_holds(complete_graph(9))
 
     def test_budget(self, monkeypatch):
-        monkeypatch.setattr(certificates, "MAX_DENSE_SUBSETS", 10)
+        monkeypatch.setattr(certificates, "MAX_DENSE_NODES", 10)
         with pytest.raises(CapExceededError):
             lemma4_dense_subgraph_holds(complete_graph(12))
 
@@ -232,28 +232,30 @@ class TestDenseSubgraphMatchesScan:
         assert not lemma4_dense_subgraph_holds(new_graph(22, core[: need - 1]))
         assert lemma4_dense_subgraph_holds(new_graph(22, core[:need]))
 
-    def test_budget_is_tested_on_the_candidate_count(self, monkeypatch):
-        g = complete_graph(12)
-        monkeypatch.setattr(certificates, "MAX_DENSE_SUBSETS", comb(12, 7))
-        assert lemma4_dense_subgraph_holds(g)
-        monkeypatch.setattr(certificates, "MAX_DENSE_SUBSETS", comb(12, 7) - 1)
-        with pytest.raises(CapExceededError, match=r"^C\(12, 7\) subsets exceed the enumeration budget 791$"):
-            lemma4_dense_subgraph_holds(g)
+    def test_node_cap_admits_what_the_candidate_budget_did(self):
+        # the cap replaced a budget of 2,000,000 candidate subsets
+        # C(n, n/2 + 1), which held for exactly the even n <= 22
+        assert [n for n in range(2, 41, 2) if comb(n, n // 2 + 1) <= 2_000_000] == list(
+            range(2, MAX_DENSE_NODES + 1, 2)
+        )
 
-    def test_budget_test_agrees_with_the_exact_binomial(self):
-        for n in range(0, 41):
-            for k in range(0, n + 1):
-                c = comb(n, k)
-                for limit in {0, 1, c - 1, c, c + 1, 2_000_000}:
-                    assert _comb_exceeds(n, k, limit) == (c > limit), (n, k, limit)
-
-    def test_budget_is_decided_without_the_exact_binomial_at_n_10_6(self):
-        g = new_graph(10**6, [])
+    def test_node_cap_message(self):
         with pytest.raises(
             CapExceededError,
-            match=r"^C\(1000000, 500001\) subsets exceed the enumeration budget 2000000$",
+            match=r"^dense-subgraph table of 2\^24 subsets infeasible \(cap is 22 nodes\)$",
         ):
-            lemma4_dense_subgraph_holds(g)
+            lemma4_dense_subgraph_holds(cycle(24))
+
+    def test_n_10_6_raises_before_any_table(self):
+        g = new_graph(10**6, [])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match=r"2\^1000000 subsets"):
+                lemma4_dense_subgraph_holds(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_report_leaves_the_check_unevaluated_above_the_budget(self):
         assert certificate_report(cycle(22)).check("dense_subgraph_gamma").passed is False
@@ -356,6 +358,66 @@ class TestReport:
         assert payload["edge_count"] == 43
         assert payload["prop1_gamma_gamma"] is True
         assert report.to_json() == certificate_report(g).to_json()
+
+    def test_json_bytes_are_pinned(self):
+        # rendered before the report was serialized from its fields
+        expected = """{
+  "checks": [
+    {
+      "name": "edge_floor_gamma",
+      "observed": 6,
+      "passed": false,
+      "required": 11,
+      "scope": "3-robust"
+    },
+    {
+      "name": "edge_floor_gamma_gamma",
+      "observed": 6,
+      "passed": false,
+      "required": 14,
+      "scope": "(3,3)-robust"
+    },
+    {
+      "name": "min_degree_gamma_gamma",
+      "observed": 2,
+      "passed": false,
+      "required": 4,
+      "scope": "(3,3)-robust"
+    },
+    {
+      "name": "clique_gamma",
+      "observed": 2,
+      "passed": false,
+      "required": 3,
+      "scope": "3-robust"
+    },
+    {
+      "name": "clique_gamma_gamma_turan",
+      "observed": 2,
+      "passed": false,
+      "required": 5,
+      "scope": "(3,3)-robust"
+    },
+    {
+      "name": "dense_subgraph_gamma",
+      "observed": null,
+      "passed": false,
+      "required": 5,
+      "scope": "3-robust"
+    }
+  ],
+  "edge_count": 6,
+  "flags": [
+    "cannot be 3-robust: edge count 6 is below the floor"
+  ],
+  "gamma": 3,
+  "implied_r_upper_bound": 2,
+  "n": 6,
+  "note": "all checks except prop1_gamma_gamma are necessary only",
+  "prop1_gamma_gamma": false
+}
+"""
+        assert certificate_report(cycle(6)).to_json() == expected
 
     def test_implied_bound_sound_for_constructions(self):
         for n in range(3, 13):

@@ -137,6 +137,18 @@ class TestBounds:
         assert payload["prop1_gamma_gamma"] is False
 
 
+class TestDeclaredSize:
+    @pytest.mark.parametrize(
+        "text", ['{"n":1000000000000000000,"edges":[]}', "1000000000000000000\n0 1\n"]
+    )
+    def test_oversized_graph_file_exits_1(self, tmp_path, capsys, text):
+        path = tmp_path / "huge.txt"
+        path.write_text(text)
+        assert run_cli("bounds", "--graph", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse graph file {path}: node count")
+
+
 class TestMinimality:
     def test_minimal_construction(self, tmp_path, capsys):
         out = tmp_path / "g7.json"
@@ -165,6 +177,10 @@ class TestMinimality:
         capsys.readouterr()
         assert run_cli("minimality", "--graph", str(out), "--kind", "rs", "--s", "0") == 1
         assert capsys.readouterr().err == "error: s must lie in [1, 10]\n"
+
+    def test_kind_r_takes_no_s(self, g9, capsys):
+        assert run_cli("minimality", "--graph", str(g9), "--kind", "r", "--s", "3") == 1
+        assert capsys.readouterr() == ("", "error: kind 'r' takes no s\n")
 
     def test_infeasible_size(self, tmp_path, capsys):
         path = tmp_path / "k17.txt"
@@ -250,6 +266,24 @@ class TestSimulate:
             f"--tol={tol}", "--out", str(out),
         ) == 1
         assert "tol must be finite and positive" in capsys.readouterr().err
+        assert list(tmp_path.glob("x*")) == []
+
+    def test_negative_f_is_named(self, g9, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli(
+            "simulate", "--graph", str(g9), "--scenario", "viiB-gamma",
+            "--f", "-1", "--out", str(out),
+        ) == 1
+        assert capsys.readouterr().err == "error: f must be non-negative\n"
+        assert list(tmp_path.glob("x*")) == []
+
+    def test_oversized_trajectory_is_refused(self, g9, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli(
+            "simulate", "--graph", str(g9), "--scenario", "viiB-gamma",
+            "--steps", str(10**11), "--out", str(out),
+        ) == 1
+        assert "exceed the trajectory limit" in capsys.readouterr().err
         assert list(tmp_path.glob("x*")) == []
 
     def test_trig_scenario_requires_f(self, g9, tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -21,6 +22,7 @@ from mergraph import (
     prop1_gamma_gamma_check,
 )
 from mergraph.construction import recipe_from_dict, replay_recipe
+from mergraph.graph_core import MAX_NODES
 
 
 class TestGammaMerg:
@@ -125,6 +127,25 @@ class TestDeterminismAndRecipes:
         assert restored == recipe
         assert replay_recipe(restored) == g
 
+    def test_recipe_json_bytes_are_pinned(self):
+        # rendered before recipes were serialized from their fields
+        gamma = (
+            '{\n  "added_pairs": [],\n  "attachment_map": [\n    [\n      0,\n'
+            '      [\n        1,\n        2,\n        4\n      ]\n    ]\n  ],\n'
+            '  "clique_or_hub": [\n    1,\n    2,\n    3,\n    4\n  ],\n'
+            '  "gamma": 3,\n  "kind": "gamma",\n  "n": 5,\n  "removed_pairs": [],\n'
+            '  "variant": 3\n}\n'
+        )
+        gamma_gamma = (
+            '{\n  "added_pairs": [\n    [\n      0,\n      1\n    ],\n    [\n'
+            '      2,\n      3\n    ]\n  ],\n  "attachment_map": [],\n'
+            '  "clique_or_hub": [],\n  "gamma": 3,\n  "kind": "gamma_gamma",\n'
+            '  "n": 6,\n  "removed_pairs": [\n    [\n      4,\n      5\n    ]\n  ],\n'
+            '  "variant": null\n}\n'
+        )
+        assert construct_gamma_merg(5, variant=3)[1].to_json() == gamma
+        assert construct_gamma_gamma_merg(6)[1].to_json() == gamma_gamma
+
     @pytest.mark.parametrize("n", [2, 3, 7, 10, 11, 24, 25])
     @pytest.mark.parametrize("variant", [None, 4])
     def test_replay_matches_the_edge_list_build(self, n, variant):
@@ -198,6 +219,24 @@ class TestRecipeBoundary:
             replay_recipe(dataclasses.replace(recipe, kind="gamma_prime"))
         with pytest.raises(ValueError, match="node count"):
             replay_recipe(dataclasses.replace(recipe, n=0))
+
+    @pytest.mark.parametrize("n", [10**18, MAX_NODES + 1])
+    def test_oversized_node_count_is_refused_first(self, n):
+        payload = _gamma_recipe_dict(10)
+        payload["n"] = n
+        recipe = recipe_from_dict(payload)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the limit of"):
+                replay_recipe(recipe)
+            with pytest.raises(ValueError, match="exceeds the limit of"):
+                construct_gamma_merg(n)
+            with pytest.raises(ValueError, match="exceeds the limit of"):
+                construct_gamma_gamma_merg(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_hand_written_recipe_replays(self):
         payload = {

@@ -3,6 +3,7 @@ from __future__ import annotations
 import inspect
 import random
 import sys
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -25,6 +26,7 @@ from mergraph import (
     new_graph,
     parse_graph,
 )
+from mergraph.graph_core import MAX_NODES, members
 from conftest import (
     brute_max_clique,
     random_graph,
@@ -321,3 +323,42 @@ class TestSerialization:
     def test_bad_edge_text_rejected(self):
         with pytest.raises(ValueError):
             graph_from_edge_text("3\n0 1 2\n")
+
+
+class TestMembers:
+    def test_matches_a_per_bit_reference(self):
+        rng = random.Random(3)
+        masks = [0, 1, 1 << 64, (1 << 64) - 1, (1 << 130) | 5]
+        masks += [rng.getrandbits(rng.choice([8, 64, 65, 200])) for _ in range(200)]
+        for mask in masks:
+            expected = [i for i in range(mask.bit_length()) if mask >> i & 1]
+            assert list(members(mask)) == expected, mask
+
+
+class TestDeclaredSize:
+    """A declared node count above MAX_NODES is refused before anything is
+    allocated for it."""
+
+    @staticmethod
+    def refused_without_allocating(parse, text):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the limit of"):
+                parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("parse", [graph_from_json, parse_graph])
+    @pytest.mark.parametrize("n", [10**18, MAX_NODES + 1])
+    def test_json(self, parse, n):
+        self.refused_without_allocating(parse, f'{{"n":{n},"edges":[[0,1]]}}')
+
+    @pytest.mark.parametrize("parse", [graph_from_edge_text, parse_graph])
+    @pytest.mark.parametrize("n", [10**18, MAX_NODES + 1])
+    def test_edge_text(self, parse, n):
+        self.refused_without_allocating(parse, f"{n}\n0 1\n")
+
+    def test_the_limit_itself_is_admitted(self):
+        assert graph_from_json(f'{{"n":{MAX_NODES},"edges":[[0,1]]}}').edge_count == 1

@@ -375,58 +375,49 @@ class TestMonotonicity:
 class TestMinimalitySweep:
     def test_9_node_construction_is_minimal(self):
         g, _ = construct_gamma_merg(9)
-        sweep = minimality_sweep(g, "r", 5)
+        sweep = minimality_sweep(g, 5)
         assert len(sweep.entries) == 30
         assert sweep.minimal
 
     def test_triangle_is_not_minimal_for_1_robustness(self):
-        sweep = minimality_sweep(complete_graph(3), "r", 1)
+        sweep = minimality_sweep(complete_graph(3), 1)
         assert not sweep.minimal
         assert all(holds for _, holds in sweep.entries)
 
     def test_minimal_rs_graph_on_10_nodes(self):
         g, _ = construct_gamma_gamma_merg(10)
-        sweep = minimality_sweep(g, "rs", 5, 5)
+        sweep = minimality_sweep(g, 5, 5)
         assert len(sweep.entries) == 43
         assert sweep.minimal
 
     def test_rejects_graph_that_fails_the_target(self):
         c4 = new_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         with pytest.raises(ValueError):
-            minimality_sweep(c4, "r", 2)
-
-    def test_argument_validation(self):
-        g = complete_graph(4)
-        with pytest.raises(ValueError):
-            minimality_sweep(g, "rs", 2)
-        with pytest.raises(ValueError):
-            minimality_sweep(g, "r", 2, 2)
-        with pytest.raises(ValueError):
-            minimality_sweep(g, "both", 2)
+            minimality_sweep(c4, 2)
 
     @pytest.mark.parametrize(
-        "kind, r, s, message",
+        "r, s, message",
         [
-            ("rs", 5, 0, "s must lie in [1, 10]"),
-            ("rs", 5, 11, "s must lie in [1, 10]"),
-            ("rs", 0, 5, "r must be a positive integer"),
-            ("r", 0, None, "r must be a positive integer"),
+            (5, 0, "s must lie in [1, 10]"),
+            (5, 11, "s must lie in [1, 10]"),
+            (0, 5, "r must be a positive integer"),
+            (0, None, "r must be a positive integer"),
         ],
     )
-    def test_out_of_range_targets(self, kind, r, s, message):
+    def test_out_of_range_targets(self, r, s, message):
         g, _ = construct_gamma_gamma_merg(10)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            minimality_sweep(g, kind, r, s)
+            minimality_sweep(g, r, s)
 
 
 def sweep_cases():
-    """Targets every sweep test runs: both families at their own level for
-    n = 2..12, then 200 connected random graphs with n <= 9, each at a
-    random level it meets."""
+    """Targets every sweep test runs, as (graph, r, s) with s None for
+    r-robustness: both families at their own level for n = 2..12, then 200
+    connected random graphs with n <= 9, each at a random level it meets."""
     for n in range(2, 13):
         gamma = (n + 1) // 2
-        yield construct_gamma_merg(n)[0], "r", gamma, None
-        yield construct_gamma_gamma_merg(n)[0], "rs", gamma, gamma
+        yield construct_gamma_merg(n)[0], gamma, None
+        yield construct_gamma_gamma_merg(n)[0], gamma, gamma
     rng = random.Random(17)
     made = 0
     while made < 200:
@@ -436,23 +427,23 @@ def sweep_cases():
             continue
         made += 1
         r = rng.randint(1, top)
-        yield g, "r", r, None
+        yield g, r, None
         r = rng.randint(1, top)
-        yield g, "rs", r, rng.randint(1, max_s_given_r(g, r))
+        yield g, r, rng.randint(1, max_s_given_r(g, r))
 
 
 class TestSweepDecisions:
     def test_entries_match_the_per_removal_checks(self):
         seen = {True: 0, False: 0}
-        for g, kind, r, s in sweep_cases():
-            sweep = minimality_sweep(g, kind, r, s)
+        for g, r, s in sweep_cases():
+            sweep = minimality_sweep(g, r, s)
             expected = []
             for e in sorted(g.edges):
                 h = g.remove_edge(*e)
-                verdict = is_r_robust(h, r) if kind == "r" else is_rs_robust(h, r, s)
+                verdict = is_r_robust(h, r) if s is None else is_rs_robust(h, r, s)
                 expected.append((e, verdict.holds))
                 seen[verdict.holds] += 1
-            assert list(sweep.entries) == expected, (g, kind, r, s)
+            assert list(sweep.entries) == expected, (g, r, s)
             assert sweep.minimal == (not any(h for _, h in expected))
         assert min(seen.values()) >= 500, seen
 
@@ -461,8 +452,8 @@ class TestSweepDecisions:
             raise AssertionError("a sweep asked for a witness")
 
         monkeypatch.setattr(oracle, "_canonical_witness", refuse)
-        for g, kind, r, s in sweep_cases():
-            minimality_sweep(g, kind, r, s)
+        for g, r, s in sweep_cases():
+            minimality_sweep(g, r, s)
 
 
 @settings(max_examples=30, deadline=None)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from mergraph import (
 from mergraph import wmsr
 from mergraph.cli import main as cli_main
 from mergraph.wmsr import (
+    MAX_TRAJECTORY_CELLS,
     SCENARIO_BYZ_CONST,
     SCENARIO_BYZ_SPLIT,
     SCENARIO_NONE,
@@ -230,6 +232,24 @@ class TestRunSimulation:
         with pytest.raises(ValueError):
             make_config(g, [AgentRole.NORMAL] * 3, 0, 0, [0.0] * 3)
 
+    def test_trajectory_cell_limit(self):
+        g = complete_graph(4)
+        steps = MAX_TRAJECTORY_CELLS // 4 - 1
+        make_config(g, [AgentRole.NORMAL] * 4, 0, steps, [0.0] * 4)
+        with pytest.raises(ValueError, match="exceed the trajectory limit"):
+            make_config(g, [AgentRole.NORMAL] * 4, 0, steps + 1, [0.0] * 4)
+
+    def test_oversized_run_is_refused_before_allocating(self):
+        g, _ = construct_gamma_merg(9)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceed the trajectory limit"):
+                build_scenario(g, SCENARIO_BYZ_SPLIT, steps=10**11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_initial_state_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -311,6 +331,11 @@ class TestScenarioAssembly:
         # fewer nodes than the scenario's adversaries is a ValueError too
         with pytest.raises(ValueError, match=message):
             build_scenario(complete_graph(n), scenario)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_negative_f_is_named_first(self, scenario):
+        with pytest.raises(ValueError, match="^f must be non-negative$"):
+            build_scenario(complete_graph(9), scenario, f=-1)
 
     def test_trig_needs_f_below_n(self):
         for f in (0, 9):
