@@ -48,20 +48,20 @@ def main() -> None:
     print()
     print("=== construction details for n = 10 ===")
     g, recipe = construct_gamma_merg(10)
-    print("hub nodes adjacent to everyone:", recipe.clique_or_hub)
+    print("hub nodes adjacent to everyone:", recipe.hub)
     print("hub pairs whose edge was removed:", recipe.removed_pairs)
     print("graph JSON:", graph_to_json(g).strip())
 
     g, recipe = construct_gamma_gamma_merg(10)
+    print("hub nodes adjacent to everyone:", recipe.hub)
     print("matching pairs kept out of the complete graph:", recipe.removed_pairs)
-    print("matching pairs reconnected:", recipe.added_pairs)
 
     print()
     print("=== label permutations preserve everything that matters ===")
     base, _ = construct_gamma_merg(9)
     shuffled, recipe = construct_gamma_merg(9, variant=7)
     print("canonical edges == permuted edges:", base == shuffled)
-    print("permuted clique set:", recipe.clique_or_hub)
+    print("permuted hub:", recipe.hub)
     print("permuted instance is still 5-robust:", max_r_robustness(shuffled) == 5)
 
 

@@ -6,7 +6,10 @@ integer per node, ``adjacency[u]``, whose bit ``v`` is set exactly when
 outside-neighbor counts) reduce to bit arithmetic on these masks.  The set
 of ``(u, v)`` pairs with ``u < v`` is a derived view (:attr:`Graph.edges`),
 built on first use and cached; equality and hashing agree with it.  Graphs
-are immutable after construction and safe to share between threads.
+are immutable after construction and safe to share between threads.  There
+is one way to build a graph from pairs, :func:`new_graph`, which checks
+each pair and accepts it in either order; ``Graph`` has no public
+constructor.
 
 Two serialized forms are supported, both written by walking the set bits of
 each mask above the node itself, so the pairs come out in lexicographic
@@ -65,60 +68,20 @@ def _later_neighbors(
             yield u, compress(labels[u + 1 :], _bits(above))
 
 
-def _pair_masks(n: int, edges: Iterable[Edge], *, normalize: bool) -> tuple[int, ...]:
-    """The neighbor bitmasks of the pairs in ``edges``, each checked as it is read.
-
-    ``n`` and every node id must be an ``int`` (a ``bool`` is refused) and
-    every edge a pair; ``n`` above ``MAX_NODES``, self-loops and ids outside
-    ``0..n-1`` are refused.  With ``normalize`` a reversed pair is accepted,
-    otherwise each pair must already be in ``(min, max)`` form.  Duplicates
-    set the same bits again.
-    """
-    if type(n) is not int:
-        raise ValueError(f"node count {n!r} is not an integer")
-    if n < 1:
-        raise ValueError("a graph needs at least one node")
-    if n > MAX_NODES:
-        raise ValueError(f"node count {n} exceeds the limit of {MAX_NODES} nodes")
-    masks = [0] * n
-    for edge in edges:
-        try:
-            u, v = edge
-        except (TypeError, ValueError):
-            raise ValueError(f"edge {edge!r} is not a pair of node ids") from None
-        if type(u) is not int or type(v) is not int:
-            raise ValueError(f"edge {edge!r} has a node id that is not an integer")
-        if u == v:
-            raise ValueError(f"self-loop ({u}, {v}) is not allowed")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        if u > v and not normalize:
-            raise ValueError(f"edge ({u}, {v}) is not in (min, max) form")
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return tuple(masks)
-
-
 @dataclass(frozen=True, init=False)
 class Graph:
     """Immutable simple undirected graph on nodes ``0..n-1``.
 
     The graph is ``n`` and ``adjacency``, one neighbor bitmask per node.
-    Instances should normally be built through :func:`new_graph`, which
-    normalizes and deduplicates edge pairs.  Direct construction,
-    ``Graph(n, edges)``, requires edges already in ``(min, max)`` form and
-    checks each of them.  Builders whose masks are correct by construction
-    (the constructions' recipe replay, :func:`complement`,
-    :meth:`remove_edge`) hand them over with :meth:`_from_masks`.
+    There is no public constructor: a graph is built from pairs through
+    :func:`new_graph`, which checks each pair and accepts either order.
+    Builders whose masks are correct by construction (the constructions'
+    recipe replay, :func:`complement`, :meth:`remove_edge`) hand them over
+    with :meth:`_from_masks`.
     """
 
     n: int
     adjacency: tuple[int, ...]
-
-    def __init__(self, n: int, edges: Iterable[Edge]) -> None:
-        masks = _pair_masks(n, edges, normalize=False)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adjacency", masks)
 
     @classmethod
     def _from_masks(cls, n: int, masks: Sequence[int]) -> "Graph":
@@ -182,15 +145,36 @@ class Graph:
         return mask
 
 
-def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+def new_graph(n: int, edges: Iterable[Edge]) -> Graph:
     """Build a validated graph, collapsing duplicate and reversed pairs.
 
     ``n`` and every node id must be an ``int`` (a ``bool`` is refused) and
-    every edge a pair; anything else raises ``ValueError``, as do ``n`` above
-    ``MAX_NODES``, self-loops and node ids outside ``0..n-1``.  Each pair is
-    checked and its two bits set as it is read, with no intermediate list.
+    every edge a pair; anything else raises ``ValueError``, as do ``n`` below
+    1 or above ``MAX_NODES``, self-loops and node ids outside ``0..n-1``.
+    Each pair is checked and its two bits set as it is read, with no
+    intermediate list.
     """
-    return Graph._from_masks(n, _pair_masks(n, edges, normalize=True))
+    if type(n) is not int:
+        raise ValueError(f"node count {n!r} is not an integer")
+    if n < 1:
+        raise ValueError("a graph needs at least one node")
+    if n > MAX_NODES:
+        raise ValueError(f"node count {n} exceeds the limit of {MAX_NODES} nodes")
+    masks = [0] * n
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {edge!r} is not a pair of node ids") from None
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"edge {edge!r} has a node id that is not an integer")
+        if u == v:
+            raise ValueError(f"self-loop ({u}, {v}) is not allowed")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return Graph._from_masks(n, masks)
 
 
 def complete_graph(n: int) -> Graph:

@@ -148,16 +148,16 @@ def _subset_halves(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _member_terms(
-    g: Graph, table: np.ndarray
+    g: Graph, table: np.ndarray, halves: tuple
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per node i: the view of ``table`` over the subsets containing i, and
     the two halves of i's outside degree, broadcast to that view's shape.
 
     i's outside degree is popcount(a_lo & ~S_lo) + popcount(a_hi & ~S_hi)
-    over the halves of :func:`_subset_halves`, so each half is a vector over
-    one half of the bits only.
+    over ``halves``, the split :func:`_subset_halves` gives for ``g.n``, so
+    each half is a vector over one half of the bits only.
     """
-    lo_bits, lo, hi, _ = _subset_halves(g.n)
+    lo_bits, lo, hi, _ = halves
     grid = table.reshape(hi.size, lo.size)
     lo_mask = lo.size - 1
     for i, a in enumerate(g.adjacency):
@@ -173,13 +173,14 @@ def _member_terms(
             yield view, out_hi.reshape(-1, 2 * step)[:, step:, None], out_lo[None, None, :]
 
 
-def _x_count_table(g: Graph, r: int) -> np.ndarray:
-    """``x[S]`` = number of nodes in subset ``S`` with >= r neighbors outside S."""
+def _x_count_table(g: Graph, r: int, halves: tuple) -> np.ndarray:
+    """``x[S]`` = number of nodes in subset ``S`` with >= r neighbors outside S,
+    built over ``halves``, the split :func:`_subset_halves` gives for ``g.n``."""
     # no outside degree reaches n, so every r >= n gives the same table; the
     # clamp keeps ``need - out_lo`` inside int16
     need = min(r, g.n)
     x = np.zeros(1 << g.n, dtype=np.uint8)
-    for view, out_hi, out_lo in _member_terms(g, x):
+    for view, out_hi, out_lo in _member_terms(g, x, halves):
         view += out_hi >= need - out_lo.astype(np.int16)
     return x
 
@@ -188,10 +189,12 @@ def _pair_table(g: Graph, r: int) -> np.ndarray:
     """The x table with ``_ABSENT`` over the sets whose members all reach r.
 
     Those sets, the empty set among them (x = 0 = |S|), cannot be in a
-    failing pair.  The mark is written in place from a 0/1 byte mask.
+    failing pair.  The mark is written in place from a 0/1 byte mask.  The
+    subset split is computed once, for the table and the size grid both.
     """
-    x = _x_count_table(g, r)
-    sizes = _subset_halves(g.n)[3]
+    halves = _subset_halves(g.n)
+    x = _x_count_table(g, r, halves)
+    sizes = halves[3]
     grid = x.reshape(sizes.shape)
     np.maximum(grid, (grid >= sizes).view(np.uint8) * _ABSENT, out=grid)
     return x
@@ -200,7 +203,7 @@ def _pair_table(g: Graph, r: int) -> np.ndarray:
 def _maxout_table(g: Graph) -> np.ndarray:
     """``maxout[S]`` = largest outside degree among the members of ``S`` (0 for the empty set)."""
     maxout = np.zeros(1 << g.n, dtype=np.uint8)
-    for view, out_hi, out_lo in _member_terms(g, maxout):
+    for view, out_hi, out_lo in _member_terms(g, maxout, _subset_halves(g.n)):
         np.maximum(view, out_hi + out_lo, out=view)
     return maxout
 

@@ -5,7 +5,10 @@ import json
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mergraph import (
     complete_graph,
@@ -21,7 +24,7 @@ from mergraph import (
     new_graph,
     prop1_gamma_gamma_check,
 )
-from mergraph.construction import recipe_from_dict, replay_recipe
+from mergraph.construction import MAX_EDGES, recipe_from_dict, replay_recipe
 from mergraph.graph_core import MAX_NODES
 
 
@@ -127,42 +130,66 @@ class TestDeterminismAndRecipes:
         assert restored == recipe
         assert replay_recipe(restored) == g
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=300),
+        variant=st.none() | st.integers(min_value=0, max_value=2**64),
+    )
+    def test_recipe_round_trip_replays_the_paper_edge_count(self, n, variant):
+        gamma = gamma_of(n)
+        floors = (
+            (construct_gamma_merg,
+             edge_lb_gamma_odd(gamma) if n % 2 else edge_lb_gamma_even(gamma)),
+            (construct_gamma_gamma_merg, edge_lb_gamma_gamma(n)),
+        )
+        for builder, floor in floors:
+            g, recipe = builder(n, variant=variant)
+            assert recipe_from_dict(json.loads(recipe.to_json())) == recipe
+            assert replay_recipe(recipe) == g
+            assert g.edge_count == floor
+
     def test_recipe_json_bytes_are_pinned(self):
-        # rendered before recipes were serialized from their fields
         gamma = (
-            '{\n  "added_pairs": [],\n  "attachment_map": [\n    [\n      0,\n'
-            '      [\n        1,\n        2,\n        4\n      ]\n    ]\n  ],\n'
-            '  "clique_or_hub": [\n    1,\n    2,\n    3,\n    4\n  ],\n'
-            '  "gamma": 3,\n  "kind": "gamma",\n  "n": 5,\n  "removed_pairs": [],\n'
+            '{\n  "gamma": 3,\n  "hub": [\n    1,\n    2,\n    4\n  ],\n'
+            '  "kind": "gamma",\n  "n": 5,\n  "removed_pairs": [],\n'
             '  "variant": 3\n}\n'
         )
         gamma_gamma = (
-            '{\n  "added_pairs": [\n    [\n      0,\n      1\n    ],\n    [\n'
-            '      2,\n      3\n    ]\n  ],\n  "attachment_map": [],\n'
-            '  "clique_or_hub": [],\n  "gamma": 3,\n  "kind": "gamma_gamma",\n'
-            '  "n": 6,\n  "removed_pairs": [\n    [\n      4,\n      5\n    ]\n  ],\n'
+            '{\n  "gamma": 3,\n  "hub": [\n    0,\n    1,\n    2,\n    3,\n'
+            '    4,\n    5\n  ],\n  "kind": "gamma_gamma",\n  "n": 6,\n'
+            '  "removed_pairs": [\n    [\n      4,\n      5\n    ]\n  ],\n'
             '  "variant": null\n}\n'
         )
         assert construct_gamma_merg(5, variant=3)[1].to_json() == gamma
         assert construct_gamma_gamma_merg(6)[1].to_json() == gamma_gamma
 
-    @pytest.mark.parametrize("n", [2, 3, 7, 10, 11, 24, 25])
     @pytest.mark.parametrize("variant", [None, 4])
-    def test_replay_matches_the_edge_list_build(self, n, variant):
-        # the masks replay sets against the pairs the recipe describes,
-        # checked one by one through new_graph
-        for builder in (construct_gamma_merg, construct_gamma_gamma_merg):
-            g, recipe = builder(n, variant=variant)
-            removed = {tuple(sorted(e)) for e in recipe.removed_pairs}
-            if recipe.kind == "gamma_gamma":
-                pairs = combinations(range(n), 2)
-            elif n % 2 == 1:
-                pairs = [*combinations(recipe.clique_or_hub, 2),
-                         *((node, v) for node, nbrs in recipe.attachment_map for v in nbrs)]
+    def test_replay_matches_the_paper_description(self, variant):
+        # each family built pair by pair from the paper's own description
+        # through new_graph, relabeled by the variant's permutation
+        for n in [*range(2, 41), 200, 201]:
+            gamma = gamma_of(n)
+            matching = [(2 * i, 2 * i + 1) for i in range(gamma)]
+            if n % 2:
+                # a (gamma+1)-clique, every other node attached to gamma of its members
+                gamma_pairs = [*combinations(range(gamma + 1), 2),
+                               *((u, v) for v in range(gamma + 1, n) for u in range(gamma))]
+                gamma_gamma_pairs = list(combinations(range(n), 2))
             else:
-                hub = set(recipe.clique_or_hub)
-                pairs = [e for e in combinations(range(n), 2) if hub & set(e)]
-            assert g == new_graph(n, [e for e in pairs if tuple(sorted(e)) not in removed])
+                # a hub of gamma nodes adjacent to all, less floor((gamma-1)/2) hub pairs
+                cut = set(matching[: (gamma - 1) // 2])
+                gamma_pairs = [(u, v) for u, v in combinations(range(n), 2)
+                               if u < gamma and (u, v) not in cut]
+                # the complete graph less the matching after its first ceil(gamma/2)
+                cut = set(matching[(gamma + 1) // 2 :])
+                gamma_gamma_pairs = [e for e in combinations(range(n), 2) if e not in cut]
+            perm = list(range(n))
+            if variant is not None:
+                perm = np.random.Generator(np.random.PCG64(variant)).permutation(n).tolist()
+            for builder, pairs in ((construct_gamma_merg, gamma_pairs),
+                                   (construct_gamma_gamma_merg, gamma_gamma_pairs)):
+                expected = new_graph(n, [(perm[u], perm[v]) for u, v in pairs])
+                assert builder(n, variant=variant)[0] == expected, (builder.__name__, n)
 
 
 def _gamma_recipe_dict(n: int, variant: int | None = None) -> dict:
@@ -173,13 +200,13 @@ class TestRecipeBoundary:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("clique_or_hub", [0, 1, "2", 3, 4]),
-            ("clique_or_hub", [0, 1, True, 3, 4]),
+            ("hub", [0, 1, "2", 3, 4]),
+            ("hub", [0, 1, True, 3, 4]),
+            ("hub", 5),
             ("removed_pairs", [[0]]),
             ("removed_pairs", [[0, 1, 2]]),
             ("removed_pairs", [0]),
-            ("attachment_map", [[6]]),
-            ("attachment_map", [[6, 0]]),
+            ("removed_pairs", [[0, 1.0]]),
             ("n", 10.0),
             ("n", True),
             ("variant", "3"),
@@ -195,15 +222,16 @@ class TestRecipeBoundary:
     @pytest.mark.parametrize(
         "n, field, value",
         [
-            (10, "clique_or_hub", [0, 1, 2, 3, 99]),
-            (10, "clique_or_hub", [-1, 1, 2, 3, 4]),
+            (10, "hub", [0, 1, 2, 3, 99]),
+            (10, "hub", [-1, 1, 2, 3, 4]),
+            (10, "hub", [0, 1, 2, 3, 3]),
             (10, "removed_pairs", [[1, 1]]),
             (10, "removed_pairs", [[0, 99]]),
-            (10, "added_pairs", [[3, 3]]),
-            (9, "clique_or_hub", [0, 1, 2, 3, 3]),
-            (9, "attachment_map", [[6, [0, 1, 6]], [7, [0, 1]], [8, [0, 1]]]),
-            (9, "attachment_map", [[6, [0, 1, 9]]]),
-            (9, "attachment_map", [[99, [0, 1]]]),
+            (10, "removed_pairs", [[-1, 0]]),
+            (9, "hub", [0, 1, 2, 3, 9]),
+            (9, "hub", [4, 0, 1, 2, 4]),
+            (9, "removed_pairs", [[5, 5]]),
+            (9, "removed_pairs", [[5, 6]]),
         ],
     )
     def test_replay_rejects_out_of_range_ids_and_self_pairs(self, n, field, value):
@@ -238,11 +266,48 @@ class TestRecipeBoundary:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize(
+        "builder, n",
+        [(construct_gamma_merg, 6689), (construct_gamma_gamma_merg, 5794),
+         (construct_gamma_merg, MAX_NODES), (construct_gamma_gamma_merg, MAX_NODES)],
+    )
+    def test_construction_above_the_edge_limit_is_refused_first(self, builder, n):
+        # the masks alone would take about n^2/8 bytes: 4 MB at n = 5794,
+        # 128 GiB at MAX_NODES
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="above the limit of"):
+                builder(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_the_edge_limit_admits_the_largest_constructions_below_it(self):
+        g, _ = construct_gamma_merg(6688)
+        assert g.edge_count == edge_lb_gamma_even(3344) <= MAX_EDGES
+        g, _ = construct_gamma_gamma_merg(5793)
+        assert g.edge_count == edge_lb_gamma_gamma(5793) <= MAX_EDGES
+
+    def test_hand_written_recipe_above_the_edge_limit_is_refused(self):
+        # a hub of 97 on 173,010 nodes has C(97, 2) + 97 * 172,913 edges,
+        # one above the limit
+        payload = {"kind": "gamma", "n": 173010, "gamma": 86505,
+                   "hub": list(range(97)), "removed_pairs": []}
+        recipe = recipe_from_dict(payload)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{MAX_EDGES + 1} edges, above the limit"):
+                replay_recipe(recipe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
     def test_hand_written_recipe_replays(self):
-        payload = {
-            "kind": "gamma", "n": 5, "gamma": 3, "clique_or_hub": [0, 1, 2, 3],
-            "attachment_map": [[4, [1, 2, 3]]], "removed_pairs": [], "added_pairs": [],
-        }
+        # the hub {1, 2, 3} with nodes 0 and 4 attached: the 4-clique 0..3
+        # with node 4 attached to three of its members
+        payload = {"kind": "gamma", "n": 5, "gamma": 3, "hub": [1, 2, 3], "removed_pairs": []}
         g = replay_recipe(recipe_from_dict(payload))
         assert g == new_graph(5, [*combinations(range(4), 2), (1, 4), (2, 4), (3, 4)])
 

@@ -15,6 +15,12 @@ def load_demo(name: str):
     return demo
 
 
+def test_construction_output_matches_the_committed_text(capsys):
+    load_demo("01_minimal_max_robust_graphs.py").main()
+    expected = (DEMOS / "out" / "01_minimal_max_robust_graphs.txt").read_bytes()
+    assert capsys.readouterr().out.encode() == expected
+
+
 def test_minimality_output_matches_the_committed_text(capsys):
     load_demo("03_minimality.py").main()
     expected = (DEMOS / "out" / "03_minimality.txt").read_bytes()

@@ -57,32 +57,22 @@ class TestNewGraph:
         g = new_graph(3, [(0, 1), (1, 0), (1, 2)])
         assert g.edges == frozenset({(0, 1), (1, 2)})
 
-    def test_self_loop_rejected(self):
-        with pytest.raises(ValueError):
-            new_graph(2, [(0, 0)])
-
-    def test_zero_nodes_rejected(self):
-        with pytest.raises(ValueError):
-            new_graph(0, [])
-
-    def test_endpoint_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            new_graph(3, [(0, 3)])
-
     @pytest.mark.parametrize(
         "n, edges",
-        [(0, []), (3, [(1, 1)]), (3, [(0, 3)]), (3, [(-1, 2)]), (3, [(2, 1)]), (3, [(0, 1), (2, 2)])],
+        [(0, []), (2, [(0, 0)]), (3, [(0, 3)]), (3, [(-1, 2)]), (3, [(0, 1), (2, 2)])],
     )
-    def test_direct_construction_checks_each_edge(self, n, edges):
+    def test_each_edge_is_checked(self, n, edges):
         with pytest.raises(ValueError):
-            Graph(n, frozenset(edges))
+            new_graph(n, edges)
 
-    def test_direct_construction_matches_new_graph(self):
-        edges = [(0, 1), (1, 3), (2, 3)]
-        g = Graph(4, edges)
-        assert g == new_graph(4, edges)
+    def test_masks_and_hash_ignore_pair_order(self):
+        g = new_graph(4, [(0, 1), (1, 3), (2, 3)])
         assert hash(g) == hash(new_graph(4, [(3, 2), (1, 0), (3, 1), (0, 1)]))
         assert g.adjacency == (0b0010, 0b1001, 0b1000, 0b0110)
+
+    def test_graph_has_no_public_constructor(self):
+        with pytest.raises(TypeError):
+            Graph(4, [(0, 1)])
 
     def test_complete_graph_degrees(self):
         g = complete_graph(9)
@@ -240,12 +230,11 @@ class TestMasksAreTheGraph:
         g, _ = construct_gamma_gamma_merg(10)
         rebuilt = (
             new_graph(10, g.edges),
-            Graph(10, sorted(g.edges)),
             complement(complement(g)),
             g.remove_edge(0, 1).remove_edge(3, 2),
         )
-        assert len({g, *rebuilt[:3]}) == 1
-        assert rebuilt[3] == new_graph(10, g.edges - {(0, 1), (2, 3)})
+        assert len({g, *rebuilt[:2]}) == 1
+        assert rebuilt[2] == new_graph(10, g.edges - {(0, 1), (2, 3)})
 
     def test_remove_edge_clears_both_bits(self):
         g = complete_graph(4).remove_edge(2, 1)

@@ -229,11 +229,12 @@ class TestTables:
                     frozenset(i for i in range(n) if mask >> i & 1)
                     for mask in range(1 << n)
                 ]
+                halves = oracle._subset_halves(n)
                 for r in range(1, (n + 1) // 2 + 2):
-                    x = oracle._x_count_table(g, r)
+                    x = oracle._x_count_table(g, r, halves)
                     assert x.dtype == np.uint8
                     assert x.tolist() == [brute_reachable_count(g, s, r) for s in subsets]
-                assert not oracle._x_count_table(g, 10**9).any()
+                assert not oracle._x_count_table(g, 10**9, halves).any()
 
 
 class TestBestPair:
