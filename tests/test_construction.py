@@ -163,33 +163,33 @@ class TestDeterminismAndRecipes:
         assert construct_gamma_merg(5, variant=3)[1].to_json() == gamma
         assert construct_gamma_gamma_merg(6)[1].to_json() == gamma_gamma
 
+    @pytest.mark.parametrize("n", [*range(2, 41), 200, 201])
     @pytest.mark.parametrize("variant", [None, 4])
-    def test_replay_matches_the_paper_description(self, variant):
+    def test_replay_matches_the_paper_description(self, variant, n):
         # each family built pair by pair from the paper's own description
         # through new_graph, relabeled by the variant's permutation
-        for n in [*range(2, 41), 200, 201]:
-            gamma = gamma_of(n)
-            matching = [(2 * i, 2 * i + 1) for i in range(gamma)]
-            if n % 2:
-                # a (gamma+1)-clique, every other node attached to gamma of its members
-                gamma_pairs = [*combinations(range(gamma + 1), 2),
-                               *((u, v) for v in range(gamma + 1, n) for u in range(gamma))]
-                gamma_gamma_pairs = list(combinations(range(n), 2))
-            else:
-                # a hub of gamma nodes adjacent to all, less floor((gamma-1)/2) hub pairs
-                cut = set(matching[: (gamma - 1) // 2])
-                gamma_pairs = [(u, v) for u, v in combinations(range(n), 2)
-                               if u < gamma and (u, v) not in cut]
-                # the complete graph less the matching after its first ceil(gamma/2)
-                cut = set(matching[(gamma + 1) // 2 :])
-                gamma_gamma_pairs = [e for e in combinations(range(n), 2) if e not in cut]
-            perm = list(range(n))
-            if variant is not None:
-                perm = np.random.Generator(np.random.PCG64(variant)).permutation(n).tolist()
-            for builder, pairs in ((construct_gamma_merg, gamma_pairs),
-                                   (construct_gamma_gamma_merg, gamma_gamma_pairs)):
-                expected = new_graph(n, [(perm[u], perm[v]) for u, v in pairs])
-                assert builder(n, variant=variant)[0] == expected, (builder.__name__, n)
+        gamma = gamma_of(n)
+        matching = [(2 * i, 2 * i + 1) for i in range(gamma)]
+        if n % 2:
+            # a (gamma+1)-clique, every other node attached to gamma of its members
+            gamma_pairs = [*combinations(range(gamma + 1), 2),
+                           *((u, v) for v in range(gamma + 1, n) for u in range(gamma))]
+            gamma_gamma_pairs = list(combinations(range(n), 2))
+        else:
+            # a hub of gamma nodes adjacent to all, less floor((gamma-1)/2) hub pairs
+            cut = set(matching[: (gamma - 1) // 2])
+            gamma_pairs = [(u, v) for u, v in combinations(range(n), 2)
+                           if u < gamma and (u, v) not in cut]
+            # the complete graph less the matching after its first ceil(gamma/2)
+            cut = set(matching[(gamma + 1) // 2 :])
+            gamma_gamma_pairs = [e for e in combinations(range(n), 2) if e not in cut]
+        perm = list(range(n))
+        if variant is not None:
+            perm = np.random.Generator(np.random.PCG64(variant)).permutation(n).tolist()
+        for builder, pairs in ((construct_gamma_merg, gamma_pairs),
+                               (construct_gamma_gamma_merg, gamma_gamma_pairs)):
+            expected = new_graph(n, [(perm[u], perm[v]) for u, v in pairs])
+            assert builder(n, variant=variant)[0] == expected, (builder.__name__, n)
 
 
 def _gamma_recipe_dict(n: int, variant: int | None = None) -> dict:

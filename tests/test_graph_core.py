@@ -57,6 +57,18 @@ class TestNewGraph:
         g = new_graph(3, [(0, 1), (1, 0), (1, 2)])
         assert g.edges == frozenset({(0, 1), (1, 2)})
 
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError):
+            new_graph(2, [(0, 0)])
+
+    def test_zero_nodes_rejected(self):
+        with pytest.raises(ValueError):
+            new_graph(0, [])
+
+    def test_endpoint_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            new_graph(3, [(0, 3)])
+
     @pytest.mark.parametrize(
         "n, edges",
         [(0, []), (2, [(0, 0)]), (3, [(0, 3)]), (3, [(-1, 2)]), (3, [(0, 1), (2, 2)])],
