@@ -7,15 +7,22 @@ tolerates F misbehaving agents; the minimal constructions sit exactly at
 that edge, so removing one well-chosen edge is enough to let the adversary
 split the network.
 
+The exact oracle checks the labels of the n=49 graphs (maximum robustness
+and single-edge minimality); the n=50 graphs are above its budget.
+
 Trajectory CSVs land in demos/out/ so they can be plotted with any tool.
 """
 
 from pathlib import Path
 
 from mergraph import (
+    CapExceededError,
     build_scenario,
     construct_gamma_gamma_merg,
     construct_gamma_merg,
+    is_rs_robust,
+    max_r_robustness,
+    minimality_sweep,
     run_simulation,
     trajectory_to_csv,
 )
@@ -46,16 +53,33 @@ def describe(label, traj):
     )
 
 
+def exact_check(g, s=None):
+    """The exact oracle's verdict on the label's claim: max r, the
+    (25, s) check when s is given, and single-edge minimality."""
+    try:
+        verdict = f"max r = {max_r_robustness(g)}"
+        if s is not None:
+            holds = is_rs_robust(g, 25, s).holds
+            verdict += f", (25,{s})-robust: {'yes' if holds else 'no'}"
+        sweep = minimality_sweep(g, 25, s)
+        verdict += f", minimal: {'yes' if sweep.minimal else 'no'} ({len(sweep.entries)} removals)"
+    except CapExceededError:
+        verdict = f"n={g.n} is above the exact budget, not checked"
+    print(f"  exact: {verdict}")
+
+
 def main() -> None:
     print("=== broadcast attackers on large minimal graphs (F-total malicious) ===")
     for n in (49, 50):
         g, _ = construct_gamma_merg(n)
         traj = run(g, SCENARIO_TRIG_MALICIOUS, seed=0, f=12, name=f"trig_r_n{n}")
         describe(f"25-robust, n={n}, 12 malicious", traj)
+        exact_check(g)
     for n in (49, 50):
         g, _ = construct_gamma_gamma_merg(n)
         traj = run(g, SCENARIO_TRIG_MALICIOUS, seed=0, f=24, name=f"trig_rs_n{n}")
         describe(f"(25,25)-robust, n={n}, 24 malicious", traj)
+        exact_check(g, 25)
     print("all four: convergence inside the initial hull despite the forged waves")
 
     print()

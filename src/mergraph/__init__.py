@@ -46,7 +46,7 @@ from .graph_core import (
     parse_graph,
 )
 from .oracle import (
-    EXACT_ENUMERATION_CAP,
+    EXACT_CELL_BUDGET,
     MinimalitySweep,
     RobustnessVerdict,
     SubsetPair,

@@ -36,7 +36,6 @@ import numpy as np
 # ``complement`` is no longer called here; it stays importable from this
 # module, as ``certificates.complement``, for code written against it
 from .graph_core import CapExceededError, Graph, complement, max_clique_size  # noqa: F401
-from .oracle import _subset_halves
 
 Parity = Literal["odd", "even", "unknown"]
 
@@ -160,16 +159,29 @@ def necessary_clique_size(n: int) -> int:
     return (gamma + 4) // 2
 
 
+def _subset_halves(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The split of subset bits a 2^n table is built over.
+
+    Returns ``(lo_bits, lo, hi, sizes)``: subset S is ``h << lo_bits | l``
+    for ``l`` in ``lo`` (the low ``n // 2`` bits) and ``h`` in ``hi``, and
+    ``sizes[h, l]`` = |S| as a (hi.size, lo.size) uint8 grid.
+    """
+    lo_bits = n // 2
+    lo = np.arange(1 << lo_bits, dtype=np.uint32)
+    hi = np.arange(1 << (n - lo_bits), dtype=np.uint32)
+    sizes = np.bitwise_count(hi)[:, None] + np.bitwise_count(lo)
+    return lo_bits, lo, hi, sizes
+
+
 def _induced_edge_table(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """``induced[S]`` = number of edges with both ends in subset ``S``, and
     ``sizes[S]`` = ``|S|``, over all 2^n subsets.
 
     Filled by doubling over the nodes: for S within nodes 0..i-1,
     induced[S | 1 << i] = induced[S] + popcount(adj[i] & S).  The popcount is
-    split like the oracle's tables (:func:`oracle._subset_halves`), into the
-    low ``n // 2`` bits of S and its high bits, so each node costs two
-    vectors of length ~2^(n/2) and broadcast adds into the new half of the
-    table.  The dtype holds C(n, 2), so the counts never wrap.
+    split by :func:`_subset_halves` into the low ``n // 2`` bits of S and its
+    high bits, so each node costs two vectors of length ~2^(n/2) and
+    broadcast adds into the new half of the table.  The dtype holds C(n, 2), so the counts never wrap.
     """
     n = g.n
     # table first, then the halves: the other order raised the peak RSS of

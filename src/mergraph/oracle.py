@@ -11,23 +11,57 @@ r-robustness is exactly (r, 1)-robustness, and every check asks one
 question, decided exactly without walking the ~3^n/2 pairs: what is the
 best combination of two per-set values over disjoint nonempty pairs?
 
-One pair table holds a uint8 value for each of the 2^n subsets.  For the
-(r, s) checks it is the reachable count x[S], with ``_ABSENT`` over the
-sets that cannot be in a failing pair (those whose members all reach r,
-the empty set among them); a pair fails when both sets are present and
-their values sum to <= s - 1.  For the maximum r it is maxout[S], the
-largest outside degree in S, with only the empty set marked: r-robustness
-fails exactly when both maxout values of a pair are below r.  One
-subset-min (zeta) transform gives every set M the smallest value among
-its subsets; since full ^ S = full - S, the lookup at every complement is
-the reversed view ``t[::-1]``, and one combine (``np.add`` for (r, s),
-``np.maximum`` for max r) plus a minimum gives the worst pair.  The
-combine runs in uint16: counts and degrees are at most n <= 254, so a
-pair holding ``_ABSENT`` (255) stays at or above it and every real pair
-below.  Only failing graphs go on to read a witness from the same table.
+Twin classes.  Nodes u and v are twins when N(u) - {v} = N(v) - {u}: false
+twins share their open neighborhood (and are not adjacent), true twins
+their closed one (and are adjacent).  Grouping the nodes by open mask, and
+the nodes left alone there by closed mask, partitions them into twin
+classes, ordered by their lowest member.  Swapping two twins is an
+automorphism, so every per-set value depends on S only through how many
+members of each class it holds: a member of class c has outside degree
+sum over the classes d adjacent to c of (|d| - a_d), plus |c| - a_c when
+c is a true-twin class, where a_d = |S & d|.
 
-Each table is built per node from two popcount vectors of length
-~2^(n/2), over the low and the high half of the subset bits.
+The lattice.  The per-set tables are indexed by count vectors a with
+0 <= a_c <= |c|, a C-order array of shape (|c| + 1 for each class c); a
+graph without twins has one class per node and 2^n cells, one per subset.
+Disjoint pairs (S1, S2) are exactly the count pairs with a + b <= |c| in
+every class.  The complement a -> |c| - a is, in mixed radix, the reversed
+flat view, and the subset-min (the smallest value over all b <= a) is one
+running minimum along each axis.
+
+One pair table holds a uint8 value per cell.  For the (r, s) checks it is
+the reachable count x[a], with ``_ABSENT`` over the cells that cannot be in
+a failing pair (those whose members all reach r, the empty set among them);
+a pair fails when both cells are present and their values sum to <= s - 1.
+For the maximum r it is maxout[a], the largest outside degree in the set,
+with only the empty cell marked: r-robustness fails exactly when both
+maxout values of a pair are below r.  One subset-min gives every cell M the
+smallest value at or below it; looked up at every complement through the
+reversed view, one combine (``np.add`` for (r, s), ``np.maximum`` for max
+r) plus a minimum gives the worst pair.  The combine runs in uint16:
+counts and degrees are at most n <= 254, so a pair holding ``_ABSENT``
+(255) stays at or above it and every real pair below.
+
+Each table is built class by class over a split of the class axes into a
+leading (hi) and a trailing (lo) part of about sqrt(cells) cells each: a
+class's outside degree is a vector over the hi cells plus one over the lo
+cells, compared or added into the view of the cells with a_c >= 1.
+
+Budget.  A graph is decided when its lattice has at most
+``EXACT_CELL_BUDGET`` = 2^16 cells, the size of the 2^n table of a
+16-node graph, and at most 254 nodes, so that no count reaches
+``_ABSENT``.  Both limits are checked from the partition, before any array
+exists, and raise ``CapExceededError``.  Single-node graphs are
+degenerate: no disjoint nonempty pair exists, so every check holds
+vacuously.
+
+Witnesses.  Only failing checks read a witness from their pair table.
+When 2^n fits the budget (n <= 16) the witness is canonical: the lattice
+table is lifted to one value per subset and the first failing pair is read
+off in canonical order, below.  Above that the witness is decoded from the
+lattice: the first flat cell a attaining the worst pair and, among the
+cells b <= |c| - a, the first flat one that completes it; S1 holds the
+lowest-indexed a_c members of each class and S2 the next b_c.
 
 Canonical order: each node gets a digit in {0 = unassigned, 1 = S1,
 2 = S2}; digit vectors are compared lexicographically with node 0 most
@@ -43,23 +77,20 @@ orientations of a pair the one with that set as S1 ranks lower.  The
 minimum over ordered failing pairs is therefore the canonical witness.  It
 takes one subset-min of w per partner budget k in [0, s-1] (sets with
 pair-table value <= k), so a witness costs O(s * n * 2^n) numpy work.
-
-Node counts above ``EXACT_ENUMERATION_CAP`` are rejected: it guards the
-2^n-entry tables, which grow with every node, so exhaustive checking is a
-desk-scale tool by nature.  Single-node graphs are degenerate: no disjoint
-nonempty pair exists, so every check holds vacuously.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import lru_cache
+from math import prod
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .graph_core import CapExceededError, Edge, Graph, members
 
-EXACT_ENUMERATION_CAP = 16
+EXACT_CELL_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -102,14 +133,6 @@ class MinimalitySweep:
         return not any(holds for _, holds in self.entries)
 
 
-def _check_cap(g: Graph) -> None:
-    if g.n > EXACT_ENUMERATION_CAP:
-        raise CapExceededError(
-            f"exact robustness check infeasible for n={g.n}"
-            f" (cap is {EXACT_ENUMERATION_CAP} nodes)"
-        )
-
-
 def reachable_count(g: Graph, s: Iterable[int], r: int) -> int:
     """Number of nodes in ``s`` with at least ``r`` neighbors outside ``s``."""
     if r < 1:
@@ -126,112 +149,214 @@ def is_r_reachable(g: Graph, s: Iterable[int], r: int) -> bool:
     return reachable_count(g, s, r) >= 1
 
 
-# -- per-subset tables and the pair transform ---------------------------------
+# -- twin classes and the lattice tables ---------------------------------------
 
-# Above every count or degree a table holds (both are at most n), so it never
-# wins a minimum; it marks the sets that cannot be in a failing pair.
+# Above every count or degree a table holds (both are at most n <= 254), so
+# it never wins a minimum; it marks the cells that cannot be in a failing pair.
 _ABSENT = np.uint8(255)
 
 
-def _subset_halves(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """The split of subset bits every 2^n table is built over.
+class _Lattice(NamedTuple):
+    """The twin classes of a graph and the halves of their outside degrees.
 
-    Returns ``(lo_bits, lo, hi, sizes)``: subset S is ``h << lo_bits | l``
-    for ``l`` in ``lo`` (the low ``n // 2`` bits) and ``h`` in ``hi``, and
-    ``sizes[h, l]`` = |S| as a (hi.size, lo.size) uint8 grid.
+    The first ``hi`` class axes span the rows, the rest the columns of the
+    (H, L) grid every table is built on.  ``out_hi[c]`` over the rows plus
+    ``out_lo[c]`` over the columns is the outside degree of a member of
+    class c; ``size_hi`` and ``size_lo`` add up to |S| the same way.
     """
-    lo_bits = n // 2
-    lo = np.arange(1 << lo_bits, dtype=np.uint32)
-    hi = np.arange(1 << (n - lo_bits), dtype=np.uint32)
-    sizes = np.bitwise_count(hi)[:, None] + np.bitwise_count(lo)
-    return lo_bits, lo, hi, sizes
+
+    classes: tuple[tuple[int, ...], ...]
+    shape: tuple[int, ...]
+    hi: int
+    out_hi: np.ndarray
+    out_lo: np.ndarray
+    size_hi: np.ndarray
+    size_lo: np.ndarray
 
 
-def _member_terms(
-    g: Graph, table: np.ndarray, halves: tuple
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per node i: the view of ``table`` over the subsets containing i, and
-    the two halves of i's outside degree, broadcast to that view's shape.
-
-    i's outside degree is popcount(a_lo & ~S_lo) + popcount(a_hi & ~S_hi)
-    over ``halves``, the split :func:`_subset_halves` gives for ``g.n``, so
-    each half is a vector over one half of the bits only.
-    """
-    lo_bits, lo, hi, _ = halves
-    grid = table.reshape(hi.size, lo.size)
-    lo_mask = lo.size - 1
-    for i, a in enumerate(g.adjacency):
-        out_lo = np.bitwise_count((a & lo_mask) & ~lo)
-        out_hi = np.bitwise_count((a >> lo_bits) & ~hi)
-        if i < lo_bits:
-            step = 1 << i
-            view = grid.reshape(hi.size, -1, 2 * step)[:, :, step:]
-            yield view, out_hi[:, None, None], out_lo.reshape(-1, 2 * step)[None, :, step:]
+def _twin_classes(g: Graph) -> tuple[list[list[int]], list[bool]]:
+    """The twin classes, ordered by lowest member, and which are true-twin
+    classes of two or more nodes.  Same open mask: false twins; the nodes
+    alone there, grouped by closed mask: true twins (or singletons)."""
+    by_open: dict[int, list[int]] = {}
+    for u, a in enumerate(g.adjacency):
+        by_open.setdefault(a, []).append(u)
+    groups = []
+    by_closed: dict[int, list[int]] = {}
+    for group in by_open.values():
+        if len(group) > 1:
+            groups.append((group, False))
         else:
-            step = 1 << (i - lo_bits)
-            view = grid.reshape(-1, 2 * step, lo.size)[:, step:, :]
-            yield view, out_hi.reshape(-1, 2 * step)[:, step:, None], out_lo[None, None, :]
+            u = group[0]
+            by_closed.setdefault(g.adjacency[u] | 1 << u, []).append(u)
+    groups += ((group, len(group) > 1) for group in by_closed.values())
+    groups.sort()
+    return [group for group, _ in groups], [closed for _, closed in groups]
 
 
-def _x_count_table(g: Graph, r: int, halves: tuple) -> np.ndarray:
-    """``x[S]`` = number of nodes in subset ``S`` with >= r neighbors outside S,
-    built over ``halves``, the split :func:`_subset_halves` gives for ``g.n``."""
+# cached: the same half shapes recur from call to call (every twin-free
+# graph on n nodes has the halves (2,) * (n // 2) and (2,) * (n - n // 2))
+@lru_cache(maxsize=64)
+def _half_grid(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Over the cells of ``shape``, read-only: per axis d, the members of
+    class d outside the set (|d| - a_d), and the set size."""
+    cells = prod(shape)
+    widths = np.array(shape, dtype=np.intp)
+    counts = np.arange(cells) // (cells // np.cumprod(widths))[:, None] % widths[:, None]
+    missing = (widths[:, None] - 1 - counts).astype(np.int16)
+    sizes = counts.sum(axis=0).astype(np.uint8)
+    missing.flags.writeable = sizes.flags.writeable = False
+    return missing, sizes
+
+
+def _lattice(g: Graph) -> _Lattice:
+    """Partition ``g`` into twin classes and split their outside degrees over
+    the (H, L) grid; refuse, before any array exists, a graph whose tables
+    would exceed ``EXACT_CELL_BUDGET`` cells or whose counts could reach
+    ``_ABSENT``."""
+    if g.n >= _ABSENT:
+        raise CapExceededError(
+            f"exact robustness check infeasible for n={g.n}"
+            f" (uint8 tables hold at most {int(_ABSENT) - 1} nodes)"
+        )
+    classes, closed = _twin_classes(g)
+    # tuples from lists, not generators: CPython sizes a generator's tuple
+    # by a guess and resizes it, and over many calls the resized blocks pile
+    # up in its per-size tuple free lists (measured: ~170 B more heap per op)
+    shape = tuple([len(c) + 1 for c in classes])
+    cells = prod(shape)
+    if cells > EXACT_CELL_BUDGET:
+        raise CapExceededError(
+            f"exact robustness check infeasible for n={g.n}: {cells} lattice cells"
+            f" (budget is {EXACT_CELL_BUDGET})"
+        )
+    hi, rows = 0, 1
+    while rows * rows < cells:
+        rows *= shape[hi]
+        hi += 1
+    # link[c, d] = 1 when a member of c counts the members of d outside S as
+    # neighbors: d adjacent to c, or d = c a true-twin class
+    reps = [c[0] for c in classes]
+    nbytes = (g.n + 7) // 8
+    masks = b"".join((g.adjacency[u] | cl << u).to_bytes(nbytes, "little")
+                     for u, cl in zip(reps, closed))
+    bits = np.frombuffer(masks, dtype=np.uint8).reshape(len(reps), nbytes)
+    link = np.unpackbits(bits, axis=1, bitorder="little")[:, reps].astype(np.int16)
+    missing_hi, size_hi = _half_grid(shape[:hi])
+    missing_lo, size_lo = _half_grid(shape[hi:])
+    out_hi = np.einsum("cd,dh->ch", link[:, :hi], missing_hi).astype(np.uint8)
+    out_lo = np.einsum("cd,dh->ch", link[:, hi:], missing_lo).astype(np.uint8)
+    return _Lattice(tuple([tuple(c) for c in classes]), shape, hi, out_hi, out_lo, size_hi, size_lo)
+
+
+def _class_terms(
+    lat: _Lattice, table: np.ndarray, out_lo: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
+    """Per class c: the view of ``table`` over the cells with a_c >= 1, the
+    row half of c's outside degree and the row ``out_lo[c]``, broadcast to
+    that view, and a_c over it (None for a singleton class, where it is 1)."""
+    rows, cols = lat.size_hi.size, lat.size_lo.size
+    grid = table.reshape(rows, cols)
+    for c, width in enumerate(lat.shape):
+        # a singleton's a_c = 1 is indexed, not sliced: numpy's broadcast
+        # loops run about 1.5x slower with the unit axis a slice leaves
+        member = 1 if width == 2 else slice(1, None)
+        counts = None if width == 2 else np.arange(1, width, dtype=np.uint8)
+        if c < lat.hi:
+            before = prod(lat.shape[:c])
+            view = grid.reshape(before, width, -1, cols)[:, member]
+            out_hi = lat.out_hi[c].reshape(before, width, -1)[:, member, ..., None]
+            yield view, out_hi, out_lo[c], None if counts is None else counts[:, None, None]
+        else:
+            before = prod(lat.shape[lat.hi : c])
+            view = grid.reshape(rows, before, width, -1)[:, :, member]
+            out_hi = lat.out_hi[c].reshape((rows,) + (1,) * (view.ndim - 1))
+            # a contiguous copy: strided, it slows the loop over the short
+            # inner axes of the last classes about 1.7x
+            lo_part = out_lo[c].reshape(before, width, -1)[:, member].copy()
+            yield view, out_hi, lo_part, None if counts is None else counts[:, None]
+
+
+def _x_count_table(g: Graph, r: int, lat: _Lattice) -> np.ndarray:
+    """``x[a]`` = number of members of a set with count vector ``a`` that have
+    >= r neighbors outside it, over the lattice ``lat`` of ``g``."""
     # no outside degree reaches n, so every r >= n gives the same table; the
     # clamp keeps ``need - out_lo`` inside int16
-    need = min(r, g.n)
-    x = np.zeros(1 << g.n, dtype=np.uint8)
-    for view, out_hi, out_lo in _member_terms(g, x, halves):
-        view += out_hi >= need - out_lo.astype(np.int16)
+    need = np.int16(min(r, g.n)) - lat.out_lo.astype(np.int16)
+    x = np.zeros(prod(lat.shape), dtype=np.uint8)
+    for view, out_hi, need_lo, counts in _class_terms(lat, x, need):
+        reached = out_hi >= need_lo
+        view += reached if counts is None else reached * counts
     return x
 
 
-def _pair_table(g: Graph, r: int) -> np.ndarray:
-    """The x table with ``_ABSENT`` over the sets whose members all reach r.
+def _pair_table(g: Graph, r: int, lat: _Lattice) -> np.ndarray:
+    """The x table with ``_ABSENT`` over the cells whose members all reach r.
 
-    Those sets, the empty set among them (x = 0 = |S|), cannot be in a
-    failing pair.  The mark is written in place from a 0/1 byte mask.  The
-    subset split is computed once, for the table and the size grid both.
+    Those cells, the empty one among them (x = 0 = |S|), cannot be in a
+    failing pair.  The mark is written in place from a 0/1 byte mask.
     """
-    halves = _subset_halves(g.n)
-    x = _x_count_table(g, r, halves)
-    sizes = halves[3]
-    grid = x.reshape(sizes.shape)
-    np.maximum(grid, (grid >= sizes).view(np.uint8) * _ABSENT, out=grid)
+    x = _x_count_table(g, r, lat)
+    grid = x.reshape(lat.size_hi.size, -1)
+    full = grid >= lat.size_hi[:, None] + lat.size_lo
+    np.maximum(grid, full.view(np.uint8) * _ABSENT, out=grid)
     return x
 
 
-def _maxout_table(g: Graph) -> np.ndarray:
-    """``maxout[S]`` = largest outside degree among the members of ``S`` (0 for the empty set)."""
-    maxout = np.zeros(1 << g.n, dtype=np.uint8)
-    for view, out_hi, out_lo in _member_terms(g, maxout, _subset_halves(g.n)):
+def _maxout_table(lat: _Lattice) -> np.ndarray:
+    """``maxout[a]`` = largest outside degree among the members of a set with
+    count vector ``a`` (0 for the empty set)."""
+    maxout = np.zeros(prod(lat.shape), dtype=np.uint8)
+    for view, out_hi, out_lo, _ in _class_terms(lat, maxout, lat.out_lo):
         np.maximum(view, out_hi + out_lo, out=view)
     return maxout
 
 
-def _subset_min(vals: np.ndarray, n: int) -> np.ndarray:
-    """``out[M]`` = min of ``vals[S]`` over all subsets S of M (zeta transform)."""
+def _subset_min(vals: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``out[a]`` = min of ``vals[b]`` over all cells b <= a of the C-order
+    lattice ``shape`` (for shape (2,)*n: over all subsets, the zeta transform).
+
+    A running minimum along each axis, one ``np.minimum`` per position: on
+    the length-2 axes of a twin-free graph ``np.minimum.accumulate`` is
+    about 17x slower.
+    """
     v = vals.copy()
-    for i in range(n):
-        step = 1 << i
-        vr = v.reshape(-1, 2 * step)
-        np.minimum(vr[:, step:], vr[:, :step], out=vr[:, step:])
+    after = v.size
+    for width in shape:
+        after //= width
+        axis = v.reshape(-1, width, after)
+        for j in range(1, width):
+            np.minimum(axis[:, j], axis[:, j - 1], out=axis[:, j])
     return v
 
 
-def _best_pair(t: np.ndarray, n: int, combine: np.ufunc) -> int | None:
-    """Smallest ``combine(t[S1], t[S2])`` over disjoint pairs, None if every
-    pair holds an ``_ABSENT`` set (``t[0]`` must be one).
+def _best_pair(t: np.ndarray, shape: tuple[int, ...], combine: np.ufunc) -> tuple[int, int] | None:
+    """Smallest ``combine(t[a], t[b])`` over disjoint pairs (a + b <= the
+    class sizes) and the first flat cell a attaining it, None if every pair
+    holds an ``_ABSENT`` cell (``t[0]`` must be one).
 
     ``combine`` is ``np.add`` or ``np.maximum``; both grow with each
-    argument, so the subset-min of ``t`` under the complement of S1 is S1's
+    argument, so the subset-min of ``t`` under the complement of a is a's
     best partner.  uint16 keeps a sum with ``_ABSENT`` at or above it.
     """
-    partner = _subset_min(t, n)[::-1]
-    worst = int(combine(t, partner, dtype=np.uint16).min())
-    return None if worst >= _ABSENT else worst
+    pairs = combine(t, _subset_min(t, shape)[::-1], dtype=np.uint16)
+    cell = int(pairs.argmin())
+    worst = int(pairs[cell])
+    return None if worst >= _ABSENT else (worst, cell)
 
 
-# -- canonical witnesses -------------------------------------------------------
+# -- witnesses ------------------------------------------------------------------
+
+def _lift(t: np.ndarray, lat: _Lattice) -> np.ndarray:
+    """The lattice table ``t`` as one value per subset of the n nodes: subset
+    S reads the cell sum over i in S of the stride of i's class."""
+    strides = np.cumprod((1,) + lat.shape[:0:-1])[::-1]
+    stride_of = {i: strides[c] for c, nodes in enumerate(lat.classes) for i in nodes}
+    cell = np.zeros(1 << len(stride_of), dtype=np.intp)
+    for i in range(len(stride_of)):
+        np.add(cell[: 1 << i], stride_of[i], out=cell[1 << i : 2 << i])
+    return t[cell]
+
 
 def _rank_weights(n: int) -> np.ndarray:
     """``w[S]`` = sum of 3^(n-1-i) over the nodes i of S."""
@@ -257,10 +382,11 @@ def _pair_from_rank(rank: int, n: int) -> SubsetPair:
 def _canonical_witness(t: np.ndarray, s: int, n: int) -> SubsetPair:
     """First pair in canonical order with pair-table values summing to <= s-1.
 
-    For each partner budget k, one subset-min over the sets with t <= k
-    gives, under every complement, the lowest-weight partner; a set S1 with
-    t[S1] = s-1-k then ranks its best pair as w[S1] + 2*min.  Both budgets
-    are below ``_ABSENT``, so the marked sets never take part.
+    ``t`` has one value per subset.  For each partner budget k, one
+    subset-min over the sets with t <= k gives, under every complement, the
+    lowest-weight partner; a set S1 with t[S1] = s-1-k then ranks its best
+    pair as w[S1] + 2*min.  Both budgets are below ``_ABSENT``, so the
+    marked sets never take part.
     """
     w = _rank_weights(n)
     unused = np.int64(3**n)  # above every w, so it never wins a minimum
@@ -269,23 +395,36 @@ def _canonical_witness(t: np.ndarray, s: int, n: int) -> SubsetPair:
         s1 = t == s - 1 - k
         if not s1.any():
             continue
-        partner = _subset_min(np.where(t <= k, w, unused), n)
+        partner = _subset_min(np.where(t <= k, w, unused), (2,) * n)
         best = min(best, (w[s1] + 2 * partner[::-1][s1]).min())
     if best >= unused:
         raise AssertionError("decision said not robust but no failing pair found")
     return _pair_from_rank(int(best), n)
 
 
+def _decoded_witness(t: np.ndarray, lat: _Lattice, worst: int, cell: int) -> SubsetPair:
+    """The pair of cell ``cell`` and its first completing partner cell, as
+    the lowest-indexed members of each class (S1) and the next ones (S2)."""
+    a = np.unravel_index(cell, lat.shape)
+    box = t.reshape(lat.shape)[tuple([slice(w - k) for w, k in zip(lat.shape, a)])]
+    b = np.unravel_index(int(np.argmax(box == worst - t[cell])), box.shape)
+    s1 = [i for nodes, k in zip(lat.classes, a) for i in nodes[:k]]
+    s2 = [i for nodes, k, m in zip(lat.classes, a, b) for i in nodes[k : k + m]]
+    return SubsetPair(frozenset(s1), frozenset(s2))
+
+
 # -- public checks -------------------------------------------------------------
 
 def _failing_pair(g: Graph, r: int, s: int) -> SubsetPair | None:
-    """The canonical pair breaking (r, s)-robustness, or None when it holds."""
-    _check_cap(g)
-    t = _pair_table(g, r)
-    worst = _best_pair(t, g.n, np.add)
-    if worst is None or worst >= s:
+    """The pair breaking (r, s)-robustness, or None when it holds."""
+    lat = _lattice(g)
+    t = _pair_table(g, r, lat)
+    best = _best_pair(t, lat.shape, np.add)
+    if best is None or best[0] >= s:
         return None
-    return _canonical_witness(t, s, g.n)
+    if 1 << g.n <= EXACT_CELL_BUDGET:
+        return _canonical_witness(_lift(t, lat), s, g.n)
+    return _decoded_witness(t, lat, *best)
 
 
 def is_r_robust(g: Graph, r: int) -> RobustnessVerdict:
@@ -307,12 +446,12 @@ def max_r_robustness(g: Graph) -> int:
     graph on n nodes can achieve (and the answer when no pair exists).
     0 signals "not even 1-robust" (disconnected or edgeless).
     """
-    _check_cap(g)
+    lat = _lattice(g)
     gamma = (g.n + 1) // 2
-    maxout = _maxout_table(g)
+    maxout = _maxout_table(lat)
     maxout[0] = _ABSENT
-    worst = _best_pair(maxout, g.n, np.maximum)
-    return gamma if worst is None else min(gamma, worst)
+    best = _best_pair(maxout, lat.shape, np.maximum)
+    return gamma if best is None else min(gamma, best[0])
 
 
 def is_rs_robust(g: Graph, r: int, s: int) -> RobustnessVerdict:
@@ -333,9 +472,9 @@ def max_s_given_r(g: Graph, r: int) -> int:
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
-    _check_cap(g)
-    worst = _best_pair(_pair_table(g, r), g.n, np.add)
-    return g.n if worst is None else min(worst, g.n)
+    lat = _lattice(g)
+    best = _best_pair(_pair_table(g, r, lat), lat.shape, np.add)
+    return g.n if best is None else min(best[0], g.n)
 
 
 def minimality_sweep(g: Graph, r: int, s: int | None = None) -> MinimalitySweep:

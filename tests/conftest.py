@@ -6,7 +6,8 @@ independent of the code paths they validate.  ``subset_pair_assignments``
 walks the ~3^n/2 pairs in the oracle's canonical witness order; it is the
 reference the oracle's transform-based witness recovery is compared with.
 ``brute_best_pair`` is the pair loop that the oracle's pair transform is
-compared with.
+compared with.  ``twin_rich_graph`` grows a random graph by cloning true and
+false twins, the structure the oracle's twin-class lattice compresses.
 ``brute_dense_subgraph`` is the subset scan that the dense-subgraph
 certificate's induced-edge table is compared with.
 ``reference_run_simulation`` is the scalar W-MSR round that the simulator's
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 import random
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import combinations, product
 from operator import add
 from typing import Iterator
 
@@ -141,22 +142,51 @@ def brute_first_failing_pair(
     return None
 
 
-def brute_best_pair(t, n: int, combine) -> int | None:
-    """Smallest ``combine(t[S1], t[S2])`` over disjoint nonempty subset masks
-    with neither value 255 (absent), or None when no such pair exists.
+def brute_best_pair(t, shape, combine) -> tuple[int, int] | None:
+    """Smallest ``combine(t[a], t[b])`` over the pairs of cells a, b of the
+    C-order lattice ``shape`` with a + b <= shape - 1 in every axis and
+    neither value 255 (absent), and the first flat cell a attaining it; None
+    when no such pair exists.
 
-    A plain double loop over all ordered mask pairs: the reference for the
-    oracle's subset-min pair transform.
+    A loop over every cell a, with its partners b taken from an explicit
+    coordinate list: the reference for the oracle's subset-min pair
+    transform.  For shape (2,)*n the cells are the subsets and the pairs
+    the disjoint ones.
     """
+    coords = np.array(list(product(*(range(w) for w in shape))))
+    t = np.asarray(t, dtype=np.int64)
     best = None
-    for m1 in range(1, 1 << n):
-        for m2 in range(1, 1 << n):
-            if m1 & m2 or t[m1] == 255 or t[m2] == 255:
-                continue
-            value = combine(int(t[m1]), int(t[m2]))
-            if best is None or value < best:
-                best = value
+    for i, a in enumerate(coords):
+        partners = t[((coords + a) < shape).all(axis=1) & (t != 255)]
+        if t[i] == 255 or partners.size == 0:
+            continue
+        value = int(combine(t[i], partners).min())
+        if best is None or value < best[0]:
+            best = (value, i)
     return best
+
+
+def twin_rich_graph(rng: random.Random, n: int, base: int, p: float) -> Graph:
+    """A random graph on ``base`` nodes grown to ``n`` by cloning: each new
+    node copies a random node's neighborhood and joins it (a true twin) or
+    not (a false twin).  The labels are then shuffled, so the classes are
+    not runs of consecutive nodes."""
+    masks = [0] * base
+    for i, j in combinations(range(base), 2):
+        if rng.random() < p:
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    for v in range(base, n):
+        u = rng.randrange(v)
+        mask = masks[u] | (1 << u if rng.random() < 0.5 else 0)
+        for w in range(v):
+            if mask >> w & 1:
+                masks[w] |= 1 << v
+        masks.append(mask)
+    label = list(range(n))
+    rng.shuffle(label)
+    return new_graph(n, [(label[u], label[w]) for u, w in combinations(range(n), 2)
+                         if masks[u] >> w & 1])
 
 
 def brute_max_clique(g: Graph) -> int:

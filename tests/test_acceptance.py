@@ -81,33 +81,41 @@ def test_criterion_1_edge_count_tightness():
     )
 
 
+# checked beside n <= 12: n = 13-16 and the Section VII size 49.  n = 50 has
+# 3^12 * 2 * 26 (gamma) and 14.3M ((gamma, gamma)) lattice cells, above the
+# exact oracle's budget
+EXACT_SIZES = (*range(13, 17), 49)
+
+
 def test_criterion_2_oracle_confirms_maximum_robustness():
     start = time.perf_counter()
-    for n in range(3, 13):
+    for n in (*range(3, 13), *EXACT_SIZES):
         g, _ = construct_gamma_merg(n)
         assert max_r_robustness(g) == gamma_of(n), n
+        gg, _ = construct_gamma_gamma_merg(n)
+        assert max_r_robustness(gg) == gamma_of(n), n
     elapsed = time.perf_counter() - start
     report(
-        "criterion 2 (max r-robustness, n in [3,12])",
+        "criterion 2 (max r-robustness, n in [3,16] and 49)",
         True,
         f"all equal ceil(n/2), {elapsed:.2f} s",
     )
 
 
 def test_criterion_3_gamma_gamma_constructions():
-    for n in range(2, 13):
+    for n in (*range(2, 13), *EXACT_SIZES):
         g, _ = construct_gamma_gamma_merg(n)
         gamma = gamma_of(n)
         assert is_rs_robust(g, gamma, gamma).holds, n
         assert len(g.edges) == edge_lb_gamma_gamma(n), n
     assert len(construct_gamma_gamma_merg(9)[0].edges) == 36
     assert len(construct_gamma_gamma_merg(10)[0].edges) == 43
-    report("criterion 3 ((gamma,gamma) constructions, n in [2,12])", True)
+    report("criterion 3 ((gamma,gamma) constructions, n in [2,16] and 49)", True)
 
 
 def test_criterion_4_minimality():
     start = time.perf_counter()
-    for n in range(5, 13):
+    for n in (*range(5, 13), *EXACT_SIZES):
         gamma = gamma_of(n)
         g, _ = construct_gamma_merg(n)
         assert minimality_sweep(g, gamma).minimal, ("r", n)
@@ -118,7 +126,7 @@ def test_criterion_4_minimality():
         assert max_s_given_r(gg10.remove_edge(*e), 5) <= 4, e
     elapsed = time.perf_counter() - start
     report(
-        "criterion 4 (single-edge minimality, n in [5,12])",
+        "criterion 4 (single-edge minimality, n in [5,16] and 49)",
         True,
         f"every removal breaks the target; n=10 rs removals all cap at s=4; {elapsed:.1f} s",
     )

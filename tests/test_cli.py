@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mergraph import graph_from_json, max_r_robustness
+from mergraph import graph_from_json, is_r_reachable, max_r_robustness
 from mergraph.cli import build_parser, main
 
 
@@ -80,10 +80,37 @@ class TestRobustness:
         assert run_cli("robustness", "--graph", str(out), "--rs", "--r", "5", "--s", "5") == 0
 
     def test_infeasible_size(self, tmp_path, capsys):
-        out = tmp_path / "g49.json"
-        run_cli("construct", "--n", "49", "--kind", "r", "--out", str(out))
+        # the even n = 50 gamma family has 3^12 * 2 * 26 lattice cells
+        out = tmp_path / "g50.json"
+        run_cli("construct", "--n", "50", "--kind", "r", "--out", str(out))
         assert run_cli("robustness", "--graph", str(out), "--r", "25") == 3
         assert "infeasible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("complete", [True, False])
+    def test_more_than_254_nodes_exit_3(self, tmp_path, capsys, complete):
+        # K_300 is one class and the edgeless graph another: both fit the
+        # cell budget, but their counts would wrap the uint8 tables
+        path = tmp_path / "g300.txt"
+        pairs = [(i, j) for i in range(300) for j in range(i + 1, 300)] if complete else []
+        path.write_text("300\n" + "".join(f"{i} {j}\n" for i, j in pairs))
+        assert run_cli("robustness", "--graph", str(path)) == 3
+        assert "infeasible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["r", "rs"])
+    def test_section_vii_graphs_at_n49_are_decided(self, tmp_path, capsys, kind):
+        out = tmp_path / f"{kind}49.json"
+        run_cli("construct", "--n", "49", "--kind", kind, "--out", str(out))
+        capsys.readouterr()
+        assert run_cli("robustness", "--graph", str(out), "--json") == 0
+        assert json.loads(capsys.readouterr().out) == {"max_r": 25, "n": 49}
+        assert run_cli("robustness", "--graph", str(out), "--rs", "--json") == 0
+        assert json.loads(capsys.readouterr().out)["max_s"] == (1 if kind == "r" else 49)
+        assert run_cli("robustness", "--graph", str(out), "--r", "26", "--json") == 2
+        witness = json.loads(capsys.readouterr().out)["witness"]
+        g = graph_from_json(out.read_text())
+        s1, s2 = set(witness["s1"]), set(witness["s2"])
+        assert s1 and s2 and not s1 & s2
+        assert not is_r_reachable(g, s1, 26) and not is_r_reachable(g, s2, 26)
 
     def test_unreadable_graph(self, tmp_path):
         assert run_cli("robustness", "--graph", str(tmp_path / "nope.json")) == 1
@@ -183,10 +210,21 @@ class TestMinimality:
         assert capsys.readouterr() == ("", "error: kind 'r' takes no s\n")
 
     def test_infeasible_size(self, tmp_path, capsys):
-        path = tmp_path / "k17.txt"
-        path.write_text("17\n" + "".join(f"{i} {j}\n" for i in range(17) for j in range(i + 1, 17)))
+        # P_17 has no twins: 2^17 lattice cells
+        path = tmp_path / "p17.txt"
+        path.write_text("17\n" + "".join(f"{i} {i + 1}\n" for i in range(16)))
         assert run_cli("minimality", "--graph", str(path), "--kind", "r") == 3
         assert "infeasible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["r", "rs"])
+    def test_section_vii_graphs_at_n49_are_minimal(self, tmp_path, capsys, kind):
+        out = tmp_path / f"{kind}49.json"
+        run_cli("construct", "--n", "49", "--kind", kind, "--out", str(out))
+        capsys.readouterr()
+        assert run_cli("minimality", "--graph", str(out), "--kind", kind, "--json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["minimal"] is True
+        assert len(payload["entries"]) == (900 if kind == "r" else 1176)
 
 
 class TestSimulate:

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
-import operator
 import random
 import re
+import time
 from itertools import combinations
+from math import prod
 
 import numpy as np
 import pytest
@@ -32,14 +33,20 @@ from conftest import (
     brute_is_r_robust,
     brute_is_rs_robust,
     brute_max_r,
+    brute_outside_degree,
     brute_reachable_count,
     random_graph,
     subset_pair_assignments,
+    twin_rich_graph,
 )
 
 
+def path(n):
+    return new_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
 def path3():
-    return new_graph(3, [(0, 1), (1, 2)])
+    return path(3)
 
 
 class TestReachability:
@@ -108,8 +115,9 @@ class TestRRobust:
             is_r_robust(path3(), 0)
 
     def test_cap(self):
+        # P_17 has no twins, so its lattice is all 2^17 subsets
         with pytest.raises(CapExceededError):
-            is_r_robust(complete_graph(17), 1)
+            is_r_robust(path(17), 1)
 
     def test_single_node_is_vacuously_robust(self):
         assert is_r_robust(new_graph(1, []), 7).holds
@@ -118,6 +126,10 @@ class TestRRobust:
 class TestMaxR:
     def test_complete_9(self):
         assert max_r_robustness(complete_graph(9)) == 5
+
+    def test_complete_17_is_one_class(self):
+        assert oracle._lattice(complete_graph(17)).shape == (18,)
+        assert max_r_robustness(complete_graph(17)) == 9
 
     def test_cycle_4(self):
         c4 = new_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -219,46 +231,66 @@ class TestAgainstBruteForce:
 
 
 class TestTables:
-    def test_x_table_matches_brute_force_on_every_subset(self):
-        # n = 1..9 covers n = 1 and both even and odd low/high bit splits
+    @staticmethod
+    def graphs():
+        """Twin-free and twin-rich random graphs, n = 1..9: both even and odd
+        hi/lo splits, singleton, false-twin and true-twin classes."""
         rng = random.Random(43)
         for n in range(1, 10):
-            for _ in range(3):
-                g = random_graph(rng, n, rng.random())
-                subsets = [
-                    frozenset(i for i in range(n) if mask >> i & 1)
-                    for mask in range(1 << n)
-                ]
-                halves = oracle._subset_halves(n)
-                for r in range(1, (n + 1) // 2 + 2):
-                    x = oracle._x_count_table(g, r, halves)
-                    assert x.dtype == np.uint8
-                    assert x.tolist() == [brute_reachable_count(g, s, r) for s in subsets]
-                assert not oracle._x_count_table(g, 10**9, halves).any()
+            for _ in range(2):
+                yield random_graph(rng, n, rng.random())
+                yield twin_rich_graph(rng, n, rng.randint(1, 3), rng.random())
+
+    def test_classes_are_the_twin_classes(self):
+        for g in self.graphs():
+            classes = oracle._lattice(g).classes
+            assert sorted(i for c in classes for i in c) == list(range(g.n))
+            assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+            label = {i: k for k, c in enumerate(classes) for i in c}
+            for u, v in combinations(range(g.n), 2):
+                twins = g.neighbors(u) - {v} == g.neighbors(v) - {u}
+                assert twins == (label[u] == label[v]), (g, u, v)
+
+    def test_lifted_tables_match_brute_force_on_every_subset(self):
+        for g in self.graphs():
+            n = g.n
+            subsets = [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
+            lat = oracle._lattice(g)
+            for r in range(1, (n + 1) // 2 + 2):
+                x = oracle._x_count_table(g, r, lat)
+                assert x.dtype == np.uint8 and x.size == prod(lat.shape)
+                lifted = oracle._lift(x, lat).tolist()
+                assert lifted == [brute_reachable_count(g, s, r) for s in subsets]
+            assert not oracle._x_count_table(g, 10**9, lat).any()
+            maxout = oracle._lift(oracle._maxout_table(lat), lat).tolist()
+            assert maxout == [max((brute_outside_degree(g, i, s) for i in s), default=0)
+                              for s in subsets]
 
 
 class TestBestPair:
-    COMBINES = [(np.add, operator.add), (np.maximum, max)]
+    COMBINES = [np.add, np.maximum]
+    SHAPES = [(2,) * n for n in range(1, 9)] + [(3,), (9,), (4, 2), (3, 3, 2), (2, 5, 3), (6, 4)]
 
-    @pytest.mark.parametrize("combine, reference", COMBINES)
-    def test_matches_pair_loop_on_random_tables(self, combine, reference):
+    @pytest.mark.parametrize("combine", COMBINES)
+    def test_matches_pair_loop_on_random_tables(self, combine):
         rng = np.random.default_rng(59)
-        for n in range(1, 9):
+        for shape in self.SHAPES:
+            cells = prod(shape)
             for absent_share in (0.0, 0.3, 0.7, 0.95):
-                t = rng.integers(0, n + 1, size=1 << n, dtype=np.uint8)
-                t[rng.random(1 << n) < absent_share] = oracle._ABSENT
+                t = rng.integers(0, len(shape) + 1, size=cells, dtype=np.uint8)
+                t[rng.random(cells) < absent_share] = oracle._ABSENT
                 t[0] = oracle._ABSENT  # the empty set is never in a pair
-                assert oracle._best_pair(t, n, combine) == brute_best_pair(t, n, reference)
+                assert oracle._best_pair(t, shape, combine) == brute_best_pair(t, shape, combine)
 
-    @pytest.mark.parametrize("combine, reference", COMBINES)
-    def test_no_present_pair_gives_none(self, combine, reference):
-        for n in range(1, 9):
-            absent = np.full(1 << n, oracle._ABSENT, dtype=np.uint8)
-            assert oracle._best_pair(absent, n, combine) is None
+    @pytest.mark.parametrize("combine", COMBINES)
+    def test_no_present_pair_gives_none(self, combine):
+        for shape in self.SHAPES:
+            absent = np.full(prod(shape), oracle._ABSENT, dtype=np.uint8)
+            assert oracle._best_pair(absent, shape, combine) is None
             only_full = absent.copy()
             only_full[-1] = 0
-            assert brute_best_pair(only_full, n, reference) is None
-            assert oracle._best_pair(only_full, n, combine) is None
+            assert brute_best_pair(only_full, shape, combine) is None
+            assert oracle._best_pair(only_full, shape, combine) is None
 
 
 class TestWitnesses:
@@ -322,6 +354,94 @@ class TestWitnesses:
         gg, _ = construct_gamma_gamma_merg(n)
         for e in sorted(gg.edges):
             assert self.assert_canonical(gg.remove_edge(*e), gamma, gamma), e
+
+
+class TestDecodedWitnesses:
+    """Above 16 nodes a witness is decoded from the lattice: the first flat
+    cell of the worst pair and its first partner cell, as the lowest-indexed
+    members of each class (S1) and the next ones (S2)."""
+
+    @staticmethod
+    def failing_cases():
+        rng = random.Random(71)
+        made = 0
+        while made < 40:
+            n = rng.randint(17, 24)
+            g = twin_rich_graph(rng, n, rng.randint(2, 4), rng.random())
+            r = rng.randint(1, (n + 1) // 2)
+            s = rng.randint(1, n)
+            try:
+                most = max_s_given_r(g, r)
+            except CapExceededError:
+                continue
+            if most < s:
+                made += 1
+                yield g, r, s
+
+    def test_witnesses_fail_by_definition(self):
+        for g, r, s in self.failing_cases():
+            verdict = is_rs_robust(g, r, s)
+            assert not verdict.holds
+            w = verdict.witness
+            assert w.s1 and w.s2 and not (w.s1 & w.s2)
+            x1, x2 = reachable_count(g, w.s1, r), reachable_count(g, w.s2, r)
+            assert x1 < len(w.s1) and x2 < len(w.s2) and x1 + x2 <= s - 1, (g, r, s)
+            if x1 + x2 == 0 or max_r_robustness(g) < r:
+                plain = is_r_robust(g, r)
+                assert not plain.holds
+                assert not is_r_reachable(g, plain.witness.s1, r)
+                assert not is_r_reachable(g, plain.witness.s2, r)
+
+    def test_decode_order(self):
+        # K_{3,15}: classes A = {0, 1, 2} and B = {3..17}, shape (4, 16).
+        # For 4-robustness the first failing cell is (0, 1), one member of
+        # B, and its first partner cell is (0, 1) again: S1 takes B's lowest
+        # member and S2 the next one.
+        k315 = new_graph(18, [(i, j) for i in range(3) for j in range(3, 18)])
+        assert oracle._lattice(k315).shape == (4, 16)
+        verdict = is_rs_robust(k315, 4, 1)
+        assert verdict.witness == oracle.SubsetPair(frozenset({3}), frozenset({4}))
+        # For (2, 17) the worst pair sums to 16: cell (1, 14) holds 14
+        # reaching members, cell (2, 1) two.  S1 takes A's lowest member and
+        # B's 14 lowest; S2 the next two of A and the next one of B.
+        verdict = is_rs_robust(k315, 2, 17)
+        assert verdict.witness == oracle.SubsetPair(
+            frozenset({0, *range(3, 17)}), frozenset({1, 2, 17}))
+        assert reachable_count(k315, verdict.witness.s1, 2) == 14
+        assert reachable_count(k315, verdict.witness.s2, 2) == 2
+
+
+class TestBudget:
+    def test_largest_uint8_graphs_do_not_wrap(self):
+        # n = 254 is the largest admitted: every count stays below _ABSENT
+        assert max_r_robustness(complete_graph(254)) == 127
+        assert max_s_given_r(complete_graph(254), 127) == 254
+        assert max_r_robustness(new_graph(254, [])) == 0
+
+    @pytest.mark.parametrize("n", [255, 300])
+    def test_more_than_254_nodes_are_refused(self, n):
+        for g in (complete_graph(n), new_graph(n, [])):
+            with pytest.raises(CapExceededError, match="infeasible"):
+                max_r_robustness(g)
+
+    @pytest.mark.parametrize("n, build", [
+        (200, construct_gamma_merg), (200, construct_gamma_gamma_merg),
+        (400, construct_gamma_merg), (400, construct_gamma_gamma_merg),
+        (800, construct_gamma_gamma_merg),
+    ])
+    def test_benchmark_infeasible_graphs_raise_before_any_table(self, n, build, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a table was built above the budget")
+
+        g, _ = build(n)
+        for name in ("_x_count_table", "_maxout_table", "_half_grid"):
+            monkeypatch.setattr(oracle, name, refuse)
+        start = time.perf_counter()
+        for check in (max_r_robustness, lambda g: max_s_given_r(g, n // 2),
+                      lambda g: is_rs_robust(g, n // 2, n // 2)):
+            with pytest.raises(CapExceededError, match="infeasible"):
+                check(g)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestEnumeration:
@@ -466,3 +586,34 @@ def test_verdicts_are_pure_functions(n, seed):
     assert is_r_robust(g, r) == is_r_robust(g, r)
     s = rng.randint(1, n)
     assert is_rs_robust(g, r, s) == is_rs_robust(g, r, s)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=2, max_value=10), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=10**6))
+def test_twin_rich_graphs_match_brute_force(n, base, seed):
+    """On graphs grown by cloning twins, the lattice decides like the brute
+    force: max r and max s hold at their value and fail one above it, with
+    the canonical witness."""
+    rng = random.Random(seed)
+    g = twin_rich_graph(rng, n, min(base, n), rng.random())
+    gamma = (n + 1) // 2
+    top = max_r_robustness(g)
+    if n <= 7:
+        assert top == brute_max_r(g)
+    for r in {max(top, 1), min(top + 1, gamma)}:
+        verdict = is_r_robust(g, r)
+        expected = brute_first_failing_pair(g, r)
+        assert verdict.holds == (expected is None) == (r <= top)
+        if expected is not None:
+            assert (verdict.witness.s1, verdict.witness.s2) == expected
+    r = rng.randint(1, gamma)
+    most = max_s_given_r(g, r)
+    for s in {max(most, 1), min(most + 1, n)}:
+        verdict = is_rs_robust(g, r, s)
+        expected = brute_first_failing_pair(g, r, s)
+        assert verdict.holds == (expected is None) == (s <= most)
+        if n <= 7:
+            assert verdict.holds == brute_is_rs_robust(g, r, s)
+        if expected is not None:
+            assert (verdict.witness.s1, verdict.witness.s2) == expected
