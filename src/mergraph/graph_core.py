@@ -19,15 +19,29 @@ order without a sort:
   the pairs sorted lexicographically, rendered compactly so equal graphs
   serialize to identical bytes;
 * whitespace edge-list text: first line ``n``, then one ``u v`` pair per line.
+
+Reading canonical JSON has a fast path.  A JSON text of at least
+``FAST_JSON_MIN_CHARS`` characters is first read in one numpy pass: its
+node ids are checked (in range, ``u < v``, pairs strictly increasing) and
+set as bits, and the graph is accepted only if :func:`graph_to_json`
+re-renders it to exactly the input text.  A text that re-renders to itself
+is the canonical serialization of that graph, so the general parser
+(``json.loads`` and :func:`new_graph`) would have built the same graph.
+Any other text, and every shorter one, is read by the general parser,
+which gives every error message.  Edge-list text always takes its general
+parser.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress, count, repeat
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 Edge = tuple[int, int]
 
@@ -265,13 +279,89 @@ def graph_to_json(g: Graph) -> str:
     return f'{{"n":{g.n},"edges":[{body}]}}\n'
 
 
-def graph_from_json(text: str) -> Graph:
-    payload = json.loads(text)
+# JSON texts this long or longer try the fast path first; below it the
+# numpy calls' fixed cost exceeds what they save (the two paths cross at
+# 2-4 KB, n of about 24-32 on the constructions)
+FAST_JSON_MIN_CHARS = 4096
+
+# the envelope graph_to_json writes around the pairs; seven digits cover
+# every n up to MAX_NODES
+_CANONICAL_HEAD = re.compile(r'\{"n":([1-9][0-9]{0,6}),"edges":\[')
+_CANONICAL_TAIL = "]}\n"
+_PAIR_PUNCTUATION = str.maketrans("[],", "   ")
+_ID_CHARACTERS = dict.fromkeys(map(ord, "0123456789[],"))
+
+
+def _canonical_json_graph(text: str) -> Graph | None:
+    """The graph whose canonical JSON is exactly ``text``, else ``None``.
+
+    Every node id is read with one ``np.fromstring`` after the pair
+    punctuation is blanked.  The ids are checked to be pairs with
+    ``0 <= u < v < n`` and ``u * n + v`` strictly increasing, so the two
+    bits each pair sets are distinct and one ``np.bincount`` sums them into
+    the mask bytes of the nodes that touch an edge, one row per node, each
+    as wide as the highest id.  The rows are counted in 8-byte cells, and a
+    text whose rows would take more bytes than it has characters (a few
+    edges on high ids) is left to the general parser, so this path never
+    costs more memory than that one.  The graph is returned only if it
+    re-renders to ``text``.  Never raises.
+    """
+    head = _CANONICAL_HEAD.match(text)
+    if head is None or not text.endswith(_CANONICAL_TAIL):
+        return None
+    n = int(head.group(1))
+    body = text[head.end() : -len(_CANONICAL_TAIL)]
+    # digits and pair punctuation alone, so fromstring reads every id and
+    # none is negative
+    if n > MAX_NODES or body.translate(_ID_CHARACTERS):
+        return None
+    ids = np.fromstring(body.translate(_PAIR_PUNCTUATION), dtype=np.int64, sep=" ")
+    if ids.size == 0 or ids.size % 2:
+        return None
+    u, v = ids[0::2], ids[1::2]
+    if (u >= v).any() or (v >= n).any():
+        return None
+    key = u * n + v
+    if (key[1:] <= key[:-1]).any():
+        return None
+    row_bytes = int(v.max()) // 8 + 1
+    touched = np.zeros(8 * row_bytes, dtype=bool)
+    touched[ids] = True
+    nodes = np.flatnonzero(touched)
+    if 8 * row_bytes * nodes.size > len(text):
+        return None
+    row_start = (np.cumsum(touched) - 1) * (8 * row_bytes)
+    bit = np.concatenate((row_start[u] + v, row_start[v] + u))
+    cells = np.bincount(bit >> 3, weights=1 << (bit & 7), minlength=row_bytes * nodes.size)
+    rows = cells.astype(np.uint8).tobytes()
+    masks = [0] * n
+    for i, node in enumerate(nodes.tolist()):
+        masks[node] = int.from_bytes(rows[i * row_bytes : (i + 1) * row_bytes], "little")
+    g = Graph._from_masks(n, masks)
+    return g if graph_to_json(g) == text else None
+
+
+def _parsed_json_graph(text: str) -> Graph:
+    """The general JSON parser: ``json.loads``, then :func:`new_graph`."""
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("graph JSON is nested too deeply") from None
     if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
         raise ValueError("graph JSON must be an object with 'n' and 'edges'")
     if not isinstance(payload["edges"], list):
         raise ValueError("graph JSON 'edges' must be a list of pairs")
     return new_graph(payload["n"], payload["edges"])
+
+
+def graph_from_json(text: str) -> Graph:
+    """Read a graph from JSON; canonical texts of ``FAST_JSON_MIN_CHARS`` or
+    more characters take the fast path (see the module docstring)."""
+    if len(text) >= FAST_JSON_MIN_CHARS:
+        g = _canonical_json_graph(text)
+        if g is not None:
+            return g
+    return _parsed_json_graph(text)
 
 
 def graph_to_edge_text(g: Graph) -> str:
@@ -293,7 +383,14 @@ def graph_from_edge_text(text: str) -> Graph:
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse either of the two accepted formats, sniffing on the first byte."""
+    """Parse either of the two accepted formats, sniffing on the first byte.
+
+    JSON goes to :func:`graph_from_json`: a text of at least
+    ``FAST_JSON_MIN_CHARS`` characters is read in one numpy pass and kept
+    only if it re-renders to itself byte for byte, else (and below that
+    size) it is read by ``json.loads`` and :func:`new_graph`.  Edge-list
+    text always takes :func:`graph_from_edge_text`.
+    """
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return graph_from_json(text)

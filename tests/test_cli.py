@@ -6,6 +6,7 @@ import pytest
 
 from mergraph import graph_from_json, is_r_reachable, max_r_robustness
 from mergraph.cli import build_parser, main
+from mergraph.graph_core import FAST_JSON_MIN_CHARS
 
 
 def run_cli(*argv):
@@ -145,6 +146,19 @@ class TestBounds:
         payload = json.loads(capsys.readouterr().out)
         assert payload["implied_r_upper_bound"] == 1
         assert any("cannot be 2-robust" in flag for flag in payload["flags"])
+
+    # JSON nested deeper than the interpreter's recursion limit, on either
+    # side of the size above which graph JSON tries the fast path first
+    @pytest.mark.parametrize("depth", [3000, 200_000])
+    def test_deeply_nested_graph_file(self, tmp_path, capsys, depth):
+        path = tmp_path / "deep.json"
+        path.write_text('{"n":3,"edges":' + "[" * depth)
+        assert (path.stat().st_size >= FAST_JSON_MIN_CHARS) == (depth > FAST_JSON_MIN_CHARS)
+        assert run_cli("bounds", "--graph", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse graph file {path}: ")
+        assert "graph JSON is nested too deeply" in err
+        assert "Traceback" not in err
 
     def test_report_for_construction(self, g9, capsys):
         assert run_cli("bounds", "--graph", str(g9)) == 0

@@ -26,7 +26,13 @@ from mergraph import (
     new_graph,
     parse_graph,
 )
-from mergraph.graph_core import MAX_NODES, members
+from mergraph.graph_core import (
+    FAST_JSON_MIN_CHARS,
+    MAX_NODES,
+    _canonical_json_graph,
+    _parsed_json_graph,
+    members,
+)
 from conftest import (
     brute_max_clique,
     random_graph,
@@ -326,6 +332,85 @@ class TestSerialization:
             graph_from_edge_text("3\n0 1 2\n")
 
 
+def assert_same_graph(got, expected):
+    assert got == expected
+    assert got.n == expected.n and got.adjacency == expected.adjacency
+
+
+def parse_outcome(parse, text):
+    """What ``parse`` makes of ``text``: a graph, or the message it raised."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestFastJsonPath:
+    """The one-pass reader of canonical JSON against json.loads + new_graph."""
+
+    @pytest.mark.parametrize("build", [construct_gamma_merg, construct_gamma_gamma_merg])
+    @pytest.mark.parametrize(
+        "n, variant",
+        [(n, v) for n in (24, 25, 31, 32, 33, 47, 50, 63, 64) for v in (None, 7, 61)]
+        + [(400, None)],
+    )
+    def test_constructions_match_the_reference(self, build, n, variant):
+        text = graph_to_json(build(n, variant=variant)[0])
+        expected = _parsed_json_graph(text)
+        assert_same_graph(_canonical_json_graph(text), expected)
+        assert_same_graph(graph_from_json(text), expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=24, max_value=64),
+        st.sampled_from([0.3, 0.5, 0.8, 1.0]),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_random_graphs_above_the_gate_match_the_reference(self, n, p, seed):
+        text = graph_to_json(random_graph(random.Random(seed), n, p))
+        expected = _parsed_json_graph(text)
+        fast = _canonical_json_graph(text)
+        if len(text) >= FAST_JSON_MIN_CHARS:
+            assert fast is not None
+        if fast is not None:
+            assert_same_graph(fast, expected)
+        assert_same_graph(graph_from_json(text), expected)
+
+    CANONICAL_50 = graph_to_json(construct_gamma_merg(50)[0])
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (",49]", ",049]"),  # a leading zero
+            ("[0,2]", "[2,0]"),  # a reversed pair
+            ("[0,2],", "[0,2],[0,2],"),  # a duplicate pair
+            ("],[", "], ["),  # inner spaces
+            ("[0,2]", "[0,2.0]"),
+            ("[0,2]", "[0,true]"),
+            ("[0,2]", "[-1,2]"),
+            (",49]", ",50]"),  # an id >= n
+            (",49]", ",1234567890123456789012345]"),
+            ('"n":50', '"n":' + "7" * 5000),
+            ("[0,2]", "[2,2]"),  # a self-loop
+            ("[0,2]", "[0,2,3]"),  # an odd count of ids
+            ("]}\n", "]}\nx"),  # trailing garbage
+            ("]}\n", "]}"),  # no final newline
+        ],
+    )
+    def test_non_canonical_texts_read_as_the_reference_reads_them(self, old, new):
+        assert old in self.CANONICAL_50
+        text = self.CANONICAL_50.replace(old, new, 1)
+        assert len(text) >= FAST_JSON_MIN_CHARS
+        assert _canonical_json_graph(text) is None
+        expected = parse_outcome(_parsed_json_graph, text)
+        for parse in (graph_from_json, parse_graph):
+            got = parse_outcome(parse, text)
+            if isinstance(expected, str):
+                assert got == expected
+            else:
+                assert_same_graph(got, expected)
+
+
 class TestMembers:
     def test_matches_a_per_bit_reference(self):
         rng = random.Random(3)
@@ -360,6 +445,31 @@ class TestDeclaredSize:
     @pytest.mark.parametrize("n", [10**18, MAX_NODES + 1])
     def test_edge_text(self, parse, n):
         self.refused_without_allocating(parse, f"{n}\n0 1\n")
+
+    @pytest.mark.parametrize("parse", [graph_from_json, parse_graph])
+    def test_json_above_the_fast_path_gate(self, parse):
+        pairs = ",".join(f"[0,{v}]" for v in range(1, 1000))
+        text = f'{{"n":{MAX_NODES + 1},"edges":[{pairs}]}}\n'
+        assert len(text) >= FAST_JSON_MIN_CHARS
+        self.refused_without_allocating(parse, text)
+
+    def test_high_ids_cost_the_fast_path_no_more_than_the_reference(self):
+        n = 1 << 17
+        text = graph_to_json(new_graph(n, [(i, n - 1) for i in range(300)]))
+
+        def peak(parse):
+            tracemalloc.start()
+            try:
+                g = parse(text)
+                return g, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        expected, reference_peak = peak(_parsed_json_graph)
+        fast, fast_peak = peak(_canonical_json_graph)
+        assert fast is None or fast == expected
+        assert fast_peak <= reference_peak
+        assert_same_graph(graph_from_json(text), expected)
 
     def test_the_limit_itself_is_admitted(self):
         assert graph_from_json(f'{{"n":{MAX_NODES},"edges":[[0,1]]}}').edge_count == 1
