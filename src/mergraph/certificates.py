@@ -306,62 +306,30 @@ def certificate_report(g: Graph) -> CertificateReport:
     m = g.edge_count
     parity: Parity = "even" if n % 2 == 0 else "odd"
     checks: list[CertificateCheck] = []
+    r_claim, rs_claim = f"{gamma}-robust", f"({gamma},{gamma})-robust"
 
-    gamma_edge_floor = edge_lb_any_r(gamma, parity)
-    checks.append(
-        CertificateCheck(
-            "edge_floor_gamma", m >= gamma_edge_floor, gamma_edge_floor, m,
-            scope=f"{gamma}-robust",
-        )
-    )
+    def at_least(name: str, required: int, observed: int | None, scope: str) -> None:
+        passed = None if observed is None else observed >= required
+        checks.append(CertificateCheck(name, passed, required, observed, scope=scope))
 
+    at_least("edge_floor_gamma", edge_lb_any_r(gamma, parity), m, r_claim)
     if n >= 2:
-        gg_floor = edge_lb_gamma_gamma(n)
-        checks.append(
-            CertificateCheck(
-                "edge_floor_gamma_gamma", m >= gg_floor, gg_floor, m,
-                scope=f"({gamma},{gamma})-robust",
-            )
-        )
-        degree_floor = min_degree_lb_rs(gamma, gamma)
+        at_least("edge_floor_gamma_gamma", edge_lb_gamma_gamma(n), m, rs_claim)
         min_degree = min(a.bit_count() for a in g.adjacency)
-        checks.append(
-            CertificateCheck(
-                "min_degree_gamma_gamma", min_degree >= degree_floor,
-                degree_floor, min_degree, scope=f"({gamma},{gamma})-robust",
-            )
-        )
+        at_least("min_degree_gamma_gamma", min_degree_lb_rs(gamma, gamma), min_degree, rs_claim)
 
-    clique: int | None = None
-    if n <= MAX_CLIQUE_NODES:
-        clique = max_clique_size(g)
+    clique = max_clique_size(g) if n <= MAX_CLIQUE_NODES else None
     if n >= 2:
-        need_clique = necessary_clique_size(n)
-        checks.append(
-            CertificateCheck(
-                "clique_gamma", None if clique is None else clique >= need_clique,
-                need_clique, clique, scope=f"{gamma}-robust",
-            )
-        )
+        at_least("clique_gamma", necessary_clique_size(n), clique, r_claim)
     if n % 2 == 0:
-        turan_clique = turan_clique_threshold(gamma)
-        checks.append(
-            CertificateCheck(
-                "clique_gamma_gamma_turan",
-                None if clique is None else clique >= turan_clique,
-                turan_clique, clique, scope=f"({gamma},{gamma})-robust",
-            )
-        )
+        at_least("clique_gamma_gamma_turan", turan_clique_threshold(gamma), clique, rs_claim)
         dense_need = (gamma * gamma + 2) // 2
         try:
             dense_ok = lemma4_dense_subgraph_holds(g)
         except CapExceededError:
             dense_ok = None
         checks.append(
-            CertificateCheck(
-                "dense_subgraph_gamma", dense_ok, dense_need, None,
-                scope=f"{gamma}-robust",
-            )
+            CertificateCheck("dense_subgraph_gamma", dense_ok, dense_need, None, scope=r_claim)
         )
 
     implied = r_upper_bound_from_edges(n, m)

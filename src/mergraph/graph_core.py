@@ -71,6 +71,14 @@ def members(mask: int) -> Iterator[int]:
     return compress(count(), _bits(mask))
 
 
+def mask_bits(masks: Sequence[int], n: int) -> np.ndarray:
+    """(len(masks), n) uint8 0/1 matrix: row k holds bits 0..n-1 of ``masks[k]``."""
+    width = (n + 7) // 8
+    raw = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little")
+
+
 def _later_neighbors(
     adjacency: Sequence[int], labels: Sequence
 ) -> Iterator[tuple[int, Iterator]]:
@@ -385,13 +393,14 @@ def graph_from_edge_text(text: str) -> Graph:
 def parse_graph(text: str) -> Graph:
     """Parse either of the two accepted formats, sniffing on the first byte.
 
-    JSON goes to :func:`graph_from_json`: a text of at least
-    ``FAST_JSON_MIN_CHARS`` characters is read in one numpy pass and kept
-    only if it re-renders to itself byte for byte, else (and below that
-    size) it is read by ``json.loads`` and :func:`new_graph`.  Edge-list
-    text always takes :func:`graph_from_edge_text`.
+    Text opening with ``{`` or ``[`` goes to :func:`graph_from_json`, so an
+    array gets the JSON errors (not an object, nested too deeply): a text of
+    at least ``FAST_JSON_MIN_CHARS`` characters is read in one numpy pass
+    and kept only if it re-renders to itself byte for byte, else (and below
+    that size) it is read by ``json.loads`` and :func:`new_graph`.  Any
+    other text takes :func:`graph_from_edge_text`.
     """
     stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if stripped.startswith(("{", "[")):
         return graph_from_json(text)
     return graph_from_edge_text(text)

@@ -42,10 +42,13 @@ r) plus a minimum gives the worst pair.  The combine runs in uint16:
 counts and degrees are at most n <= 254, so a pair holding ``_ABSENT``
 (255) stays at or above it and every real pair below.
 
-Each table is built class by class over a split of the class axes into a
-leading (hi) and a trailing (lo) part of about sqrt(cells) cells each: a
-class's outside degree is a vector over the hi cells plus one over the lo
-cells, compared or added into the view of the cells with a_c >= 1.
+Every table is one array expression over two (classes, cells) grids: the
+counts a_c, and the outside degree of a member of each class (0 where the
+set has none).  x[a] sums a_c over the classes whose degree reaches r, and
+maxout[a] is the column maximum of the degrees.  The degree grid is the
+class degrees minus the link matrix times the counts, that product taken
+over a leading (hi) and a trailing (lo) split of the class axes of about
+sqrt(cells) cells each and broadcast to the full grid.
 
 Budget.  A graph is decided when its lattice has at most
 ``EXACT_CELL_BUDGET`` = 2^16 cells, the size of the 2^n table of a
@@ -84,11 +87,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .graph_core import CapExceededError, Edge, Graph, members
+from .graph_core import CapExceededError, Edge, Graph, mask_bits, members
 
 EXACT_CELL_BUDGET = 1 << 16
 
@@ -157,21 +160,15 @@ _ABSENT = np.uint8(255)
 
 
 class _Lattice(NamedTuple):
-    """The twin classes of a graph and the halves of their outside degrees.
-
-    The first ``hi`` class axes span the rows, the rest the columns of the
-    (H, L) grid every table is built on.  ``out_hi[c]`` over the rows plus
-    ``out_lo[c]`` over the columns is the outside degree of a member of
-    class c; ``size_hi`` and ``size_lo`` add up to |S| the same way.
-    """
+    """The twin classes of a graph, the shape of their count lattice and two
+    uint8 grids with one row per class and one column per cell (C order):
+    ``counts[c, a]`` = a_c, and ``out[c, a]`` = the outside degree of a
+    member of class c in a set with count vector a, 0 when a_c = 0."""
 
     classes: tuple[tuple[int, ...], ...]
     shape: tuple[int, ...]
-    hi: int
-    out_hi: np.ndarray
-    out_lo: np.ndarray
-    size_hi: np.ndarray
-    size_lo: np.ndarray
+    counts: np.ndarray
+    out: np.ndarray
 
 
 def _twin_classes(g: Graph) -> tuple[list[list[int]], list[bool]]:
@@ -194,24 +191,19 @@ def _twin_classes(g: Graph) -> tuple[list[list[int]], list[bool]]:
     return [group for group, _ in groups], [closed for _, closed in groups]
 
 
-# cached: the same half shapes recur from call to call (every twin-free
-# graph on n nodes has the halves (2,) * (n // 2) and (2,) * (n - n // 2))
+# cached: the same shapes recur from call to call (every twin-free graph on
+# n nodes has the lattice (2,) * n)
 @lru_cache(maxsize=64)
-def _half_grid(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Over the cells of ``shape``, read-only: per axis d, the members of
-    class d outside the set (|d| - a_d), and the set size."""
-    cells = prod(shape)
-    widths = np.array(shape, dtype=np.intp)
-    counts = np.arange(cells) // (cells // np.cumprod(widths))[:, None] % widths[:, None]
-    missing = (widths[:, None] - 1 - counts).astype(np.int16)
-    sizes = counts.sum(axis=0).astype(np.uint8)
-    missing.flags.writeable = sizes.flags.writeable = False
-    return missing, sizes
+def _counts(shape: tuple[int, ...]) -> np.ndarray:
+    """``counts[c, a]`` = a_c over the cells of ``shape``, read-only."""
+    counts = np.indices(shape, dtype=np.uint8).reshape(len(shape), prod(shape))
+    counts.flags.writeable = False
+    return counts
 
 
 def _lattice(g: Graph) -> _Lattice:
-    """Partition ``g`` into twin classes and split their outside degrees over
-    the (H, L) grid; refuse, before any array exists, a graph whose tables
+    """Partition ``g`` into twin classes and build the outside degrees over
+    their lattice; refuse, before any array exists, a graph whose tables
     would exceed ``EXACT_CELL_BUDGET`` cells or whose counts could reach
     ``_ABSENT``."""
     if g.n >= _ABSENT:
@@ -230,86 +222,55 @@ def _lattice(g: Graph) -> _Lattice:
             f"exact robustness check infeasible for n={g.n}: {cells} lattice cells"
             f" (budget is {EXACT_CELL_BUDGET})"
         )
+    # link[c, d] = 1 when a member of c counts the members of d outside S as
+    # neighbors: d adjacent to c, or d = c a true-twin class
+    reps = [c[0] for c in classes]
+    link = mask_bits([g.adjacency[u] | cl << u for u, cl in zip(reps, closed)], g.n)[:, reps]
+    # out = deg - link @ counts, the product taken over a leading (hi) and a
+    # trailing (lo) split of the class axes of about sqrt(cells) cells each;
+    # in uint8 no step wraps, as every partial result is an outside degree
     hi, rows = 0, 1
     while rows * rows < cells:
         rows *= shape[hi]
         hi += 1
-    # link[c, d] = 1 when a member of c counts the members of d outside S as
-    # neighbors: d adjacent to c, or d = c a true-twin class
-    reps = [c[0] for c in classes]
-    nbytes = (g.n + 7) // 8
-    masks = b"".join((g.adjacency[u] | cl << u).to_bytes(nbytes, "little")
-                     for u, cl in zip(reps, closed))
-    bits = np.frombuffer(masks, dtype=np.uint8).reshape(len(reps), nbytes)
-    link = np.unpackbits(bits, axis=1, bitorder="little")[:, reps].astype(np.int16)
-    missing_hi, size_hi = _half_grid(shape[:hi])
-    missing_lo, size_lo = _half_grid(shape[hi:])
-    out_hi = np.einsum("cd,dh->ch", link[:, :hi], missing_hi).astype(np.uint8)
-    out_lo = np.einsum("cd,dh->ch", link[:, hi:], missing_lo).astype(np.uint8)
-    return _Lattice(tuple([tuple(c) for c in classes]), shape, hi, out_hi, out_lo, size_hi, size_lo)
-
-
-def _class_terms(
-    lat: _Lattice, table: np.ndarray, out_lo: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
-    """Per class c: the view of ``table`` over the cells with a_c >= 1, the
-    row half of c's outside degree and the row ``out_lo[c]``, broadcast to
-    that view, and a_c over it (None for a singleton class, where it is 1)."""
-    rows, cols = lat.size_hi.size, lat.size_lo.size
-    grid = table.reshape(rows, cols)
-    for c, width in enumerate(lat.shape):
-        # a singleton's a_c = 1 is indexed, not sliced: numpy's broadcast
-        # loops run about 1.5x slower with the unit axis a slice leaves
-        member = 1 if width == 2 else slice(1, None)
-        counts = None if width == 2 else np.arange(1, width, dtype=np.uint8)
-        if c < lat.hi:
-            before = prod(lat.shape[:c])
-            view = grid.reshape(before, width, -1, cols)[:, member]
-            out_hi = lat.out_hi[c].reshape(before, width, -1)[:, member, ..., None]
-            yield view, out_hi, out_lo[c], None if counts is None else counts[:, None, None]
-        else:
-            before = prod(lat.shape[lat.hi : c])
-            view = grid.reshape(rows, before, width, -1)[:, :, member]
-            out_hi = lat.out_hi[c].reshape((rows,) + (1,) * (view.ndim - 1))
-            # a contiguous copy: strided, it slows the loop over the short
-            # inner axes of the last classes about 1.7x
-            lo_part = out_lo[c].reshape(before, width, -1)[:, member].copy()
-            yield view, out_hi, lo_part, None if counts is None else counts[:, None]
+    deg = link @ (np.array(shape, dtype=np.uint8) - 1)
+    counts_hi, counts_lo = _counts(shape[:hi]), _counts(shape[hi:])
+    out_hi = deg[:, None] - link[:, :hi] @ counts_hi
+    out_lo = link[:, hi:] @ counts_lo
+    out = out_hi[:, :, None] - out_lo[:, None, :]
+    # times min(a_c, 1), in place: a second full-size temporary costs more
+    # than the whole product (page faults on every call, measured)
+    out[:hi] *= np.minimum(counts_hi, 1)[:, :, None]
+    out[hi:] *= np.minimum(counts_lo, 1)[:, None, :]
+    classes = tuple([tuple(c) for c in classes])
+    return _Lattice(classes, shape, _counts(shape), out.reshape(len(shape), cells))
 
 
 def _x_count_table(g: Graph, r: int, lat: _Lattice) -> np.ndarray:
     """``x[a]`` = number of members of a set with count vector ``a`` that have
     >= r neighbors outside it, over the lattice ``lat`` of ``g``."""
     # no outside degree reaches n, so every r >= n gives the same table; the
-    # clamp keeps ``need - out_lo`` inside int16
-    need = np.int16(min(r, g.n)) - lat.out_lo.astype(np.int16)
-    x = np.zeros(prod(lat.shape), dtype=np.uint8)
-    for view, out_hi, need_lo, counts in _class_terms(lat, x, need):
-        reached = out_hi >= need_lo
-        view += reached if counts is None else reached * counts
-    return x
+    # clamp keeps the bound inside uint8
+    terms = (lat.out >= min(r, g.n)).view(np.uint8)
+    terms *= lat.counts
+    return terms.sum(0, dtype=np.uint8)
 
 
 def _pair_table(g: Graph, r: int, lat: _Lattice) -> np.ndarray:
     """The x table with ``_ABSENT`` over the cells whose members all reach r.
 
     Those cells, the empty one among them (x = 0 = |S|), cannot be in a
-    failing pair.  The mark is written in place from a 0/1 byte mask.
+    failing pair.
     """
     x = _x_count_table(g, r, lat)
-    grid = x.reshape(lat.size_hi.size, -1)
-    full = grid >= lat.size_hi[:, None] + lat.size_lo
-    np.maximum(grid, full.view(np.uint8) * _ABSENT, out=grid)
+    x[x == lat.counts.sum(0, dtype=np.uint8)] = _ABSENT
     return x
 
 
 def _maxout_table(lat: _Lattice) -> np.ndarray:
     """``maxout[a]`` = largest outside degree among the members of a set with
     count vector ``a`` (0 for the empty set)."""
-    maxout = np.zeros(prod(lat.shape), dtype=np.uint8)
-    for view, out_hi, out_lo, _ in _class_terms(lat, maxout, lat.out_lo):
-        np.maximum(view, out_hi + out_lo, out=view)
-    return maxout
+    return lat.out.max(0)
 
 
 def _subset_min(vals: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -347,24 +308,21 @@ def _best_pair(t: np.ndarray, shape: tuple[int, ...], combine: np.ufunc) -> tupl
 
 # -- witnesses ------------------------------------------------------------------
 
+def _subset_sums(weights: list[int]) -> np.ndarray:
+    """``sums[S]`` = sum of ``weights[i]`` over the bits i of S, for every
+    subset S of ``range(len(weights))``; each weight doubles the filled prefix."""
+    sums = np.zeros(1 << len(weights), dtype=np.int64)
+    for i, w in enumerate(weights):
+        np.add(sums[: 1 << i], w, out=sums[1 << i : 2 << i])
+    return sums
+
+
 def _lift(t: np.ndarray, lat: _Lattice) -> np.ndarray:
     """The lattice table ``t`` as one value per subset of the n nodes: subset
     S reads the cell sum over i in S of the stride of i's class."""
-    strides = np.cumprod((1,) + lat.shape[:0:-1])[::-1]
-    stride_of = {i: strides[c] for c, nodes in enumerate(lat.classes) for i in nodes}
-    cell = np.zeros(1 << len(stride_of), dtype=np.intp)
-    for i in range(len(stride_of)):
-        np.add(cell[: 1 << i], stride_of[i], out=cell[1 << i : 2 << i])
-    return t[cell]
-
-
-def _rank_weights(n: int) -> np.ndarray:
-    """``w[S]`` = sum of 3^(n-1-i) over the nodes i of S."""
-    w = np.zeros(1 << n, dtype=np.int64)
-    for i in range(n):
-        step = 1 << i
-        w.reshape(-1, 2 * step)[:, step:] += 3 ** (n - 1 - i)
-    return w
+    strides = np.cumprod((1,) + lat.shape[:0:-1])[::-1].tolist()
+    stride_of = {i: stride for stride, nodes in zip(strides, lat.classes) for i in nodes}
+    return t[_subset_sums([stride_of[i] for i in range(len(stride_of))])]
 
 
 def _pair_from_rank(rank: int, n: int) -> SubsetPair:
@@ -388,7 +346,7 @@ def _canonical_witness(t: np.ndarray, s: int, n: int) -> SubsetPair:
     pair as w[S1] + 2*min.  Both budgets are below ``_ABSENT``, so the
     marked sets never take part.
     """
-    w = _rank_weights(n)
+    w = _subset_sums([3 ** (n - 1 - i) for i in range(n)])
     unused = np.int64(3**n)  # above every w, so it never wins a minimum
     best = 3 * unused
     for k in range(s):

@@ -48,7 +48,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .graph_core import Graph, members
+from .graph_core import Graph, mask_bits, members
 
 
 class AgentRole(str, Enum):
@@ -235,12 +235,7 @@ class Trajectory:
 
 def _adjacency_matrix(g: Graph) -> np.ndarray:
     """(n, n) bool matrix whose row i marks the neighbors of node i."""
-    width = (g.n + 7) // 8
-    raw = b"".join(mask.to_bytes(width, "little") for mask in g.adjacency)
-    bits = np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8).reshape(g.n, width), axis=1, bitorder="little"
-    )
-    return bits[:, : g.n].astype(bool)
+    return mask_bits(g.adjacency, g.n).view(bool)
 
 
 def _neighbor_index(adj: np.ndarray, rows: np.ndarray) -> np.ndarray:

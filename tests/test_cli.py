@@ -160,6 +160,21 @@ class TestBounds:
         assert "graph JSON is nested too deeply" in err
         assert "Traceback" not in err
 
+    # a top-level array is JSON too: it gets the JSON parser's errors, not
+    # the edge-list parser's complaint about its first token
+    @pytest.mark.parametrize("text, message", [
+        ("[1,2]", "graph JSON must be an object with 'n' and 'edges'"),
+        ("[" * 200_000, "graph JSON is nested too deeply"),
+    ])
+    def test_json_array_graph_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "array.json"
+        path.write_text(text)
+        assert run_cli("bounds", "--graph", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse graph file {path}: ")
+        assert message in err
+        assert "Traceback" not in err
+
     def test_report_for_construction(self, g9, capsys):
         assert run_cli("bounds", "--graph", str(g9)) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -31,6 +31,7 @@ from mergraph.graph_core import (
     MAX_NODES,
     _canonical_json_graph,
     _parsed_json_graph,
+    mask_bits,
     members,
 )
 from conftest import (
@@ -419,6 +420,16 @@ class TestMembers:
         for mask in masks:
             expected = [i for i in range(mask.bit_length()) if mask >> i & 1]
             assert list(members(mask)) == expected, mask
+
+
+class TestMaskBits:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 65])
+    def test_matches_a_per_bit_reference(self, n):
+        rng = random.Random(n)
+        masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]
+        bits = mask_bits(masks, n)
+        assert bits.shape == (len(masks), n)
+        assert bits.tolist() == [[mask >> i & 1 for i in range(n)] for mask in masks]
 
 
 class TestDeclaredSize:

@@ -266,6 +266,14 @@ class TestTables:
             assert maxout == [max((brute_outside_degree(g, i, s) for i in s), default=0)
                               for s in subsets]
 
+    def test_subset_sums_match_a_direct_sum(self):
+        rng = random.Random(47)
+        for n in range(11):
+            weights = [rng.randrange(3**n + 1) for _ in range(n)]
+            sums = oracle._subset_sums(weights).tolist()
+            assert sums == [sum(w for i, w in enumerate(weights) if mask >> i & 1)
+                            for mask in range(1 << n)]
+
 
 class TestBestPair:
     COMBINES = [np.add, np.maximum]
@@ -434,7 +442,7 @@ class TestBudget:
             raise AssertionError("a table was built above the budget")
 
         g, _ = build(n)
-        for name in ("_x_count_table", "_maxout_table", "_half_grid"):
+        for name in ("_x_count_table", "_maxout_table", "_counts"):
             monkeypatch.setattr(oracle, name, refuse)
         start = time.perf_counter()
         for check in (max_r_robustness, lambda g: max_s_given_r(g, n // 2),
