@@ -33,8 +33,10 @@ from typing import Literal
 
 import numpy as np
 
-# ``complement`` is no longer called here; it stays importable from this
-# module, as ``certificates.complement``, for code written against it
+# ``complement`` is no longer called here; it stays importable as
+# ``certificates.complement`` because the benchmark tracer (bench/tracing.py,
+# TARGETS) hooks it under that name, and tests/test_tracing_targets.py
+# requires every hooked name to resolve
 from .graph_core import CapExceededError, Graph, complement, max_clique_size  # noqa: F401
 
 Parity = Literal["odd", "even", "unknown"]

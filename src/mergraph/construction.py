@@ -70,10 +70,6 @@ class ConstructionRecipe:
     removed_pairs: tuple[Edge, ...] = ()
     variant: int | None = None
 
-    def to_dict(self) -> dict:
-        """The fields as a JSON-ready dict; tuples encode as arrays."""
-        return dict(vars(self))
-
     def to_json(self) -> str:
         return json.dumps(vars(self), indent=2, sort_keys=True) + "\n"
 
@@ -97,8 +93,8 @@ def _pair(value: object) -> tuple:
 
 
 def recipe_from_dict(payload: dict) -> ConstructionRecipe:
-    """The recipe a :meth:`ConstructionRecipe.to_dict` payload, or the JSON
-    it encodes to, describes; its hub and pairs may be tuples or lists.
+    """The recipe a decoded :meth:`ConstructionRecipe.to_json` payload
+    describes; its hub and pairs may be tuples or lists.
 
     Refuses, with ``ValueError``, an unknown ``kind``, a count or node id
     that is not an ``int`` (a ``bool`` is refused too) and a removed pair

@@ -303,16 +303,30 @@ _ID_CHARACTERS = dict.fromkeys(map(ord, "0123456789[],"))
 def _canonical_json_graph(text: str) -> Graph | None:
     """The graph whose canonical JSON is exactly ``text``, else ``None``.
 
+    The masks come from :func:`_canonical_json_masks`, and the graph is
+    returned only if it re-renders to ``text``.  The re-render runs after
+    that call has returned, so its strings never coexist with the id
+    arrays.  Never raises.
+    """
+    read = _canonical_json_masks(text)
+    if read is None:
+        return None
+    g = Graph._from_masks(*read)
+    return g if graph_to_json(g) == text else None
+
+
+def _canonical_json_masks(text: str) -> tuple[int, list[int]] | None:
+    """``(n, masks)`` read from the pairs of a canonical JSON ``text``, or
+    ``None`` where it cannot be canonical.
+
     Every node id is read with one ``np.fromstring`` after the pair
     punctuation is blanked.  The ids are checked to be pairs with
-    ``0 <= u < v < n`` and ``u * n + v`` strictly increasing, so the two
-    bits each pair sets are distinct and one ``np.bincount`` sums them into
-    the mask bytes of the nodes that touch an edge, one row per node, each
-    as wide as the highest id.  The rows are counted in 8-byte cells, and a
-    text whose rows would take more bytes than it has characters (a few
-    edges on high ids) is left to the general parser, so this path never
-    costs more memory than that one.  The graph is returned only if it
-    re-renders to ``text``.  Never raises.
+    ``0 <= u < v < n`` and ``u * n + v`` strictly increasing, so each pair
+    sets two distinct bits in a bool matrix with one row per node that
+    touches an edge, each as wide as the highest id; ``np.packbits`` turns
+    the rows into mask bytes.  A text whose matrix would take more bytes
+    than it has characters (a few edges on high ids) is left to the general
+    parser, so this path never costs more memory than that one.
     """
     head = _CANONICAL_HEAD.match(text)
     if head is None or not text.endswith(_CANONICAL_TAIL):
@@ -324,29 +338,29 @@ def _canonical_json_graph(text: str) -> Graph | None:
     if n > MAX_NODES or body.translate(_ID_CHARACTERS):
         return None
     ids = np.fromstring(body.translate(_PAIR_PUNCTUATION), dtype=np.int64, sep=" ")
+    # a copy of the text: freed before the id-sized arrays below exist
+    del body
     if ids.size == 0 or ids.size % 2:
         return None
     u, v = ids[0::2], ids[1::2]
-    if (u >= v).any() or (v >= n).any():
+    if (u >= v).any() or (v >= n).any() or (np.diff(u * n + v) <= 0).any():
         return None
-    key = u * n + v
-    if (key[1:] <= key[:-1]).any():
-        return None
-    row_bytes = int(v.max()) // 8 + 1
-    touched = np.zeros(8 * row_bytes, dtype=bool)
+    width = 8 * (int(v.max()) // 8 + 1)
+    touched = np.zeros(width, dtype=bool)
     touched[ids] = True
     nodes = np.flatnonzero(touched)
-    if 8 * row_bytes * nodes.size > len(text):
+    if width * nodes.size > len(text):
         return None
-    row_start = (np.cumsum(touched) - 1) * (8 * row_bytes)
-    bit = np.concatenate((row_start[u] + v, row_start[v] + u))
-    cells = np.bincount(bit >> 3, weights=1 << (bit & 7), minlength=row_bytes * nodes.size)
-    rows = cells.astype(np.uint8).tobytes()
+    row = np.cumsum(touched) - 1
+    bits = np.zeros((nodes.size, width), dtype=bool)
+    bits[row[u], v] = True
+    bits[row[v], u] = True
+    rows = np.packbits(bits, axis=1, bitorder="little").tobytes()
+    row_bytes = width // 8
     masks = [0] * n
     for i, node in enumerate(nodes.tolist()):
         masks[node] = int.from_bytes(rows[i * row_bytes : (i + 1) * row_bytes], "little")
-    g = Graph._from_masks(n, masks)
-    return g if graph_to_json(g) == text else None
+    return n, masks
 
 
 def _parsed_json_graph(text: str) -> Graph:

@@ -58,28 +58,19 @@ exists, and raise ``CapExceededError``.  Single-node graphs are
 degenerate: no disjoint nonempty pair exists, so every check holds
 vacuously.
 
-Witnesses.  Only failing checks read a witness from their pair table.
-When 2^n fits the budget (n <= 16) the witness is canonical: the lattice
-table is lifted to one value per subset and the first failing pair is read
-off in canonical order, below.  Above that the witness is decoded from the
-lattice: the first flat cell a attaining the worst pair and, among the
-cells b <= |c| - a, the first flat one that completes it; S1 holds the
-lowest-indexed a_c members of each class and S2 the next b_c.
+Witnesses.  Only failing checks read a witness from their pair table, and
+it is canonical: the first failing pair in the order below.  ``_witness``
+fixes the nodes from 0 upward, each to the smallest digit that some
+failing pair still agrees with; the pairs agreeing with the digits fixed
+so far are a box of count pairs, tested with the decision's own
+subset-min.
 
 Canonical order: each node gets a digit in {0 = unassigned, 1 = S1,
 2 = S2}; digit vectors are compared lexicographically with node 0 most
 significant, and the lowest-indexed assigned node sits in S1 (the
-definitions are symmetric in S1/S2).  Witnesses are the first failing pair
-in this order, making failures reproducible across runs and platforms.
-
-The order is numeric: with w(S) = sum of 3^(n-1-i) over i in S, a pair
-ranks as w(S1) + 2*w(S2).  No orientation constraint is needed, because
-3^(n-1-i) exceeds the weight of all later nodes together, so the set
-holding the lowest assigned node has the larger w, and of the two
-orientations of a pair the one with that set as S1 ranks lower.  The
-minimum over ordered failing pairs is therefore the canonical witness.  It
-takes one subset-min of w per partner budget k in [0, s-1] (sets with
-pair-table value <= k), so a witness costs O(s * n * 2^n) numpy work.
+definitions are symmetric in S1/S2, so the smallest failing digit vector
+has it there).  Witnesses are the first failing pair in this order, making
+failures reproducible across runs and platforms.
 """
 
 from __future__ import annotations
@@ -267,12 +258,6 @@ def _pair_table(g: Graph, r: int, lat: _Lattice) -> np.ndarray:
     return x
 
 
-def _maxout_table(lat: _Lattice) -> np.ndarray:
-    """``maxout[a]`` = largest outside degree among the members of a set with
-    count vector ``a`` (0 for the empty set)."""
-    return lat.out.max(0)
-
-
 def _subset_min(vals: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """``out[a]`` = min of ``vals[b]`` over all cells b <= a of the C-order
     lattice ``shape`` (for shape (2,)*n: over all subsets, the zeta transform).
@@ -291,84 +276,69 @@ def _subset_min(vals: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return v
 
 
-def _best_pair(t: np.ndarray, shape: tuple[int, ...], combine: np.ufunc) -> tuple[int, int] | None:
+def _best_pair(t: np.ndarray, shape: tuple[int, ...], combine: np.ufunc) -> int | None:
     """Smallest ``combine(t[a], t[b])`` over disjoint pairs (a + b <= the
-    class sizes) and the first flat cell a attaining it, None if every pair
-    holds an ``_ABSENT`` cell (``t[0]`` must be one).
+    class sizes), None if every pair holds an ``_ABSENT`` cell (``t[0]``
+    must be one).
 
     ``combine`` is ``np.add`` or ``np.maximum``; both grow with each
     argument, so the subset-min of ``t`` under the complement of a is a's
     best partner.  uint16 keeps a sum with ``_ABSENT`` at or above it.
     """
-    pairs = combine(t, _subset_min(t, shape)[::-1], dtype=np.uint16)
-    cell = int(pairs.argmin())
-    worst = int(pairs[cell])
-    return None if worst >= _ABSENT else (worst, cell)
+    worst = int(combine(t, _subset_min(t, shape)[::-1], dtype=np.uint16).min())
+    return None if worst >= _ABSENT else worst
 
 
 # -- witnesses ------------------------------------------------------------------
 
-def _subset_sums(weights: list[int]) -> np.ndarray:
-    """``sums[S]`` = sum of ``weights[i]`` over the bits i of S, for every
-    subset S of ``range(len(weights))``; each weight doubles the filled prefix."""
-    sums = np.zeros(1 << len(weights), dtype=np.int64)
-    for i, w in enumerate(weights):
-        np.add(sums[: 1 << i], w, out=sums[1 << i : 2 << i])
-    return sums
+def _witness(t: np.ndarray, lat: _Lattice, s: int) -> SubsetPair:
+    """The first pair in canonical order whose pair-table values sum to <= s-1.
 
+    Nodes are fixed from 0 upward, each to the smallest digit (unassigned,
+    S1, S2) that some failing pair still agrees with.  With p_c members of
+    class c fixed in S1, q_c in S2 and f_c still free, the agreeing pairs are
+    a = p + x and b = q + y with x + y <= f: the S1 box (p <= a <= p + f)
+    read against the subset-min of the S2 box (b >= q) at every complement
+    f - x, as in ``_best_pair``.  That subset-min does not depend on f, so
+    it is only rebuilt when S2 has gained a member.
 
-def _lift(t: np.ndarray, lat: _Lattice) -> np.ndarray:
-    """The lattice table ``t`` as one value per subset of the n nodes: subset
-    S reads the cell sum over i in S of the stride of i's class."""
-    strides = np.cumprod((1,) + lat.shape[:0:-1])[::-1].tolist()
-    stride_of = {i: stride for stride, nodes in zip(strides, lat.classes) for i in nodes}
-    return t[_subset_sums([stride_of[i] for i in range(len(stride_of))])]
-
-
-def _pair_from_rank(rank: int, n: int) -> SubsetPair:
-    """Decode a canonical rank: base-3 digit 1 puts node i in S1, 2 in S2."""
-    m1 = m2 = 0
-    for i in range(n - 1, -1, -1):
-        rank, digit = divmod(rank, 3)
-        if digit == 1:
-            m1 |= 1 << i
-        elif digit == 2:
-            m2 |= 1 << i
-    return SubsetPair(frozenset(members(m1)), frozenset(members(m2)))
-
-
-def _canonical_witness(t: np.ndarray, s: int, n: int) -> SubsetPair:
-    """First pair in canonical order with pair-table values summing to <= s-1.
-
-    ``t`` has one value per subset.  For each partner budget k, one
-    subset-min over the sets with t <= k gives, under every complement, the
-    lowest-weight partner; a set S1 with t[S1] = s-1-k then ranks its best
-    pair as w[S1] + 2*min.  Both budgets are below ``_ABSENT``, so the
-    marked sets never take part.
+    Swapping two free members of a class maps agreeing failing pairs to
+    agreeing failing pairs, and fixing a digit only removes pairs, so a
+    digit refused for one member of a class stays refused for its later
+    members: ``lowest[c]`` is the smallest digit class c has not refused.
+    Digit 2 needs no test, as some failing pair agrees with the digits
+    fixed before.
     """
-    w = _subset_sums([3 ** (n - 1 - i) for i in range(n)])
-    unused = np.int64(3**n)  # above every w, so it never wins a minimum
-    best = 3 * unused
-    for k in range(s):
-        s1 = t == s - 1 - k
-        if not s1.any():
-            continue
-        partner = _subset_min(np.where(t <= k, w, unused), (2,) * n)
-        best = min(best, (w[s1] + 2 * partner[::-1][s1]).min())
-    if best >= unused:
-        raise AssertionError("decision said not robust but no failing pair found")
-    return _pair_from_rank(int(best), n)
+    grid = t.reshape(lat.shape)
+    p, q, lowest = [0] * len(lat.shape), [0] * len(lat.shape), [0] * len(lat.shape)
+    free = [w - 1 for w in lat.shape]
+    below = below_q = None  # the S2 box's subset-min and the q it was built for
 
+    def fails() -> bool:
+        nonlocal below, below_q
+        if below_q != q:
+            s2_box = grid[tuple([slice(b, None) for b in q])]
+            below, below_q = _subset_min(s2_box, s2_box.shape), q.copy()
+        s1_box = grid[tuple([slice(a, a + f + 1) for a, f in zip(p, free)])]
+        partners = below[tuple([slice(f, None, -1) for f in free])]
+        return int(np.add(s1_box, partners, dtype=np.uint16).min()) < s
 
-def _decoded_witness(t: np.ndarray, lat: _Lattice, worst: int, cell: int) -> SubsetPair:
-    """The pair of cell ``cell`` and its first completing partner cell, as
-    the lowest-indexed members of each class (S1) and the next ones (S2)."""
-    a = np.unravel_index(cell, lat.shape)
-    box = t.reshape(lat.shape)[tuple([slice(w - k) for w, k in zip(lat.shape, a)])]
-    b = np.unravel_index(int(np.argmax(box == worst - t[cell])), box.shape)
-    s1 = [i for nodes, k in zip(lat.classes, a) for i in nodes[:k]]
-    s2 = [i for nodes, k, m in zip(lat.classes, a, b) for i in nodes[k : k + m]]
-    return SubsetPair(frozenset(s1), frozenset(s2))
+    class_of = {i: c for c, nodes in enumerate(lat.classes) for i in nodes}
+    sides: tuple[list[int], ...] = ([], [], [])  # by digit: unassigned, S1, S2
+    for i in range(len(class_of)):
+        c = class_of[i]
+        free[c] -= 1
+        if lowest[c] == 0 and not fails():
+            lowest[c] = 1
+        if lowest[c] == 1:
+            p[c] += 1
+            if not fails():
+                p[c] -= 1
+                lowest[c] = 2
+        if lowest[c] == 2:
+            q[c] += 1
+        sides[lowest[c]].append(i)
+    return SubsetPair(frozenset(sides[1]), frozenset(sides[2]))
 
 
 # -- public checks -------------------------------------------------------------
@@ -377,12 +347,10 @@ def _failing_pair(g: Graph, r: int, s: int) -> SubsetPair | None:
     """The pair breaking (r, s)-robustness, or None when it holds."""
     lat = _lattice(g)
     t = _pair_table(g, r, lat)
-    best = _best_pair(t, lat.shape, np.add)
-    if best is None or best[0] >= s:
+    worst = _best_pair(t, lat.shape, np.add)
+    if worst is None or worst >= s:
         return None
-    if 1 << g.n <= EXACT_CELL_BUDGET:
-        return _canonical_witness(_lift(t, lat), s, g.n)
-    return _decoded_witness(t, lat, *best)
+    return _witness(t, lat, s)
 
 
 def is_r_robust(g: Graph, r: int) -> RobustnessVerdict:
@@ -406,10 +374,10 @@ def max_r_robustness(g: Graph) -> int:
     """
     lat = _lattice(g)
     gamma = (g.n + 1) // 2
-    maxout = _maxout_table(lat)
+    maxout = lat.out.max(0)
     maxout[0] = _ABSENT
-    best = _best_pair(maxout, lat.shape, np.maximum)
-    return gamma if best is None else min(gamma, best[0])
+    worst = _best_pair(maxout, lat.shape, np.maximum)
+    return gamma if worst is None else min(gamma, worst)
 
 
 def is_rs_robust(g: Graph, r: int, s: int) -> RobustnessVerdict:
@@ -431,8 +399,8 @@ def max_s_given_r(g: Graph, r: int) -> int:
     if r < 1:
         raise ValueError("r must be a positive integer")
     lat = _lattice(g)
-    best = _best_pair(_pair_table(g, r, lat), lat.shape, np.add)
-    return g.n if best is None else min(best[0], g.n)
+    worst = _best_pair(_pair_table(g, r, lat), lat.shape, np.add)
+    return g.n if worst is None else min(worst, g.n)
 
 
 def minimality_sweep(g: Graph, r: int, s: int | None = None) -> MinimalitySweep:

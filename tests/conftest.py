@@ -4,7 +4,9 @@ The brute-force functions below check definitions directly over explicit
 subset enumerations (itertools-based, no bitmask tricks) so they stay
 independent of the code paths they validate.  ``subset_pair_assignments``
 walks the ~3^n/2 pairs in the oracle's canonical witness order; it is the
-reference the oracle's transform-based witness recovery is compared with.
+reference the oracle's lattice witness is compared with up to n = 16.
+``count_pair_first_failing_pair`` finds the same pair by looping over the
+count pairs of the twin classes, the reference above that.
 ``brute_best_pair`` is the pair loop that the oracle's pair transform is
 compared with.  ``twin_rich_graph`` grows a random graph by cloning true and
 false twins, the structure the oracle's twin-class lattice compresses.
@@ -142,11 +144,62 @@ def brute_first_failing_pair(
     return None
 
 
-def brute_best_pair(t, shape, combine) -> tuple[int, int] | None:
+def twin_classes(g: Graph) -> list[list[int]]:
+    """The twin classes by definition: u and v are twins when
+    N(u) - {v} = N(v) - {u}, an equivalence; each node joins the class of
+    its lowest twin, so the classes are ordered by their lowest member."""
+    classes: list[list[int]] = []
+    for v in range(g.n):
+        for c in classes:
+            if g.neighbors(c[0]) - {v} == g.neighbors(v) - {c[0]}:
+                c.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
+def count_pair_first_failing_pair(
+    g: Graph, r: int, s: int = 1
+) -> tuple[frozenset[int], frozenset[int]] | None:
+    """The pair :func:`brute_first_failing_pair` finds, or None, from a loop
+    over count pairs instead of subset pairs.
+
+    For counts a, b per twin class (a_c + b_c <= |c|), S2 takes the b_c
+    highest-indexed members of each class and S1 the a_c just below them:
+    of all pairs with these counts, the one lowest in canonical order, whose
+    rank w(S1) + 2 w(S2) with w(S) = sum of 3^(n-1-i) over i in S weighs
+    the later nodes least.  The lowest rank over the failing ordered pairs
+    is the canonical witness, and its lowest assigned node lies in S1.
+    """
+    classes = twin_classes(g)
+    neighbors = [g.neighbors(i) for i in range(g.n)]
+    weight = [3 ** (g.n - 1 - i) for i in range(g.n)]
+
+    @lru_cache(maxsize=None)
+    def reach(nodes: frozenset[int]) -> int:
+        return sum(1 for i in nodes if len(neighbors[i] - nodes) >= r)
+
+    best = None
+    for a in product(*(range(len(c) + 1) for c in classes)):
+        for b in product(*(range(len(c) + 1 - k) for c, k in zip(classes, a))):
+            s1 = frozenset(i for c, j, k in zip(classes, a, b)
+                           for i in c[len(c) - k - j : len(c) - k])
+            s2 = frozenset(i for c, k in zip(classes, b) for i in c[len(c) - k :])
+            if not s1 or not s2:
+                continue
+            x1, x2 = reach(s1), reach(s2)
+            if x1 < len(s1) and x2 < len(s2) and x1 + x2 <= s - 1:
+                rank = sum(weight[i] for i in s1) + 2 * sum(weight[i] for i in s2)
+                if best is None or rank < best[0]:
+                    best = (rank, s1, s2)
+    return None if best is None else best[1:]
+
+
+def brute_best_pair(t, shape, combine) -> int | None:
     """Smallest ``combine(t[a], t[b])`` over the pairs of cells a, b of the
     C-order lattice ``shape`` with a + b <= shape - 1 in every axis and
-    neither value 255 (absent), and the first flat cell a attaining it; None
-    when no such pair exists.
+    neither value 255 (absent); None when no such pair exists.
 
     A loop over every cell a, with its partners b taken from an explicit
     coordinate list: the reference for the oracle's subset-min pair
@@ -161,8 +214,8 @@ def brute_best_pair(t, shape, combine) -> tuple[int, int] | None:
         if t[i] == 255 or partners.size == 0:
             continue
         value = int(combine(t[i], partners).min())
-        if best is None or value < best[0]:
-            best = (value, i)
+        if best is None or value < best:
+            best = value
     return best
 
 

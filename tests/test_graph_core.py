@@ -377,6 +377,19 @@ class TestFastJsonPath:
             assert_same_graph(fast, expected)
         assert_same_graph(graph_from_json(text), expected)
 
+    @pytest.mark.parametrize("build", [construct_gamma_merg, construct_gamma_gamma_merg])
+    def test_peak_memory_is_a_few_times_the_text(self, build):
+        # about 3.7 times the text at n = 400; one id-sized array more, or the
+        # re-render run beside the id arrays, would pass 5
+        text = graph_to_json(build(400)[0])
+        tracemalloc.start()
+        try:
+            assert _canonical_json_graph(text) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * len(text)
+
     CANONICAL_50 = graph_to_json(construct_gamma_merg(50)[0])
 
     @pytest.mark.parametrize(

@@ -35,8 +35,10 @@ from conftest import (
     brute_max_r,
     brute_outside_degree,
     brute_reachable_count,
+    count_pair_first_failing_pair,
     random_graph,
     subset_pair_assignments,
+    twin_classes,
     twin_rich_graph,
 )
 
@@ -251,28 +253,22 @@ class TestTables:
                 twins = g.neighbors(u) - {v} == g.neighbors(v) - {u}
                 assert twins == (label[u] == label[v]), (g, u, v)
 
-    def test_lifted_tables_match_brute_force_on_every_subset(self):
+    def test_tables_match_brute_force_on_every_subset(self):
         for g in self.graphs():
             n = g.n
             subsets = [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
             lat = oracle._lattice(g)
+            # every subset reads the cell of its count vector
+            cells = [int(np.ravel_multi_index([len(s.intersection(c)) for c in lat.classes],
+                                              lat.shape)) for s in subsets]
             for r in range(1, (n + 1) // 2 + 2):
                 x = oracle._x_count_table(g, r, lat)
                 assert x.dtype == np.uint8 and x.size == prod(lat.shape)
-                lifted = oracle._lift(x, lat).tolist()
-                assert lifted == [brute_reachable_count(g, s, r) for s in subsets]
+                assert x[cells].tolist() == [brute_reachable_count(g, s, r) for s in subsets]
             assert not oracle._x_count_table(g, 10**9, lat).any()
-            maxout = oracle._lift(oracle._maxout_table(lat), lat).tolist()
+            maxout = lat.out.max(0)[cells].tolist()
             assert maxout == [max((brute_outside_degree(g, i, s) for i in s), default=0)
                               for s in subsets]
-
-    def test_subset_sums_match_a_direct_sum(self):
-        rng = random.Random(47)
-        for n in range(11):
-            weights = [rng.randrange(3**n + 1) for _ in range(n)]
-            sums = oracle._subset_sums(weights).tolist()
-            assert sums == [sum(w for i, w in enumerate(weights) if mask >> i & 1)
-                            for mask in range(1 << n)]
 
 
 class TestBestPair:
@@ -364,10 +360,40 @@ class TestWitnesses:
             assert self.assert_canonical(gg.remove_edge(*e), gamma, gamma), e
 
 
-class TestDecodedWitnesses:
-    """Above 16 nodes a witness is decoded from the lattice: the first flat
-    cell of the worst pair and its first partner cell, as the lowest-indexed
-    members of each class (S1) and the next ones (S2)."""
+class TestWitnessesAbove16Nodes:
+    """Above 16 nodes the canonical scan is out of reach; the witness is
+    compared with the count-pair reference, which takes its twin classes
+    from the definition."""
+
+    def test_count_pair_reference_matches_the_canonical_scan(self):
+        rng = random.Random(61)
+        for _ in range(60):
+            n = rng.randint(2, 9)
+            if rng.random() < 0.5:
+                g = random_graph(rng, n, rng.random())
+            else:
+                g = twin_rich_graph(rng, n, rng.randint(1, 3), rng.random())
+            r = rng.randint(1, (n + 1) // 2)
+            for s in {1, rng.randint(1, n)}:
+                assert count_pair_first_failing_pair(g, r, s) == brute_first_failing_pair(g, r, s)
+
+    def test_witnesses_match_the_count_pair_reference(self):
+        # lattices of at most 500 cells keep the reference's pair loop short
+        rng = random.Random(67)
+        failing = 0
+        while failing < 16:
+            n = rng.randint(17, 24)
+            g = twin_rich_graph(rng, n, rng.randint(2, 4), rng.random())
+            if prod(len(c) + 1 for c in twin_classes(g)) > 500:
+                continue
+            r = rng.randint(1, (n + 1) // 2)
+            s = rng.randint(1, n)
+            for verdict, expected in ((is_r_robust(g, r), count_pair_first_failing_pair(g, r)),
+                                      (is_rs_robust(g, r, s), count_pair_first_failing_pair(g, r, s))):
+                assert verdict.holds == (expected is None), (g, r, s)
+                if expected is not None:
+                    failing += 1
+                    assert (verdict.witness.s1, verdict.witness.s2) == expected, (g, r, s)
 
     @staticmethod
     def failing_cases():
@@ -400,23 +426,25 @@ class TestDecodedWitnesses:
                 assert not is_r_reachable(g, plain.witness.s1, r)
                 assert not is_r_reachable(g, plain.witness.s2, r)
 
-    def test_decode_order(self):
+    def test_k315_witnesses_are_canonical(self):
         # K_{3,15}: classes A = {0, 1, 2} and B = {3..17}, shape (4, 16).
-        # For 4-robustness the first failing cell is (0, 1), one member of
-        # B, and its first partner cell is (0, 1) again: S1 takes B's lowest
-        # member and S2 the next one.
+        # Every set of B members alone fails 4-robustness, so the first
+        # failing pair puts the two highest nodes, 16 and 17, one per side.
         k315 = new_graph(18, [(i, j) for i in range(3) for j in range(3, 18)])
         assert oracle._lattice(k315).shape == (4, 16)
         verdict = is_rs_robust(k315, 4, 1)
-        assert verdict.witness == oracle.SubsetPair(frozenset({3}), frozenset({4}))
-        # For (2, 17) the worst pair sums to 16: cell (1, 14) holds 14
-        # reaching members, cell (2, 1) two.  S1 takes A's lowest member and
-        # B's 14 lowest; S2 the next two of A and the next one of B.
+        assert verdict.witness == oracle.SubsetPair(frozenset({16}), frozenset({17}))
+        # For (2, 17) the first failing pair reaches 2 + 14 = 16 <= s - 1:
+        # S1 = {0, 1, 3} reaches through 0 and 1, S2 = {2, 4..17} through
+        # its 14 members of B.
         verdict = is_rs_robust(k315, 2, 17)
         assert verdict.witness == oracle.SubsetPair(
-            frozenset({0, *range(3, 17)}), frozenset({1, 2, 17}))
-        assert reachable_count(k315, verdict.witness.s1, 2) == 14
-        assert reachable_count(k315, verdict.witness.s2, 2) == 2
+            frozenset({0, 1, 3}), frozenset({2, *range(4, 18)}))
+        assert reachable_count(k315, verdict.witness.s1, 2) == 2
+        assert reachable_count(k315, verdict.witness.s2, 2) == 14
+        for r, s in ((4, 1), (2, 17)):
+            witness = is_rs_robust(k315, r, s).witness
+            assert (witness.s1, witness.s2) == count_pair_first_failing_pair(k315, r, s)
 
 
 class TestBudget:
@@ -442,7 +470,7 @@ class TestBudget:
             raise AssertionError("a table was built above the budget")
 
         g, _ = build(n)
-        for name in ("_x_count_table", "_maxout_table", "_counts"):
+        for name in ("_x_count_table", "_counts"):
             monkeypatch.setattr(oracle, name, refuse)
         start = time.perf_counter()
         for check in (max_r_robustness, lambda g: max_s_given_r(g, n // 2),
@@ -580,7 +608,7 @@ class TestSweepDecisions:
         def refuse(*args):
             raise AssertionError("a sweep asked for a witness")
 
-        monkeypatch.setattr(oracle, "_canonical_witness", refuse)
+        monkeypatch.setattr(oracle, "_witness", refuse)
         for g, r, s in sweep_cases():
             minimality_sweep(g, r, s)
 
