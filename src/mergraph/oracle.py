@@ -70,15 +70,25 @@ Canonical order: each node gets a digit in {0 = unassigned, 1 = S1,
 significant, and the lowest-indexed assigned node sits in S1 (the
 definitions are symmetric in S1/S2, so the smallest failing digit vector
 has it there).  Witnesses are the first failing pair in this order, making
-failures reproducible across runs and platforms.
+failures reproducible across runs and platforms.  A run of consecutive
+nodes of one class is fixed by two bisections, not node by node.
+
+Sweeps.  ``minimality_sweep`` re-decides the target after each single-edge
+removal, once per edge orbit.  Two twin classes of the same size and twin
+type whose link rows agree outside the pair can be swapped member by
+member, an automorphism, as is swapping two twins; removing any edge of
+one orbit of these swaps leaves isomorphic graphs, with one verdict.  The
+orbit of an edge is the pair of groups of swappable classes its ends lie
+in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from math import prod
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -182,6 +192,38 @@ def _twin_classes(g: Graph) -> tuple[list[list[int]], list[bool]]:
     return [group for group, _ in groups], [closed for _, closed in groups]
 
 
+def _class_links(g: Graph, classes: list[list[int]], closed: list[bool]) -> np.ndarray:
+    """``link[c, d]`` = 1 (uint8) when a member of class c counts the members
+    of class d outside a set as neighbors: d adjacent to c, or d = c a
+    true-twin class."""
+    reps = [c[0] for c in classes]
+    return mask_bits([g.adjacency[u] | cl << u for u, cl in zip(reps, closed)], g.n)[:, reps]
+
+
+def _class_groups(classes: list[list[int]], closed: list[bool], link: np.ndarray) -> list[int]:
+    """``group[c]`` = the lowest class that class c can be swapped with (c
+    itself when none is lower): the same size, the same twin type and equal
+    ``link`` rows outside the two.
+
+    Swapping two such classes member by member is an automorphism.  The
+    relation is transitive (``link`` is symmetric), so each class joins the
+    first root it matches.
+    """
+    roots: list[int] = []
+    group = []
+    for c, nodes in enumerate(classes):
+        for d in roots:
+            differ = link[c] != link[d]
+            differ[[c, d]] = False
+            if len(classes[d]) == len(nodes) and closed[d] == closed[c] and not differ.any():
+                group.append(d)
+                break
+        else:
+            roots.append(c)
+            group.append(c)
+    return group
+
+
 # cached: the same shapes recur from call to call (every twin-free graph on
 # n nodes has the lattice (2,) * n)
 @lru_cache(maxsize=64)
@@ -213,10 +255,7 @@ def _lattice(g: Graph) -> _Lattice:
             f"exact robustness check infeasible for n={g.n}: {cells} lattice cells"
             f" (budget is {EXACT_CELL_BUDGET})"
         )
-    # link[c, d] = 1 when a member of c counts the members of d outside S as
-    # neighbors: d adjacent to c, or d = c a true-twin class
-    reps = [c[0] for c in classes]
-    link = mask_bits([g.adjacency[u] | cl << u for u, cl in zip(reps, closed)], g.n)[:, reps]
+    link = _class_links(g, classes, closed)
     # out = deg - link @ counts, the product taken over a leading (hi) and a
     # trailing (lo) split of the class axes of about sqrt(cells) cells each;
     # in uint8 no step wraps, as every partial result is an outside degree
@@ -291,6 +330,23 @@ def _best_pair(t: np.ndarray, shape: tuple[int, ...], combine: np.ufunc) -> int 
 
 # -- witnesses ------------------------------------------------------------------
 
+def _leading(length: int, accepted: Callable[[int], bool]) -> int:
+    """How many of k = 0, 1, ..., length - 1 pass ``accepted``, which holds
+    on a prefix of them.  k = 0 is tested alone first, as a run often stops
+    there (on the families' removals this saves more tests than bisecting
+    the whole run); the rest is a bisection."""
+    if length == 0 or not accepted(0):
+        return 0
+    lo, hi = 1, length
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if accepted(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def _witness(t: np.ndarray, lat: _Lattice, s: int) -> SubsetPair:
     """The first pair in canonical order whose pair-table values sum to <= s-1.
 
@@ -308,14 +364,23 @@ def _witness(t: np.ndarray, lat: _Lattice, s: int) -> SubsetPair:
     members: ``lowest[c]`` is the smallest digit class c has not refused.
     Digit 2 needs no test, as some failing pair agrees with the digits
     fixed before.
+
+    Runs.  Consecutive nodes of one class are fixed together: in a run,
+    the k-th node is left unassigned iff the box with f_c lowered by k + 1
+    fails, which shrinks with k, so the unassigned nodes are a leading part
+    of the run; of the rest, the k-th goes to S1 iff the box with p_c
+    raised by k + 1 (and f_c lowered with it) fails, which shrinks too.
+    Each part is found by ``_leading``, a few box tests per run instead of
+    one per node.
     """
     grid = t.reshape(lat.shape)
     p, q, lowest = [0] * len(lat.shape), [0] * len(lat.shape), [0] * len(lat.shape)
     free = [w - 1 for w in lat.shape]
     below = below_q = None  # the S2 box's subset-min and the q it was built for
 
-    def fails() -> bool:
+    def fails(c: int, p_c: int, free_c: int) -> bool:
         nonlocal below, below_q
+        p[c], free[c] = p_c, free_c
         if below_q != q:
             s2_box = grid[tuple([slice(b, None) for b in q])]
             below, below_q = _subset_min(s2_box, s2_box.shape), q.copy()
@@ -324,21 +389,23 @@ def _witness(t: np.ndarray, lat: _Lattice, s: int) -> SubsetPair:
         return int(np.add(s1_box, partners, dtype=np.uint16).min()) < s
 
     class_of = {i: c for c, nodes in enumerate(lat.classes) for i in nodes}
-    sides: tuple[list[int], ...] = ([], [], [])  # by digit: unassigned, S1, S2
-    for i in range(len(class_of)):
-        c = class_of[i]
-        free[c] -= 1
-        if lowest[c] == 0 and not fails():
-            lowest[c] = 1
+    s1: list[int] = []
+    s2: list[int] = []
+    for c, run in groupby(range(len(class_of)), class_of.__getitem__):
+        run = list(run)
+        p_c, free_c = p[c], free[c] - len(run)  # free_c: after the run
+        unassigned = in_s1 = 0
+        if lowest[c] == 0:
+            unassigned = _leading(len(run), lambda k: fails(c, p_c, free_c + len(run) - k - 1))
+            lowest[c] = int(unassigned < len(run))
+        rest = len(run) - unassigned
         if lowest[c] == 1:
-            p[c] += 1
-            if not fails():
-                p[c] -= 1
-                lowest[c] = 2
-        if lowest[c] == 2:
-            q[c] += 1
-        sides[lowest[c]].append(i)
-    return SubsetPair(frozenset(sides[1]), frozenset(sides[2]))
+            in_s1 = _leading(rest, lambda k: fails(c, p_c + k + 1, free_c + rest - k - 1))
+            lowest[c] = 1 + (in_s1 < rest)
+        p[c], q[c], free[c] = p_c + in_s1, q[c] + rest - in_s1, free_c
+        s1 += run[unassigned:unassigned + in_s1]
+        s2 += run[unassigned + in_s1:]
+    return SubsetPair(frozenset(s1), frozenset(s2))
 
 
 # -- public checks -------------------------------------------------------------
@@ -411,6 +478,19 @@ def minimality_sweep(g: Graph, r: int, s: int | None = None) -> MinimalitySweep:
     reaches 1 or s.  The input graph must meet it; the sweep then reports,
     edge by edge in lexicographic order, whether the removal keeps it.
     ``minimal`` is True when none does.
+
+    One removal is decided per edge orbit.  Swapping two twins, or two
+    twin classes of one ``_class_groups`` group, is an automorphism of g,
+    so removing any edge of one orbit leaves isomorphic graphs with the
+    same verdict.  An edge's orbit is the pair of groups of its ends'
+    classes.  The edges inside one group need no split by whether their
+    ends share a class: they all do in a group of true-twin classes and
+    none does in one of false-twin classes, as two single nodes, two
+    adjacent true-twin classes or two apart false-twin classes that could
+    be swapped would be one class.  The first edge of each orbit is
+    decided and its verdict copied to the rest.  Isomorphic graphs
+    have equal lattices, so a removal over the budget raises
+    ``CapExceededError`` at the same edge as deciding every edge would.
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
@@ -419,7 +499,14 @@ def minimality_sweep(g: Graph, r: int, s: int | None = None) -> MinimalitySweep:
         raise ValueError(f"s must lie in [1, {g.n}]")
     if max_s_given_r(g, r) < need:
         raise ValueError("graph does not satisfy the target robustness to begin with")
-    entries = tuple(
-        (e, max_s_given_r(g.remove_edge(*e), r) >= need) for e in g.edge_pairs()
-    )
-    return MinimalitySweep(r, s, entries)
+    classes, closed = _twin_classes(g)
+    group = _class_groups(classes, closed, _class_links(g, classes, closed))
+    group_of = {u: group[c] for c, nodes in enumerate(classes) for u in nodes}
+    verdicts: dict[frozenset[int], bool] = {}
+    entries = []
+    for u, v in g.edge_pairs():
+        orbit = frozenset((group_of[u], group_of[v]))
+        if orbit not in verdicts:
+            verdicts[orbit] = max_s_given_r(g.remove_edge(u, v), r) >= need
+        entries.append(((u, v), verdicts[orbit]))
+    return MinimalitySweep(r, s, tuple(entries))

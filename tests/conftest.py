@@ -9,7 +9,9 @@ reference the oracle's lattice witness is compared with up to n = 16.
 count pairs of the twin classes, the reference above that.
 ``brute_best_pair`` is the pair loop that the oracle's pair transform is
 compared with.  ``twin_rich_graph`` grows a random graph by cloning true and
-false twins, the structure the oracle's twin-class lattice compresses.
+false twins, the structure the oracle's twin-class lattice compresses, and
+``copied_class_graph`` adds a copy of a whole class, so that two classes
+can be swapped, the symmetry the minimality sweep's edge orbits use.
 ``brute_dense_subgraph`` is the subset scan that the dense-subgraph
 certificate's induced-edge table is compared with.
 ``reference_run_simulation`` is the scalar W-MSR round that the simulator's
@@ -240,6 +242,26 @@ def twin_rich_graph(rng: random.Random, n: int, base: int, p: float) -> Graph:
     rng.shuffle(label)
     return new_graph(n, [(label[u], label[w]) for u, w in combinations(range(n), 2)
                          if masks[u] >> w & 1])
+
+
+def copied_class_graph(rng: random.Random, n: int, base: int, p: float) -> Graph:
+    """A ``twin_rich_graph`` with one twin class (of two or more members
+    when there is one) copied onto new nodes, outside links included.  The
+    copy is joined to every member of the class when the class is a
+    false-twin one and to none when it is a true-twin one, which keeps the
+    two apart as swappable classes.  The labels are shuffled again."""
+    g = twin_rich_graph(rng, n, base, p)
+    classes = twin_classes(g)
+    c = rng.choice([c for c in classes if len(c) > 1] or classes)
+    copy = {u: n + k for k, u in enumerate(c)}
+    edges = list(g.edges)
+    edges += [(copy[u], copy[w]) for u, w in combinations(c, 2) if g.has_edge(u, w)]
+    edges += [(w, copy[u]) for u in c for w in g.neighbors(u) - set(c)]
+    if len(c) == 1 or not g.has_edge(c[0], c[1]):
+        edges += [(u, copy[w]) for u in c for w in c]
+    label = list(range(n + len(c)))
+    rng.shuffle(label)
+    return new_graph(len(label), [(label[u], label[w]) for u, w in edges])
 
 
 def brute_max_clique(g: Graph) -> int:

@@ -35,6 +35,7 @@ from conftest import (
     brute_max_r,
     brute_outside_degree,
     brute_reachable_count,
+    copied_class_graph,
     count_pair_first_failing_pair,
     random_graph,
     subset_pair_assignments,
@@ -395,6 +396,29 @@ class TestWitnessesAbove16Nodes:
                     failing += 1
                     assert (verdict.witness.s1, verdict.witness.s2) == expected, (g, r, s)
 
+    def test_long_class_runs_match_the_count_pair_reference(self):
+        # twin-rich graphs relabelled so that every class is a run of
+        # consecutive nodes, the runs the witness fixes by bisection
+        rng = random.Random(73)
+        failing = 0
+        while failing < 24:
+            n = rng.randint(6, 24)
+            g = twin_rich_graph(rng, n, rng.randint(2, 3), rng.random())
+            classes = twin_classes(g)
+            if max(map(len, classes)) < 4 or prod(len(c) + 1 for c in classes) > 500:
+                continue
+            rng.shuffle(classes)
+            label = {u: k for k, u in enumerate(u for c in classes for u in c)}
+            g = new_graph(n, [(label[u], label[v]) for u, v in g.edges])
+            r = rng.randint(1, (n + 1) // 2)
+            s = rng.randint(1, n)
+            for verdict, expected in ((is_r_robust(g, r), count_pair_first_failing_pair(g, r)),
+                                      (is_rs_robust(g, r, s), count_pair_first_failing_pair(g, r, s))):
+                assert verdict.holds == (expected is None), (g, r, s)
+                if expected is not None:
+                    failing += 1
+                    assert (verdict.witness.s1, verdict.witness.s2) == expected, (g, r, s)
+
     @staticmethod
     def failing_cases():
         rng = random.Random(71)
@@ -567,10 +591,25 @@ class TestMinimalitySweep:
             minimality_sweep(g, r, s)
 
 
+def sweep_levels(rng, g):
+    """Two targets ``g`` meets, r-robustness and (r, s)-robustness at random
+    levels, as (graph, r, s) with s None for r-robustness; none when ``g``
+    is not even 1-robust."""
+    top = max_r_robustness(g)
+    if top == 0:
+        return []
+    r1, r2 = rng.randint(1, top), rng.randint(1, top)
+    return [(g, r1, None), (g, r2, rng.randint(1, max_s_given_r(g, r2)))]
+
+
 def sweep_cases():
     """Targets every sweep test runs, as (graph, r, s) with s None for
     r-robustness: both families at their own level for n = 2..12, then 200
-    connected random graphs with n <= 9, each at a random level it meets."""
+    connected random graphs with n <= 9, each at random levels it meets.
+    The rest have twin classes to swap, as the sweep's edge orbits do: both
+    families relabelled by a variant seed at their own level and, with one
+    edge removed, at random levels; then 50 twin-rich graphs and 50 with a
+    copied class, at random levels."""
     for n in range(2, 13):
         gamma = (n + 1) // 2
         yield construct_gamma_merg(n)[0], gamma, None
@@ -578,15 +617,23 @@ def sweep_cases():
     rng = random.Random(17)
     made = 0
     while made < 200:
-        g = random_graph(rng, rng.randint(2, 9), rng.random())
-        top = max_r_robustness(g)
-        if top == 0:
-            continue
-        made += 1
-        r = rng.randint(1, top)
-        yield g, r, None
-        r = rng.randint(1, top)
-        yield g, r, rng.randint(1, max_s_given_r(g, r))
+        levels = sweep_levels(rng, random_graph(rng, rng.randint(2, 9), rng.random()))
+        made += bool(levels)
+        yield from levels
+    rng = random.Random(19)
+    for n in range(2, 13):
+        gamma = (n + 1) // 2
+        for build, s in ((construct_gamma_merg, None), (construct_gamma_gamma_merg, gamma)):
+            g = build(n, variant=rng.randrange(1 << 16))[0]
+            yield g, gamma, s
+            yield from sweep_levels(rng, g.remove_edge(*rng.choice(sorted(g.edges))))
+    made = 0
+    while made < 100:
+        make = (twin_rich_graph, copied_class_graph)[made % 2]
+        n = rng.randint(3, 12)
+        levels = sweep_levels(rng, make(rng, n, rng.randint(1, 4), rng.random()))
+        made += bool(levels)
+        yield from levels
 
 
 class TestSweepDecisions:
@@ -611,6 +658,81 @@ class TestSweepDecisions:
         monkeypatch.setattr(oracle, "_witness", refuse)
         for g, r, s in sweep_cases():
             minimality_sweep(g, r, s)
+
+
+class TestEdgeOrbits:
+    @staticmethod
+    def recorded_decisions(monkeypatch):
+        """The graphs that later ``max_s_given_r`` calls decide, in order."""
+        decided = []
+        real = oracle.max_s_given_r
+        monkeypatch.setattr(oracle, "max_s_given_r", lambda g, r: decided.append(g) or real(g, r))
+        return decided
+
+    @pytest.mark.parametrize("n, build, orbits", [
+        (9, construct_gamma_merg, 2), (9, construct_gamma_gamma_merg, 1),
+        (10, construct_gamma_merg, 4), (10, construct_gamma_gamma_merg, 3),
+        (20, construct_gamma_merg, 5), (20, construct_gamma_gamma_merg, 3),
+        (49, construct_gamma_merg, 2), (49, construct_gamma_gamma_merg, 1),
+    ])
+    def test_one_decision_per_edge_orbit(self, n, build, orbits, monkeypatch):
+        # the input check, then one max_s_given_r call per orbit
+        decided = self.recorded_decisions(monkeypatch)
+        g, _ = build(n)
+        gamma = (n + 1) // 2
+        s = None if build is construct_gamma_merg else gamma
+        assert minimality_sweep(g, gamma, s).minimal
+        assert len(decided) == 1 + orbits
+
+    def test_grouped_classes_swap_by_an_automorphism(self):
+        rng = random.Random(23)
+        swaps = 0
+        for k in range(200):
+            make = (twin_rich_graph, copied_class_graph)[k % 2]
+            g = make(rng, rng.randint(2, 12), rng.randint(1, 4), rng.random())
+            classes, closed = oracle._twin_classes(g)
+            group = oracle._class_groups(classes, closed, oracle._class_links(g, classes, closed))
+            for c, d in combinations(range(len(classes)), 2):
+                if group[c] != group[d]:
+                    continue
+                # swappable classes are never single nodes, and two of them
+                # are joined exactly when they are false-twin classes
+                assert len(classes[c]) > 1
+                assert g.has_edge(classes[c][0], classes[d][0]) != closed[c]
+                image = list(range(g.n))
+                for u, v in zip(classes[c], classes[d], strict=True):
+                    image[u], image[v] = v, u
+                for u in range(g.n):
+                    mapped = sum(1 << image[w] for w in g.neighbors(u))
+                    assert mapped == g.adjacency[image[u]], (g, classes[c], classes[d])
+                swaps += 1
+        assert swaps >= 100, swaps
+
+    def test_budget_refusal_comes_at_the_same_edge(self, monkeypatch):
+        # 14 single nodes and a true-twin class of 3: exactly 2^16 cells.
+        # Removing an edge at the class splits it, 3/2 times the budget.
+        rng = random.Random(29)
+        while True:
+            g = random_graph(rng, 14, 0.5)
+            hub = rng.sample(range(14), 7)
+            edges = [*g.edges, (14, 15), (14, 16), (15, 16)]
+            edges += [(u, t) for u in hub for t in (14, 15, 16)]
+            g = new_graph(17, edges)
+            if prod(len(c) + 1 for c in twin_classes(g)) == oracle.EXACT_CELL_BUDGET:
+                break
+        assert max_r_robustness(g) >= 1
+        refused = None
+        for e in g.edge_pairs():
+            try:
+                max_s_given_r(g.remove_edge(*e), 1)
+            except CapExceededError as err:
+                refused, expected = e, str(err)
+                break
+        assert refused is not None
+        decided = self.recorded_decisions(monkeypatch)
+        with pytest.raises(CapExceededError, match=f"^{re.escape(expected)}$"):
+            minimality_sweep(g, 1)
+        assert decided[-1] == g.remove_edge(*refused)
 
 
 @settings(max_examples=30, deadline=None)
