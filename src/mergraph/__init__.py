@@ -65,12 +65,10 @@ from .wmsr import (
     build_scenario,
     is_f_local,
     is_f_total,
-    nominal_step,
     run_simulation,
     trajectory_metrics,
     trajectory_to_csv,
     trig_malicious_value,
-    wmsr_step,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -4,10 +4,12 @@ Agents hold scalar states and update synchronously.  A normal agent running
 the trimmed update sorts the values received from its neighbors, discards up
 to F of them strictly above its own state (the largest ones) and up to F
 strictly below (the smallest ones), then moves to the uniform average of its
-own state and the retained values.  With F = 0 this degenerates to plain
-uniform averaging.  An agent keeps at most n - 1 values, so each weight is
-at least 1/n: the W-MSR weight floor (LeBlanc et al., IEEE JSAC 2013) holds
-by construction and is not a setting.
+own state and the retained values.  Where the cut falls inside a run of
+equal values, the copies from the lowest-indexed neighbors are the ones
+discarded.  With F = 0 this degenerates to plain uniform averaging.  An
+agent keeps at most n - 1 values, so each weight is at least 1/n: the W-MSR
+weight floor (LeBlanc et al., IEEE JSAC 2013) holds by construction and is
+not a setting.
 
 Summation order: an update adds the retained values left to right in
 ascending neighbor order, starting from 0.0, and then adds that total to the
@@ -19,11 +21,20 @@ Misbehaving agents never follow the update.  A malicious agent broadcasts a
 single forged value per step to all neighbors; a Byzantine agent may send a
 different value to every receiver.  Misbehavior models are value-level:
 rounds are synchronous and lossless, so no message objects are needed.
-Strategy methods must be pure functions of their arguments: a round may call
-one once per step and reuse the value (a malicious broadcast is both logged
-and sent), or call it more than once with the same arguments.  A NaN strategy
-value is an error; an infinite one is an ordinary extreme, which the trim
-removes like any other.
+
+Adversary protocol: a strategy provides ``malicious_values(agents, t)``
+and/or ``byzantine_values(agents, receivers, t)``.  Both are elementwise
+over int arguments (arrays or scalars) that broadcast together: each element
+of the result is what agent ``agents`` sends (to ``receivers``) at step
+``t``, for the matching elements of the arguments.  The result is a float
+array that broadcasts to the arguments' common shape, so a strategy may omit
+the axes of arguments it ignores.  :func:`run_simulation` asks once per run
+for every step's broadcasts and logged Byzantine values and once per round
+for what the Byzantine agents send normal agents.  Strategies must be pure
+functions of their arguments: a run may ask for a value more than once, or
+for values it does not use, such as those of steps after an error.  A NaN
+strategy value is an error naming the agent and the step; an infinite one is
+an ordinary extreme, which the trim removes like any other.
 
 Determinism: given an identical configuration a run produces a bit-identical
 trajectory.  Randomness enters only through the initial states, which the
@@ -57,55 +68,6 @@ class AgentRole(str, Enum):
     BYZANTINE = "byzantine"
 
 
-# -- update rules --------------------------------------------------------------
-
-def _left_sum(values: Iterable[float]) -> float:
-    """``((0.0 + v0) + v1) + ...``: the summation order of every update."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
-def wmsr_retained(own: float, neighbor_values: Sequence[float], f: int) -> list[float]:
-    """Neighbor values surviving the trim: drop up to ``f`` strictly above own
-    (largest first) and up to ``f`` strictly below (smallest first).
-
-    The survivors keep their input order, so with f = 0 the subsequent
-    average sums every value in input order.  Ties among equal extremes are
-    broken by dropping earlier-positioned duplicates first; any consistent
-    rule leaves the same retained multiset.
-    """
-    if f < 0:
-        raise ValueError("f must be non-negative")
-    above = sorted(v for v in neighbor_values if v > own)
-    below = sorted(v for v in neighbor_values if v < own)
-    drop: dict[float, int] = {}
-    for v in above[max(0, len(above) - f):]:
-        drop[v] = drop.get(v, 0) + 1
-    for v in below[: min(f, len(below))]:
-        drop[v] = drop.get(v, 0) + 1
-    kept = []
-    for v in neighbor_values:
-        if drop.get(v, 0) > 0:
-            drop[v] -= 1
-            continue
-        kept.append(v)
-    return kept
-
-
-def wmsr_step(own: float, neighbor_values: Sequence[float], f: int) -> float:
-    """One trimmed-consensus update; result lies in [min, max] of own + retained."""
-    kept = wmsr_retained(own, neighbor_values, f)
-    return (own + _left_sum(kept)) / (1 + len(kept))
-
-
-def nominal_step(own: float, neighbor_values: Sequence[float]) -> float:
-    """Uniform-weight convex combination of own state and all neighbor values:
-    the trimmed update with nothing trimmed."""
-    return wmsr_step(own, neighbor_values, 0)
-
-
 # -- adversary scope models ------------------------------------------------------
 
 def is_f_total(roles: Sequence[AgentRole], f: int) -> bool:
@@ -132,8 +94,12 @@ def trig_malicious_value(agent: int, t: int) -> float:
 class TrigMalicious:
     """Trig-wave broadcast attack; one common value per step."""
 
-    def malicious_value(self, agent: int, t: int) -> float:
-        return trig_malicious_value(agent, t)
+    def malicious_values(self, agents, t) -> np.ndarray:
+        # libm's cos and sin, one call each per step: numpy's vectorized cos
+        # need not round like libm on every CPU
+        steps = sorted(set(np.ravel(t).tolist()))
+        waves = np.array([[trig_malicious_value(0, s), trig_malicious_value(1, s)] for s in steps])
+        return waves[np.searchsorted(steps, t), np.remainder(agents, 2)]
 
 
 @dataclass(frozen=True)
@@ -142,8 +108,8 @@ class SplitByReceiver:
 
     n: int
 
-    def byzantine_value(self, agent: int, receiver: int, t: int) -> float:
-        return 100.0 if receiver <= (self.n + 1) // 2 else 0.0
+    def byzantine_values(self, agents, receivers, t) -> np.ndarray:
+        return np.where(np.less_equal(receivers, (self.n + 1) // 2), 100.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -151,8 +117,8 @@ class ConstByAgent:
     """Byzantine by role, constant by choice: agent 3 sends 100 to everyone,
     the other misbehaving agents send 0."""
 
-    def byzantine_value(self, agent: int, receiver: int, t: int) -> float:
-        return 100.0 if agent == 3 else 0.0
+    def byzantine_values(self, agents, receivers, t) -> np.ndarray:
+        return np.where(np.equal(agents, 3), 100.0, 0.0)
 
 
 # -- configuration and trajectories ----------------------------------------------
@@ -238,74 +204,134 @@ def _adjacency_matrix(g: Graph) -> np.ndarray:
     return mask_bits(g.adjacency, g.n).view(bool)
 
 
-def _neighbor_index(adj: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Padded index of the listed nodes' neighbors, one column per node.
+def _gather_index(adj: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index that gathers what the listed nodes see in a round, one column
+    per node: its neighbors in ascending order from the top, and the node
+    itself in the last row.
 
-    Column k lists node ``rows[k]``'s neighbors in ascending order, top to
-    bottom; there is at least one row.  Padding is the column's own node:
-    it gathers the receiver's own state, which the trim never drops, and a
-    node is never its own neighbor, so ``index != rows`` marks the neighbors.
+    Padding is the column's own node too: it gathers the receiver's own
+    state, which the trim never drops, and a node is never its own neighbor,
+    so above the last row ``index == rows`` marks the padding.
     """
     sub = adj[rows]
     degree = sub.sum(axis=1)
-    width = max(int(degree.max(initial=0)), 1)
     col, nbr = np.nonzero(sub)
     pos = np.arange(col.size) - np.repeat(np.cumsum(degree) - degree, degree)
     # intp, so that each round's gather need not convert the index
-    index = np.repeat(rows.astype(np.intp)[None, :], width, axis=0)
+    index = np.repeat(rows.astype(np.intp)[None, :], 1 + int(degree.max(initial=0)), axis=0)
     index[pos, col] = nbr
     return index
 
 
-def _strategy_values(values: list[float], agents: Sequence[int], t: int) -> np.ndarray:
-    """The values as float64; a NaN is an error naming its agent and step."""
-    out = np.array(values, dtype=np.float64)
-    nan = np.isnan(out)
-    if nan.any():
-        raise ValueError(f"agent {agents[int(nan.argmax())]} sent NaN at step {t}")
-    return out
+class _Trim:
+    """The trim of one round and its weights, on buffers allocated once per run.
 
-
-def _trimmed(received: np.ndarray, own: np.ndarray, f: int) -> np.ndarray:
-    """Mask of the cells the trim drops from each column of ``received``.
-
-    ``received`` is (width, columns) with f >= 1; cells equal to the column's
-    ``own`` value (padding among them) are neither above nor below it.  One
-    ascending sort gives the f-th smallest value ``lo`` and the f-th largest
-    ``hi``.  Below own, the cells at most ``lo`` are dropped, above own the
-    cells at least ``hi``: one compare per side.  Where the cut splits a run
-    of values equal to ``lo`` (or ``hi``), only its earliest copies within
-    the f are dropped, as :func:`wmsr_retained` does.
+    A call takes what the normal agents see, (rows, columns) with each
+    column's own state in the last row, and returns the mask of cells to
+    zero before the fold, the padding and the cells the trim drops, and
+    each column's weight, 1 / (1 + retained values).  One ascending sort
+    gives each column's k-th smallest value and k-th largest, k = min(F,
+    rows), and the values just beyond them.  The low side drops the cells
+    below own and at most the k-th smallest: below ``lo``, the least of own,
+    the float after the cut and the value beyond it.  The high side is the
+    mirror image.  Where the value beyond a cut equals it, the cut splits a
+    run of equal values: the bound is the cut itself, and the run's copies
+    go from the lowest rows until the side has dropped k cells.
 
     A NaN cell fails every compare, so it is never dropped, and a column
-    whose own value is NaN drops nothing.  Such a column folds to NaN, so
+    whose own value is NaN drops nothing; such a column folds to NaN, so
     where the sort puts NaN does not matter.
     """
-    width = received.shape[0]
-    ordered = np.sort(received, axis=0)
-    lo_row, hi_row = min(f, width) - 1, max(width - f, 0)
-    lo, hi = ordered[lo_row], ordered[hi_row]
-    lo_cut = np.minimum(np.nextafter(lo, np.inf), own)
-    hi_cut = np.maximum(np.nextafter(hi, -np.inf), own)
-    splits = []
-    if lo_row + 1 < width:
-        split = (lo < own) & (ordered[lo_row + 1] == lo)
-        if split.any():
-            np.copyto(lo_cut, lo, where=split)
-            splits.append((np.where(split, lo, np.nan), ordered[: lo_row + 1]))
-    if hi_row > 0:
-        split = (hi > own) & (ordered[hi_row - 1] == hi)
-        if split.any():
-            np.copyto(hi_cut, hi, where=split)
-            splits.append((np.where(split, hi, np.nan), ordered[hi_row:]))
-    drop = (received < lo_cut) | (received > hi_cut)
-    count = np.min_scalar_type(width)
-    # NaN marks the columns the cut does not split: nothing equals it
-    for value, cut_rows in splits:
-        ties = received == value
-        need = (cut_rows == value).sum(axis=0, dtype=count)
-        drop |= ties & (ties.cumsum(axis=0, dtype=count) <= need)
-    return drop
+
+    def __init__(self, padding: np.ndarray, f: int):
+        rows, columns = padding.shape
+        self.k = min(f, rows)
+        self.padding = padding
+        # by count of zeroed cells; the last row, own, is never zeroed
+        self.weights = 1.0 / (rows - np.arange(rows))
+        self.weight = self.weights[padding.sum(axis=0)]
+        if not self.k:
+            return
+        k = self.k
+        self.count = np.min_scalar_type(rows)
+        self.ordered = np.empty((rows, columns))
+        # the sorted rows of both cuts, then the rows just beyond them; at
+        # k = rows the clipped rows beyond are the cuts themselves, and then
+        # no cut is beyond own, which the last row holds
+        self.rows = (k - 1, rows - k, k, rows - k - 1)
+        self.sorted_rows = np.empty((4, columns))
+        self.cuts, self.beyond = self.sorted_rows.reshape(2, 2, columns)
+        self.toward_own = np.array([[np.inf], [-np.inf]])
+        self.bounds = np.empty((2, 1, columns))
+        self.bound_rows = self.bounds[:, 0]
+        self.lo, self.hi = self.bound_rows
+        self.run = np.empty((2, columns), dtype=bool)
+        self.split = np.empty((2, columns), dtype=bool)
+        # tie ranks run down the rows of both sides at once: the columns'
+        # counts share uint64 words, lanes of the count type, and adding
+        # words adds lanes, since no count exceeds rows; a rank starts from
+        # the count of cells beyond the cut, held in the row above the ties
+        lanes = 8 // self.count.itemsize
+        words = (2, 1 + rows, -(-columns // lanes) * lanes)
+        self.tie_words = np.zeros(words, dtype=self.count)
+        self.beyond_cut = self.tie_words[:, :1, :columns]
+        # written and read as bool where the count type is one byte
+        ties = self.tie_words[:, 1:, :columns]
+        self.ties = ties.view(bool) if self.count.itemsize == 1 else ties
+        self.count_words = np.empty(words, dtype=self.count)
+        self.rank = self.count_words[:, 1:, :columns]
+        # the tie picks of both sides, both sides, then the padding: one
+        # reduce gives every zeroed cell
+        self.drop = np.empty((5, rows, columns), dtype=bool)
+        self.drop[4] = padding
+        self.picks, self.sides, self.untied = self.drop[:2], self.drop[2:4], self.drop[2:]
+        self.zeroed = np.empty((rows, columns), dtype=bool)
+        self.zeroed_count = np.empty(columns, dtype=self.count)
+        self.round_weight = np.empty(columns)
+
+    def __call__(self, received: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if not self.k:
+            return self.padding, self.weight
+        own, cuts, beyond, run, split = received[-1], self.cuts, self.beyond, self.run, self.split
+        lo, hi, bounds = self.lo, self.hi, self.bound_rows
+        picks, sides = self.picks, self.sides
+        np.copyto(self.ordered, received)
+        self.ordered.sort(axis=0)
+        self.ordered.take(self.rows, axis=0, out=self.sorted_rows, mode="clip")
+        np.nextafter(cuts, self.toward_own, out=bounds)
+        np.minimum(lo, own, out=lo)
+        np.minimum(lo, beyond[0], out=lo)
+        np.maximum(hi, own, out=hi)
+        np.maximum(hi, beyond[1], out=hi)
+        np.less(received, lo, out=sides[0])
+        np.greater(received, hi, out=sides[1])
+        # a cut beyond own whose run goes on past it splits the run
+        np.less(cuts[0], own, out=split[0])
+        np.greater(cuts[1], own, out=split[1])
+        np.equal(beyond, cuts, out=run)
+        np.logical_and(split, run, out=split)
+        tie_split = np.logical_or.reduce(split, axis=None)
+        if tie_split:
+            # the run's first k - #(dropped) copies go
+            np.copyto(bounds, np.nan)
+            np.copyto(bounds, cuts, where=split)
+            np.equal(received, self.bounds, out=self.ties)
+            np.add.reduce(sides.view(np.uint8), axis=1, dtype=self.count, keepdims=True,
+                          out=self.beyond_cut)
+            np.add.accumulate(self.tie_words.view(np.uint64), axis=1,
+                              out=self.count_words.view(np.uint64))
+            np.less_equal(self.rank, self.k, out=picks)
+            np.logical_and(picks, self.ties, out=picks)
+        np.logical_or.reduce(self.drop if tie_split else self.untied, axis=0, out=self.zeroed)
+        np.add.reduce(self.zeroed.view(np.uint8), axis=0, dtype=self.count,
+                      out=self.zeroed_count)
+        return self.zeroed, self.weights.take(self.zeroed_count, out=self.round_weight)
+
+
+def _nan_error(agents: np.ndarray, values: np.ndarray, t: int) -> ValueError:
+    """The error for the first NaN of ``values``, sent by ``agents`` at ``t``."""
+    first = int(np.isnan(np.broadcast_to(values, agents.shape)).argmax())
+    return ValueError(f"agent {agents.flat[first]} sent NaN at step {t}")
 
 
 def run_simulation(config: SimConfig, adversary: object | None = None) -> Trajectory:
@@ -313,87 +339,95 @@ def run_simulation(config: SimConfig, adversary: object | None = None) -> Trajec
 
     Normal agents emit their current state; malicious agents emit their
     strategy's broadcast value; Byzantine agents emit per-receiver values.
-    The strategy object must provide ``malicious_value(agent, t)`` and/or
-    ``byzantine_value(agent, receiver, t)`` for the roles present, otherwise
-    the role/strategy pairing is rejected.  A NaN strategy value raises
-    ``ValueError``.
+    The strategy must provide ``malicious_values`` and/or
+    ``byzantine_values`` (see the module docstring) for the roles present,
+    otherwise the role/strategy pairing is rejected.  Each is called once
+    per run for every step's logged values, the malicious broadcasts and
+    what each Byzantine agent sends its lowest-indexed neighbor, which go
+    straight into the trajectory; ``byzantine_values`` is called once more
+    per round for what the Byzantine agents send normal agents.  So each is
+    called at most steps + 1 times.
 
-    A round is a fixed sequence of whole-array operations on the values the
-    normal agents receive: one column per agent, its neighbors' values in
-    ascending neighbor order down the column.  With F >= 1 one ascending
-    sort per round gives each column's two cut values, the F-th smallest and
-    the F-th largest, and the trim is one compare against each; where a cut
-    splits a run of equal values, the earliest copies are dropped (see
-    :func:`wmsr_retained`).  With F = 0 nothing is trimmed and the sort is
-    skipped.  Dropped cells are zeroed and each column is folded top to
-    bottom by one row-wise reduce.
+    A NaN strategy value raises ``ValueError`` naming the agent and step of
+    the first NaN, steps in order; within a step the logged values come
+    first (malicious, then Byzantine agents, each ascending), then the
+    values sent to normal agents (by neighbor rank, then receiver).  No
+    round runs at or after that step.  An infinite value is trimmed like
+    any other extreme.
+
+    A round is a fixed sequence of in-place array operations on what the
+    normal agents see: one column per agent, its neighbors' values in
+    ascending neighbor order from the top and its own state in the last
+    row, gathered from the trajectory's row for the step.  With F >= 1 one
+    ascending sort per round gives each column's two cut values, the F-th
+    smallest and the F-th largest, and the trim drops what lies beyond
+    them, the earliest copies where a cut splits a run of equal values (see
+    :class:`_Trim`).  With F = 0 nothing is trimmed.  Dropped cells are
+    zeroed and each column is folded top to bottom from 0.0 by one
+    row-wise reduce, own last: addition commutes, so that is own plus the
+    retained values' sum.
     """
     g = config.graph
     n = g.n
     roles = config.roles
-    f = config.f
-    malicious_value = getattr(adversary, "malicious_value", None)
-    byzantine_value = getattr(adversary, "byzantine_value", None)
-    if malicious_value is None and AgentRole.MALICIOUS in roles:
-        raise ValueError("malicious roles present but strategy has no malicious_value")
-    if byzantine_value is None and AgentRole.BYZANTINE in roles:
-        raise ValueError("byzantine roles present but strategy has no byzantine_value")
+    steps = config.steps
+    malicious_values = getattr(adversary, "malicious_values", None)
+    byzantine_values = getattr(adversary, "byzantine_values", None)
+    if malicious_values is None and AgentRole.MALICIOUS in roles:
+        raise ValueError("malicious roles present but strategy has no malicious_values")
+    if byzantine_values is None and AgentRole.BYZANTINE in roles:
+        raise ValueError("byzantine roles present but strategy has no byzantine_values")
 
     adj = _adjacency_matrix(g)
     role_of = np.array([r.value for r in roles])
     is_byzantine = role_of == AgentRole.BYZANTINE.value
     normal = np.flatnonzero(role_of == AgentRole.NORMAL.value)
+    if normal.size == 1:
+        # numpy sums a lone column pairwise; two equal columns fold row-wise
+        normal = normal.repeat(2)
     # isolated adversaries send nothing and are logged as 0.0
     has_neighbor = adj.any(axis=1)
     malicious = np.flatnonzero((role_of == AgentRole.MALICIOUS.value) & has_neighbor)
     byzantine = np.flatnonzero(is_byzantine & has_neighbor)
-    index = _neighbor_index(adj, normal)
-    valid = index != normal
-    slot_pos, slot_col = np.nonzero(valid & is_byzantine[index])
-    # a Byzantine agent is logged with what it sends its lowest-indexed neighbor
-    byz_pairs = list(zip(byzantine.tolist(), adj[byzantine].argmax(axis=1).tolist()))
-    byz_pairs += zip(index[slot_pos, slot_col].tolist(), normal[slot_col].tolist())
     emitters = np.concatenate((malicious, byzantine))
-    agents = emitters.tolist() + [j for j, _ in byz_pairs[byzantine.size :]]
-    malicious = malicious.tolist()
+    index = _gather_index(adj, normal)
+    padding = index == normal
+    padding[-1] = False
+    slots = np.flatnonzero(~padding & is_byzantine[index])
+    slot_agents = index.flat[slots]
+    slot_receivers = normal[slots % normal.size]
 
-    received = np.empty(index.shape, dtype=np.float64)
-    width = index.shape[0]
-    count = np.min_scalar_type(width)
-    drop = padding = ~valid
-    weight = 1.0 / (1 + valid.sum(axis=0))
-    # numpy sums a lone column pairwise, so fold it with accumulate instead
-    fold_rows = normal.size > 1
-    states = np.empty((config.steps + 1, n), dtype=np.float64)
-    sent = np.zeros(n, dtype=np.float64)
-    own = np.array(config.initial_states, dtype=np.float64)[normal]
-    sent[normal] = own
-    for t in range(config.steps + 1):
-        pairs = byz_pairs if t < config.steps else byz_pairs[: byzantine.size]
-        values = _strategy_values(
-            [malicious_value(j, t) for j in malicious]
-            + [byzantine_value(j, i, t) for j, i in pairs],
-            agents,
-            t,
-        )
-        sent[emitters] = values[: emitters.size]
-        states[t] = sent
-        if t == config.steps:
-            break
-        np.take(sent, index, out=received, mode="clip")
-        received[slot_pos, slot_col] = values[emitters.size :]
-        if f:
-            drop = _trimmed(received, own, f)
-            drop |= padding
-            weight = 1.0 / (1.0 + (width - drop.sum(axis=0, dtype=count)))
-        np.copyto(received, 0.0, where=drop)
-        # + 0.0 turns a -0.0 total into Python sum's 0.0, which starts from 0
-        if fold_rows:
-            total = np.add.reduce(received, axis=0)
-        else:
-            total = np.add.accumulate(received, axis=0)[-1]
-        own = (own + (total + 0.0)) * weight
-        sent[normal] = own
+    states = np.zeros((steps + 1, n))
+    states[0, normal] = np.array(config.initial_states)[normal]
+    every_step = np.arange(steps + 1)[:, None]
+    if malicious.size:
+        states[:, malicious] = malicious_values(malicious, every_step)
+    if byzantine.size:
+        # a Byzantine agent is logged with what it sends its lowest-indexed neighbor
+        lowest = adj[byzantine].argmax(axis=1)
+        states[:, byzantine] = byzantine_values(byzantine, lowest, every_step)
+    logged_nan = np.isnan(states[:, emitters]).any(axis=1)
+    nan_step = int(logged_nan.argmax()) if logged_nan.any() else steps + 1
+
+    received = np.empty(index.shape)
+    total = np.empty(normal.size)
+    trim = _Trim(padding, config.f)
+    for t in range(min(nan_step, steps)):
+        states[t].take(index, out=received, mode="clip")
+        if slots.size:
+            sent = byzantine_values(slot_agents, slot_receivers, t)
+            # the least value is NaN if any value is
+            if math.isnan(np.minimum.reduce(sent, axis=None)):
+                raise _nan_error(slot_agents, sent, t)
+            np.put(received, slots, sent)
+        zeroed, weight = trim(received)
+        np.putmask(received, zeroed, 0.0)
+        # the last row is own: ((0.0 + v0) + ...) + own is own + the sum
+        np.add.reduce(received, axis=0, out=total, initial=0.0)
+        np.multiply(total, weight, out=total)
+        states[t + 1, normal] = total
+    if nan_step <= steps:
+        raise _nan_error(emitters, states[nan_step, emitters], nan_step)
     return Trajectory(states=states, roles=roles, f=config.f)
 
 
@@ -558,11 +592,13 @@ def trajectory_metrics(traj: Trajectory, tol: float = 1e-6) -> dict:
     """Spread, hull and convergence figures; converged means final spread < tol."""
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    spreads = traj.spreads()
-    m0, big_m0 = traj.hull_bounds()
+    normal = traj.normal_states()
+    highs = normal.max(axis=1)
+    lows = normal.min(axis=1)
+    spreads = highs - lows
+    m0, big_m0 = float(lows[0]), float(highs[0])
     initial = float(spreads[0])
     final = float(spreads[-1])
-    normal = traj.normal_states()
     metrics = {
         "f": traj.f,
         "steps": traj.steps,
@@ -571,7 +607,8 @@ def trajectory_metrics(traj: Trajectory, tol: float = 1e-6) -> dict:
         "spread_initial": initial,
         "spread_final": final,
         "spread_ratio": (final / initial) if initial > 0 else None,
-        "within_hull": bool((normal >= m0).all() and (normal <= big_m0).all()),
+        # a NaN state makes its row's extremes NaN, which fails both compares
+        "within_hull": bool(lows.min() >= m0 and highs.max() <= big_m0),
         "tol": tol,
         "converged": final < tol,
     }

@@ -14,9 +14,12 @@ false twins, the structure the oracle's twin-class lattice compresses, and
 can be swapped, the symmetry the minimality sweep's edge orbits use.
 ``brute_dense_subgraph`` is the subset scan that the dense-subgraph
 certificate's induced-edge table is compared with.
-``reference_run_simulation`` is the scalar W-MSR round that the simulator's
-array round is compared with, byte for byte; ``trajectory_states_from_csv``
-reads a trajectory CSV back into its state matrix.
+``wmsr_retained``, ``wmsr_step`` and ``nominal_step`` are the scalar
+trimmed update, and ``reference_run_simulation`` the per-agent W-MSR round
+built on them that the simulator's array round is compared with, byte for
+byte.  ``PerValue`` gives a test strategy written one value at a time the
+simulator's array methods; ``trajectory_states_from_csv`` reads a
+trajectory CSV back into its state matrix.
 ``reference_graph_to_json`` and ``reference_graph_to_edge_text`` write a
 graph by sorting its edge set, the bytes the bit-walking serializers must
 match; ``reference_turan_clique_threshold`` finds the Turán clique threshold
@@ -27,16 +30,14 @@ from __future__ import annotations
 
 import json
 import random
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations, product
-from operator import add
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from mergraph import AgentRole, Graph, Trajectory, new_graph
 from mergraph.certificates import edge_lb_gamma_gamma, turan_number
-from mergraph.wmsr import wmsr_retained
 
 
 def subset_pair_assignments(n: int) -> Iterator[tuple[int, int]]:
@@ -295,26 +296,96 @@ def brute_dense_subgraph(g: Graph) -> bool:
     return False
 
 
+def _left_sum(values: Iterable[float]) -> float:
+    """``((0.0 + v0) + v1) + ...``: the summation order of every update."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def wmsr_retained(own: float, neighbor_values: Sequence[float], f: int) -> list[float]:
+    """Neighbor values surviving the trim: drop up to ``f`` strictly above own
+    (largest first) and up to ``f`` strictly below (smallest first).
+
+    The survivors keep their input order, so with f = 0 the subsequent
+    average sums every value in input order.  Ties among equal extremes are
+    broken by dropping earlier-positioned duplicates first; any consistent
+    rule leaves the same retained multiset.
+    """
+    if f < 0:
+        raise ValueError("f must be non-negative")
+    above = sorted(v for v in neighbor_values if v > own)
+    below = sorted(v for v in neighbor_values if v < own)
+    drop: dict[float, int] = {}
+    for v in above[max(0, len(above) - f):]:
+        drop[v] = drop.get(v, 0) + 1
+    for v in below[: min(f, len(below))]:
+        drop[v] = drop.get(v, 0) + 1
+    kept = []
+    for v in neighbor_values:
+        if drop.get(v, 0) > 0:
+            drop[v] -= 1
+            continue
+        kept.append(v)
+    return kept
+
+
+def wmsr_step(own: float, neighbor_values: Sequence[float], f: int) -> float:
+    """One trimmed-consensus update; result lies in [min, max] of own + retained."""
+    kept = wmsr_retained(own, neighbor_values, f)
+    return (own + _left_sum(kept)) / (1 + len(kept))
+
+
+def nominal_step(own: float, neighbor_values: Sequence[float]) -> float:
+    """Uniform-weight convex combination of own state and all neighbor values:
+    the trimmed update with nothing trimmed."""
+    return wmsr_step(own, neighbor_values, 0)
+
+
+def per_value(scalar, *args) -> np.ndarray:
+    """``scalar`` called on the ints of each element of the broadcast
+    arguments, in C order: an elementwise strategy method from a per-value
+    one."""
+    grid = np.broadcast(*args)
+    out = np.empty(grid.shape)
+    out.flat = [scalar(*(int(a) for a in key)) for key in grid]
+    return out
+
+
+class PerValue:
+    """Mixin for a test strategy written one value at a time: it gets the
+    array methods ``run_simulation`` calls, each looping over its scalar
+    ``malicious_value(agent, t)`` or ``byzantine_value(agent, receiver, t)``."""
+
+    def malicious_values(self, agents, t) -> np.ndarray:
+        return per_value(self.malicious_value, agents, t)
+
+    def byzantine_values(self, agents, receivers, t) -> np.ndarray:
+        return per_value(self.byzantine_value, agents, receivers, t)
+
+
 def reference_run_simulation(config, adversary=None):
     """Per-agent, per-neighbor W-MSR rounds: the reference for ``run_simulation``.
 
     Every normal agent asks each neighbor, in ascending order, for the value
-    it sends, trims with the scalar :func:`mergraph.wmsr.wmsr_retained` and
-    folds the survivors left to right from 0.0, as Python's ``sum`` did on
-    floats before 3.12.  Adversary roles are checked, strategy values are
-    taken as given (no NaN check).
+    it sends, trims with the scalar :func:`wmsr_retained` and folds the
+    survivors left to right from 0.0, as Python's ``sum`` did on floats
+    before 3.12.  A strategy's array methods are called one value at a
+    time.  Adversary roles are checked, strategy values are taken as given
+    (no NaN check).
     """
     g = config.graph
     n = g.n
     roles = config.roles
     if any(r is AgentRole.MALICIOUS for r in roles) and not hasattr(
-        adversary, "malicious_value"
+        adversary, "malicious_values"
     ):
-        raise ValueError("malicious roles present but strategy has no malicious_value")
+        raise ValueError("malicious roles present but strategy has no malicious_values")
     if any(r is AgentRole.BYZANTINE for r in roles) and not hasattr(
-        adversary, "byzantine_value"
+        adversary, "byzantine_values"
     ):
-        raise ValueError("byzantine roles present but strategy has no byzantine_value")
+        raise ValueError("byzantine roles present but strategy has no byzantine_values")
 
     neighbor_lists = [sorted(g.neighbors(i)) for i in range(n)]
 
@@ -323,8 +394,8 @@ def reference_run_simulation(config, adversary=None):
         if role is AgentRole.NORMAL:
             return x[j]
         if role is AgentRole.MALICIOUS:
-            return adversary.malicious_value(j, t)
-        return adversary.byzantine_value(j, receiver, t)
+            return float(adversary.malicious_values(j, t))
+        return float(adversary.byzantine_values(j, receiver, t))
 
     states = np.empty((config.steps + 1, n), dtype=np.float64)
     x = [float(v) for v in config.initial_states]
@@ -345,7 +416,7 @@ def reference_run_simulation(config, adversary=None):
             received = [sent(j, i, t, x) for j in neighbor_lists[i]]
             kept = wmsr_retained(x[i], received, config.f)
             weight = 1.0 / (1 + len(kept))
-            new_x[i] = (x[i] + reduce(add, kept, 0.0)) * weight
+            new_x[i] = (x[i] + _left_sum(kept)) * weight
         x = new_x
     return Trajectory(states=states, roles=roles, f=config.f)
 

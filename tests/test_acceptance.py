@@ -34,18 +34,16 @@ from mergraph import (
     minimality_sweep,
     necessary_clique_size,
     new_graph,
-    nominal_step,
     prop1_gamma_gamma_check,
     run_simulation,
     trajectory_to_csv,
-    wmsr_step,
 )
 from mergraph.wmsr import (
     SCENARIO_BYZ_CONST,
     SCENARIO_BYZ_SPLIT,
     SCENARIO_TRIG_MALICIOUS,
 )
-from conftest import random_graph
+from conftest import PerValue, nominal_step, random_graph, wmsr_step
 
 DATA = Path(__file__).parent / "data"
 
@@ -274,7 +272,7 @@ def test_criterion_8_trim_unit_behavior_and_hull_monotonicity():
     assert wmsr_step(4.5, [], 3) == 4.5
     assert wmsr_step(1.0, [2.0, 3.0], 0) == nominal_step(1.0, [2.0, 3.0])
 
-    class StatelessNoise:
+    class StatelessNoise(PerValue):
         def __init__(self, seed: int):
             self.seed = seed
 

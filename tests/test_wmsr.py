@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 import tracemalloc
@@ -22,12 +23,10 @@ from mergraph import (
     is_f_local,
     is_f_total,
     new_graph,
-    nominal_step,
     run_simulation,
     trajectory_metrics,
     trajectory_to_csv,
     trig_malicious_value,
-    wmsr_step,
 )
 from mergraph import wmsr
 from mergraph.cli import main as cli_main
@@ -43,9 +42,16 @@ from mergraph.wmsr import (
     SplitByReceiver,
     TrigMalicious,
     get_scenario,
-    wmsr_retained,
 )
-from conftest import random_graph, reference_run_simulation, trajectory_states_from_csv
+from conftest import (
+    PerValue,
+    nominal_step,
+    random_graph,
+    reference_run_simulation,
+    trajectory_states_from_csv,
+    wmsr_retained,
+    wmsr_step,
+)
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -105,17 +111,30 @@ class TestAdversaryValues:
         assert trig_malicious_value(2, 5) == pytest.approx(1080 * math.cos(1))
         assert trig_malicious_value(3, 5) == pytest.approx(1080 * math.sin(1))
 
+    def test_trig_array_values(self):
+        values = TrigMalicious().malicious_values(np.array([0, 1, 2, 3]), np.array([0, 0, 5, 5]))
+        assert values[:2].tolist() == [1080.0, 0.0]
+        assert values[2] == pytest.approx(1080 * math.cos(1))
+        assert values[3] == pytest.approx(1080 * math.sin(1))
+        steps = np.arange(4)[:, None]
+        grid = TrigMalicious().malicious_values(np.array([4, 7]), steps)
+        assert grid.tolist() == [[trig_malicious_value(a, t) for a in (4, 7)] for t in range(4)]
+
     def test_split_values(self):
         split = SplitByReceiver(9)
-        assert split.byzantine_value(0, 2, 0) == 100.0
-        assert split.byzantine_value(1, 8, 3) == 0.0
-        assert split.byzantine_value(0, 5, 0) == 100.0
-        assert split.byzantine_value(0, 6, 0) == 0.0
+        assert split.byzantine_values(0, 2, 0) == 100.0
+        assert split.byzantine_values(1, 8, 3) == 0.0
+        assert split.byzantine_values(0, 5, 0) == 100.0
+        assert split.byzantine_values(0, 6, 0) == 0.0
+        values = split.byzantine_values(np.array([0, 1, 0, 0]), np.array([2, 8, 5, 6]), 3)
+        assert values.tolist() == [100.0, 0.0, 100.0, 0.0]
 
     def test_const_values(self):
         const = ConstByAgent()
-        assert const.byzantine_value(3, 7, 2) == 100.0
-        assert const.byzantine_value(1, 7, 2) == 0.0
+        assert const.byzantine_values(3, 7, 2) == 100.0
+        assert const.byzantine_values(1, 7, 2) == 0.0
+        values = const.byzantine_values(np.array([3, 1, 0, 3]), np.array([7, 7, 5, 4]), 2)
+        assert values.tolist() == [100.0, 0.0, 0.0, 100.0]
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError, match="unknown scenario 'other'"):
@@ -200,7 +219,7 @@ class TestRunSimulation:
         g = new_graph(4, [(0, 1), (0, 3), (1, 2), (2, 3), (1, 3)])
         roles = [AgentRole.BYZANTINE] + [AgentRole.NORMAL] * 3
 
-        class Probe:
+        class Probe(PerValue):
             def byzantine_value(self, agent, receiver, t):
                 return 1000.0 + receiver
 
@@ -256,7 +275,7 @@ class TestRunSimulation:
             make_config(complete_graph(3), [AgentRole.NORMAL] * 3, 0, 5, [0.0, bad, 1.0])
 
 
-class RandomAdversary:
+class RandomAdversary(PerValue):
     """Deterministic stateless noise; malicious values depend on (agent, t) only."""
 
     def __init__(self, seed: int):
@@ -375,6 +394,36 @@ class TestTrajectoryOutputs:
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             trajectory_metrics(run_simulation(config), tol=tol)
 
+    # NaN rows are wanted here, so numpy's all-NaN warnings are too
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_metrics_match_the_per_figure_methods(self):
+        # the figures as Trajectory's methods give them, each gathering
+        # the normal states again
+        rng = np.random.default_rng(11)
+        special = np.array([0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan, 1.0, -1.0])
+        for case in range(200):
+            n = int(rng.integers(1, 7))
+            roles = tuple(AgentRole.NORMAL if rng.random() < 0.7 else AgentRole.MALICIOUS
+                          for _ in range(n))
+            if AgentRole.NORMAL not in roles:
+                continue
+            states = rng.uniform(-3, 3, size=(int(rng.integers(2, 6)), n))
+            cells = rng.random(states.shape) < 0.3
+            states[cells] = rng.choice(special, size=int(cells.sum()))
+            states[0] = np.where(np.isfinite(states[0]), states[0], 0.5)
+            traj = Trajectory(states=states, roles=roles, f=1)
+            spreads = traj.spreads()
+            m0, big_m0 = traj.hull_bounds()
+            normal = traj.normal_states()
+            expected = {
+                "hull": [m0, big_m0],
+                "spread": [float(v) for v in spreads],
+                "within_hull": bool((normal >= m0).all() and (normal <= big_m0).all()),
+            }
+            metrics = trajectory_metrics(traj)
+            # compared as JSON text: a NaN spread equals itself there
+            assert json.dumps(metrics) == json.dumps({**metrics, **expected}), case
+
     def test_metrics_shape(self):
         g, _ = construct_gamma_merg(9)
         config, strategy = build_scenario(g, SCENARIO_BYZ_SPLIT, steps=10, seed=2)
@@ -386,7 +435,7 @@ class TestTrajectoryOutputs:
         assert metrics["f"] == 2
 
 
-class TieAdversary:
+class TieAdversary(PerValue):
     """Deterministic values per key: small integers and signed zeros, so the
     trim meets ties at its thresholds, or else sevenths in [-143, 143].  With
     ``infinite``, about one value in eleven is +inf or -inf instead."""
@@ -464,8 +513,57 @@ def _outcome(simulate, config, adversary):
         return f"ValueError: {exc}"
 
 
+# signed zeros, the least subnormal, the least normal and infinities, among
+# ordinary values; a run draws a few of them, so its values repeat
+SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf,
+                  1.0, -1.0, 2.5)
+any_value = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(allow_nan=False, width=64))
+
+
+class TableAdversary(PerValue):
+    """Each (agent, t) and (agent, receiver, t) picks a value of ``table``."""
+
+    def __init__(self, table: tuple[float, ...], seed: int):
+        self.table = table
+        self.seed = seed
+
+    def malicious_value(self, agent: int, t: int) -> float:
+        return self.table[hash((self.seed, agent, t)) % len(self.table)]
+
+    def byzantine_value(self, agent: int, receiver: int, t: int) -> float:
+        return self.table[hash((self.seed, agent, receiver, t)) % len(self.table)]
+
+
+@st.composite
+def hypothesis_runs(draw):
+    n = draw(st.integers(1, 64))
+    g = random_graph(random.Random(draw(st.integers(0, 2**32 - 1))), n, draw(st.floats(0, 1)))
+    roles = draw(st.lists(st.sampled_from(list(AgentRole)), min_size=n, max_size=n))
+    table = tuple(draw(st.lists(any_value, min_size=1, max_size=5)))
+    finite = [v for v in table if math.isfinite(v)] or [0.0]
+    initial = draw(st.lists(st.sampled_from(finite), min_size=n, max_size=n))
+    config = SimConfig(
+        graph=g,
+        roles=tuple(roles),
+        f=draw(st.integers(0, n - 1)),
+        steps=draw(st.integers(1, 3)),
+        initial_states=tuple(initial),
+    )
+    return config, TableAdversary(table, draw(st.integers(0, 2**16)))
+
+
 class TestArrayRoundMatchesReference:
     """The array round writes the bytes of the scalar per-agent loop."""
+
+    # kept +inf and -inf make NaN states, and large finite values overflow
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(hypothesis_runs())
+    def test_hypothesis_runs_match_the_reference(self, run):
+        config, adversary = run
+        expected = _outcome(reference_run_simulation, config, adversary)
+        assert _outcome(run_simulation, config, adversary) == expected
 
     def test_random_graphs_and_role_mixes(self):
         rng = random.Random(41)
@@ -505,6 +603,27 @@ class TestArrayRoundMatchesReference:
             seen["long"] += max((g.degree(i) for i in normal), default=0) > 8
             seen["split"] += any(_cut_splits_a_run(own, values, config.f) for own, values in received)
         assert min(seen.values()) >= 20, seen
+
+    def test_tie_ranks_above_255(self):
+        # agent 257 sees 257 copies of 1.0 below its 5.0 and drops the first
+        # two: ranks up to 257 must not wrap around a byte
+        n = 258
+        config = make_config(complete_graph(n), [AgentRole.NORMAL] * n, 2, 2, [1.0] * (n - 1) + [5.0])
+        expected = trajectory_to_csv(reference_run_simulation(config))
+        assert trajectory_to_csv(run_simulation(config)) == expected
+
+    @pytest.mark.parametrize("n", [255, 256])
+    def test_tie_ranks_past_one_byte(self, n):
+        # 256 rows count their ties in two bytes; small integers make ties
+        rng = random.Random(n)
+        roles = [AgentRole.BYZANTINE] * 30 + [AgentRole.MALICIOUS] * 30 + [AgentRole.NORMAL] * (n - 60)
+        initial = [float(rng.randint(-3, 3)) for _ in range(n)]
+        config = make_config(complete_graph(n), roles, 100, 2, initial)
+        adversary = TieAdversary(n, integers=True)
+        traj = reference_run_simulation(config, adversary)
+        received = _received(config, adversary, traj.states, 0, n - 1)
+        assert _cut_splits_a_run(traj.states[0, n - 1], received, config.f)
+        assert trajectory_to_csv(run_simulation(config, adversary)) == trajectory_to_csv(traj)
 
     @pytest.mark.parametrize("receivers", [1, 6])
     def test_columns_fold_left(self, receivers):
@@ -557,7 +676,7 @@ class TestArrayRoundMatchesReference:
                 assert trajectory_to_csv(run_simulation(config, strategy)) == expected
 
 
-class FoldAdversary:
+class FoldAdversary(PerValue):
     """Malicious agent j always broadcasts ``values[j]``."""
 
     def __init__(self, values: tuple[float, ...]):
@@ -567,7 +686,7 @@ class FoldAdversary:
         return self.values[agent]
 
 
-class ConstantMalicious:
+class ConstantMalicious(PerValue):
     def __init__(self, value: float):
         self.value = value
 
@@ -578,6 +697,57 @@ class ConstantMalicious:
 class ConstantByzantine(ConstantMalicious):
     def byzantine_value(self, agent: int, receiver: int, t: int) -> float:
         return self.value
+
+
+class PoisonedAdversary(PerValue):
+    """Sends 1.0, or NaN for the listed ``("mal", None, t)`` broadcasts and
+    ``("byz", receiver, t)`` Byzantine values."""
+
+    def __init__(self, poison):
+        self.poison = poison
+
+    def malicious_value(self, agent: int, t: int) -> float:
+        return math.nan if ("mal", None, t) in self.poison else 1.0
+
+    def byzantine_value(self, agent: int, receiver: int, t: int) -> float:
+        return math.nan if ("byz", receiver, t) in self.poison else 1.0
+
+
+class CountingAdversary(TieAdversary):
+    """A TieAdversary that counts the calls of each array method."""
+
+    def __init__(self, seed: int, integers: bool):
+        super().__init__(seed, integers)
+        self.calls = {"malicious_values": 0, "byzantine_values": 0}
+
+    def malicious_values(self, agents, t):
+        self.calls["malicious_values"] += 1
+        return super().malicious_values(agents, t)
+
+    def byzantine_values(self, agents, receivers, t):
+        self.calls["byzantine_values"] += 1
+        return super().byzantine_values(agents, receivers, t)
+
+
+class TestStrategyCalls:
+    def test_each_array_method_is_called_at_most_steps_plus_one_times(self):
+        rng = random.Random(47)
+        seen = 0
+        for case in range(200):
+            config, _ = _random_run(rng, case)
+            adversary = CountingAdversary(case, integers=True)
+            expected = trajectory_to_csv(reference_run_simulation(config, adversary))
+            adversary.calls = dict.fromkeys(adversary.calls, 0)
+            assert trajectory_to_csv(run_simulation(config, adversary)) == expected, case
+            assert max(adversary.calls.values()) <= config.steps + 1, (case, adversary.calls)
+            seen += adversary.calls["byzantine_values"] == config.steps + 1
+        assert seen >= 20
+
+    def test_strategies_are_not_called_for_absent_roles(self):
+        adversary = CountingAdversary(0, integers=True)
+        config = make_config(complete_graph(4), [AgentRole.NORMAL] * 4, 1, 6, [0.0, 1.0, 2.0, 3.0])
+        run_simulation(config, adversary)
+        assert adversary.calls == {"malicious_values": 0, "byzantine_values": 0}
 
 
 class TestNonFiniteAdversaryValues:
@@ -594,6 +764,27 @@ class TestNonFiniteAdversaryValues:
         with pytest.raises(ValueError, match="agent 0 sent NaN at step 0"):
             run_simulation(self._config(role), strategy(float("nan")))
 
+    @pytest.mark.parametrize(
+        "poison, message",
+        [
+            # a value sent to a normal agent two steps before a broadcast NaN
+            ({("byz", 4, 1), ("mal", None, 3)}, "agent 1 sent NaN at step 1"),
+            # at one step, the broadcast comes before what a lower-numbered
+            # Byzantine agent sends a receiver
+            ({("byz", 4, 2), ("mal", None, 2)}, "agent 2 sent NaN at step 2"),
+            # what a Byzantine agent sends its lowest neighbor at the last
+            # step is logged and checked, though no round uses it
+            ({("byz", 0, 4)}, "agent 1 sent NaN at step 4"),
+        ],
+    )
+    def test_nan_names_the_first_agent_and_step(self, poison, message):
+        # agent 1 is Byzantine, agent 2 malicious, agents 0, 3 and 4 normal
+        roles = [AgentRole.NORMAL, AgentRole.BYZANTINE, AgentRole.MALICIOUS] + [AgentRole.NORMAL] * 2
+        config = make_config(complete_graph(5), roles, 1, 4, [0.0, 0.0, 0.0, 1.0, 2.0])
+        adversary = PoisonedAdversary(poison)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_simulation(config, adversary)
+
     def test_nan_from_the_cli_exits_1(self, tmp_path, monkeypatch, capsys):
         graph = tmp_path / "g9.json"
         assert cli_main(["construct", "--n", "9", "--kind", "r", "--out", str(graph)]) == 0
@@ -605,6 +796,16 @@ class TestNonFiniteAdversaryValues:
                 "--f", "2", "--out", str(out)]
         assert cli_main(argv) == 1
         assert "agent 0 sent NaN at step 3" in capsys.readouterr().err
+
+    def test_opposite_infinities_are_trimmed_without_a_warning(self):
+        # each receiver gets +inf from one Byzantine agent and -inf from the
+        # other; the suite turns numpy's inf - inf warning into an error
+        class OppositeInfinities(PerValue):
+            def byzantine_value(self, agent: int, receiver: int, t: int) -> float:
+                return math.inf if (agent + receiver) % 2 else -math.inf
+
+        traj = run_simulation(self._config(AgentRole.BYZANTINE), OppositeInfinities())
+        assert np.isfinite(traj.normal_states()).all()
 
     @pytest.mark.parametrize("strategy", [ConstantMalicious, ConstantByzantine])
     @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
