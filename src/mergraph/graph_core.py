@@ -51,6 +51,13 @@ Edge = tuple[int, int]
 # must not be able to ask for more
 MAX_NODES = 1 << 20
 
+# the most mask bits a graph built from an edge list may hold: a mask is as
+# wide as its highest neighbor, so a few edges on high ids would otherwise
+# cost bits by the ids, not by the edges.  Every graph on at most 2^13 nodes
+# fits (n^2 bits), and so every construction within construction.MAX_EDGES,
+# which stops the gamma family at n = 6688; the masks take at most 8 MB
+MAX_MASK_BITS = 1 << 26
+
 
 class CapExceededError(RuntimeError):
     """An exact check was asked to exceed its combinatorial budget."""
@@ -174,7 +181,9 @@ def new_graph(n: int, edges: Iterable[Edge]) -> Graph:
     every edge a pair; anything else raises ``ValueError``, as do ``n`` below
     1 or above ``MAX_NODES``, self-loops and node ids outside ``0..n-1``.
     Each pair is checked and its two bits set as it is read, with no
-    intermediate list.
+    intermediate list.  Where n^2 exceeds ``MAX_MASK_BITS``, the bits each
+    pair widens the masks by are counted first, and an edge list whose masks
+    would pass that bound raises ``ValueError`` before they do.
     """
     if type(n) is not int:
         raise ValueError(f"node count {n!r} is not an integer")
@@ -183,6 +192,7 @@ def new_graph(n: int, edges: Iterable[Edge]) -> Graph:
     if n > MAX_NODES:
         raise ValueError(f"node count {n} exceeds the limit of {MAX_NODES} nodes")
     masks = [0] * n
+    bounded, room = n * n > MAX_MASK_BITS, MAX_MASK_BITS
     for edge in edges:
         try:
             u, v = edge
@@ -194,6 +204,12 @@ def new_graph(n: int, edges: Iterable[Edge]) -> Graph:
             raise ValueError(f"self-loop ({u}, {v}) is not allowed")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if bounded:
+            room -= max(v + 1 - masks[u].bit_length(), 0) + max(u + 1 - masks[v].bit_length(), 0)
+            if room < 0:
+                raise ValueError(
+                    f"edge ({u}, {v}) takes the adjacency masks above {MAX_MASK_BITS} bits"
+                )
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return Graph._from_masks(n, masks)

@@ -40,7 +40,10 @@ smallest value at or below it; looked up at every complement through the
 reversed view, one combine (``np.add`` for (r, s), ``np.maximum`` for max
 r) plus a minimum gives the worst pair.  The combine runs in uint16:
 counts and degrees are at most n <= 254, so a pair holding ``_ABSENT``
-(255) stays at or above it and every real pair below.
+(255) stays at or above it and every real pair below.  The worst value is
+``_ABSENT`` or more when no pair is present, which is above every cap:
+max r is at most ceil(n/2) <= 127 and s at most n <= 254, so the answers
+are plain minima and a check fails when the worst value is below s.
 
 Every table is one array expression over two (classes, cells) grids: the
 counts a_c, and the outside degree of a member of each class (0 where the
@@ -55,15 +58,17 @@ Budget.  A graph is decided when its lattice has at most
 16-node graph, and at most 254 nodes, so that no count reaches
 ``_ABSENT``.  Both limits are checked from the partition, before any array
 exists, and raise ``CapExceededError``.  Single-node graphs are
-degenerate: no disjoint nonempty pair exists, so every check holds
-vacuously.
+degenerate: no disjoint nonempty pair exists, so the worst value is
+``_ABSENT``, every check holds vacuously and each maximum is its cap.
 
 Witnesses.  Only failing checks read a witness from their pair table, and
 it is canonical: the first failing pair in the order below.  ``_witness``
 fixes the nodes from 0 upward, each to the smallest digit that some
 failing pair still agrees with; the pairs agreeing with the digits fixed
 so far are a box of count pairs, tested with the decision's own
-subset-min.
+subset-min.  Until S2 gains a member its box is the whole lattice, whose
+subset-min the decision has just built, so ``_best_pair`` hands that array
+on and a failing check transforms the whole lattice once.
 
 Canonical order: each node gets a digit in {0 = unassigned, 1 = S1,
 2 = S2}; digit vectors are compared lexicographically with node 0 most
@@ -79,7 +84,9 @@ type whose link rows agree outside the pair can be swapped member by
 member, an automorphism, as is swapping two twins; removing any edge of
 one orbit of these swaps leaves isomorphic graphs, with one verdict.  The
 orbit of an edge is the pair of groups of swappable classes its ends lie
-in.
+in.  The sweep reads its input check and the class groups off one
+lattice of the input graph, which carries the twin types and link matrix
+the groups compare.
 """
 
 from __future__ import annotations
@@ -161,12 +168,19 @@ _ABSENT = np.uint8(255)
 
 
 class _Lattice(NamedTuple):
-    """The twin classes of a graph, the shape of their count lattice and two
-    uint8 grids with one row per class and one column per cell (C order):
+    """The twin classes of a graph, which of them are true-twin classes, the
+    class link matrix, the shape of their count lattice and two uint8 grids
+    with one row per class and one column per cell (C order):
     ``counts[c, a]`` = a_c, and ``out[c, a]`` = the outside degree of a
-    member of class c in a set with count vector a, 0 when a_c = 0."""
+    member of class c in a set with count vector a, 0 when a_c = 0.
+
+    ``link[c, d]`` = 1 (uint8) when a member of class c counts the members
+    of class d outside a set as neighbors: d adjacent to c, or d = c a
+    true-twin class."""
 
     classes: tuple[tuple[int, ...], ...]
+    closed: tuple[bool, ...]
+    link: np.ndarray
     shape: tuple[int, ...]
     counts: np.ndarray
     out: np.ndarray
@@ -192,15 +206,7 @@ def _twin_classes(g: Graph) -> tuple[list[list[int]], list[bool]]:
     return [group for group, _ in groups], [closed for _, closed in groups]
 
 
-def _class_links(g: Graph, classes: list[list[int]], closed: list[bool]) -> np.ndarray:
-    """``link[c, d]`` = 1 (uint8) when a member of class c counts the members
-    of class d outside a set as neighbors: d adjacent to c, or d = c a
-    true-twin class."""
-    reps = [c[0] for c in classes]
-    return mask_bits([g.adjacency[u] | cl << u for u, cl in zip(reps, closed)], g.n)[:, reps]
-
-
-def _class_groups(classes: list[list[int]], closed: list[bool], link: np.ndarray) -> list[int]:
+def _class_groups(lat: _Lattice) -> list[int]:
     """``group[c]`` = the lowest class that class c can be swapped with (c
     itself when none is lower): the same size, the same twin type and equal
     ``link`` rows outside the two.
@@ -209,6 +215,7 @@ def _class_groups(classes: list[list[int]], closed: list[bool], link: np.ndarray
     relation is transitive (``link`` is symmetric), so each class joins the
     first root it matches.
     """
+    classes, closed, link = lat.classes, lat.closed, lat.link
     roots: list[int] = []
     group = []
     for c, nodes in enumerate(classes):
@@ -255,7 +262,8 @@ def _lattice(g: Graph) -> _Lattice:
             f"exact robustness check infeasible for n={g.n}: {cells} lattice cells"
             f" (budget is {EXACT_CELL_BUDGET})"
         )
-    link = _class_links(g, classes, closed)
+    reps = [c[0] for c in classes]
+    link = mask_bits([g.adjacency[u] | cl << u for u, cl in zip(reps, closed)], g.n)[:, reps]
     # out = deg - link @ counts, the product taken over a leading (hi) and a
     # trailing (lo) split of the class axes of about sqrt(cells) cells each;
     # in uint8 no step wraps, as every partial result is an outside degree
@@ -273,7 +281,8 @@ def _lattice(g: Graph) -> _Lattice:
     out[:hi] *= np.minimum(counts_hi, 1)[:, :, None]
     out[hi:] *= np.minimum(counts_lo, 1)[:, None, :]
     classes = tuple([tuple(c) for c in classes])
-    return _Lattice(classes, shape, _counts(shape), out.reshape(len(shape), cells))
+    out = out.reshape(len(shape), cells)
+    return _Lattice(classes, tuple(closed), link, shape, _counts(shape), out)
 
 
 def _x_count_table(g: Graph, r: int, lat: _Lattice) -> np.ndarray:
@@ -315,17 +324,18 @@ def _subset_min(vals: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return v
 
 
-def _best_pair(t: np.ndarray, shape: tuple[int, ...], combine: np.ufunc) -> int | None:
+def _best_pair(t: np.ndarray, shape: tuple[int, ...], combine: np.ufunc) -> tuple[int, np.ndarray]:
     """Smallest ``combine(t[a], t[b])`` over disjoint pairs (a + b <= the
-    class sizes), None if every pair holds an ``_ABSENT`` cell (``t[0]``
-    must be one).
+    class sizes), and the subset-min of ``t`` it was read from.  The value
+    is ``_ABSENT`` or more if every pair holds an ``_ABSENT`` cell (``t[0]``
+    must be one), so it is above every cap a caller takes it under.
 
     ``combine`` is ``np.add`` or ``np.maximum``; both grow with each
     argument, so the subset-min of ``t`` under the complement of a is a's
     best partner.  uint16 keeps a sum with ``_ABSENT`` at or above it.
     """
-    worst = int(combine(t, _subset_min(t, shape)[::-1], dtype=np.uint16).min())
-    return None if worst >= _ABSENT else worst
+    below = _subset_min(t, shape)
+    return int(combine(t, below[::-1], dtype=np.uint16).min()), below
 
 
 # -- witnesses ------------------------------------------------------------------
@@ -347,7 +357,7 @@ def _leading(length: int, accepted: Callable[[int], bool]) -> int:
     return lo
 
 
-def _witness(t: np.ndarray, lat: _Lattice, s: int) -> SubsetPair:
+def _witness(t: np.ndarray, below: np.ndarray, lat: _Lattice, s: int) -> SubsetPair:
     """The first pair in canonical order whose pair-table values sum to <= s-1.
 
     Nodes are fixed from 0 upward, each to the smallest digit (unassigned,
@@ -356,7 +366,8 @@ def _witness(t: np.ndarray, lat: _Lattice, s: int) -> SubsetPair:
     a = p + x and b = q + y with x + y <= f: the S1 box (p <= a <= p + f)
     read against the subset-min of the S2 box (b >= q) at every complement
     f - x, as in ``_best_pair``.  That subset-min does not depend on f, so
-    it is only rebuilt when S2 has gained a member.
+    it is only rebuilt when S2 has gained a member; before that the S2 box
+    is the whole lattice, and ``below`` is its subset-min from the decision.
 
     Swapping two free members of a class maps agreeing failing pairs to
     agreeing failing pairs, and fixing a digit only removes pairs, so a
@@ -376,7 +387,8 @@ def _witness(t: np.ndarray, lat: _Lattice, s: int) -> SubsetPair:
     grid = t.reshape(lat.shape)
     p, q, lowest = [0] * len(lat.shape), [0] * len(lat.shape), [0] * len(lat.shape)
     free = [w - 1 for w in lat.shape]
-    below = below_q = None  # the S2 box's subset-min and the q it was built for
+    # the S2 box's subset-min and the q it was built for
+    below, below_q = below.reshape(lat.shape), q.copy()
 
     def fails(c: int, p_c: int, free_c: int) -> bool:
         nonlocal below, below_q
@@ -414,10 +426,8 @@ def _failing_pair(g: Graph, r: int, s: int) -> SubsetPair | None:
     """The pair breaking (r, s)-robustness, or None when it holds."""
     lat = _lattice(g)
     t = _pair_table(g, r, lat)
-    worst = _best_pair(t, lat.shape, np.add)
-    if worst is None or worst >= s:
-        return None
-    return _witness(t, lat, s)
+    worst, below = _best_pair(t, lat.shape, np.add)
+    return None if worst >= s else _witness(t, below, lat, s)
 
 
 def is_r_robust(g: Graph, r: int) -> RobustnessVerdict:
@@ -443,8 +453,7 @@ def max_r_robustness(g: Graph) -> int:
     gamma = (g.n + 1) // 2
     maxout = lat.out.max(0)
     maxout[0] = _ABSENT
-    worst = _best_pair(maxout, lat.shape, np.maximum)
-    return gamma if worst is None else min(gamma, worst)
+    return min(gamma, _best_pair(maxout, lat.shape, np.maximum)[0])
 
 
 def is_rs_robust(g: Graph, r: int, s: int) -> RobustnessVerdict:
@@ -466,8 +475,7 @@ def max_s_given_r(g: Graph, r: int) -> int:
     if r < 1:
         raise ValueError("r must be a positive integer")
     lat = _lattice(g)
-    worst = _best_pair(_pair_table(g, r, lat), lat.shape, np.add)
-    return g.n if worst is None else min(worst, g.n)
+    return min(_best_pair(_pair_table(g, r, lat), lat.shape, np.add)[0], g.n)
 
 
 def minimality_sweep(g: Graph, r: int, s: int | None = None) -> MinimalitySweep:
@@ -475,9 +483,10 @@ def minimality_sweep(g: Graph, r: int, s: int | None = None) -> MinimalitySweep:
 
     The target is r-robustness, the (r, 1) case, when ``s`` is None, else
     (r, s)-robustness; a graph h meets it iff ``max_s_given_r(h, r)``
-    reaches 1 or s.  The input graph must meet it; the sweep then reports,
-    edge by edge in lexicographic order, whether the removal keeps it.
-    ``minimal`` is True when none does.
+    reaches 1 or s.  The input graph must meet it, which is read off its
+    lattice, the one the class groups below come from; the sweep then
+    reports, edge by edge in lexicographic order, whether the removal keeps
+    it.  ``minimal`` is True when none does.
 
     One removal is decided per edge orbit.  Swapping two twins, or two
     twin classes of one ``_class_groups`` group, is an automorphism of g,
@@ -497,11 +506,11 @@ def minimality_sweep(g: Graph, r: int, s: int | None = None) -> MinimalitySweep:
     need = 1 if s is None else s
     if not (1 <= need <= g.n):
         raise ValueError(f"s must lie in [1, {g.n}]")
-    if max_s_given_r(g, r) < need:
+    lat = _lattice(g)
+    if _best_pair(_pair_table(g, r, lat), lat.shape, np.add)[0] < need:
         raise ValueError("graph does not satisfy the target robustness to begin with")
-    classes, closed = _twin_classes(g)
-    group = _class_groups(classes, closed, _class_links(g, classes, closed))
-    group_of = {u: group[c] for c, nodes in enumerate(classes) for u in nodes}
+    group = _class_groups(lat)
+    group_of = {u: group[c] for c, nodes in enumerate(lat.classes) for u in nodes}
     verdicts: dict[frozenset[int], bool] = {}
     entries = []
     for u, v in g.edge_pairs():

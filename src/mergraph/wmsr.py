@@ -199,11 +199,6 @@ class Trajectory:
         return float(row.min()), float(row.max())
 
 
-def _adjacency_matrix(g: Graph) -> np.ndarray:
-    """(n, n) bool matrix whose row i marks the neighbors of node i."""
-    return mask_bits(g.adjacency, g.n).view(bool)
-
-
 def _gather_index(adj: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Index that gathers what the listed nodes see in a round, one column
     per node: its neighbors in ascending order from the top, and the node
@@ -378,7 +373,7 @@ def run_simulation(config: SimConfig, adversary: object | None = None) -> Trajec
     if byzantine_values is None and AgentRole.BYZANTINE in roles:
         raise ValueError("byzantine roles present but strategy has no byzantine_values")
 
-    adj = _adjacency_matrix(g)
+    adj = mask_bits(g.adjacency, g.n).view(bool)  # row i marks the neighbors of node i
     role_of = np.array([r.value for r in roles])
     is_byzantine = role_of == AgentRole.BYZANTINE.value
     normal = np.flatnonzero(role_of == AgentRole.NORMAL.value)
@@ -443,30 +438,31 @@ SCENARIO_NONE = "none"
 class Scenario:
     """One packaged scenario: roles, F, initial states, strategy and damage.
 
-    Agents ``0..k-1`` misbehave in ``role``, where k is ``adversaries``, or F
-    itself when that is None (then F must satisfy 1 <= F < n).  ``default_f``
-    is None when F depends on the graph and must be given.  Each band
-    ``(first, lo, hi)`` draws the nodes from ``first`` on uniformly from
-    ``[lo, hi)``; a later band overrides an earlier one and a negative
-    ``first`` counts from the end.  Nodes before the first band are not drawn
-    and start at a cosmetic 0.0.  ``strategy`` builds the adversary for an
-    n-node graph (None: no adversary).  ``removals`` maps n to the
-    demonstration edge whose removal drops the matching construction below
-    what F needs; it touches a normal agent, so the damage reaches the
-    dynamics.
+    Agents ``0..k-1`` misbehave in ``role``, where k is ``default_f``, the
+    scenario's own F: every row with a default has exactly that many
+    adversaries.  ``default_f`` is None when F depends on the graph and must
+    be given; then k is that F, which must satisfy 1 <= F < n.  An F given
+    for a row with a default does not change k, so one below it is refused
+    as not F-total.  Each band ``(first, lo, hi)`` draws the nodes from
+    ``first`` on uniformly from ``[lo, hi)``; a later band overrides an
+    earlier one and a negative ``first`` counts from the end.  Nodes before
+    the first band are not drawn and start at a cosmetic 0.0.  ``strategy``
+    builds the adversary for an n-node graph (None: no adversary).
+    ``removals`` maps n to the demonstration edge whose removal drops the
+    matching construction below what F needs; it touches a normal agent, so
+    the damage reaches the dynamics.
     """
 
     label: str
     default_f: int | None
     role: AgentRole
-    adversaries: int | None
     min_n: int
     bands: tuple[tuple[int, float, float], ...]
     strategy: Callable[[int], object] | None
     removals: dict[int, tuple[int, int]]
 
     def roles(self, n: int, f: int) -> tuple[AgentRole, ...]:
-        count = self.adversaries
+        count = self.default_f
         if count is None:
             if not (1 <= f < n):
                 raise ValueError(f"{self.label} scenario needs 1 <= f < n")
@@ -500,7 +496,6 @@ SCENARIO_TABLE = {
         label="trig-malicious",
         default_f=None,
         role=AgentRole.MALICIOUS,
-        adversaries=None,
         min_n=1,
         bands=((0, -1000.0, 1000.0),),
         strategy=lambda n: TrigMalicious(),
@@ -510,7 +505,6 @@ SCENARIO_TABLE = {
         label="split-Byzantine",
         default_f=2,
         role=AgentRole.BYZANTINE,
-        adversaries=2,
         min_n=8,
         bands=((2, 15.0, 100.0), (6, 0.0, 7.0), (-1, 8.0, 14.0)),
         strategy=SplitByReceiver,
@@ -520,7 +514,6 @@ SCENARIO_TABLE = {
         label="constant-Byzantine",
         default_f=4,
         role=AgentRole.BYZANTINE,
-        adversaries=4,
         min_n=6,
         bands=((4, 50.0, 100.0), (-1, 1.0, 50.0)),
         strategy=lambda n: ConstByAgent(),
@@ -530,7 +523,6 @@ SCENARIO_TABLE = {
         label="none",
         default_f=0,
         role=AgentRole.NORMAL,
-        adversaries=0,
         min_n=1,
         bands=((0, -1000.0, 1000.0),),
         strategy=None,

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
 from mergraph import graph_from_json, is_r_reachable, max_r_robustness
 from mergraph.cli import build_parser, main
-from mergraph.graph_core import FAST_JSON_MIN_CHARS
+from mergraph.graph_core import FAST_JSON_MIN_CHARS, MAX_MASK_BITS, MAX_NODES
 
 
 def run_cli(*argv):
@@ -203,6 +204,26 @@ class TestDeclaredSize:
         assert run_cli("bounds", "--graph", str(path)) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot parse graph file {path}: node count")
+
+    def test_high_node_ids_exit_1_with_bounded_memory(self, tmp_path, capsys):
+        # 1,098 bytes naming node 2^20 - 1 a hundred times: unbounded, the
+        # masks held 22.4 MB after the parse and peaked at 30.8 MB
+        text = f"{MAX_NODES}\n" + "".join(f"{i} {MAX_NODES - 1}\n" for i in range(100))
+        assert len(text) == 1098
+        path = tmp_path / "high.txt"
+        path.write_text(text)
+        tracemalloc.start()
+        try:
+            assert run_cli("bounds", "--graph", str(path)) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * MAX_NODES + MAX_MASK_BITS // 8 + (4 << 20)
+        err = capsys.readouterr().err
+        # edge k widens the masks by 2^20 + 1 bits
+        first = MAX_MASK_BITS // (MAX_NODES + 1)
+        prefix = f"error: cannot parse graph file {path}: edge ({first}, {MAX_NODES - 1})"
+        assert err.startswith(prefix)
 
 
 class TestMinimality:

@@ -25,7 +25,7 @@ from mergraph import (
     prop1_gamma_gamma_check,
 )
 from mergraph.construction import MAX_EDGES, recipe_from_dict, replay_recipe
-from mergraph.graph_core import MAX_NODES
+from mergraph.graph_core import MAX_MASK_BITS, MAX_NODES
 
 
 class TestGammaMerg:
@@ -286,6 +286,9 @@ class TestRecipeBoundary:
     def test_the_edge_limit_admits_the_largest_constructions_below_it(self):
         g, _ = construct_gamma_merg(6688)
         assert g.edge_count == edge_lb_gamma_even(3344) <= MAX_EDGES
+        # n^2 bits bound the masks of any graph on n nodes, so the files of
+        # both families parse without counting mask bits
+        assert g.n * g.n <= MAX_MASK_BITS
         g, _ = construct_gamma_gamma_merg(5793)
         assert g.edge_count == edge_lb_gamma_gamma(5793) <= MAX_EDGES
 

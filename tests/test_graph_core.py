@@ -28,6 +28,7 @@ from mergraph import (
 )
 from mergraph.graph_core import (
     FAST_JSON_MIN_CHARS,
+    MAX_MASK_BITS,
     MAX_NODES,
     _canonical_json_graph,
     _parsed_json_graph,
@@ -497,3 +498,40 @@ class TestDeclaredSize:
 
     def test_the_limit_itself_is_admitted(self):
         assert graph_from_json(f'{{"n":{MAX_NODES},"edges":[[0,1]]}}').edge_count == 1
+
+
+class TestMaskBound:
+    """An edge list whose masks would pass MAX_MASK_BITS is refused before
+    they do, however few edges it has."""
+
+    @pytest.mark.parametrize("edges", [100, 10_000])
+    def test_high_ids_are_refused_with_bounded_memory(self, edges):
+        # 100 edges are 1,098 bytes of text; unbounded, they held 22.4 MB
+        # after the parse, and 10,000 would hold about 1.3 GB
+        text = f"{MAX_NODES}\n" + "".join(f"{i} {MAX_NODES - 1}\n" for i in range(edges))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"above {MAX_MASK_BITS} bits$"):
+                parse_graph(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the node list (8 bytes a node), the masks and the text's tokens
+        assert peak < 8 * MAX_NODES + MAX_MASK_BITS // 8 + (4 << 20)
+
+    def test_the_bound_itself_is_admitted(self):
+        # each edge (i, n - 1) widens mask i to n bits and mask n - 1 by one
+        n = 1 << 16
+        k = MAX_MASK_BITS // n - 1
+        edges = [(i, n - 1) for i in range(k + 1)]
+        assert k * n + k <= MAX_MASK_BITS < (k + 1) * (n + 1)
+        assert new_graph(n, edges[:k]).edge_count == k
+        with pytest.raises(ValueError, match=rf"^edge \({k}, {n - 1}\) takes the adjacency masks"):
+            new_graph(n, edges)
+
+    @pytest.mark.parametrize("build", [construct_gamma_merg, construct_gamma_gamma_merg])
+    def test_the_largest_benchmark_files_parse(self, build):
+        g, _ = build(800, variant=61)
+        assert parse_graph(graph_to_edge_text(g)) == g
+        assert parse_graph(graph_to_json(g)) == g
+        assert _parsed_json_graph(graph_to_json(g)) == g

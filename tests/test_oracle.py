@@ -285,20 +285,70 @@ class TestBestPair:
                 t = rng.integers(0, len(shape) + 1, size=cells, dtype=np.uint8)
                 t[rng.random(cells) < absent_share] = oracle._ABSENT
                 t[0] = oracle._ABSENT  # the empty set is never in a pair
-                assert oracle._best_pair(t, shape, combine) == brute_best_pair(t, shape, combine)
+                worst, below = oracle._best_pair(t, shape, combine)
+                expected = brute_best_pair(t, shape, combine)
+                if expected is None:
+                    assert worst >= oracle._ABSENT
+                else:
+                    assert worst == expected
+                assert (below == oracle._subset_min(t, shape)).all()
 
     @pytest.mark.parametrize("combine", COMBINES)
-    def test_no_present_pair_gives_none(self, combine):
+    def test_no_present_pair_gives_absent(self, combine):
         for shape in self.SHAPES:
             absent = np.full(prod(shape), oracle._ABSENT, dtype=np.uint8)
-            assert oracle._best_pair(absent, shape, combine) is None
+            assert oracle._best_pair(absent, shape, combine)[0] >= oracle._ABSENT
             only_full = absent.copy()
             only_full[-1] = 0
             assert brute_best_pair(only_full, shape, combine) is None
-            assert oracle._best_pair(only_full, shape, combine) is None
+            assert oracle._best_pair(only_full, shape, combine)[0] >= oracle._ABSENT
+
+
+def brute_max_s(g, r):
+    """Largest s in [1, n] with the graph (r, s)-robust by brute force, else 0."""
+    return max((s for s in range(1, g.n + 1) if brute_is_rs_robust(g, r, s)), default=0)
+
+
+class TestNoPair:
+    """Graphs where no failing pair can exist answer with their caps."""
+
+    def test_single_node(self):
+        g = new_graph(1, [])
+        assert max_r_robustness(g) == brute_max_r(g) == 1
+        for r in (1, 2, 3):
+            assert max_s_given_r(g, r) == brute_max_s(g, r) == 1
+            assert is_rs_robust(g, r, 1).holds
+            assert brute_is_rs_robust(g, r, 1)
+
+    def test_k2(self):
+        g = complete_graph(2)
+        assert max_s_given_r(g, 1) == brute_max_s(g, 1) == 2
 
 
 class TestWitnesses:
+    @pytest.mark.parametrize("check", [
+        lambda g: is_r_robust(g, 2), lambda g: is_rs_robust(g, 2, 3)])
+    def test_failing_check_transforms_the_lattice_once(self, check, monkeypatch):
+        # the decision's subset-min over the whole lattice is the witness's
+        # first S2 box; every later box is a strictly smaller one
+        sizes = []
+        real = oracle._subset_min
+        monkeypatch.setattr(
+            oracle, "_subset_min", lambda v, shape: sizes.append(v.size) or real(v, shape))
+        rng = random.Random(31)
+        failed = 0
+        for k in range(40):
+            p = rng.random()
+            g = twin_rich_graph(rng, 9, 3, p) if k % 2 else random_graph(rng, 9, p)
+            sizes.clear()
+            if check(g).holds:
+                continue
+            cells = oracle._lattice(g).counts.shape[1]
+            assert sizes.count(cells) == 1, (g, sizes)
+            assert max(sizes) == cells
+            failed += 1
+        assert failed >= 10, failed
+
     def test_witnesses_replay_the_failure(self):
         rng = random.Random(13)
         seen = 0
@@ -676,13 +726,15 @@ class TestEdgeOrbits:
         (49, construct_gamma_merg, 2), (49, construct_gamma_gamma_merg, 1),
     ])
     def test_one_decision_per_edge_orbit(self, n, build, orbits, monkeypatch):
-        # the input check, then one max_s_given_r call per orbit
+        # one max_s_given_r call per orbit; the input is checked on its own
+        # lattice, the one the orbits are read from
         decided = self.recorded_decisions(monkeypatch)
         g, _ = build(n)
         gamma = (n + 1) // 2
         s = None if build is construct_gamma_merg else gamma
         assert minimality_sweep(g, gamma, s).minimal
-        assert len(decided) == 1 + orbits
+        assert len(decided) == orbits
+        assert g not in decided
 
     def test_grouped_classes_swap_by_an_automorphism(self):
         rng = random.Random(23)
@@ -690,8 +742,8 @@ class TestEdgeOrbits:
         for k in range(200):
             make = (twin_rich_graph, copied_class_graph)[k % 2]
             g = make(rng, rng.randint(2, 12), rng.randint(1, 4), rng.random())
-            classes, closed = oracle._twin_classes(g)
-            group = oracle._class_groups(classes, closed, oracle._class_links(g, classes, closed))
+            lat = oracle._lattice(g)
+            classes, closed, group = lat.classes, lat.closed, oracle._class_groups(lat)
             for c, d in combinations(range(len(classes)), 2):
                 if group[c] != group[d]:
                     continue
