@@ -24,6 +24,7 @@ from mergraph import (
     max_r_robustness,
     minimality_sweep,
     run_simulation,
+    trajectory_metrics,
     trajectory_to_csv,
 )
 from mergraph.wmsr import (
@@ -46,9 +47,11 @@ def run(graph, scenario, seed, f=None, name=None):
 
 
 def describe(label, traj):
-    m0, big_m = traj.hull_bounds()
+    metrics = trajectory_metrics(traj)
+    spread = metrics["spread"]
+    m0, big_m = metrics["hull"]
     print(
-        f"{label:<42} spread(0)={traj.spread(0):8.2f}  spread(30)={traj.spread(30):10.3g}"
+        f"{label:<42} spread(0)={spread[0]:8.2f}  spread(30)={spread[30]:10.3g}"
         f"  hull=[{m0:.1f}, {big_m:.1f}]"
     )
 

@@ -57,10 +57,10 @@ class ConstructionRecipe:
 
     The graph is ``hub``, a group of distinct nodes each adjacent to every
     other node, with every node outside it adjacent to the hub alone, less
-    the edges of ``removed_pairs``.  ``kind``, ``n`` and ``gamma`` name the
-    family and its size.  Replaying a recipe reproduces the graph
-    bit-exactly, including under variant label permutations, which relabel
-    the hub and the pairs.
+    the edges of the disjoint ``removed_pairs``.  ``kind``, ``n`` and
+    ``gamma`` name the family and its size.  Replaying a recipe reproduces
+    the graph bit-exactly, including under variant label permutations,
+    which relabel the hub and the pairs.
     """
 
     kind: str
@@ -129,9 +129,11 @@ def replay_recipe(recipe: ConstructionRecipe) -> Graph:
     not enter.  The node count must lie in [1, ``MAX_NODES``] and the edges
     before removals must not exceed ``MAX_EDGES``.  Every node id is
     range-checked, the hub checked for a repeated node and every removed
-    pair for a self-pair and for a pair that is no edge (neither end in
-    the hub), before any mask is built, so a bad recipe raises
-    ``ValueError`` instead of describing a wrong graph.
+    pair for a self-pair, for a pair that is no edge (neither end in the
+    hub) and for a node another pair has too, before any mask is built, so
+    a bad recipe raises ``ValueError`` instead of describing a wrong graph.
+    Disjoint pairs each hold a hub node of their own, so the masks of their
+    other ends take at most about 2 * ``MAX_EDGES`` + n bits.
     """
     n, hub = recipe.n, recipe.hub
     if type(n) is not int or n < 1:
@@ -152,6 +154,9 @@ def replay_recipe(recipe: ConstructionRecipe) -> Graph:
             raise ValueError(f"recipe pair ({u}, {v}) is a self-pair")
         if not (group >> u | group >> v) & 1:
             raise ValueError(f"recipe removes ({u}, {v}), a pair outside the hub's edges")
+    ends = list(chain.from_iterable(recipe.removed_pairs))
+    if len(set(ends)) != len(ends):
+        raise ValueError("recipe removed pairs share a node")
 
     full = (1 << n) - 1
     masks = [full ^ (1 << u) if group >> u & 1 else group for u in range(n)]

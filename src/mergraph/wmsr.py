@@ -22,19 +22,22 @@ single forged value per step to all neighbors; a Byzantine agent may send a
 different value to every receiver.  Misbehavior models are value-level:
 rounds are synchronous and lossless, so no message objects are needed.
 
-Adversary protocol: a strategy provides ``malicious_values(agents, t)``
-and/or ``byzantine_values(agents, receivers, t)``.  Both are elementwise
-over int arguments (arrays or scalars) that broadcast together: each element
-of the result is what agent ``agents`` sends (to ``receivers``) at step
-``t``, for the matching elements of the arguments.  The result is a float
-array that broadcasts to the arguments' common shape, so a strategy may omit
-the axes of arguments it ignores.  :func:`run_simulation` asks once per run
-for every step's broadcasts and logged Byzantine values and once per round
-for what the Byzantine agents send normal agents.  Strategies must be pure
-functions of their arguments: a run may ask for a value more than once, or
-for values it does not use, such as those of steps after an error.  A NaN
-strategy value is an error naming the agent and the step; an infinite one is
-an ordinary extreme, which the trim removes like any other.
+Adversary protocol: a strategy provides ``send(agents, receivers, t)``,
+elementwise over int arguments (arrays or scalars) that broadcast together:
+each element of the result is what agent ``agents`` sends ``receivers`` at
+step ``t``, for the matching elements of the arguments.  The result is a
+float array that broadcasts to the arguments' common shape, so a strategy
+may omit the axes of arguments it ignores.  The role fixes delivery: a
+malicious agent broadcasts what it sends its lowest-indexed neighbor, and a
+Byzantine agent sends each receiver its own value.  A strategy that needs
+per-role behavior branches on the agent.  :func:`run_simulation` asks once
+per run for every step's logged values and once per round for what the
+Byzantine agents send normal agents, so at most steps + 1 times.
+Strategies must be pure functions of their arguments: a run may ask for a
+value more than once, or for values it does not use, such as those of steps
+after an error.  A NaN strategy value is an error naming the agent and the
+step; an infinite one is an ordinary extreme, which the trim removes like
+any other.  A normal agent whose update sums +inf and -inf is an error too.
 
 Determinism: given an identical configuration a run produces a bit-identical
 trajectory.  Randomness enters only through the initial states, which the
@@ -44,9 +47,9 @@ trajectories rather than just seeds.
 
 Trajectory CSV format: header ``t,node_0,...,node_{n-1}``, one row per step
 including t = 0, values rendered with 17 significant digits (lossless for
-float64).  The role sidecar is ``{"roles": [...], "F": <int>}``.  A
-Byzantine agent has no single state, so its logged value at each step is the
-one it sends to its lowest-indexed neighbor.
+float64).  The role sidecar is ``{"roles": [...], "F": <int>}``.  An
+adversary has no state, so its logged value at each step is the one it sends
+its lowest-indexed neighbor: a malicious agent's broadcast.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ def trig_malicious_value(agent: int, t: int) -> float:
 class TrigMalicious:
     """Trig-wave broadcast attack; one common value per step."""
 
-    def malicious_values(self, agents, t) -> np.ndarray:
+    def send(self, agents, receivers, t) -> np.ndarray:
         # libm's cos and sin, one call each per step: numpy's vectorized cos
         # need not round like libm on every CPU
         steps = sorted(set(np.ravel(t).tolist()))
@@ -108,7 +111,7 @@ class SplitByReceiver:
 
     n: int
 
-    def byzantine_values(self, agents, receivers, t) -> np.ndarray:
+    def send(self, agents, receivers, t) -> np.ndarray:
         return np.where(np.less_equal(receivers, (self.n + 1) // 2), 100.0, 0.0)
 
 
@@ -117,7 +120,7 @@ class ConstByAgent:
     """Byzantine by role, constant by choice: agent 3 sends 100 to everyone,
     the other misbehaving agents send 0."""
 
-    def byzantine_values(self, agents, receivers, t) -> np.ndarray:
+    def send(self, agents, receivers, t) -> np.ndarray:
         return np.where(np.equal(agents, 3), 100.0, 0.0)
 
 
@@ -161,7 +164,11 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Per-agent states over time, with roles attached for interpretation."""
+    """Per-agent states over time, with roles attached for interpretation.
+
+    :func:`trajectory_metrics` reads the spreads and the hull off
+    :meth:`normal_states`.
+    """
 
     states: np.ndarray  # shape (steps+1, n)
     roles: tuple[AgentRole, ...]
@@ -175,28 +182,11 @@ class Trajectory:
     def n(self) -> int:
         return self.states.shape[1]
 
-    @property
-    def normal_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, r in enumerate(self.roles) if r is AgentRole.NORMAL)
-
     def normal_states(self) -> np.ndarray:
-        idx = self.normal_indices
+        idx = [i for i, r in enumerate(self.roles) if r is AgentRole.NORMAL]
         if not idx:
             raise ValueError("trajectory has no normal agents")
-        return self.states[:, list(idx)]
-
-    def spread(self, t: int) -> float:
-        row = self.normal_states()[t]
-        return float(row.max() - row.min())
-
-    def spreads(self) -> np.ndarray:
-        rows = self.normal_states()
-        return rows.max(axis=1) - rows.min(axis=1)
-
-    def hull_bounds(self) -> tuple[float, float]:
-        """(m0, M0): min and max of the normal agents' initial states."""
-        row = self.normal_states()[0]
-        return float(row.min()), float(row.max())
+        return self.states[:, idx]
 
 
 def _gather_index(adj: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -210,11 +200,15 @@ def _gather_index(adj: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """
     sub = adj[rows]
     degree = sub.sum(axis=1)
-    col, nbr = np.nonzero(sub)
-    pos = np.arange(col.size) - np.repeat(np.cumsum(degree) - degree, degree)
-    # intp, so that each round's gather need not convert the index
-    index = np.repeat(rows.astype(np.intp)[None, :], 1 + int(degree.max(initial=0)), axis=0)
-    index[pos, col] = nbr
+    width = int(degree.max(initial=0))
+    # a stable sort puts each node's neighbors first, in ascending order
+    order = np.argsort(~sub, axis=1, kind="stable")[:, :width]
+    np.copyto(order, rows[:, None], where=np.arange(width) >= degree[:, None])
+    # C-contiguous intp, so that each round's gather need not convert or
+    # stride through the index
+    index = np.empty((width + 1, rows.size), dtype=np.intp)
+    index[:-1] = order.T
+    index[-1] = rows
     return index
 
 
@@ -231,11 +225,8 @@ class _Trim:
     the float after the cut and the value beyond it.  The high side is the
     mirror image.  Where the value beyond a cut equals it, the cut splits a
     run of equal values: the bound is the cut itself, and the run's copies
-    go from the lowest rows until the side has dropped k cells.
-
-    A NaN cell fails every compare, so it is never dropped, and a column
-    whose own value is NaN drops nothing; such a column folds to NaN, so
-    where the sort puts NaN does not matter.
+    go from the lowest rows until the side has dropped k cells.  No cell is
+    NaN: a run refuses NaN values and stops at the first NaN state.
     """
 
     def __init__(self, padding: np.ndarray, f: int):
@@ -332,23 +323,23 @@ def _nan_error(agents: np.ndarray, values: np.ndarray, t: int) -> ValueError:
 def run_simulation(config: SimConfig, adversary: object | None = None) -> Trajectory:
     """Run synchronous rounds: everyone emits, then normal agents trim-average.
 
-    Normal agents emit their current state; malicious agents emit their
-    strategy's broadcast value; Byzantine agents emit per-receiver values.
-    The strategy must provide ``malicious_values`` and/or
-    ``byzantine_values`` (see the module docstring) for the roles present,
-    otherwise the role/strategy pairing is rejected.  Each is called once
-    per run for every step's logged values, the malicious broadcasts and
-    what each Byzantine agent sends its lowest-indexed neighbor, which go
-    straight into the trajectory; ``byzantine_values`` is called once more
-    per round for what the Byzantine agents send normal agents.  So each is
-    called at most steps + 1 times.
+    Normal agents emit their current state; adversaries emit what the
+    strategy's ``send`` (see the module docstring) gives for their role:
+    malicious agents one broadcast value, Byzantine agents one value per
+    receiver.  Adversarial roles without a ``send`` are rejected.  ``send``
+    is called once per run for every step's logged values, what each
+    adversary sends its lowest-indexed neighbor, which go straight into the
+    trajectory and are also the malicious broadcasts, and once more per
+    round for what the Byzantine agents send normal agents.  So it is called
+    at most steps + 1 times.
 
-    A NaN strategy value raises ``ValueError`` naming the agent and step of
-    the first NaN, steps in order; within a step the logged values come
-    first (malicious, then Byzantine agents, each ascending), then the
-    values sent to normal agents (by neighbor rank, then receiver).  No
-    round runs at or after that step.  An infinite value is trimmed like
-    any other extreme.
+    A NaN raises ``ValueError`` naming the agent and the step, steps in
+    order; within a step the logged values come first (malicious, then
+    Byzantine agents, each ascending), then the values sent to normal agents
+    (by neighbor rank, then receiver), then the normal agents' updates, of
+    which a sum of +inf and -inf is the only one that can give NaN.  No
+    round runs at or after the step of a NaN strategy value.  An infinite
+    value is trimmed like any other extreme.
 
     A round is a fixed sequence of in-place array operations on what the
     normal agents see: one column per agent, its neighbors' values in
@@ -366,12 +357,9 @@ def run_simulation(config: SimConfig, adversary: object | None = None) -> Trajec
     n = g.n
     roles = config.roles
     steps = config.steps
-    malicious_values = getattr(adversary, "malicious_values", None)
-    byzantine_values = getattr(adversary, "byzantine_values", None)
-    if malicious_values is None and AgentRole.MALICIOUS in roles:
-        raise ValueError("malicious roles present but strategy has no malicious_values")
-    if byzantine_values is None and AgentRole.BYZANTINE in roles:
-        raise ValueError("byzantine roles present but strategy has no byzantine_values")
+    send = getattr(adversary, "send", None)
+    if send is None and set(roles) != {AgentRole.NORMAL}:
+        raise ValueError("adversarial roles present but strategy has no send")
 
     adj = mask_bits(g.adjacency, g.n).view(bool)  # row i marks the neighbors of node i
     role_of = np.array([r.value for r in roles])
@@ -380,11 +368,11 @@ def run_simulation(config: SimConfig, adversary: object | None = None) -> Trajec
     if normal.size == 1:
         # numpy sums a lone column pairwise; two equal columns fold row-wise
         normal = normal.repeat(2)
-    # isolated adversaries send nothing and are logged as 0.0
+    # malicious agents, then Byzantine ones, each ascending; isolated
+    # adversaries send nothing and are logged as 0.0
     has_neighbor = adj.any(axis=1)
-    malicious = np.flatnonzero((role_of == AgentRole.MALICIOUS.value) & has_neighbor)
-    byzantine = np.flatnonzero(is_byzantine & has_neighbor)
-    emitters = np.concatenate((malicious, byzantine))
+    emitters = np.concatenate([np.flatnonzero((role_of == role.value) & has_neighbor)
+                               for role in (AgentRole.MALICIOUS, AgentRole.BYZANTINE)])
     index = _gather_index(adj, normal)
     padding = index == normal
     padding[-1] = False
@@ -394,33 +382,34 @@ def run_simulation(config: SimConfig, adversary: object | None = None) -> Trajec
 
     states = np.zeros((steps + 1, n))
     states[0, normal] = np.array(config.initial_states)[normal]
-    every_step = np.arange(steps + 1)[:, None]
-    if malicious.size:
-        states[:, malicious] = malicious_values(malicious, every_step)
-    if byzantine.size:
-        # a Byzantine agent is logged with what it sends its lowest-indexed neighbor
-        lowest = adj[byzantine].argmax(axis=1)
-        states[:, byzantine] = byzantine_values(byzantine, lowest, every_step)
+    if emitters.size:
+        lowest = adj[emitters].argmax(axis=1)
+        states[:, emitters] = send(emitters, lowest, np.arange(steps + 1)[:, None])
     logged_nan = np.isnan(states[:, emitters]).any(axis=1)
     nan_step = int(logged_nan.argmax()) if logged_nan.any() else steps + 1
 
     received = np.empty(index.shape)
     total = np.empty(normal.size)
     trim = _Trim(padding, config.f)
-    for t in range(min(nan_step, steps)):
-        states[t].take(index, out=received, mode="clip")
-        if slots.size:
-            sent = byzantine_values(slot_agents, slot_receivers, t)
-            # the least value is NaN if any value is
-            if math.isnan(np.minimum.reduce(sent, axis=None)):
-                raise _nan_error(slot_agents, sent, t)
-            np.put(received, slots, sent)
-        zeroed, weight = trim(received)
-        np.putmask(received, zeroed, 0.0)
-        # the last row is own: ((0.0 + v0) + ...) + own is own + the sum
-        np.add.reduce(received, axis=0, out=total, initial=0.0)
-        np.multiply(total, weight, out=total)
-        states[t + 1, normal] = total
+    # a sum of +inf and -inf is an error, raised below rather than warned of
+    with np.errstate(invalid="ignore"):
+        for t in range(min(nan_step, steps)):
+            states[t].take(index, out=received, mode="clip")
+            if slots.size:
+                sent = send(slot_agents, slot_receivers, t)
+                # the least value is NaN if any value is
+                if math.isnan(np.minimum.reduce(sent, axis=None)):
+                    raise _nan_error(slot_agents, sent, t)
+                np.put(received, slots, sent)
+            zeroed, weight = trim(received)
+            np.putmask(received, zeroed, 0.0)
+            # the last row is own: ((0.0 + v0) + ...) + own is own + the sum
+            np.add.reduce(received, axis=0, out=total, initial=0.0)
+            np.multiply(total, weight, out=total)
+            if math.isnan(np.minimum.reduce(total, initial=math.inf)):
+                agent = normal[np.isnan(total).argmax()]
+                raise ValueError(f"agent {agent} summed +inf and -inf at step {t}")
+            states[t + 1, normal] = total
     if nan_step <= steps:
         raise _nan_error(emitters, states[nan_step, emitters], nan_step)
     return Trajectory(states=states, roles=roles, f=config.f)

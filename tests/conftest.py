@@ -18,7 +18,7 @@ certificate's induced-edge table is compared with.
 trimmed update, and ``reference_run_simulation`` the per-agent W-MSR round
 built on them that the simulator's array round is compared with, byte for
 byte.  ``PerValue`` gives a test strategy written one value at a time the
-simulator's array methods; ``trajectory_states_from_csv`` reads a
+simulator's array method; ``trajectory_states_from_csv`` reads a
 trajectory CSV back into its state matrix.
 ``reference_graph_to_json`` and ``reference_graph_to_edge_text`` write a
 graph by sorting its edge set, the bytes the bit-walking serializers must
@@ -29,6 +29,7 @@ by scanning k, the reference for its closed form.
 from __future__ import annotations
 
 import json
+import math
 import random
 from functools import lru_cache
 from itertools import combinations, product
@@ -343,26 +344,17 @@ def nominal_step(own: float, neighbor_values: Sequence[float]) -> float:
     return wmsr_step(own, neighbor_values, 0)
 
 
-def per_value(scalar, *args) -> np.ndarray:
-    """``scalar`` called on the ints of each element of the broadcast
-    arguments, in C order: an elementwise strategy method from a per-value
-    one."""
-    grid = np.broadcast(*args)
-    out = np.empty(grid.shape)
-    out.flat = [scalar(*(int(a) for a in key)) for key in grid]
-    return out
-
-
 class PerValue:
-    """Mixin for a test strategy written one value at a time: it gets the
-    array methods ``run_simulation`` calls, each looping over its scalar
-    ``malicious_value(agent, t)`` or ``byzantine_value(agent, receiver, t)``."""
+    """Mixin for a test strategy written one value at a time: its ``send``,
+    the array method ``run_simulation`` calls, loops over the scalar
+    ``value(agent, receiver, t)`` on the ints of each element of the
+    broadcast arguments, in C order."""
 
-    def malicious_values(self, agents, t) -> np.ndarray:
-        return per_value(self.malicious_value, agents, t)
-
-    def byzantine_values(self, agents, receivers, t) -> np.ndarray:
-        return per_value(self.byzantine_value, agents, receivers, t)
+    def send(self, agents, receivers, t) -> np.ndarray:
+        grid = np.broadcast(agents, receivers, t)
+        out = np.empty(grid.shape)
+        out.flat = [self.value(*(int(a) for a in key)) for key in grid]
+        return out
 
 
 def reference_run_simulation(config, adversary=None):
@@ -371,21 +363,17 @@ def reference_run_simulation(config, adversary=None):
     Every normal agent asks each neighbor, in ascending order, for the value
     it sends, trims with the scalar :func:`wmsr_retained` and folds the
     survivors left to right from 0.0, as Python's ``sum`` did on floats
-    before 3.12.  A strategy's array methods are called one value at a
-    time.  Adversary roles are checked, strategy values are taken as given
-    (no NaN check).
+    before 3.12.  A strategy's ``send`` is called one value at a time; a
+    malicious agent sends every receiver what it sends its lowest-indexed
+    neighbor.  Adversary roles are checked, strategy values are taken as
+    given (no NaN check), and a normal agent whose update sums +inf and
+    -inf raises the error ``run_simulation`` raises.
     """
     g = config.graph
     n = g.n
     roles = config.roles
-    if any(r is AgentRole.MALICIOUS for r in roles) and not hasattr(
-        adversary, "malicious_values"
-    ):
-        raise ValueError("malicious roles present but strategy has no malicious_values")
-    if any(r is AgentRole.BYZANTINE for r in roles) and not hasattr(
-        adversary, "byzantine_values"
-    ):
-        raise ValueError("byzantine roles present but strategy has no byzantine_values")
+    if any(r is not AgentRole.NORMAL for r in roles) and not hasattr(adversary, "send"):
+        raise ValueError("adversarial roles present but strategy has no send")
 
     neighbor_lists = [sorted(g.neighbors(i)) for i in range(n)]
 
@@ -394,8 +382,8 @@ def reference_run_simulation(config, adversary=None):
         if role is AgentRole.NORMAL:
             return x[j]
         if role is AgentRole.MALICIOUS:
-            return float(adversary.malicious_values(j, t))
-        return float(adversary.byzantine_values(j, receiver, t))
+            receiver = neighbor_lists[j][0]
+        return float(adversary.send(j, receiver, t))
 
     states = np.empty((config.steps + 1, n), dtype=np.float64)
     x = [float(v) for v in config.initial_states]
@@ -417,6 +405,8 @@ def reference_run_simulation(config, adversary=None):
             kept = wmsr_retained(x[i], received, config.f)
             weight = 1.0 / (1 + len(kept))
             new_x[i] = (x[i] + _left_sum(kept)) * weight
+            if math.isnan(new_x[i]):
+                raise ValueError(f"agent {i} summed +inf and -inf at step {t}")
         x = new_x
     return Trajectory(states=states, roles=roles, f=config.f)
 

@@ -36,6 +36,7 @@ from mergraph import (
     new_graph,
     prop1_gamma_gamma_check,
     run_simulation,
+    trajectory_metrics,
     trajectory_to_csv,
 )
 from mergraph.wmsr import (
@@ -205,11 +206,9 @@ def test_criterion_7a_consensus_with_malicious_broadcasts():
     details = []
     for kind, f in (("r", 12), ("rs", 24)):
         for n in (49, 50):
-            traj = _viia_run(kind, n, f)
-            m0, big_m = traj.hull_bounds()
-            normal = traj.normal_states()
-            assert (normal >= m0).all() and (normal <= big_m).all(), (kind, n)
-            ratio = traj.spread(30) / traj.spread(0)
+            metrics = trajectory_metrics(_viia_run(kind, n, f))
+            assert metrics["within_hull"], (kind, n)
+            ratio = metrics["spread"][30] / metrics["spread"][0]
             assert ratio < SPREAD_RATIO_LIMIT, (kind, n, ratio)
             details.append(f"{kind}/n={n}: ratio {ratio:.1e}")
     stored = (DATA / "trig_n49_f12_seed0.csv").read_text()
@@ -241,11 +240,9 @@ def _viib_run(scenario: str, kind: str, n: int, remove=None):
 def test_criterion_7b_intact_runs_converge():
     for scenario, kind in ((SCENARIO_BYZ_SPLIT, "r"), (SCENARIO_BYZ_CONST, "rs")):
         for n in (9, 10):
-            traj = _viib_run(scenario, kind, n)
-            m0, big_m = traj.hull_bounds()
-            normal = traj.normal_states()
-            assert (normal >= m0).all() and (normal <= big_m).all(), (scenario, n)
-            ratio = traj.spread(30) / traj.spread(0)
+            metrics = trajectory_metrics(_viib_run(scenario, kind, n))
+            assert metrics["within_hull"], (scenario, n)
+            ratio = metrics["spread"][30] / metrics["spread"][0]
             assert ratio < SPREAD_RATIO_LIMIT, (scenario, n, ratio)
     report("criterion 7b (intact Byzantine runs converge)", True)
 
@@ -254,7 +251,7 @@ def test_criterion_7b_edge_removals_break_consensus():
     details = []
     for scenario, kind, n, edge, regression in VIIB_CASES:
         traj = _viib_run(scenario, kind, n, remove=edge)
-        spread = traj.spread(30)
+        spread = trajectory_metrics(traj)["spread"][30]
         assert spread > DIVERGENCE_FLOOR, (scenario, n, edge, spread)
         assert trajectory_to_csv(traj) == (DATA / regression).read_text(), regression
         details.append(f"{scenario}/n={n}/-{edge}: spread(30)={spread:.1f}")
@@ -279,10 +276,7 @@ def test_criterion_8_trim_unit_behavior_and_hull_monotonicity():
         def _value(self, *key: int) -> float:
             return float(hash((self.seed, *key)) % 4001 - 2000)
 
-        def malicious_value(self, agent: int, t: int) -> float:
-            return self._value(agent, t)
-
-        def byzantine_value(self, agent: int, receiver: int, t: int) -> float:
+        def value(self, agent: int, receiver: int, t: int) -> float:
             return self._value(agent, receiver, t)
 
     rng = random.Random(424242)

@@ -307,6 +307,24 @@ class TestRecipeBoundary:
             tracemalloc.stop()
         assert peak < 1 << 16
 
+    def test_removed_pairs_sharing_a_node_are_refused(self):
+        # 1,000 pairs through hub node 0 would give each other end a mask
+        # as wide as the hub's highest id, 65,535
+        payload = {"kind": "gamma", "n": 1 << 16, "gamma": 1 << 15, "hub": [0, (1 << 16) - 1],
+                   "removed_pairs": [[i, 0] for i in range(1, 1001)]}
+        recipe = recipe_from_dict(payload)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="removed pairs share a node"):
+                replay_recipe(recipe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 18
+        with pytest.raises(ValueError, match="removed pairs share a node"):
+            replay_recipe(dataclasses.replace(construct_gamma_merg(10)[1],
+                                              removed_pairs=((0, 1), (1, 2))))
+
     def test_hand_written_recipe_replays(self):
         # the hub {1, 2, 3} with nodes 0 and 4 attached: the 4-clique 0..3
         # with node 4 attached to three of its members

@@ -21,6 +21,18 @@ def test_construction_output_matches_the_committed_text(capsys):
     assert capsys.readouterr().out.encode() == expected
 
 
+def test_certificates_output_matches_the_committed_text(capsys):
+    # one line times the two checks, so it differs from run to run
+    load_demo("02_certificates.py").main()
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    expected = (DEMOS / "out" / "02_certificates.txt").read_text().splitlines(keepends=True)
+    timed = [i for i, line in enumerate(expected) if line.startswith("complement check: ")]
+    assert len(timed) == 1 and len(lines) == len(expected)
+    assert lines[timed[0]].startswith("complement check: ")
+    del lines[timed[0]], expected[timed[0]]
+    assert lines == expected
+
+
 def test_minimality_output_matches_the_committed_text(capsys):
     load_demo("03_minimality.py").main()
     expected = (DEMOS / "out" / "03_minimality.txt").read_bytes()
@@ -31,7 +43,8 @@ def test_resilient_consensus_outputs_match_the_committed_csvs(tmp_path, capsys):
     demo = load_demo("04_resilient_consensus.py")
     demo.OUT = tmp_path
     demo.main()
-    capsys.readouterr()
+    expected = (DEMOS / "out" / "04_resilient_consensus.txt").read_bytes()
+    assert capsys.readouterr().out.encode() == expected
     written = sorted(p.name for p in tmp_path.glob("*.csv"))
     assert written == sorted(p.name for p in (DEMOS / "out").glob("*.csv"))
     for name in written:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,7 @@ from mergraph import (
 )
 from mergraph import wmsr
 from mergraph.cli import main as cli_main
+from mergraph.graph_core import mask_bits
 from mergraph.wmsr import (
     MAX_TRAJECTORY_CELLS,
     SCENARIO_BYZ_CONST,
@@ -112,28 +114,28 @@ class TestAdversaryValues:
         assert trig_malicious_value(3, 5) == pytest.approx(1080 * math.sin(1))
 
     def test_trig_array_values(self):
-        values = TrigMalicious().malicious_values(np.array([0, 1, 2, 3]), np.array([0, 0, 5, 5]))
+        values = TrigMalicious().send(np.array([0, 1, 2, 3]), 0, np.array([0, 0, 5, 5]))
         assert values[:2].tolist() == [1080.0, 0.0]
         assert values[2] == pytest.approx(1080 * math.cos(1))
         assert values[3] == pytest.approx(1080 * math.sin(1))
         steps = np.arange(4)[:, None]
-        grid = TrigMalicious().malicious_values(np.array([4, 7]), steps)
+        grid = TrigMalicious().send(np.array([4, 7]), np.array([1, 2]), steps)
         assert grid.tolist() == [[trig_malicious_value(a, t) for a in (4, 7)] for t in range(4)]
 
     def test_split_values(self):
         split = SplitByReceiver(9)
-        assert split.byzantine_values(0, 2, 0) == 100.0
-        assert split.byzantine_values(1, 8, 3) == 0.0
-        assert split.byzantine_values(0, 5, 0) == 100.0
-        assert split.byzantine_values(0, 6, 0) == 0.0
-        values = split.byzantine_values(np.array([0, 1, 0, 0]), np.array([2, 8, 5, 6]), 3)
+        assert split.send(0, 2, 0) == 100.0
+        assert split.send(1, 8, 3) == 0.0
+        assert split.send(0, 5, 0) == 100.0
+        assert split.send(0, 6, 0) == 0.0
+        values = split.send(np.array([0, 1, 0, 0]), np.array([2, 8, 5, 6]), 3)
         assert values.tolist() == [100.0, 0.0, 100.0, 0.0]
 
     def test_const_values(self):
         const = ConstByAgent()
-        assert const.byzantine_values(3, 7, 2) == 100.0
-        assert const.byzantine_values(1, 7, 2) == 0.0
-        values = const.byzantine_values(np.array([3, 1, 0, 3]), np.array([7, 7, 5, 4]), 2)
+        assert const.send(3, 7, 2) == 100.0
+        assert const.send(1, 7, 2) == 0.0
+        values = const.send(np.array([3, 1, 0, 3]), np.array([7, 7, 5, 4]), 2)
         assert values.tolist() == [100.0, 0.0, 0.0, 100.0]
 
     def test_unknown_scenario(self):
@@ -204,14 +206,15 @@ class TestRunSimulation:
         traj = run_simulation(config)
         assert (traj.states == 3.25).all()
 
-    def test_role_strategy_mismatch(self):
+    @pytest.mark.parametrize("role", [AgentRole.MALICIOUS, AgentRole.BYZANTINE])
+    def test_role_strategy_mismatch(self, role):
         g = complete_graph(4)
-        roles = [AgentRole.MALICIOUS] + [AgentRole.NORMAL] * 3
-        config = make_config(g, roles, 1, 5, [0.0] * 4)
-        with pytest.raises(ValueError):
-            run_simulation(config, None)
-        with pytest.raises(ValueError):
-            run_simulation(config, SplitByReceiver(4))
+        config = make_config(g, [role] + [AgentRole.NORMAL] * 3, 1, 5, [0.0] * 4)
+        message = "^adversarial roles present but strategy has no send$"
+        for strategy in (None, object()):
+            for simulate in (run_simulation, reference_run_simulation):
+                with pytest.raises(ValueError, match=message):
+                    simulate(config, strategy)
 
     def test_byzantine_logged_value_goes_to_lowest_neighbor(self):
         # 0 is byzantine with neighbors {1, 3}; the trajectory logs what it
@@ -220,12 +223,28 @@ class TestRunSimulation:
         roles = [AgentRole.BYZANTINE] + [AgentRole.NORMAL] * 3
 
         class Probe(PerValue):
-            def byzantine_value(self, agent, receiver, t):
+            def value(self, agent, receiver, t):
                 return 1000.0 + receiver
 
         config = make_config(g, roles, 1, 3, [0.0, 1.0, 2.0, 3.0])
         traj = run_simulation(config, Probe())
         assert (traj.states[:, 0] == 1001.0).all()
+
+    def test_malicious_agent_broadcasts_what_it_sends_its_lowest_neighbor(self):
+        # 0 is malicious with neighbors {2, 3}: every receiver gets 1002.0,
+        # and the NaN it would send node 3 is never asked for in a round
+        g = new_graph(4, [(0, 2), (0, 3), (1, 2), (2, 3), (1, 3)])
+        roles = [AgentRole.MALICIOUS] + [AgentRole.NORMAL] * 3
+
+        class Probe(PerValue):
+            def value(self, agent, receiver, t):
+                return math.nan if receiver == 3 else 1000.0 + receiver
+
+        config = make_config(g, roles, 0, 3, [0.0, 1.0, 2.0, 3.0])
+        traj = run_simulation(config, Probe())
+        assert (traj.states[:, 0] == 1002.0).all()
+        assert traj.states[1, 3] == (3.0 + 1002.0 + 1.0 + 2.0) / 4
+        assert trajectory_to_csv(traj) == trajectory_to_csv(reference_run_simulation(config, Probe()))
 
     def test_malicious_broadcast_logged(self):
         g = complete_graph(3)
@@ -276,7 +295,7 @@ class TestRunSimulation:
 
 
 class RandomAdversary(PerValue):
-    """Deterministic stateless noise; malicious values depend on (agent, t) only."""
+    """Deterministic stateless noise per (agent, receiver, t)."""
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -285,10 +304,7 @@ class RandomAdversary(PerValue):
         h = hash((self.seed, *key)) % 10_000
         return (h - 5_000.0)
 
-    def malicious_value(self, agent: int, t: int) -> float:
-        return self._noise(agent, t)
-
-    def byzantine_value(self, agent: int, receiver: int, t: int) -> float:
+    def value(self, agent: int, receiver: int, t: int) -> float:
         return self._noise(agent, receiver, t)
 
 
@@ -309,7 +325,7 @@ class TestSafetyProperties:
             config = make_config(g, roles, f, 12, [rng.uniform(-50, 50) for _ in range(n)])
             traj = run_simulation(config, RandomAdversary(runs))
             runs += 1
-            m0, big_m = traj.hull_bounds()
+            m0, big_m = trajectory_metrics(traj)["hull"]
             normal = traj.normal_states()
             assert (normal >= m0 - 1e-9).all() and (normal <= big_m + 1e-9).all()
             spreads_max = normal.max(axis=1)
@@ -364,8 +380,8 @@ class TestScenarioAssembly:
     def test_none_scenario_runs_plain_consensus(self):
         g = complete_graph(6)
         config, strategy = build_scenario(g, SCENARIO_NONE, steps=40, seed=5)
-        traj = run_simulation(config, strategy)
-        assert traj.spread(40) < 1e-6 * traj.spread(0)
+        spread = trajectory_metrics(run_simulation(config, strategy))["spread"]
+        assert spread[40] < 1e-6 * spread[0]
 
 
 class TestTrajectoryOutputs:
@@ -397,8 +413,7 @@ class TestTrajectoryOutputs:
     # NaN rows are wanted here, so numpy's all-NaN warnings are too
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_metrics_match_the_per_figure_methods(self):
-        # the figures as Trajectory's methods give them, each gathering
-        # the normal states again
+        # each figure computed on its own, row by row off the normal states
         rng = np.random.default_rng(11)
         special = np.array([0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan, 1.0, -1.0])
         for case in range(200):
@@ -412,12 +427,11 @@ class TestTrajectoryOutputs:
             states[cells] = rng.choice(special, size=int(cells.sum()))
             states[0] = np.where(np.isfinite(states[0]), states[0], 0.5)
             traj = Trajectory(states=states, roles=roles, f=1)
-            spreads = traj.spreads()
-            m0, big_m0 = traj.hull_bounds()
             normal = traj.normal_states()
+            m0, big_m0 = float(normal[0].min()), float(normal[0].max())
             expected = {
                 "hull": [m0, big_m0],
-                "spread": [float(v) for v in spreads],
+                "spread": [float(row.max() - row.min()) for row in normal],
                 "within_hull": bool((normal >= m0).all() and (normal <= big_m0).all()),
             }
             metrics = trajectory_metrics(traj)
@@ -455,10 +469,7 @@ class TieAdversary(PerValue):
             return -0.0 if h % 2 else 0.0
         return float(h % 7 - 3)
 
-    def malicious_value(self, agent: int, t: int) -> float:
-        return self._value(agent, t)
-
-    def byzantine_value(self, agent: int, receiver: int, t: int) -> float:
+    def value(self, agent: int, receiver: int, t: int) -> float:
         return self._value(agent, receiver, t)
 
 
@@ -486,15 +497,16 @@ def _random_run(rng: random.Random, case: int, max_n: int = 14, infinite: bool =
 
 def _received(config, adversary, states: np.ndarray, t: int, i: int) -> list[float]:
     """What normal agent ``i`` receives at step ``t``, in ascending neighbor order."""
+    g = config.graph
     out = []
-    for j in config.graph.neighbors(i):
+    for j in sorted(g.neighbors(i)):
         role = config.roles[j]
         if role is AgentRole.NORMAL:
             out.append(float(states[t, j]))
-        elif role is AgentRole.MALICIOUS:
-            out.append(adversary.malicious_value(j, t))
         else:
-            out.append(adversary.byzantine_value(j, i, t))
+            # a malicious agent broadcasts what it sends its lowest neighbor
+            receiver = i if role is AgentRole.BYZANTINE else min(g.neighbors(j))
+            out.append(adversary.value(j, receiver, t))
     return out
 
 
@@ -521,16 +533,13 @@ any_value = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(allow_nan=False
 
 
 class TableAdversary(PerValue):
-    """Each (agent, t) and (agent, receiver, t) picks a value of ``table``."""
+    """Each (agent, receiver, t) picks a value of ``table``."""
 
     def __init__(self, table: tuple[float, ...], seed: int):
         self.table = table
         self.seed = seed
 
-    def malicious_value(self, agent: int, t: int) -> float:
-        return self.table[hash((self.seed, agent, t)) % len(self.table)]
-
-    def byzantine_value(self, agent: int, receiver: int, t: int) -> float:
+    def value(self, agent: int, receiver: int, t: int) -> float:
         return self.table[hash((self.seed, agent, receiver, t)) % len(self.table)]
 
 
@@ -552,11 +561,45 @@ def hypothesis_runs(draw):
     return config, TableAdversary(table, draw(st.integers(0, 2**16)))
 
 
+def _scalar_gather_index(g, rows) -> list[list[int]]:
+    """Each row node's neighbors ascending, padded with the node itself to
+    the widest degree, then the node once more: one column per row node."""
+    width = max((g.degree(r) for r in rows), default=0)
+    columns = [sorted(g.neighbors(r)) for r in rows]
+    columns = [c + [r] * (width + 1 - len(c)) for r, c in zip(rows, columns)]
+    return [list(row) for row in zip(*columns)] if rows else [[]]
+
+
+class TestGatherIndex:
+    def _check(self, g, rows):
+        adj = mask_bits(g.adjacency, g.n).view(bool)
+        index = wmsr._gather_index(adj, np.array(rows, dtype=np.intp))
+        assert index.dtype == np.intp and index.flags.c_contiguous
+        assert index.tolist() == _scalar_gather_index(g, rows)
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 10, 49, 50, 200])
+    @pytest.mark.parametrize("builder", [construct_gamma_merg, construct_gamma_gamma_merg])
+    def test_families_match_the_scalar_index(self, builder, n):
+        g, _ = builder(n)
+        self._check(g, list(range(n)))
+        self._check(g, list(range(n // 3, n)))
+
+    def test_random_graphs_match_the_scalar_index(self):
+        rng = random.Random(53)
+        for _ in range(200):
+            n = rng.randint(1, 40)
+            g = random_graph(rng, n, rng.random())
+            rows = sorted(rng.sample(range(n), rng.randint(0, n)))
+            if len(rows) == 1:
+                # a lone normal agent's column is gathered twice
+                rows = rows * 2
+            self._check(g, rows)
+
+
 class TestArrayRoundMatchesReference:
     """The array round writes the bytes of the scalar per-agent loop."""
 
-    # kept +inf and -inf make NaN states, and large finite values overflow
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    # large finite values overflow
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(hypothesis_runs())
@@ -579,27 +622,29 @@ class TestArrayRoundMatchesReference:
             seen["f_ge_degree"] += config.f >= max(degrees)
         assert min(seen.values()) >= 20, seen
 
-    # the NaN states are wanted here, so numpy's inf - inf warning is too
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_infinite_values_and_long_columns(self):
         # up to 39 values per column, longer than numpy's 8-wide pairwise
-        # block; a kept +inf meeting a kept -inf makes a NaN state
+        # block; a kept +inf meeting a kept -inf is an error naming the agent
         rng = random.Random(43)
         seen = {"infinite": 0, "nan": 0, "long": 0, "split": 0}
         for case in range(300):
             config, adversary = _random_run(rng, case, max_n=40, infinite=True)
-            traj = reference_run_simulation(config, adversary)
-            expected = trajectory_to_csv(traj)
-            assert trajectory_to_csv(run_simulation(config, adversary)) == expected, case
+            expected = _outcome(reference_run_simulation, config, adversary)
+            assert _outcome(run_simulation, config, adversary) == expected, case
+            if expected.startswith("ValueError"):
+                assert re.fullmatch(r"ValueError: agent \d+ summed \+inf and -inf at step \d+",
+                                    expected), case
+                seen["nan"] += 1
+                continue
+            states = trajectory_states_from_csv(expected)
             g = config.graph
-            normal = traj.normal_indices
+            normal = [i for i, role in enumerate(config.roles) if role is AgentRole.NORMAL]
             received = [
-                (float(traj.states[t, i]), _received(config, adversary, traj.states, t, i))
+                (float(states[t, i]), _received(config, adversary, states, t, i))
                 for t in range(config.steps)
                 for i in normal
             ]
             seen["infinite"] += any(math.isinf(v) for _, values in received for v in values)
-            seen["nan"] += bool(normal) and bool(np.isnan(traj.normal_states()).any())
             seen["long"] += max((g.degree(i) for i in normal), default=0) > 8
             seen["split"] += any(_cut_splits_a_run(own, values, config.f) for own, values in received)
         assert min(seen.values()) >= 20, seen
@@ -651,7 +696,7 @@ class TestArrayRoundMatchesReference:
         # one normal agent: its column is folded apart from the others'
         roles = [AgentRole.MALICIOUS] * 3 + [AgentRole.NORMAL]
         config = make_config(complete_graph(4), roles, 1, 2, [-0.0] * 4)
-        adversary = ConstantMalicious(-0.0)
+        adversary = ConstantAdversary(-0.0)
         text = trajectory_to_csv(run_simulation(config, adversary))
         assert text == trajectory_to_csv(reference_run_simulation(config, adversary))
         assert text.splitlines()[2] == "1,-0,-0,-0,0"
@@ -682,72 +727,59 @@ class FoldAdversary(PerValue):
     def __init__(self, values: tuple[float, ...]):
         self.values = values
 
-    def malicious_value(self, agent: int, t: int) -> float:
+    def value(self, agent: int, receiver: int, t: int) -> float:
         return self.values[agent]
 
 
-class ConstantMalicious(PerValue):
-    def __init__(self, value: float):
-        self.value = value
+class ConstantAdversary(PerValue):
+    def __init__(self, constant: float):
+        self.constant = constant
 
-    def malicious_value(self, agent: int, t: int) -> float:
-        return self.value
-
-
-class ConstantByzantine(ConstantMalicious):
-    def byzantine_value(self, agent: int, receiver: int, t: int) -> float:
-        return self.value
+    def value(self, agent: int, receiver: int, t: int) -> float:
+        return self.constant
 
 
 class PoisonedAdversary(PerValue):
-    """Sends 1.0, or NaN for the listed ``("mal", None, t)`` broadcasts and
-    ``("byz", receiver, t)`` Byzantine values."""
+    """Sends 1.0, or NaN for the listed ``(agent, receiver, t)``."""
 
     def __init__(self, poison):
         self.poison = poison
 
-    def malicious_value(self, agent: int, t: int) -> float:
-        return math.nan if ("mal", None, t) in self.poison else 1.0
-
-    def byzantine_value(self, agent: int, receiver: int, t: int) -> float:
-        return math.nan if ("byz", receiver, t) in self.poison else 1.0
+    def value(self, agent: int, receiver: int, t: int) -> float:
+        return math.nan if (agent, receiver, t) in self.poison else 1.0
 
 
 class CountingAdversary(TieAdversary):
-    """A TieAdversary that counts the calls of each array method."""
+    """A TieAdversary that counts the calls of ``send``."""
 
     def __init__(self, seed: int, integers: bool):
         super().__init__(seed, integers)
-        self.calls = {"malicious_values": 0, "byzantine_values": 0}
+        self.calls = 0
 
-    def malicious_values(self, agents, t):
-        self.calls["malicious_values"] += 1
-        return super().malicious_values(agents, t)
-
-    def byzantine_values(self, agents, receivers, t):
-        self.calls["byzantine_values"] += 1
-        return super().byzantine_values(agents, receivers, t)
+    def send(self, agents, receivers, t):
+        self.calls += 1
+        return super().send(agents, receivers, t)
 
 
 class TestStrategyCalls:
-    def test_each_array_method_is_called_at_most_steps_plus_one_times(self):
+    def test_send_is_called_at_most_steps_plus_one_times(self):
         rng = random.Random(47)
         seen = 0
         for case in range(200):
             config, _ = _random_run(rng, case)
             adversary = CountingAdversary(case, integers=True)
             expected = trajectory_to_csv(reference_run_simulation(config, adversary))
-            adversary.calls = dict.fromkeys(adversary.calls, 0)
+            adversary.calls = 0
             assert trajectory_to_csv(run_simulation(config, adversary)) == expected, case
-            assert max(adversary.calls.values()) <= config.steps + 1, (case, adversary.calls)
-            seen += adversary.calls["byzantine_values"] == config.steps + 1
+            assert adversary.calls <= config.steps + 1, (case, adversary.calls)
+            seen += adversary.calls == config.steps + 1
         assert seen >= 20
 
     def test_strategies_are_not_called_for_absent_roles(self):
         adversary = CountingAdversary(0, integers=True)
         config = make_config(complete_graph(4), [AgentRole.NORMAL] * 4, 1, 6, [0.0, 1.0, 2.0, 3.0])
         run_simulation(config, adversary)
-        assert adversary.calls == {"malicious_values": 0, "byzantine_values": 0}
+        assert adversary.calls == 0
 
 
 class TestNonFiniteAdversaryValues:
@@ -758,23 +790,22 @@ class TestNonFiniteAdversaryValues:
         initial = get_scenario(SCENARIO_TRIG_MALICIOUS).initial_states(9, seed=0)
         return make_config(g, [role] * 2 + [AgentRole.NORMAL] * 7, 2, 30, initial)
 
-    @pytest.mark.parametrize("strategy", [ConstantMalicious, ConstantByzantine])
-    def test_nan_is_rejected_naming_agent_and_step(self, strategy):
-        role = AgentRole.MALICIOUS if strategy is ConstantMalicious else AgentRole.BYZANTINE
+    @pytest.mark.parametrize("role", [AgentRole.MALICIOUS, AgentRole.BYZANTINE])
+    def test_nan_is_rejected_naming_agent_and_step(self, role):
         with pytest.raises(ValueError, match="agent 0 sent NaN at step 0"):
-            run_simulation(self._config(role), strategy(float("nan")))
+            run_simulation(self._config(role), ConstantAdversary(float("nan")))
 
     @pytest.mark.parametrize(
         "poison, message",
         [
             # a value sent to a normal agent two steps before a broadcast NaN
-            ({("byz", 4, 1), ("mal", None, 3)}, "agent 1 sent NaN at step 1"),
+            ({(1, 4, 1), (2, 0, 3)}, "agent 1 sent NaN at step 1"),
             # at one step, the broadcast comes before what a lower-numbered
             # Byzantine agent sends a receiver
-            ({("byz", 4, 2), ("mal", None, 2)}, "agent 2 sent NaN at step 2"),
+            ({(1, 4, 2), (2, 0, 2)}, "agent 2 sent NaN at step 2"),
             # what a Byzantine agent sends its lowest neighbor at the last
             # step is logged and checked, though no round uses it
-            ({("byz", 0, 4)}, "agent 1 sent NaN at step 4"),
+            ({(1, 0, 4)}, "agent 1 sent NaN at step 4"),
         ],
     )
     def test_nan_names_the_first_agent_and_step(self, poison, message):
@@ -801,22 +832,45 @@ class TestNonFiniteAdversaryValues:
         # each receiver gets +inf from one Byzantine agent and -inf from the
         # other; the suite turns numpy's inf - inf warning into an error
         class OppositeInfinities(PerValue):
-            def byzantine_value(self, agent: int, receiver: int, t: int) -> float:
+            def value(self, agent: int, receiver: int, t: int) -> float:
                 return math.inf if (agent + receiver) % 2 else -math.inf
 
         traj = run_simulation(self._config(AgentRole.BYZANTINE), OppositeInfinities())
         assert np.isfinite(traj.normal_states()).all()
 
-    @pytest.mark.parametrize("strategy", [ConstantMalicious, ConstantByzantine])
+    @pytest.mark.parametrize("role", [AgentRole.MALICIOUS, AgentRole.BYZANTINE])
     @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
-    def test_infinite_values_are_trimmed(self, strategy, value):
-        role = AgentRole.MALICIOUS if strategy is ConstantMalicious else AgentRole.BYZANTINE
-        traj = run_simulation(self._config(role), strategy(value))
-        normal = traj.normal_states()
-        m0, big_m0 = traj.hull_bounds()
-        assert np.isfinite(normal).all()
-        assert (normal >= m0).all() and (normal <= big_m0).all()
-        assert traj.spread(30) < 1e-3 * traj.spread(0)
+    def test_infinite_values_are_trimmed(self, role, value):
+        traj = run_simulation(self._config(role), ConstantAdversary(value))
+        metrics = trajectory_metrics(traj)
+        assert np.isfinite(traj.normal_states()).all()
+        assert metrics["within_hull"]
+        assert metrics["spread"][30] < 1e-3 * metrics["spread"][0]
+
+    @pytest.mark.parametrize("simulate", [run_simulation, reference_run_simulation])
+    def test_a_kept_pair_of_opposite_infinities_is_an_error(self, simulate):
+        # with F = 0 nothing is trimmed: agents 2 and 3 keep +inf and -inf;
+        # the suite turns numpy's inf - inf warning into an error
+        roles = [AgentRole.MALICIOUS] * 2 + [AgentRole.NORMAL] * 2
+        config = make_config(complete_graph(4), roles, 0, 3, [0.0] * 4)
+        with pytest.raises(ValueError, match="^agent 2 summed \\+inf and -inf at step 0$"):
+            simulate(config, FoldAdversary((math.inf, -math.inf)))
+
+    def test_a_kept_pair_of_opposite_infinities_from_the_cli_exits_1(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        graph = tmp_path / "k4.json"
+        graph.write_text(json.dumps({"n": 4, "edges": [[u, v] for v in range(4) for u in range(v)]}))
+        roles = (AgentRole.MALICIOUS,) * 2 + (AgentRole.NORMAL,) * 2
+
+        def opposite_infinities(g, scenario, f=None, steps=30, seed=0):
+            config = SimConfig(graph=g, roles=roles, f=0, steps=steps, initial_states=(0.0,) * 4)
+            return config, FoldAdversary((math.inf, -math.inf))
+
+        monkeypatch.setattr(wmsr, "build_scenario", opposite_infinities)
+        argv = ["simulate", "--graph", str(graph), "--out", str(tmp_path / "run.csv")]
+        assert cli_main(argv) == 1
+        assert "agent 2 summed +inf and -inf at step 0" in capsys.readouterr().err
 
 
 class TestDefaultRemovals:
