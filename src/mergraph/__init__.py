@@ -37,10 +37,7 @@ from .graph_core import (
     complete_graph,
     graph_from_edge_text,
     graph_from_json,
-    graph_to_edge_text,
     graph_to_json,
-    induced_edge_count,
-    is_spanning_subgraph,
     max_clique_size,
     new_graph,
     parse_graph,

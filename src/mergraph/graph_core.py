@@ -11,14 +11,16 @@ is one way to build a graph from pairs, :func:`new_graph`, which checks
 each pair and accepts it in either order; ``Graph`` has no public
 constructor.
 
-Two serialized forms are supported, both written by walking the set bits of
-each mask above the node itself, so the pairs come out in lexicographic
-order without a sort:
+Two serialized forms are read:
 
 * canonical JSON: ``{"n": <int>, "edges": [[u, v], ...]}`` with ``u < v`` and
   the pairs sorted lexicographically, rendered compactly so equal graphs
   serialize to identical bytes;
 * whitespace edge-list text: first line ``n``, then one ``u v`` pair per line.
+
+Graphs are written as canonical JSON only, by walking the set bits of each
+mask above the node itself, so the pairs come out in lexicographic order
+without a sort.
 
 Reading canonical JSON has a fast path.  A JSON text of at least
 ``FAST_JSON_MIN_CHARS`` characters is first read in one numpy pass: its
@@ -225,19 +227,6 @@ def complement(g: Graph) -> Graph:
     return Graph._from_masks(g.n, [full ^ a ^ (1 << u) for u, a in enumerate(g.adjacency)])
 
 
-def is_spanning_subgraph(g: Graph, h: Graph) -> bool:
-    """True iff every edge of ``h`` is also an edge of ``g`` (same node set)."""
-    if g.n != h.n:
-        raise ValueError(f"node counts differ: {g.n} != {h.n}")
-    return all(not b & ~a for a, b in zip(g.adjacency, h.adjacency))
-
-
-def induced_edge_count(g: Graph, s: Iterable[int]) -> int:
-    """Number of edges with both endpoints in ``s``."""
-    mask = g.subset_mask(s)
-    return sum((g.adjacency[i] & mask).bit_count() for i in members(mask)) // 2
-
-
 def max_clique_size(g: Graph) -> int:
     """Exact maximum clique size.
 
@@ -400,13 +389,6 @@ def graph_from_json(text: str) -> Graph:
         if g is not None:
             return g
     return _parsed_json_graph(text)
-
-
-def graph_to_edge_text(g: Graph) -> str:
-    rows = _later_neighbors(g.adjacency, [str(i) for i in range(g.n)])
-    lines = [str(g.n)]
-    lines.extend(f"{u} " + f"\n{u} ".join(vs) for u, vs in rows)
-    return "\n".join(lines) + "\n"
 
 
 def graph_from_edge_text(text: str) -> Graph:

@@ -79,14 +79,18 @@ failures reproducible across runs and platforms.  A run of consecutive
 nodes of one class is fixed by two bisections, not node by node.
 
 Sweeps.  ``minimality_sweep`` re-decides the target after each single-edge
-removal, once per edge orbit.  Two twin classes of the same size and twin
-type whose link rows agree outside the pair can be swapped member by
-member, an automorphism, as is swapping two twins; removing any edge of
-one orbit of these swaps leaves isomorphic graphs, with one verdict.  The
-orbit of an edge is the pair of groups of swappable classes its ends lie
-in.  The sweep reads its input check and the class groups off one
-lattice of the input graph, which carries the twin types and link matrix
-the groups compare.
+removal, once per edge orbit.  The class graph has one item per twin class,
+colored by the class's size and twin type, with the class's ``link`` row
+less its diagonal as neighbor mask.  Twins of the class graph, grouped like
+the nodes, can be swapped member by member, an automorphism of g, and so
+can twins of g; removing any edge of one orbit of these swaps leaves
+isomorphic graphs, with one verdict.  The orbit of an edge is the pair of
+class-graph twin classes its ends' classes lie in.  Whether the ends share
+a class needs no key of its own: no single node swaps, two swappable
+true-twin classes are apart and two swappable false-twin classes joined, or
+they would be one class, so the edges inside one class-graph twin class
+all lie within classes or all between them.  The sweep reads its input
+check and the class graph off one lattice of the input graph.
 """
 
 from __future__ import annotations
@@ -95,7 +99,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 from math import prod
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -168,66 +172,57 @@ _ABSENT = np.uint8(255)
 
 
 class _Lattice(NamedTuple):
-    """The twin classes of a graph, which of them are true-twin classes, the
-    class link matrix, the shape of their count lattice and two uint8 grids
-    with one row per class and one column per cell (C order):
-    ``counts[c, a]`` = a_c, and ``out[c, a]`` = the outside degree of a
-    member of class c in a set with count vector a, 0 when a_c = 0.
+    """The twin classes of a graph, the class link matrix, the shape of
+    their count lattice and two uint8 grids with one row per class and one
+    column per cell (C order): ``counts[c, a]`` = a_c, and ``out[c, a]`` =
+    the outside degree of a member of class c in a set with count vector a,
+    0 when a_c = 0.
 
     ``link[c, d]`` = 1 (uint8) when a member of class c counts the members
     of class d outside a set as neighbors: d adjacent to c, or d = c a
-    true-twin class."""
+    true-twin class, so the diagonal marks the true-twin classes."""
 
     classes: tuple[tuple[int, ...], ...]
-    closed: tuple[bool, ...]
     link: np.ndarray
     shape: tuple[int, ...]
     counts: np.ndarray
     out: np.ndarray
 
 
-def _twin_classes(g: Graph) -> tuple[list[list[int]], list[bool]]:
-    """The twin classes, ordered by lowest member, and which are true-twin
-    classes of two or more nodes.  Same open mask: false twins; the nodes
-    alone there, grouped by closed mask: true twins (or singletons)."""
-    by_open: dict[int, list[int]] = {}
-    for u, a in enumerate(g.adjacency):
-        by_open.setdefault(a, []).append(u)
+def _twins(masks: Sequence[int], colors: Sequence[Hashable]) -> list[tuple[list[int], bool]]:
+    """The twin classes of a colored graph whose item i has color
+    ``colors[i]`` and neighbor mask ``masks[i]``, ordered by lowest member,
+    each with whether it is a true-twin class of two or more items.  Same
+    color and open mask: false twins; the items alone there, grouped by
+    color and closed mask: true twins (or singletons)."""
+    by_open: dict[tuple[Hashable, int], list[int]] = {}
+    for i, key in enumerate(zip(colors, masks)):
+        by_open.setdefault(key, []).append(i)
     groups = []
-    by_closed: dict[int, list[int]] = {}
+    by_closed: dict[tuple[Hashable, int], list[int]] = {}
     for group in by_open.values():
         if len(group) > 1:
             groups.append((group, False))
         else:
-            u = group[0]
-            by_closed.setdefault(g.adjacency[u] | 1 << u, []).append(u)
+            i = group[0]
+            by_closed.setdefault((colors[i], masks[i] | 1 << i), []).append(i)
     groups += ((group, len(group) > 1) for group in by_closed.values())
     groups.sort()
-    return [group for group, _ in groups], [closed for _, closed in groups]
+    return groups
 
 
 def _class_groups(lat: _Lattice) -> list[int]:
-    """``group[c]`` = the lowest class that class c can be swapped with (c
-    itself when none is lower): the same size, the same twin type and equal
-    ``link`` rows outside the two.
-
-    Swapping two such classes member by member is an automorphism.  The
-    relation is transitive (``link`` is symmetric), so each class joins the
-    first root it matches.
-    """
-    classes, closed, link = lat.classes, lat.closed, lat.link
-    roots: list[int] = []
-    group = []
-    for c, nodes in enumerate(classes):
-        for d in roots:
-            differ = link[c] != link[d]
-            differ[[c, d]] = False
-            if len(classes[d]) == len(nodes) and closed[d] == closed[c] and not differ.any():
-                group.append(d)
-                break
-        else:
-            roots.append(c)
-            group.append(c)
+    """``group[c]`` = the lowest class in c's twin class of the class graph:
+    one item per class, colored by the class's size and twin type, its
+    neighbor mask the class's ``link`` row without the diagonal."""
+    link = lat.link
+    rows = np.packbits(link, axis=1, bitorder="little")
+    masks = [int.from_bytes(row.tobytes(), "little") & ~(1 << c) for c, row in enumerate(rows)]
+    colors = list(zip(map(len, lat.classes), link.diagonal().tolist()))
+    group = [0] * len(masks)
+    for twins, _ in _twins(masks, colors):
+        for c in twins:
+            group[c] = twins[0]
     return group
 
 
@@ -251,7 +246,7 @@ def _lattice(g: Graph) -> _Lattice:
             f"exact robustness check infeasible for n={g.n}"
             f" (uint8 tables hold at most {int(_ABSENT) - 1} nodes)"
         )
-    classes, closed = _twin_classes(g)
+    classes, closed = zip(*_twins(g.adjacency, [None] * g.n))
     # tuples from lists, not generators: CPython sizes a generator's tuple
     # by a guess and resizes it, and over many calls the resized blocks pile
     # up in its per-size tuple free lists (measured: ~170 B more heap per op)
@@ -282,7 +277,7 @@ def _lattice(g: Graph) -> _Lattice:
     out[hi:] *= np.minimum(counts_lo, 1)[:, None, :]
     classes = tuple([tuple(c) for c in classes])
     out = out.reshape(len(shape), cells)
-    return _Lattice(classes, tuple(closed), link, shape, _counts(shape), out)
+    return _Lattice(classes, link, shape, _counts(shape), out)
 
 
 def _x_count_table(g: Graph, r: int, lat: _Lattice) -> np.ndarray:
@@ -484,22 +479,15 @@ def minimality_sweep(g: Graph, r: int, s: int | None = None) -> MinimalitySweep:
     The target is r-robustness, the (r, 1) case, when ``s`` is None, else
     (r, s)-robustness; a graph h meets it iff ``max_s_given_r(h, r)``
     reaches 1 or s.  The input graph must meet it, which is read off its
-    lattice, the one the class groups below come from; the sweep then
+    lattice, the one the class graph comes from; the sweep then
     reports, edge by edge in lexicographic order, whether the removal keeps
     it.  ``minimal`` is True when none does.
 
-    One removal is decided per edge orbit.  Swapping two twins, or two
-    twin classes of one ``_class_groups`` group, is an automorphism of g,
-    so removing any edge of one orbit leaves isomorphic graphs with the
-    same verdict.  An edge's orbit is the pair of groups of its ends'
-    classes.  The edges inside one group need no split by whether their
-    ends share a class: they all do in a group of true-twin classes and
-    none does in one of false-twin classes, as two single nodes, two
-    adjacent true-twin classes or two apart false-twin classes that could
-    be swapped would be one class.  The first edge of each orbit is
-    decided and its verdict copied to the rest.  Isomorphic graphs
-    have equal lattices, so a removal over the budget raises
-    ``CapExceededError`` at the same edge as deciding every edge would.
+    One removal is decided per edge orbit (see the module docstring,
+    "Sweeps"), the first edge of each, and its verdict is copied to the
+    rest.  Isomorphic graphs have equal lattices, so a removal over the
+    budget raises ``CapExceededError`` at the same edge as deciding every
+    edge would.
     """
     if r < 1:
         raise ValueError("r must be a positive integer")

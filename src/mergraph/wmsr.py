@@ -37,7 +37,9 @@ Strategies must be pure functions of their arguments: a run may ask for a
 value more than once, or for values it does not use, such as those of steps
 after an error.  A NaN strategy value is an error naming the agent and the
 step; an infinite one is an ordinary extreme, which the trim removes like
-any other.  A normal agent whose update sums +inf and -inf is an error too.
+any other.  A normal agent whose update sums +inf and -inf is an error too,
+and so is one whose update is infinite with no infinite value among those
+it kept, its own state included: finite values overflowed.
 
 Determinism: given an identical configuration a run produces a bit-identical
 trajectory.  Randomness enters only through the initial states, which the
@@ -320,6 +322,20 @@ def _nan_error(agents: np.ndarray, values: np.ndarray, t: int) -> ValueError:
     return ValueError(f"agent {agents.flat[first]} sent NaN at step {t}")
 
 
+def _check_updates(agents: np.ndarray, kept: np.ndarray, total: np.ndarray, t: int) -> None:
+    """Raise for the lowest of ``agents`` whose update ``total`` is wrong:
+    NaN, or infinite with no infinity among the values the agent kept
+    (``kept``, with dropped cells zeroed).  An agent that kept +inf and
+    -inf summed them; any other overflowed from finite values."""
+    up = (kept == math.inf).any(axis=0)
+    down = (kept == -math.inf).any(axis=0)
+    wrong = np.isnan(total) | (np.isinf(total) & ~up & ~down)
+    if wrong.any():
+        i = int(wrong.argmax())
+        what = "summed +inf and -inf" if up[i] and down[i] else "overflowed"
+        raise ValueError(f"agent {agents[i]} {what} at step {t}")
+
+
 def run_simulation(config: SimConfig, adversary: object | None = None) -> Trajectory:
     """Run synchronous rounds: everyone emits, then normal agents trim-average.
 
@@ -336,10 +352,13 @@ def run_simulation(config: SimConfig, adversary: object | None = None) -> Trajec
     A NaN raises ``ValueError`` naming the agent and the step, steps in
     order; within a step the logged values come first (malicious, then
     Byzantine agents, each ascending), then the values sent to normal agents
-    (by neighbor rank, then receiver), then the normal agents' updates, of
-    which a sum of +inf and -inf is the only one that can give NaN.  No
-    round runs at or after the step of a NaN strategy value.  An infinite
-    value is trimmed like any other extreme.
+    (by neighbor rank, then receiver), then the normal agents' updates.
+    An update that sums +inf and -inf raises ``ValueError`` naming the agent
+    and the step, and so does one that overflows, infinite (or NaN) with no
+    infinite value among those the agent kept, its own state included; the
+    lowest such agent of the round is named.  No round runs at or after the
+    step of a NaN strategy value.  An infinite value is trimmed like any
+    other extreme, and one that is kept makes the update infinite.
 
     A round is a fixed sequence of in-place array operations on what the
     normal agents see: one column per agent, its neighbors' values in
@@ -391,8 +410,9 @@ def run_simulation(config: SimConfig, adversary: object | None = None) -> Trajec
     received = np.empty(index.shape)
     total = np.empty(normal.size)
     trim = _Trim(padding, config.f)
-    # a sum of +inf and -inf is an error, raised below rather than warned of
-    with np.errstate(invalid="ignore"):
+    # a sum of +inf and -inf or one past the largest float is an error,
+    # raised below rather than warned of
+    with np.errstate(invalid="ignore", over="ignore"):
         for t in range(min(nan_step, steps)):
             states[t].take(index, out=received, mode="clip")
             if slots.size:
@@ -406,9 +426,9 @@ def run_simulation(config: SimConfig, adversary: object | None = None) -> Trajec
             # the last row is own: ((0.0 + v0) + ...) + own is own + the sum
             np.add.reduce(received, axis=0, out=total, initial=0.0)
             np.multiply(total, weight, out=total)
-            if math.isnan(np.minimum.reduce(total, initial=math.inf)):
-                agent = normal[np.isnan(total).argmax()]
-                raise ValueError(f"agent {agent} summed +inf and -inf at step {t}")
+            # the screen: the totals' sum is finite if every total is
+            if not math.isfinite(np.add.reduce(total)):
+                _check_updates(normal, received, total, t)
             states[t + 1, normal] = total
     if nan_step <= steps:
         raise _nan_error(emitters, states[nan_step, emitters], nan_step)
@@ -570,13 +590,20 @@ def roles_to_json(traj: Trajectory) -> str:
 
 
 def trajectory_metrics(traj: Trajectory, tol: float = 1e-6) -> dict:
-    """Spread, hull and convergence figures; converged means final spread < tol."""
+    """Spread, hull and convergence figures; converged means final spread < tol.
+
+    A legal run can hold infinite states, where the normal agents kept an
+    infinite adversary value: a row whose normal states are all +inf (or
+    all -inf) has a NaN spread, computed without a warning, and a NaN final
+    spread is not converged.
+    """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     normal = traj.normal_states()
     highs = normal.max(axis=1)
     lows = normal.min(axis=1)
-    spreads = highs - lows
+    with np.errstate(invalid="ignore", over="ignore"):
+        spreads = highs - lows
     m0, big_m0 = float(lows[0]), float(highs[0])
     initial = float(spreads[0])
     final = float(spreads[-1])

@@ -11,7 +11,9 @@ count pairs of the twin classes, the reference above that.
 compared with.  ``twin_rich_graph`` grows a random graph by cloning true and
 false twins, the structure the oracle's twin-class lattice compresses, and
 ``copied_class_graph`` adds a copy of a whole class, so that two classes
-can be swapped, the symmetry the minimality sweep's edge orbits use.
+can be swapped, the symmetry the minimality sweep's edge orbits use, and
+``reference_class_groups`` finds the swappable classes by comparing every
+pair of them.
 ``brute_dense_subgraph`` is the subset scan that the dense-subgraph
 certificate's induced-edge table is compared with.
 ``wmsr_retained``, ``wmsr_step`` and ``nominal_step`` are the scalar
@@ -161,6 +163,28 @@ def twin_classes(g: Graph) -> list[list[int]]:
         else:
             classes.append([v])
     return classes
+
+
+def reference_class_groups(classes, link) -> list[int]:
+    """``group[c]`` = the lowest class that class c can be swapped with (c
+    itself when none is lower), by comparing pairs of classes: the same
+    size, the same twin type (``link[c, c]``) and equal ``link`` rows
+    outside the two.  The relation is transitive (``link`` is symmetric),
+    so each class joins the first earlier root it matches.  The reference
+    for the oracle's class-graph twin grouping."""
+    roots: list[int] = []
+    group = []
+    for c, nodes in enumerate(classes):
+        for d in roots:
+            differ = link[c] != link[d]
+            differ[[c, d]] = False
+            if len(classes[d]) == len(nodes) and link[d, d] == link[c, c] and not differ.any():
+                group.append(d)
+                break
+        else:
+            roots.append(c)
+            group.append(c)
+    return group
 
 
 def count_pair_first_failing_pair(
@@ -367,7 +391,8 @@ def reference_run_simulation(config, adversary=None):
     malicious agent sends every receiver what it sends its lowest-indexed
     neighbor.  Adversary roles are checked, strategy values are taken as
     given (no NaN check), and a normal agent whose update sums +inf and
-    -inf raises the error ``run_simulation`` raises.
+    -inf, or is infinite or NaN with no infinity among the values it kept
+    and its own state, raises the error ``run_simulation`` raises.
     """
     g = config.graph
     n = g.n
@@ -405,8 +430,12 @@ def reference_run_simulation(config, adversary=None):
             kept = wmsr_retained(x[i], received, config.f)
             weight = 1.0 / (1 + len(kept))
             new_x[i] = (x[i] + _left_sum(kept)) * weight
-            if math.isnan(new_x[i]):
-                raise ValueError(f"agent {i} summed +inf and -inf at step {t}")
+            if not math.isfinite(new_x[i]):
+                up, down = math.inf in [x[i], *kept], -math.inf in [x[i], *kept]
+                if up and down:
+                    raise ValueError(f"agent {i} summed +inf and -inf at step {t}")
+                if math.isnan(new_x[i]) or not (up or down):
+                    raise ValueError(f"agent {i} overflowed at step {t}")
         x = new_x
     return Trajectory(states=states, roles=roles, f=config.f)
 

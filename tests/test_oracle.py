@@ -38,6 +38,7 @@ from conftest import (
     copied_class_graph,
     count_pair_first_failing_pair,
     random_graph,
+    reference_class_groups,
     subset_pair_assignments,
     twin_classes,
     twin_rich_graph,
@@ -743,7 +744,7 @@ class TestEdgeOrbits:
             make = (twin_rich_graph, copied_class_graph)[k % 2]
             g = make(rng, rng.randint(2, 12), rng.randint(1, 4), rng.random())
             lat = oracle._lattice(g)
-            classes, closed, group = lat.classes, lat.closed, oracle._class_groups(lat)
+            classes, closed, group = lat.classes, lat.link.diagonal(), oracle._class_groups(lat)
             for c, d in combinations(range(len(classes)), 2):
                 if group[c] != group[d]:
                     continue
@@ -759,6 +760,39 @@ class TestEdgeOrbits:
                     assert mapped == g.adjacency[image[u]], (g, classes[c], classes[d])
                 swaps += 1
         assert swaps >= 100, swaps
+
+    @staticmethod
+    def graphs(family):
+        """340 twin-rich, copied-class or random graphs, or both families at
+        n = 2-59, as built and relabelled by a variant seed."""
+        rng = random.Random(31)
+        if family == "families":
+            return [build(n, variant=variant)[0] for n in range(2, 60)
+                    for build in (construct_gamma_merg, construct_gamma_gamma_merg)
+                    for variant in (None, 67)]
+        if family == "random":
+            return [random_graph(rng, rng.randint(2, 12), rng.random()) for _ in range(340)]
+        make = twin_rich_graph if family == "twin-rich" else copied_class_graph
+        return [make(rng, rng.randint(2, 24), rng.randint(1, 4), rng.random()) for _ in range(340)]
+
+    # (family, graphs decided, graphs with two swappable classes): 1,094
+    # decided in all, as some graphs exceed the budget from n = 20 on
+    @pytest.mark.parametrize("family, least, swaps", [
+        ("twin-rich", 300, 70), ("copied-class", 270, 270), ("random", 340, 10),
+        ("families", 170, 40),
+    ], ids=["twin-rich", "copied-class", "random", "families"])
+    def test_class_groups_match_the_pairwise_reference(self, family, least, swaps):
+        decided = swapped = 0
+        for g in self.graphs(family):
+            try:
+                lat = oracle._lattice(g)
+            except CapExceededError:
+                continue
+            group = oracle._class_groups(lat)
+            assert group == reference_class_groups(lat.classes, lat.link), g
+            decided += 1
+            swapped += group != list(range(len(group)))
+        assert decided >= least and swapped >= swaps, (decided, swapped)
 
     def test_budget_refusal_comes_at_the_same_edge(self, monkeypatch):
         # 14 single nodes and a true-twin class of 3: exactly 2^16 cells.

@@ -599,8 +599,6 @@ class TestGatherIndex:
 class TestArrayRoundMatchesReference:
     """The array round writes the bytes of the scalar per-agent loop."""
 
-    # large finite values overflow
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(hypothesis_runs())
     def test_hypothesis_runs_match_the_reference(self, run):
@@ -847,30 +845,57 @@ class TestNonFiniteAdversaryValues:
         assert metrics["within_hull"]
         assert metrics["spread"][30] < 1e-3 * metrics["spread"][0]
 
-    @pytest.mark.parametrize("simulate", [run_simulation, reference_run_simulation])
-    def test_a_kept_pair_of_opposite_infinities_is_an_error(self, simulate):
-        # with F = 0 nothing is trimmed: agents 2 and 3 keep +inf and -inf;
-        # the suite turns numpy's inf - inf warning into an error
-        roles = [AgentRole.MALICIOUS] * 2 + [AgentRole.NORMAL] * 2
-        config = make_config(complete_graph(4), roles, 0, 3, [0.0] * 4)
-        with pytest.raises(ValueError, match="^agent 2 summed \\+inf and -inf at step 0$"):
-            simulate(config, FoldAdversary((math.inf, -math.inf)))
+    # with F = 0 nothing is trimmed; on K_4 agents 0 and 1 are malicious
+    NON_FINITE_UPDATES = [
+        # agents 2 and 3 keep +inf and -inf; the suite turns numpy's inf -
+        # inf warning into an error
+        pytest.param((math.inf, -math.inf), (0.0,) * 4, "agent 2 summed +inf and -inf at step 0",
+                     id="opposite-infinities"),
+        # two finite values sum past the largest float; the suite turns
+        # numpy's overflow warning into an error
+        pytest.param((1.5e308, 1.5e308), (0.0, 0.0, 1.0, 2.0), "agent 2 overflowed at step 0",
+                     id="overflow"),
+    ]
 
-    def test_a_kept_pair_of_opposite_infinities_from_the_cli_exits_1(
-        self, tmp_path, monkeypatch, capsys
+    @pytest.mark.parametrize("values, initial, message", NON_FINITE_UPDATES)
+    @pytest.mark.parametrize("simulate", [run_simulation, reference_run_simulation])
+    def test_a_non_finite_update_is_an_error(self, simulate, values, initial, message):
+        roles = [AgentRole.MALICIOUS] * 2 + [AgentRole.NORMAL] * 2
+        config = make_config(complete_graph(4), roles, 0, 3, initial)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate(config, FoldAdversary(values))
+
+    @pytest.mark.parametrize("values, initial, message", NON_FINITE_UPDATES)
+    def test_a_non_finite_update_from_the_cli_exits_1(
+        self, tmp_path, monkeypatch, capsys, values, initial, message
     ):
         graph = tmp_path / "k4.json"
         graph.write_text(json.dumps({"n": 4, "edges": [[u, v] for v in range(4) for u in range(v)]}))
         roles = (AgentRole.MALICIOUS,) * 2 + (AgentRole.NORMAL,) * 2
 
-        def opposite_infinities(g, scenario, f=None, steps=30, seed=0):
-            config = SimConfig(graph=g, roles=roles, f=0, steps=steps, initial_states=(0.0,) * 4)
-            return config, FoldAdversary((math.inf, -math.inf))
+        def non_finite(g, scenario, f=None, steps=30, seed=0):
+            config = SimConfig(graph=g, roles=roles, f=0, steps=steps, initial_states=initial)
+            return config, FoldAdversary(values)
 
-        monkeypatch.setattr(wmsr, "build_scenario", opposite_infinities)
+        monkeypatch.setattr(wmsr, "build_scenario", non_finite)
         argv = ["simulate", "--graph", str(graph), "--out", str(tmp_path / "run.csv")]
         assert cli_main(argv) == 1
-        assert "agent 2 summed +inf and -inf at step 0" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("simulate", [run_simulation, reference_run_simulation])
+    def test_a_kept_infinity_is_legal_and_its_metrics_do_not_warn(self, simulate):
+        # F = 0 on K_4: every normal agent keeps agent 0's +inf, even where
+        # its finite values alone would sum past the largest float; the
+        # suite turns numpy's overflow and inf - inf warnings into errors,
+        # which the initial spread, 3e308, and the later ones would raise
+        roles = [AgentRole.MALICIOUS] + [AgentRole.NORMAL] * 3
+        config = make_config(complete_graph(4), roles, 0, 3, [0.0, 1.5e308, 1.5e308, -1.5e308])
+        traj = simulate(config, FoldAdversary((math.inf,)))
+        assert (traj.normal_states()[1:] == math.inf).all()
+        metrics = trajectory_metrics(traj)
+        assert math.isinf(metrics["spread"][0])
+        assert all(math.isnan(v) for v in metrics["spread"][1:])
+        assert metrics["converged"] is False and metrics["within_hull"] is False
 
 
 class TestDefaultRemovals:
