@@ -45,10 +45,12 @@ class _Parser(argparse.ArgumentParser):
 def _load_graph(path: str) -> Graph:
     try:
         # open() rather than Path.read_text(): pathlib interns every path
-        # component, and that churn keeps growing the interpreter's table
-        with open(path) as fh:
+        # component, and that churn keeps growing the interpreter's table.
+        # UTF-8 whatever the locale: both formats are ASCII, and a file that
+        # is not UTF-8 is reported with its path
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read graph file {path}: {exc}") from exc
     try:
         return parse_graph(text)

@@ -23,15 +23,16 @@ mask above the node itself, so the pairs come out in lexicographic order
 without a sort.
 
 Reading canonical JSON has a fast path.  A JSON text of at least
-``FAST_JSON_MIN_CHARS`` characters is first read in one numpy pass: its
-node ids are checked (in range, ``u < v``, pairs strictly increasing) and
-set as bits, and the graph is accepted only if :func:`graph_to_json`
-re-renders it to exactly the input text.  A text that re-renders to itself
-is the canonical serialization of that graph, so the general parser
-(``json.loads`` and :func:`new_graph`) would have built the same graph.
-Any other text, and every shorter one, is read by the general parser,
-which gives every error message.  Edge-list text always takes its general
-parser.
+``FAST_JSON_MIN_CHARS`` characters is first read in one pass over its
+bytes, a chunk at a time: the envelope, every byte between the node ids and
+the digits of every id must be exactly what :func:`graph_to_json` writes,
+and the ids must be in range with ``u < v`` and the pairs strictly
+increasing.  Those checks accept exactly the texts that :func:`graph_to_json`
+re-renders to themselves, the canonical serializations, for which the
+general parser (``json.loads`` and :func:`new_graph`) would have built the
+same graph; the re-render itself is not run.  Any other text, and every
+shorter one, is read by the general parser, which gives every error
+message.  Edge-list text always takes its general parser.
 """
 
 from __future__ import annotations
@@ -292,80 +293,142 @@ def graph_to_json(g: Graph) -> str:
     return f'{{"n":{g.n},"edges":[{body}]}}\n'
 
 
-# JSON texts this long or longer try the fast path first; below it the
-# numpy calls' fixed cost exceeds what they save (the two paths cross at
-# 2-4 KB, n of about 24-32 on the constructions)
+# JSON texts this long or longer try the fast path first; below it the fixed
+# cost of the numpy calls on a chunk exceeds what they save over json.loads
+# (the two paths cross at 2-4 KB, n of about 24-32 on the constructions)
 FAST_JSON_MIN_CHARS = 4096
 
 # the envelope graph_to_json writes around the pairs; seven digits cover
 # every n up to MAX_NODES
 _CANONICAL_HEAD = re.compile(r'\{"n":([1-9][0-9]{0,6}),"edges":\[')
 _CANONICAL_TAIL = "]}\n"
-_PAIR_PUNCTUATION = str.maketrans("[],", "   ")
-_ID_CHARACTERS = dict.fromkeys(map(ord, "0123456789[],"))
+# the pairs are read in chunks of about this many characters: the arrays of
+# one chunk, several bytes a character, then stay small next to the ids of a
+# large text, which are kept (unchunked, they held about 14 times the text)
+_CHUNK_CHARS = 1 << 16
+# the longest pair, "[1234567,1234567]": from any position in a canonical
+# body, the next "]" is at most this many characters on
+_PAIR_CHARS = 17
+_DIGITS = b"0123456789"
 
 
 def _canonical_json_graph(text: str) -> Graph | None:
     """The graph whose canonical JSON is exactly ``text``, else ``None``.
 
-    The masks come from :func:`_canonical_json_masks`, and the graph is
-    returned only if it re-renders to ``text``.  The re-render runs after
-    that call has returned, so its strings never coexist with the id
-    arrays.  Never raises.
-    """
-    read = _canonical_json_masks(text)
-    if read is None:
-        return None
-    g = Graph._from_masks(*read)
-    return g if graph_to_json(g) == text else None
+    The envelope must be the one :func:`graph_to_json` writes.  Its body is
+    cut into chunks of about ``_CHUNK_CHARS`` characters after the ``]`` of
+    a ``],[`` (the ``,`` is skipped), and :func:`_chunk_ids` accepts a chunk
+    only if it is pairs ``[u,v]`` joined by ``,`` with every id a decimal of
+    at most seven digits and no leading zero; the ids must then hold
+    ``0 <= u < v < n`` with ``u * n + v`` strictly increasing over the whole
+    body.  These are exactly the texts :func:`graph_to_json` re-renders to
+    themselves: it writes each edge once, as ``u < v``, in lexicographic
+    order, each id as ``str`` does and nothing between them but that
+    punctuation.  So the general parser (``json.loads`` and
+    :func:`new_graph`) would have built the same graph.  Never raises.
 
-
-def _canonical_json_masks(text: str) -> tuple[int, list[int]] | None:
-    """``(n, masks)`` read from the pairs of a canonical JSON ``text``, or
-    ``None`` where it cannot be canonical.
-
-    Every node id is read with one ``np.fromstring`` after the pair
-    punctuation is blanked.  The ids are checked to be pairs with
-    ``0 <= u < v < n`` and ``u * n + v`` strictly increasing, so each pair
-    sets two distinct bits in a bool matrix with one row per node that
-    touches an edge, each as wide as the highest id; ``np.packbits`` turns
-    the rows into mask bytes.  A text whose matrix would take more bytes
-    than it has characters (a few edges on high ids) is left to the general
-    parser, so this path never costs more memory than that one.
+    Each pair sets two distinct bits in a bool matrix with one row per node
+    that touches an edge, each as wide as the highest id; ``np.packbits``
+    turns the rows into mask bytes.  A text whose matrix would take more
+    bytes than it has characters (a few edges on high ids) is left to the
+    general parser, so this path never costs more memory than that one.
     """
     head = _CANONICAL_HEAD.match(text)
-    if head is None or not text.endswith(_CANONICAL_TAIL):
+    # a canonical text is ASCII; its characters are then its bytes, and no
+    # chunk can fail to encode
+    if head is None or not text.endswith(_CANONICAL_TAIL) or not text.isascii():
         return None
     n = int(head.group(1))
-    body = text[head.end() : -len(_CANONICAL_TAIL)]
-    # digits and pair punctuation alone, so fromstring reads every id and
-    # none is negative
-    if n > MAX_NODES or body.translate(_ID_CHARACTERS):
+    if n > MAX_NODES:
         return None
-    ids = np.fromstring(body.translate(_PAIR_PUNCTUATION), dtype=np.int64, sep=" ")
-    # a copy of the text: freed before the id-sized arrays below exist
-    del body
-    if ids.size == 0 or ids.size % 2:
+    chunks: list[np.ndarray] = []
+    last_key, v_max = -1, 0
+    a, end = head.end(), len(text) - len(_CANONICAL_TAIL)
+    while a < end:
+        b = min(a + _CHUNK_CHARS, end)
+        if b < end:
+            # the next "]" is followed by ",[" unless it ends the body
+            cut = text.find("],[", b, b + _PAIR_CHARS + 3)
+            if cut < 0 and end - b > _PAIR_CHARS + 1:
+                return None
+            b = cut + 1 if cut >= 0 else end
+        ids = _chunk_ids(text[a:b])
+        if ids is None:
+            return None
+        u, v = ids[0::2], ids[1::2]
+        key = u * n + v
+        if (u >= v).any() or (v >= n).any() or key[0] <= last_key or (np.diff(key) <= 0).any():
+            return None
+        chunks.append(ids)
+        last_key, v_max = int(key[-1]), max(v_max, int(v.max()))
+        a = b + 1
+    if not chunks:
         return None
-    u, v = ids[0::2], ids[1::2]
-    if (u >= v).any() or (v >= n).any() or (np.diff(u * n + v) <= 0).any():
-        return None
-    width = 8 * (int(v.max()) // 8 + 1)
+    width = 8 * (v_max // 8 + 1)
     touched = np.zeros(width, dtype=bool)
-    touched[ids] = True
+    for ids in chunks:
+        touched[ids] = True
     nodes = np.flatnonzero(touched)
     if width * nodes.size > len(text):
         return None
     row = np.cumsum(touched) - 1
     bits = np.zeros((nodes.size, width), dtype=bool)
-    bits[row[u], v] = True
-    bits[row[v], u] = True
+    for ids in chunks:
+        u, v = ids[0::2], ids[1::2]
+        bits[row[u], v] = True
+        bits[row[v], u] = True
     rows = np.packbits(bits, axis=1, bitorder="little").tobytes()
     row_bytes = width // 8
     masks = [0] * n
     for i, node in enumerate(nodes.tolist()):
         masks[node] = int.from_bytes(rows[i * row_bytes : (i + 1) * row_bytes], "little")
-    return n, masks
+    return Graph._from_masks(n, masks)
+
+
+def _chunk_ids(chunk: str) -> np.ndarray | None:
+    """The node ids of ``chunk``, in order, as int64, if it is exactly pairs
+    ``[u,v]`` joined by ``,`` with every id a decimal of 1-7 digits and no
+    leading zero; else ``None``.
+
+    One pass over the bytes: one ``flatnonzero`` finds where each run of
+    digits begins and ends, the runs must lie exactly where those pairs put
+    them, the bytes that are not digits must be the punctuation they put
+    there, and the ids are summed place by place on arrays of one entry per
+    id.
+    """
+    if chunk[0] != "[" or chunk[-1] != "]":
+        return None
+    data = chunk.encode()
+    raw = np.frombuffer(data, dtype=np.uint8)
+    # uint8 wraps every byte below "0", so the digits alone are below 10
+    digits = raw - 48
+    is_digit = digits < 10
+    # the byte before each run of digits, then the run's last digit: as the
+    # first and last bytes are no digits, these alternate, four to a pair
+    marks = np.flatnonzero(is_digit[1:] != is_digit[:-1])
+    if marks.size == 0 or marks.size % 4:
+        return None
+    before, last = marks[0::2], marks[1::2]
+    pairs = marks.size // 4
+    # the bytes that are not digits number 4 a pair less one; with three
+    # between pairs, that leaves one between the ids of a pair and one at
+    # each end, so read in order they fix every byte
+    if (before[2::2] - last[1:-1:2] != 3).any() or data.translate(None, _DIGITS) != (
+        b"[" + b",],[" * (pairs - 1) + b",]"
+    ):
+        return None
+    lengths = last - before
+    longest = int(lengths.max())
+    if longest > 7 or ((lengths > 1) & (digits[before + 1] == 0)).any():
+        return None
+    # Horner over the places of the longest id, in int64 (a digit times a
+    # power of ten wraps in uint8); a place left of an id's first digit adds
+    # 0 (its index may fall before the chunk, which numpy reads from the end)
+    ids = np.zeros(lengths.size, dtype=np.int64)
+    for place in range(longest - 1, -1, -1):
+        ids *= 10
+        ids += digits[last - place] * (lengths > place)
+    return ids
 
 
 def _parsed_json_graph(text: str) -> Graph:
@@ -407,9 +470,9 @@ def parse_graph(text: str) -> Graph:
 
     Text opening with ``{`` or ``[`` goes to :func:`graph_from_json`, so an
     array gets the JSON errors (not an object, nested too deeply): a text of
-    at least ``FAST_JSON_MIN_CHARS`` characters is read in one numpy pass
-    and kept only if it re-renders to itself byte for byte, else (and below
-    that size) it is read by ``json.loads`` and :func:`new_graph`.  Any
+    at least ``FAST_JSON_MIN_CHARS`` characters is read by one chunked pass
+    over its bytes when it is exactly the canonical JSON of its graph, else
+    (and below that size) by ``json.loads`` and :func:`new_graph`.  Any
     other text takes :func:`graph_from_edge_text`.
     """
     stripped = text.lstrip()

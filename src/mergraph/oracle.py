@@ -99,7 +99,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 from math import prod
-from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -189,23 +189,24 @@ class _Lattice(NamedTuple):
     out: np.ndarray
 
 
-def _twins(masks: Sequence[int], colors: Sequence[Hashable]) -> list[tuple[list[int], bool]]:
-    """The twin classes of a colored graph whose item i has color
-    ``colors[i]`` and neighbor mask ``masks[i]``, ordered by lowest member,
-    each with whether it is a true-twin class of two or more items.  Same
-    color and open mask: false twins; the items alone there, grouped by
-    color and closed mask: true twins (or singletons)."""
-    by_open: dict[tuple[Hashable, int], list[int]] = {}
-    for i, key in enumerate(zip(colors, masks)):
+def _twins(keys: Sequence[int]) -> list[tuple[list[int], bool]]:
+    """The twin classes of a colored graph on items ``0..k-1``, ordered by
+    lowest member, each with whether it is a true-twin class of two or more
+    items.  ``keys[i]`` is item i's neighbor mask, with its color, if any,
+    in the bits from ``k = len(keys)`` up, so equal keys are equal colors
+    and open masks: false twins; the items alone there, grouped by key with
+    their own bit set (color and closed mask): true twins (or singletons)."""
+    by_open: dict[int, list[int]] = {}
+    for i, key in enumerate(keys):
         by_open.setdefault(key, []).append(i)
     groups = []
-    by_closed: dict[tuple[Hashable, int], list[int]] = {}
+    by_closed: dict[int, list[int]] = {}
     for group in by_open.values():
         if len(group) > 1:
             groups.append((group, False))
         else:
             i = group[0]
-            by_closed.setdefault((colors[i], masks[i] | 1 << i), []).append(i)
+            by_closed.setdefault(keys[i] | 1 << i, []).append(i)
     groups += ((group, len(group) > 1) for group in by_closed.values())
     groups.sort()
     return groups
@@ -216,11 +217,16 @@ def _class_groups(lat: _Lattice) -> list[int]:
     one item per class, colored by the class's size and twin type, its
     neighbor mask the class's ``link`` row without the diagonal."""
     link = lat.link
+    k = len(lat.classes)
     rows = np.packbits(link, axis=1, bitorder="little")
-    masks = [int.from_bytes(row.tobytes(), "little") & ~(1 << c) for c, row in enumerate(rows)]
-    colors = list(zip(map(len, lat.classes), link.diagonal().tolist()))
-    group = [0] * len(masks)
-    for twins, _ in _twins(masks, colors):
+    # the color (size, twin type) as the int 2 * size + twin type
+    sizes = map(len, lat.classes)
+    keys = [
+        int.from_bytes(row.tobytes(), "little") & ~(1 << c) | (2 * size + closed) << k
+        for c, (row, size, closed) in enumerate(zip(rows, sizes, link.diagonal().tolist()))
+    ]
+    group = [0] * k
+    for twins, _ in _twins(keys):
         for c in twins:
             group[c] = twins[0]
     return group
@@ -246,7 +252,7 @@ def _lattice(g: Graph) -> _Lattice:
             f"exact robustness check infeasible for n={g.n}"
             f" (uint8 tables hold at most {int(_ABSENT) - 1} nodes)"
         )
-    classes, closed = zip(*_twins(g.adjacency, [None] * g.n))
+    classes, closed = zip(*_twins(g.adjacency))
     # tuples from lists, not generators: CPython sizes a generator's tuple
     # by a guess and resizes it, and over many calls the resized blocks pile
     # up in its per-size tuple free lists (measured: ~170 B more heap per op)

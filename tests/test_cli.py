@@ -117,6 +117,15 @@ class TestRobustness:
     def test_unreadable_graph(self, tmp_path):
         assert run_cli("robustness", "--graph", str(tmp_path / "nope.json")) == 1
 
+    @pytest.mark.parametrize("command", ["robustness", "bounds"])
+    def test_graph_file_that_is_not_utf8(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"n":3,"edges":[[0,1]]}\xff\n')
+        assert run_cli(command, "--graph", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read graph file {path}: 'utf-8' codec can't decode")
+        assert "Traceback" not in err
+
 
     @pytest.mark.parametrize(
         "text",

@@ -27,7 +27,9 @@ from mergraph.graph_core import (
     FAST_JSON_MIN_CHARS,
     MAX_MASK_BITS,
     MAX_NODES,
+    _CHUNK_CHARS,
     _canonical_json_graph,
+    _chunk_ids,
     _parsed_json_graph,
     mask_bits,
     members,
@@ -300,6 +302,24 @@ def parse_outcome(parse, text):
         return str(exc)
 
 
+def chunk_cuts(text: str) -> list[int]:
+    """Where the fast reader cuts ``text`` into chunks: at the "]" of the
+    first "],[" ``_CHUNK_CHARS`` or more characters into each chunk."""
+    cuts, start = [], text.index("[[") + 1
+    while (cut := text.find("],[", start + _CHUNK_CHARS)) >= 0:
+        cuts.append(cut)
+        start = cut + 2
+    return cuts
+
+
+# canonical texts of one chunk (n = 50) and of two (n = 150), with their cuts
+MUTATION_BASES = [
+    (text, chunk_cuts(text))
+    for build in (construct_gamma_merg, construct_gamma_gamma_merg)
+    for text in (graph_to_json(build(n)[0]) for n in (50, 150))
+]
+
+
 class TestFastJsonPath:
     """The one-pass reader of canonical JSON against json.loads + new_graph."""
 
@@ -332,10 +352,12 @@ class TestFastJsonPath:
         assert_same_graph(graph_from_json(text), expected)
 
     @pytest.mark.parametrize("build", [construct_gamma_merg, construct_gamma_gamma_merg])
-    def test_peak_memory_is_a_few_times_the_text(self, build):
-        # about 3.7 times the text at n = 400; one id-sized array more, or the
-        # re-render run beside the id arrays, would pass 5
-        text = graph_to_json(build(400)[0])
+    @pytest.mark.parametrize("n", [400, 800])
+    def test_peak_memory_is_a_few_times_the_text(self, build, n):
+        # the ids of the whole text (about 1.6 times it) and the arrays of one
+        # chunk: about 3 times the text at n = 400 and 2 at n = 800; read in
+        # one chunk, the body would hold about 14 times it
+        text = graph_to_json(build(n)[0])
         tracemalloc.start()
         try:
             assert _canonical_json_graph(text) is not None
@@ -343,6 +365,52 @@ class TestFastJsonPath:
         finally:
             tracemalloc.stop()
         assert peak < 5 * len(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_character_mutations_read_as_the_reference_reads_them(self, data):
+        text, cuts = data.draw(st.sampled_from(MUTATION_BASES))
+        if cuts and data.draw(st.booleans()):
+            # within 3 bytes of the "]" the reader cuts a chunk after
+            at = data.draw(st.sampled_from(cuts)) + data.draw(st.integers(-3, 3))
+        else:
+            at = data.draw(st.integers(0, len(text) - 1))
+        char = data.draw(st.sampled_from("0123456789[], "))
+        edit = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+        text = text[:at] + (char if edit != "delete" else "") + text[at + (edit != "insert") :]
+        fast = _canonical_json_graph(text)
+        expected = parse_outcome(_parsed_json_graph, text)
+        if fast is None:
+            # every text that re-renders to itself takes the fast path
+            assert isinstance(expected, str) or graph_to_json(expected) != text
+        else:
+            assert_same_graph(fast, expected)
+            assert graph_to_json(fast) == text
+
+    @pytest.mark.parametrize(
+        "chunk",
+        [
+            "1[2,]3",  # digits outside the pairs
+            "[1,2]3,4[,],[5,6]",  # a pair break moved into the ids
+            "[1,]2,3[,4]",  # ids moved across the punctuation
+        ],
+    )
+    def test_punctuation_in_order_with_digits_out_of_place_is_refused(self, chunk):
+        # the bytes that are not digits are those of two or three pairs, but
+        # the ids would be read with "[", "," or "]" bytes among their digits
+        assert _chunk_ids(chunk) is None
+
+    def test_a_body_that_cannot_be_cut_is_refused_before_a_chunk_is_read(self):
+        # a chunk's arrays hold about 14 times its text, so a body with no
+        # "],[" where a cut is due must not become one long chunk
+        text = '{"n":3,"edges":[[0,1' + ",1" * 100_000 + "]]}\n"
+        tracemalloc.start()
+        try:
+            assert _canonical_json_graph(text) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _CHUNK_CHARS
 
     CANONICAL_50 = graph_to_json(construct_gamma_merg(50)[0])
 
@@ -363,6 +431,14 @@ class TestFastJsonPath:
             ("[0,2]", "[0,2,3]"),  # an odd count of ids
             ("]}\n", "]}\nx"),  # trailing garbage
             ("]}\n", "]}"),  # no final newline
+            ("[0,2],[0,3]", "[0,2,[0],3]"),  # the same ids, punctuation moved
+            ("[0,2]", "[0,,2]"),
+            ("[10,", "[010,"),  # a leading zero on a u
+            ("[0,2]", "[0,00000002]"),  # an 8-digit id
+            ("[24,49]]", "[49,24]]"),  # a reversed pair still in key order
+            ("[24,49]]", "[24,18446744073709551665]]"),  # 2^64 + 49
+            ("[0,2]", "[0,\u0662]"),  # a digit that is not ASCII
+            ("[0,2]", "[0,2\ud800]"),  # a lone surrogate, which cannot encode
         ],
     )
     def test_non_canonical_texts_read_as_the_reference_reads_them(self, old, new):
