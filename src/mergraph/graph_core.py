@@ -455,9 +455,19 @@ def graph_from_json(text: str) -> Graph:
 
 
 def graph_from_edge_text(text: str) -> Graph:
+    """Read ``n`` and then ``u v`` pairs, whitespace-separated.
+
+    Every token must be ASCII digits: ``int`` would also take signs,
+    underscores and other scripts' digits, so ``+1 -0`` and ``1_0`` are
+    refused with the token named rather than read as edges.
+    """
     tokens = text.split()
     if not tokens:
         raise ValueError("empty edge-list text")
+    digits = "".join(tokens)
+    if not (digits.isascii() and digits.isdigit()):
+        bad = next(tok for tok in tokens if not (tok.isascii() and tok.isdigit()))
+        raise ValueError(f"edge-list token {bad!r} is not a decimal node count or id")
     if len(tokens) % 2 != 1:
         raise ValueError("edge-list text must be 'n' followed by 'u v' pairs")
     n = int(tokens[0])

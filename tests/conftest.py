@@ -21,7 +21,9 @@ trimmed update, and ``reference_run_simulation`` the per-agent W-MSR round
 built on them that the simulator's array round is compared with, byte for
 byte.  ``PerValue`` gives a test strategy written one value at a time the
 simulator's array method; ``trajectory_states_from_csv`` reads a
-trajectory CSV back into its state matrix.
+trajectory CSV back into its state matrix, and
+``reference_trajectory_to_csv`` writes one row at a time, formatting every
+cell, the bytes the distinct-value renderer must match.
 ``reference_graph_to_json`` and ``reference_graph_to_edge_text`` write a
 graph by sorting its edge set, the bytes the bit-walking serializers must
 match; ``reference_turan_clique_threshold`` finds the Turán clique threshold
@@ -438,6 +440,16 @@ def reference_run_simulation(config, adversary=None):
                     raise ValueError(f"agent {i} overflowed at step {t}")
         x = new_x
     return Trajectory(states=states, roles=roles, f=config.f)
+
+
+def reference_trajectory_to_csv(traj: Trajectory) -> str:
+    header = "t," + ",".join(f"node_{i}" for i in range(traj.n))
+    # "%.17g" % v renders every float64 as format(v, ".17g") does
+    template = ",".join(["%.17g"] * traj.n)
+    lines = [header]
+    for t, row in enumerate(traj.states.tolist()):
+        lines.append(f"{t},{template % tuple(row)}")
+    return "\n".join(lines) + "\n"
 
 
 def trajectory_states_from_csv(text: str) -> np.ndarray:

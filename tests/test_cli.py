@@ -1,11 +1,19 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 import tracemalloc
 
 import pytest
 
-from mergraph import graph_from_json, is_r_reachable, max_r_robustness
+from mergraph import (
+    construct_gamma_merg,
+    graph_from_json,
+    graph_to_json,
+    is_r_reachable,
+    max_r_robustness,
+)
 from mergraph.cli import build_parser, main
 from mergraph.graph_core import FAST_JSON_MIN_CHARS, MAX_MASK_BITS, MAX_NODES
 
@@ -57,8 +65,6 @@ class TestRobustness:
     def test_requested_level_fails_with_witness(self, g9, tmp_path, capsys):
         g = graph_from_json(g9.read_text()).remove_edge(3, 8)
         damaged = tmp_path / "damaged.json"
-        from mergraph import graph_to_json
-
         damaged.write_text(graph_to_json(g))
         assert run_cli("robustness", "--graph", str(damaged), "--r", "5", "--json") == 2
         payload = json.loads(capsys.readouterr().out)
@@ -184,6 +190,23 @@ class TestBounds:
         assert err.startswith(f"error: cannot parse graph file {path}: ")
         assert message in err
         assert "Traceback" not in err
+
+    # a UTF-8 byte-order mark before either format, and before JSON above
+    # the fast path's gate, reads as the text without it
+    @pytest.mark.parametrize("text", [
+        '{"n":3,"edges":[[0,1]]}\n',
+        "4\n0 1\n1 2\n2 3\n0 3\n",
+        graph_to_json(construct_gamma_merg(50)[0]),
+    ], ids=["json", "edge-list", "json-above-the-gate"])
+    def test_byte_order_mark(self, tmp_path, capsys, text):
+        plain = tmp_path / "plain"
+        marked = tmp_path / "marked"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert run_cli("bounds", "--graph", str(plain)) == 0
+        expected = capsys.readouterr()
+        assert run_cli("bounds", "--graph", str(marked)) == 0
+        assert capsys.readouterr() == expected
 
     def test_report_for_construction(self, g9, capsys):
         assert run_cli("bounds", "--graph", str(g9)) == 0
@@ -411,6 +434,86 @@ class TestSimulate:
             )
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.metrics.json").read_bytes() == (tmp_path / "b.metrics.json").read_bytes()
+
+
+class TestOutputsInPlace:
+    """Every output file is overwritten in place and cut to length: the
+    bytes are those of a run into a fresh directory, whatever was there."""
+
+    OUTPUTS = {
+        "construct": ("g.json", "g.recipe.json"),
+        "simulate": ("t.csv", "t.roles.json", "t.metrics.json"),
+    }
+
+    @staticmethod
+    def argv(command, g9, directory):
+        if command == "construct":
+            return ("construct", "--n", "9", "--kind", "r", "--out", str(directory / "g.json"))
+        return ("simulate", "--graph", str(g9), "--scenario", "viiB-gamma", "--seed", "1",
+                "--out", str(directory / "t.csv"))
+
+    def fresh_bytes(self, command, g9, tmp_path):
+        directory = tmp_path / "fresh"
+        directory.mkdir()
+        assert run_cli(*self.argv(command, g9, directory)) == 0
+        return {name: (directory / name).read_bytes() for name in self.OUTPUTS[command]}
+
+    @staticmethod
+    def prefill(path, expected):
+        path.write_bytes(b"#" * (len(expected) + 1000))
+
+    @pytest.mark.parametrize("command", ["construct", "simulate"])
+    def test_longer_files_are_cut(self, g9, tmp_path, command):
+        expected = self.fresh_bytes(command, g9, tmp_path)
+        for name in expected:
+            self.prefill(tmp_path / name, expected[name])
+        inodes = {name: (tmp_path / name).stat().st_ino for name in expected}
+        assert run_cli(*self.argv(command, g9, tmp_path)) == 0
+        assert {name: (tmp_path / name).read_bytes() for name in expected} == expected
+        assert {name: (tmp_path / name).stat().st_ino for name in expected} == inodes
+
+    @pytest.mark.skipif(os.name != "posix", reason="symlinks need POSIX")
+    @pytest.mark.parametrize("command", ["construct", "simulate"])
+    def test_symlinks_are_kept_and_their_targets_rewritten(self, g9, tmp_path, command):
+        expected = self.fresh_bytes(command, g9, tmp_path)
+        targets = tmp_path / "targets"
+        targets.mkdir()
+        for name in expected:
+            self.prefill(targets / name, expected[name])
+            (tmp_path / name).symlink_to(targets / name)
+        assert run_cli(*self.argv(command, g9, tmp_path)) == 0
+        assert all((tmp_path / name).is_symlink() for name in expected)
+        assert {name: (targets / name).read_bytes() for name in expected} == expected
+
+    @pytest.mark.skipif(os.name != "posix", reason="file modes need POSIX")
+    @pytest.mark.parametrize("command", ["construct", "simulate"])
+    def test_modes_are_kept(self, g9, tmp_path, command):
+        expected = self.fresh_bytes(command, g9, tmp_path)
+        for name in expected:
+            self.prefill(tmp_path / name, expected[name])
+            (tmp_path / name).chmod(0o640)
+        assert run_cli(*self.argv(command, g9, tmp_path)) == 0
+        assert {stat.S_IMODE((tmp_path / name).stat().st_mode) for name in expected} == {0o640}
+        assert {name: (tmp_path / name).read_bytes() for name in expected} == expected
+
+    # /dev/null cannot be truncated.  A link to it stands in for --out
+    # /dev/null, whose sidecars would be written into /dev.
+    @pytest.mark.skipif(not os.path.exists(os.devnull) or os.name != "posix",
+                        reason="needs a POSIX null device")
+    def test_trajectory_to_the_null_device(self, g9, tmp_path, capsys):
+        (tmp_path / "t.csv").symlink_to(os.devnull)
+        assert run_cli(*self.argv("simulate", g9, tmp_path)) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((tmp_path / "t.roles.json").read_text())["F"] == 2
+
+    @pytest.mark.parametrize("command", ["construct", "simulate"])
+    def test_missing_directory(self, g9, tmp_path, capsys, command):
+        missing = tmp_path / "missing"
+        argv = self.argv(command, g9, missing)
+        assert run_cli(*argv) == 1
+        out = missing / self.OUTPUTS[command][0]
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert not missing.exists()
 
 
 class TestParserReuse:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 import random
+import re
 import sys
 import tracemalloc
 from itertools import combinations, permutations
@@ -287,6 +288,21 @@ class TestSerialization:
     def test_bad_edge_text_rejected(self):
         with pytest.raises(ValueError):
             graph_from_edge_text("3\n0 1 2\n")
+        # tokens int() takes but that are not ASCII digits, named in the error
+        for text, token in [
+            ("12\n0 1_0\n+1 -0\n", "1_0"),
+            ("3\n+1 2\n", "+1"),
+            ("3\n0 -0\n", "-0"),
+            ("+3\n0 1\n", "+3"),
+            ("3\n0 ١\n", "١"),
+            ("3\n0 １\n", "１"),
+            ("3\n0 ²\n", "²"),
+            ("3\n0 0x1\n", "0x1"),
+            ("3\n0 1.0\n", "1.0"),
+        ]:
+            for parse in (graph_from_edge_text, parse_graph):
+                with pytest.raises(ValueError, match=f"token {re.escape(repr(token))} is not"):
+                    parse(text)
 
 
 def assert_same_graph(got, expected):

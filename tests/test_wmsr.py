@@ -4,11 +4,12 @@ import json
 import math
 import random
 import re
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from mergraph import (
@@ -33,6 +34,7 @@ from mergraph import wmsr
 from mergraph.cli import main as cli_main
 from mergraph.graph_core import mask_bits
 from mergraph.wmsr import (
+    _CSV_BLOCK_CELLS,
     MAX_TRAJECTORY_CELLS,
     SCENARIO_BYZ_CONST,
     SCENARIO_BYZ_SPLIT,
@@ -50,6 +52,7 @@ from conftest import (
     nominal_step,
     random_graph,
     reference_run_simulation,
+    reference_trajectory_to_csv,
     trajectory_states_from_csv,
     wmsr_retained,
     wmsr_step,
@@ -403,6 +406,56 @@ class TestTrajectoryOutputs:
         traj = Trajectory(states=row[None, :], roles=(AgentRole.NORMAL,) * row.size, f=0)
         cells = trajectory_to_csv(traj).splitlines()[1].split(",")
         assert cells == ["0"] + [format(v, ".17g") for v in row.tolist()]
+
+    # bit patterns the renderer's keys must keep apart: +-0.0, NaNs of both
+    # signs with distinct payloads (one signalling), +-inf, +-5e-324
+    CSV_SPECIAL_BITS = [0, 1 << 63, 0x7FF8 << 48, 0xFFF8 << 48, (0x7FF8 << 48) | 1,
+                        (0xFFF0 << 48) | 1, 0x7FF << 52, 0xFFF << 52, 1, (1 << 63) | 1]
+
+    # no shrinking: an example is tens of thousands of cells, so shrinking a
+    # failure takes minutes, and the drawn arguments already name the case
+    @settings(max_examples=60, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(
+        table=st.lists(
+            st.one_of(
+                st.sampled_from(CSV_SPECIAL_BITS),
+                st.integers(min_value=0, max_value=(1 << 64) - 1),
+                st.floats().map(lambda v: struct.unpack("<Q", struct.pack("<d", v))[0]),
+            ),
+            min_size=1, max_size=12,
+        ),
+        n=st.sampled_from([1, 2, 7, 130, _CSV_BLOCK_CELLS + 1]),
+        block_rows=st.sampled_from([0, 1, 2]),
+        extra_rows=st.sampled_from([-1, 0, 1]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_csv_matches_the_per_row_reference(self, table, n, block_rows, extra_rows, seed):
+        # row counts around whole blocks, so the last block is cut short,
+        # exact or holds a single row; n = 1 and n above a block included
+        per_block = max(1, _CSV_BLOCK_CELLS // n)
+        steps = max(1, block_rows * per_block + extra_rows)
+        cells = np.random.default_rng(seed).integers(0, len(table), size=(steps, n))
+        states = np.array(table, dtype=np.uint64)[cells].view(np.float64)
+        traj = Trajectory(states=states, roles=(AgentRole.NORMAL,) * n, f=0)
+        assert trajectory_to_csv(traj) == reference_trajectory_to_csv(traj)
+
+    def test_csv_of_distinct_values_peaks_near_the_reference(self):
+        states = np.random.default_rng(5).standard_normal((257, 1024))
+        traj = Trajectory(states=states, roles=(AgentRole.NORMAL,) * 1024, f=0)
+
+        def peak(render):
+            tracemalloc.start()
+            try:
+                text = render(traj)
+                return text, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        text, got = peak(trajectory_to_csv)
+        expected, reference = peak(reference_trajectory_to_csv)
+        assert text == expected
+        assert got <= 1.1 * reference
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
     def test_tolerance_must_be_finite_and_positive(self, tol):
