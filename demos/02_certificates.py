@@ -17,6 +17,7 @@ from mergraph import (
     construct_gamma_merg,
     gamma_of,
     is_rs_robust,
+    max_clique_size,
     max_r_robustness,
     new_graph,
     prop1_gamma_gamma_check,
@@ -55,7 +56,7 @@ def main() -> None:
     print("gamma:     ", list(range(1, 11)))
     print("clique >= :", [turan_clique_threshold(x) for x in range(1, 11)])
     gg10, _ = construct_gamma_gamma_merg(10)
-    print("the minimal 10-node graph attains the bound with an 8-clique")
+    print(f"the minimal 10-node graph attains the bound with an {max_clique_size(gg10)}-clique")
 
     print()
     print("=== exact iff-check vs exhaustive oracle ===")

@@ -24,6 +24,8 @@ truncated to zero and rewritten starts writeback of its data: on a 2-vCPU
 VM rewriting a 200 B file took about 150 us that way and 5 us in place, a
 3.1 MB file 3.6 ms and 0.64 ms.  Neither way is atomic: a crash mid-write
 used to leave a short file and now leaves old bytes after the new ones.
+An ``--out`` that is a character or block device or a FIFO (``/dev/null``,
+say) gets no sidecar files, and their paths are reported as ``null``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -70,7 +73,7 @@ def _load_graph(path: str) -> Graph:
         raise CliError(f"cannot parse graph file {path}: {exc}") from exc
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: str | Path, text: str) -> None:
     """Write ``text`` as UTF-8 over ``path`` in place (see the module docstring)."""
     data = text.encode()
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
@@ -93,9 +96,15 @@ def _emit(payload: dict, as_json: bool, human_lines: list[str]) -> None:
             print(line)
 
 
-def _sidecar(out: Path, suffix: str) -> Path:
-    """``out`` with its suffix replaced by ``suffix``, or appended if it has none."""
-    return out.with_suffix(suffix) if out.suffix else Path(str(out) + suffix)
+def _sidecar(out: Path, suffix: str) -> str | None:
+    """``out`` with its suffix replaced by ``suffix``, or appended if it has
+    none; ``None`` when ``out`` is a character or block device or a FIFO,
+    which takes no sidecar (beside ``/dev/null`` it would land in ``/dev``).
+    A symlink is not followed: its sidecars go beside the link."""
+    mode = os.lstat(out).st_mode if os.path.lexists(out) else 0
+    if stat.S_IFMT(mode) in (stat.S_IFCHR, stat.S_IFBLK, stat.S_IFIFO):
+        return None
+    return str(out.with_suffix(suffix) if out.suffix else Path(str(out) + suffix))
 
 
 def _witness_payload(verdict: oracle.RobustnessVerdict) -> dict | None:
@@ -169,19 +178,20 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     out = Path(args.out)
     recipe_path = _sidecar(out, ".recipe.json")
     _write(out, graph_to_json(graph))
-    _write(recipe_path, recipe.to_json())
+    if recipe_path is not None:
+        _write(recipe_path, recipe.to_json())
     payload = {
         "n": graph.n,
         "gamma": recipe.gamma,
         "kind": args.kind,
         "edges": graph.edge_count,
         "graph_path": str(out),
-        "recipe_path": str(recipe_path),
+        "recipe_path": recipe_path,
     }
     _emit(payload, args.json, [
         f"n={graph.n} gamma={recipe.gamma} kind={args.kind} edges={graph.edge_count}",
         f"graph: {out}",
-        f"recipe: {recipe_path}",
+        f"recipe: {recipe_path or 'none'}",
     ])
     return EXIT_OK
 
@@ -282,16 +292,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     metrics_path = _sidecar(out, ".metrics.json")
     roles_path = _sidecar(out, ".roles.json")
-    _write(out, wmsr.trajectory_to_csv(traj))
-    _write(roles_path, wmsr.roles_to_json(traj))
     metrics["scenario"] = args.scenario
     metrics["seed"] = args.seed
     metrics["removed_edge"] = list(removed_edge) if removed_edge is not None else None
-    _write(metrics_path, json.dumps(metrics, indent=2, sort_keys=True) + "\n")
+    _write(out, wmsr.trajectory_to_csv(traj))
+    if roles_path is not None:  # and so metrics_path: both sit beside out
+        _write(roles_path, wmsr.roles_to_json(traj))
+        _write(metrics_path, json.dumps(metrics, indent=2, sort_keys=True) + "\n")
     payload = {
         "trajectory_path": str(out),
-        "metrics_path": str(metrics_path),
-        "roles_path": str(roles_path),
+        "metrics_path": metrics_path,
+        "roles_path": roles_path,
         "spread_final": metrics["spread_final"],
         "converged": metrics["converged"],
     }

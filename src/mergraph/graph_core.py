@@ -32,7 +32,10 @@ re-renders to themselves, the canonical serializations, for which the
 general parser (``json.loads`` and :func:`new_graph`) would have built the
 same graph; the re-render itself is not run.  Any other text, and every
 shorter one, is read by the general parser, which gives every error
-message.  Edge-list text always takes its general parser.
+message.  The fast path sets each edge's bits in a square matrix with one
+row and one column per node id up to the highest id on an edge, and leaves
+a text to the general parser when that matrix would take more bytes than
+the text has characters.  Edge-list text always takes its general parser.
 """
 
 from __future__ import annotations
@@ -87,6 +90,14 @@ def mask_bits(masks: Sequence[int], n: int) -> np.ndarray:
     raw = b"".join(mask.to_bytes(width, "little") for mask in masks)
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
     return np.unpackbits(rows, axis=1, count=n, bitorder="little")
+
+
+def masks_from_bits(bits: np.ndarray, n: int) -> list[int]:
+    """The inverse of :func:`mask_bits`: ``n`` masks, mask k with bit v set
+    where ``bits[k, v]`` is nonzero for the first ``n`` rows, then zero masks."""
+    rows = np.packbits(bits[:n], axis=1, bitorder="little")
+    masks = [int.from_bytes(row.tobytes(), "little") for row in rows]
+    return masks + [0] * (n - len(masks))
 
 
 def _later_neighbors(
@@ -327,11 +338,13 @@ def _canonical_json_graph(text: str) -> Graph | None:
     punctuation.  So the general parser (``json.loads`` and
     :func:`new_graph`) would have built the same graph.  Never raises.
 
-    Each pair sets two distinct bits in a bool matrix with one row per node
-    that touches an edge, each as wide as the highest id; ``np.packbits``
-    turns the rows into mask bytes.  A text whose matrix would take more
-    bytes than it has characters (a few edges on high ids) is left to the
-    general parser, so this path never costs more memory than that one.
+    Each pair sets two distinct bits in a square bool matrix indexed by node
+    id, ``width`` rows of ``width`` bits where ``width`` is the least
+    multiple of 8 above the highest id on an edge; :func:`masks_from_bits`
+    turns row ``u`` into the mask of node ``u``, and nodes at or above
+    ``width`` get zero masks.  A text whose matrix would take more bytes
+    than it has characters (a few edges on high ids) is left to the general
+    parser, so this path never costs more memory than that one.
     """
     head = _CANONICAL_HEAD.match(text)
     # a canonical text is ASCII; its characters are then its bytes, and no
@@ -362,27 +375,15 @@ def _canonical_json_graph(text: str) -> Graph | None:
         chunks.append(ids)
         last_key, v_max = int(key[-1]), max(v_max, int(v.max()))
         a = b + 1
-    if not chunks:
-        return None
     width = 8 * (v_max // 8 + 1)
-    touched = np.zeros(width, dtype=bool)
-    for ids in chunks:
-        touched[ids] = True
-    nodes = np.flatnonzero(touched)
-    if width * nodes.size > len(text):
+    if width * width > len(text):
         return None
-    row = np.cumsum(touched) - 1
-    bits = np.zeros((nodes.size, width), dtype=bool)
+    bits = np.zeros((width, width), dtype=bool)
     for ids in chunks:
         u, v = ids[0::2], ids[1::2]
-        bits[row[u], v] = True
-        bits[row[v], u] = True
-    rows = np.packbits(bits, axis=1, bitorder="little").tobytes()
-    row_bytes = width // 8
-    masks = [0] * n
-    for i, node in enumerate(nodes.tolist()):
-        masks[node] = int.from_bytes(rows[i * row_bytes : (i + 1) * row_bytes], "little")
-    return Graph._from_masks(n, masks)
+        bits[u, v] = True
+        bits[v, u] = True
+    return Graph._from_masks(n, masks_from_bits(bits, n))
 
 
 def _chunk_ids(chunk: str) -> np.ndarray | None:

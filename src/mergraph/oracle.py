@@ -103,7 +103,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph_core import CapExceededError, Edge, Graph, mask_bits, members
+from .graph_core import CapExceededError, Edge, Graph, mask_bits, masks_from_bits, members
 
 EXACT_CELL_BUDGET = 1 << 16
 
@@ -218,12 +218,12 @@ def _class_groups(lat: _Lattice) -> list[int]:
     neighbor mask the class's ``link`` row without the diagonal."""
     link = lat.link
     k = len(lat.classes)
-    rows = np.packbits(link, axis=1, bitorder="little")
+    masks = masks_from_bits(link, k)
     # the color (size, twin type) as the int 2 * size + twin type
     sizes = map(len, lat.classes)
     keys = [
-        int.from_bytes(row.tobytes(), "little") & ~(1 << c) | (2 * size + closed) << k
-        for c, (row, size, closed) in enumerate(zip(rows, sizes, link.diagonal().tolist()))
+        mask & ~(1 << c) | (2 * size + closed) << k
+        for c, (mask, size, closed) in enumerate(zip(masks, sizes, link.diagonal().tolist()))
     ]
     group = [0] * k
     for twins, _ in _twins(keys):

@@ -496,8 +496,8 @@ class TestOutputsInPlace:
         assert {stat.S_IMODE((tmp_path / name).stat().st_mode) for name in expected} == {0o640}
         assert {name: (tmp_path / name).read_bytes() for name in expected} == expected
 
-    # /dev/null cannot be truncated.  A link to it stands in for --out
-    # /dev/null, whose sidecars would be written into /dev.
+    # /dev/null cannot be truncated.  A link to it is not the device: its
+    # sidecars are written beside the link.
     @pytest.mark.skipif(not os.path.exists(os.devnull) or os.name != "posix",
                         reason="needs a POSIX null device")
     def test_trajectory_to_the_null_device(self, g9, tmp_path, capsys):
@@ -505,6 +505,50 @@ class TestOutputsInPlace:
         assert run_cli(*self.argv("simulate", g9, tmp_path)) == 0
         assert capsys.readouterr().err == ""
         assert json.loads((tmp_path / "t.roles.json").read_text())["F"] == 2
+
+    NULL_SIDECARS = {
+        "construct": ("recipe_path",),
+        "simulate": ("roles_path", "metrics_path"),
+    }
+
+    @staticmethod
+    def null_sidecar_states():
+        # a stale file there (from a run before sidecars skipped devices) is
+        # left alone; the run must neither create nor touch one
+        states = {}
+        for suffix in (".recipe.json", ".roles.json", ".metrics.json"):
+            try:
+                st = os.stat(os.devnull + suffix)
+            except FileNotFoundError:
+                states[suffix] = None
+            else:
+                states[suffix] = (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+        return states
+
+    # --out /dev/null itself gets no sidecars: beside it they would land in /dev
+    @pytest.mark.skipif(not os.path.exists(os.devnull) or os.name != "posix",
+                        reason="needs a POSIX null device")
+    @pytest.mark.parametrize("command", ["construct", "simulate"])
+    def test_the_null_device_gets_no_sidecars(self, g9, tmp_path, capsys, command):
+        argv = self.argv(command, g9, tmp_path)[:-1] + (os.devnull,)
+        capsys.readouterr()
+        before = self.null_sidecar_states()
+        assert run_cli(*argv, "--json") == 0
+        assert self.null_sidecar_states() == before
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert all(payload[key] is None for key in self.NULL_SIDECARS[command])
+        assert payload["graph_path" if command == "construct" else "trajectory_path"] == os.devnull
+        assert sorted(os.listdir(tmp_path)) == ["g9.json", "g9.recipe.json"]
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull) or os.name != "posix",
+                        reason="needs a POSIX null device")
+    def test_construct_to_the_null_device_reports_no_recipe(self, capsys):
+        before = self.null_sidecar_states()
+        assert run_cli("construct", "--n", "9", "--kind", "r", "--out", os.devnull) == 0
+        assert self.null_sidecar_states() == before
+        assert capsys.readouterr().out.splitlines()[1:] == [f"graph: {os.devnull}", "recipe: none"]
 
     @pytest.mark.parametrize("command", ["construct", "simulate"])
     def test_missing_directory(self, g9, tmp_path, capsys, command):

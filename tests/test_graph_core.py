@@ -33,6 +33,7 @@ from mergraph.graph_core import (
     _chunk_ids,
     _parsed_json_graph,
     mask_bits,
+    masks_from_bits,
     members,
 )
 from conftest import (
@@ -403,6 +404,20 @@ class TestFastJsonPath:
             assert_same_graph(fast, expected)
             assert graph_to_json(fast) == text
 
+    @pytest.mark.parametrize("low, chars, fast", [(110, 40_070, True), (120, 31_620, False)])
+    def test_the_matrix_guard_on_both_sides(self, low, chars, fast):
+        # the bit matrix is indexed by node id: 200 rows of 200 bits here,
+        # 40,000 bytes, taken only by a text at least that long
+        text = graph_to_json(new_graph(200, combinations(range(low, 200), 2)))
+        assert len(text) == chars
+        expected = _parsed_json_graph(text)
+        got = _canonical_json_graph(text)
+        if fast:
+            assert_same_graph(got, expected)
+        else:
+            assert got is None
+        assert_same_graph(graph_from_json(text), expected)
+
     @pytest.mark.parametrize(
         "chunk",
         [
@@ -489,6 +504,16 @@ class TestMaskBits:
         bits = mask_bits(masks, n)
         assert bits.shape == (len(masks), n)
         assert bits.tolist() == [[mask >> i & 1 for i in range(n)] for mask in masks]
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 65])
+    def test_masks_from_bits_inverts_it(self, n):
+        rng = random.Random(n)
+        masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(n + 20)]
+        assert masks_from_bits(mask_bits(masks[:n], n), n) == masks[:n]
+        # rows past n are dropped, and rows missing below n read as 0
+        assert masks_from_bits(mask_bits(masks, n), n) == masks[:n]
+        for rows in range(n):
+            assert masks_from_bits(mask_bits(masks[:rows], n), n) == masks[:rows] + [0] * (n - rows)
 
 
 class TestDeclaredSize:
