@@ -1,9 +1,9 @@
 """Minimal-edge maximally robust graphs.
 
 Construction of gamma- and (gamma, gamma)-robust graphs with provably
-minimal edge sets, exact robustness verification by exhaustive enumeration,
-closed-form necessary-condition certificates, and a resilient-consensus
-simulator with malicious and Byzantine adversaries.
+minimal edge sets, exact robustness verification that decides on the
+lattice of twin classes, closed-form necessary-condition certificates, and
+a resilient-consensus simulator with malicious and Byzantine adversaries.
 """
 
 from .certificates import (

@@ -161,35 +161,27 @@ def necessary_clique_size(n: int) -> int:
     return (gamma + 4) // 2
 
 
-def _subset_halves(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """The split of subset bits a 2^n table is built over.
-
-    Returns ``(lo_bits, lo, hi, sizes)``: subset S is ``h << lo_bits | l``
-    for ``l`` in ``lo`` (the low ``n // 2`` bits) and ``h`` in ``hi``, and
-    ``sizes[h, l]`` = |S| as a (hi.size, lo.size) uint8 grid.
-    """
-    lo_bits = n // 2
-    lo = np.arange(1 << lo_bits, dtype=np.uint32)
-    hi = np.arange(1 << (n - lo_bits), dtype=np.uint32)
-    sizes = np.bitwise_count(hi)[:, None] + np.bitwise_count(lo)
-    return lo_bits, lo, hi, sizes
-
-
 def _induced_edge_table(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """``induced[S]`` = number of edges with both ends in subset ``S``, and
     ``sizes[S]`` = ``|S|``, over all 2^n subsets.
 
     Filled by doubling over the nodes: for S within nodes 0..i-1,
-    induced[S | 1 << i] = induced[S] + popcount(adj[i] & S).  The popcount is
-    split by :func:`_subset_halves` into the low ``n // 2`` bits of S and its
-    high bits, so each node costs two vectors of length ~2^(n/2) and
-    broadcast adds into the new half of the table.  The dtype holds C(n, 2), so the counts never wrap.
+    induced[S | 1 << i] = induced[S] + popcount(adj[i] & S).  Subset S is
+    ``h << lo_bits | l`` for ``l`` in ``lo`` (the low ``n // 2`` bits) and
+    ``h`` in ``hi``, and the popcount is split the same way, so each node
+    costs two vectors of length ~2^(n/2) and broadcast adds into the new
+    half of the table; ``sizes`` is summed from the half popcounts as a
+    (hi.size, lo.size) grid.  The dtype holds C(n, 2), so the counts never
+    wrap.
     """
     n = g.n
-    # table first, then the halves: the other order raised the peak RSS of
-    # a run of certificate reports at n=16-20 by about 0.9 MB
+    # table first, then the halves and sizes: the other order raised the
+    # peak RSS of a run of certificate reports at n=16-20 by about 0.9 MB
     induced = np.zeros(1 << n, dtype=np.min_scalar_type(comb(n, 2)))
-    lo_bits, lo, hi, sizes = _subset_halves(n)
+    lo_bits = n // 2
+    lo = np.arange(1 << lo_bits, dtype=np.uint32)
+    hi = np.arange(1 << (n - lo_bits), dtype=np.uint32)
+    sizes = np.bitwise_count(hi)[:, None] + np.bitwise_count(lo)
     for i, a in enumerate(g.adjacency):
         below = induced[: 1 << i]
         new = induced[1 << i : 2 << i]
@@ -319,9 +311,7 @@ def certificate_report(g: Graph) -> CertificateReport:
         at_least("edge_floor_gamma_gamma", edge_lb_gamma_gamma(n), m, rs_claim)
         min_degree = min(a.bit_count() for a in g.adjacency)
         at_least("min_degree_gamma_gamma", min_degree_lb_rs(gamma, gamma), min_degree, rs_claim)
-
-    clique = max_clique_size(g) if n <= MAX_CLIQUE_NODES else None
-    if n >= 2:
+        clique = max_clique_size(g) if n <= MAX_CLIQUE_NODES else None
         at_least("clique_gamma", necessary_clique_size(n), clique, r_claim)
     if n % 2 == 0:
         at_least("clique_gamma_gamma_turan", turan_clique_threshold(gamma), clique, rs_claim)

@@ -24,8 +24,9 @@ truncated to zero and rewritten starts writeback of its data: on a 2-vCPU
 VM rewriting a 200 B file took about 150 us that way and 5 us in place, a
 3.1 MB file 3.6 ms and 0.64 ms.  Neither way is atomic: a crash mid-write
 used to leave a short file and now leaves old bytes after the new ones.
-An ``--out`` that is a character or block device or a FIFO (``/dev/null``,
-say) gets no sidecar files, and their paths are reported as ``null``.
+An ``--out`` that exists and is not a regular file once links are followed
+(``/dev/null``, ``/dev/stdout`` or a link to either, say) gets no sidecar
+files, and their paths are reported as ``null``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import argparse
 import functools
 import json
 import os
-import stat
 import sys
 from pathlib import Path
 
@@ -98,22 +98,18 @@ def _emit(payload: dict, as_json: bool, human_lines: list[str]) -> None:
 
 def _sidecar(out: Path, suffix: str) -> str | None:
     """``out`` with its suffix replaced by ``suffix``, or appended if it has
-    none; ``None`` when ``out`` is a character or block device or a FIFO,
-    which takes no sidecar (beside ``/dev/null`` it would land in ``/dev``).
-    A symlink is not followed: its sidecars go beside the link."""
-    mode = os.lstat(out).st_mode if os.path.lexists(out) else 0
-    if stat.S_IFMT(mode) in (stat.S_IFCHR, stat.S_IFBLK, stat.S_IFIFO):
+    none; ``None`` when ``out`` exists and, links followed, is not a regular
+    file: a device, FIFO or pipe takes no sidecar (beside ``/dev/null`` or
+    ``/dev/stdout`` it would land in ``/dev``).  A link to a regular file
+    keeps its sidecars beside the link."""
+    if os.path.exists(out) and not os.path.isfile(out):
         return None
     return str(out.with_suffix(suffix) if out.suffix else Path(str(out) + suffix))
 
 
-def _witness_payload(verdict: oracle.RobustnessVerdict) -> dict | None:
-    if verdict.witness is None:
-        return None
-    return {
-        "s1": sorted(verdict.witness.s1),
-        "s2": sorted(verdict.witness.s2),
-    }
+# builder names, looked up in ``construction`` at each call so that a
+# wrapper installed there (the benchmark's tracer) sees every build
+_BUILDERS = {"r": "construct_gamma_merg", "rs": "construct_gamma_gamma_merg"}
 
 
 @functools.cache
@@ -123,8 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a minimal maximally robust graph")
+    p.set_defaults(run=_cmd_construct)
     p.add_argument("--n", type=int, required=True, help="node count (>= 2)")
-    p.add_argument("--kind", choices=("r", "rs"), required=True,
+    p.add_argument("--kind", choices=tuple(_BUILDERS), required=True,
                    help="r: gamma-robust family; rs: (gamma,gamma)-robust family")
     p.add_argument("--variant", type=int, default=None,
                    help="seed for a label permutation of the canonical graph")
@@ -132,6 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("robustness", help="exact robustness checks")
+    p.set_defaults(run=_cmd_robustness)
     p.add_argument("--graph", required=True)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--rs", action="store_true", help="work with (r, s) levels")
@@ -139,12 +137,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("bounds", help="certificate report")
+    p.set_defaults(run=_cmd_bounds)
     p.add_argument("--graph", required=True)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("minimality", help="single-edge-removal sweep")
+    p.set_defaults(run=_cmd_minimality)
     p.add_argument("--graph", required=True)
-    p.add_argument("--kind", choices=("r", "rs"), required=True)
+    p.add_argument("--kind", choices=tuple(_BUILDERS), required=True)
     p.add_argument("--r", type=int, default=None,
                    help="target r (default: ceil(n/2))")
     p.add_argument("--s", type=int, default=None,
@@ -152,6 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("simulate", help="run a consensus scenario")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("--graph", required=True)
     p.add_argument("--scenario", choices=wmsr.SCENARIOS, default=wmsr.SCENARIO_NONE)
     p.add_argument("--f", type=int, default=None,
@@ -171,10 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
 # -- subcommand bodies ---------------------------------------------------------
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    if args.kind == "r":
-        graph, recipe = construction.construct_gamma_merg(args.n, variant=args.variant)
-    else:
-        graph, recipe = construction.construct_gamma_gamma_merg(args.n, variant=args.variant)
+    build = getattr(construction, _BUILDERS[args.kind])
+    graph, recipe = build(args.n, variant=args.variant)
     out = Path(args.out)
     recipe_path = _sidecar(out, ".recipe.json")
     _write(out, graph_to_json(graph))
@@ -212,15 +211,16 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
     else:
         verdict = oracle.is_r_robust(g, args.r)
 
-    witness = _witness_payload(verdict)
-    payload = {"r": verdict.r, "holds": verdict.holds, "witness": witness}
+    payload = {"r": verdict.r, "holds": verdict.holds, "witness": None}
     level = f"{verdict.r}-robust"
     if verdict.s is not None:
         payload["s"] = verdict.s
         level = f"({verdict.r},{verdict.s})-robust"
     lines = [f"{level}: {'yes' if verdict.holds else 'no'}"]
-    if witness is not None:
-        lines.append(f"witness S1={witness['s1']} S2={witness['s2']}")
+    if verdict.witness is not None:
+        s1, s2 = sorted(verdict.witness.s1), sorted(verdict.witness.s2)
+        payload["witness"] = {"s1": s1, "s2": s2}
+        lines.append(f"witness S1={s1} S2={s2}")
     _emit(payload, args.json, lines)
     return EXIT_OK if verdict.holds else EXIT_LEVEL_FAILS
 
@@ -319,14 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        handler = {
-            "construct": _cmd_construct,
-            "robustness": _cmd_robustness,
-            "bounds": _cmd_bounds,
-            "minimality": _cmd_minimality,
-            "simulate": _cmd_simulate,
-        }[args.command]
-        return handler(args)
+        return args.run(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

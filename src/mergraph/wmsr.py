@@ -447,6 +447,10 @@ SCENARIO_NONE = "none"
 class Scenario:
     """One packaged scenario: roles, F, initial states, strategy and damage.
 
+    ``name`` is the scenario's CLI key (``--scenario``); errors name the
+    scenario by it.  :meth:`roles` refuses an F below the row's adversary
+    count as not F-total.
+
     Agents ``0..k-1`` misbehave in ``role``, where k is ``default_f``, the
     scenario's own F: every row with a default has exactly that many
     adversaries.  ``default_f`` is None when F depends on the graph and must
@@ -462,7 +466,7 @@ class Scenario:
     the damage reaches the dynamics.
     """
 
-    label: str
+    name: str
     default_f: int | None
     role: AgentRole
     min_n: int
@@ -474,9 +478,11 @@ class Scenario:
         count = self.default_f
         if count is None:
             if not (1 <= f < n):
-                raise ValueError(f"{self.label} scenario needs 1 <= f < n")
+                raise ValueError(f"scenario {self.name!r} needs 1 <= f < n")
             count = f
         count = min(count, n)
+        if count > f:
+            raise ValueError("scenario claims f-total misbehavior but has more adversaries than f")
         return (self.role,) * count + (AgentRole.NORMAL,) * (n - count)
 
     def initial_states(self, n: int, seed: int) -> np.ndarray:
@@ -488,7 +494,7 @@ class Scenario:
         their emitted values instead).
         """
         if n < self.min_n:
-            raise ValueError(f"{self.label} scenario needs n >= {self.min_n}")
+            raise ValueError(f"scenario {self.name!r} needs n >= {self.min_n}")
         lo = np.zeros(n)
         hi = np.zeros(n)
         for first, band_lo, band_hi in self.bands:
@@ -500,9 +506,9 @@ class Scenario:
         return out
 
 
-SCENARIO_TABLE = {
-    SCENARIO_TRIG_MALICIOUS: Scenario(
-        label="trig-malicious",
+SCENARIO_TABLE = {row.name: row for row in (
+    Scenario(
+        name=SCENARIO_TRIG_MALICIOUS,
         default_f=None,
         role=AgentRole.MALICIOUS,
         min_n=1,
@@ -510,8 +516,8 @@ SCENARIO_TABLE = {
         strategy=lambda n: TrigMalicious(),
         removals={},
     ),
-    SCENARIO_BYZ_SPLIT: Scenario(
-        label="split-Byzantine",
+    Scenario(
+        name=SCENARIO_BYZ_SPLIT,
         default_f=2,
         role=AgentRole.BYZANTINE,
         min_n=8,
@@ -519,8 +525,8 @@ SCENARIO_TABLE = {
         strategy=SplitByReceiver,
         removals={9: (3, 8), 10: (4, 9)},
     ),
-    SCENARIO_BYZ_CONST: Scenario(
-        label="constant-Byzantine",
+    Scenario(
+        name=SCENARIO_BYZ_CONST,
         default_f=4,
         role=AgentRole.BYZANTINE,
         min_n=6,
@@ -528,8 +534,8 @@ SCENARIO_TABLE = {
         strategy=lambda n: ConstByAgent(),
         removals={9: (7, 8), 10: (7, 9)},
     ),
-    SCENARIO_NONE: Scenario(
-        label="none",
+    Scenario(
+        name=SCENARIO_NONE,
         default_f=0,
         role=AgentRole.NORMAL,
         min_n=1,
@@ -537,7 +543,7 @@ SCENARIO_TABLE = {
         strategy=None,
         removals={},
     ),
-}
+)}
 SCENARIOS = tuple(SCENARIO_TABLE)
 
 
@@ -560,8 +566,6 @@ def build_scenario(
     if f < 0:
         raise ValueError("f must be non-negative")
     roles = row.roles(graph.n, f)
-    if not is_f_total(roles, f):
-        raise ValueError("scenario claims f-total misbehavior but has more adversaries than f")
     config = SimConfig(
         graph=graph,
         roles=roles,

@@ -5,7 +5,9 @@ isomorphism; robustness and every certificate are label-invariant, so the
 1,251 with at least two nodes cover every graph of those sizes.  On each
 one the exact oracle decides gamma- and (gamma, gamma)-robustness, and the
 test checks claim (a), that the edge floors are necessary and attained,
-together with the soundness of every certificate.
+counts the extremal graphs (those at a level with exactly the floor's edge
+count) and finds each construction among them, together with the soundness
+of every certificate.
 
 networkx is a test dependency only: the last test keeps it out of the
 package.
@@ -20,6 +22,8 @@ import networkx as nx
 
 from mergraph import (
     certificate_report,
+    construct_gamma_gamma_merg,
+    construct_gamma_merg,
     edge_lb_any_r,
     edge_lb_gamma_gamma,
     gamma_of,
@@ -38,9 +42,18 @@ def atlas_graphs():
             yield new_graph(a.number_of_nodes(), a.edges())
 
 
+def as_networkx(g):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edge_pairs())
+    return nxg
+
+
 def test_edge_floors_are_necessary_and_attained():
     fewest_gamma: dict[int, int] = {}
     fewest_gamma_gamma: dict[int, int] = {}
+    extremal_gamma: dict[int, list] = {}
+    extremal_gamma_gamma: dict[int, list] = {}
     graphs = 0
     for g in atlas_graphs():
         graphs += 1
@@ -54,9 +67,13 @@ def test_edge_floors_are_necessary_and_attained():
         if max_r >= gamma:
             assert m >= edge_lb_any_r(gamma, parity), (n, g.adjacency)
             fewest_gamma[n] = min(fewest_gamma.get(n, m), m)
+            if m == edge_lb_any_r(gamma, parity):
+                extremal_gamma.setdefault(n, []).append(g)
         if gamma_gamma:
             assert m >= edge_lb_gamma_gamma(n), (n, g.adjacency)
             fewest_gamma_gamma[n] = min(fewest_gamma_gamma.get(n, m), m)
+            if m == edge_lb_gamma_gamma(n):
+                extremal_gamma_gamma.setdefault(n, []).append(g)
 
         holds = {f"{gamma}-robust": max_r >= gamma, f"({gamma},{gamma})-robust": gamma_gamma}
         for check in report.checks:
@@ -73,6 +90,15 @@ def test_edge_floors_are_necessary_and_attained():
         edge_lb_any_r(gamma_of(n), "even" if n % 2 == 0 else "odd") for n in sizes
     ]
     assert [fewest_gamma_gamma[n] for n in sizes] == [edge_lb_gamma_gamma(n) for n in sizes]
+    # the atlas lists each graph once up to isomorphism
+    assert [len(extremal_gamma[n]) for n in sizes] == [1, 1, 1, 1, 1, 2]
+    assert [len(extremal_gamma_gamma[n]) for n in sizes] == [1, 1, 1, 1, 1, 1]
+    for build, extremal in ((construct_gamma_merg, extremal_gamma),
+                            (construct_gamma_gamma_merg, extremal_gamma_gamma)):
+        for n in sizes:
+            built = as_networkx(build(n)[0])
+            matches = [nx.is_isomorphic(built, as_networkx(g)) for g in extremal[n]]
+            assert matches.count(True) == 1, (build.__name__, n)
 
 
 def test_the_package_does_not_import_networkx():

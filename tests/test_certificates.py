@@ -76,6 +76,30 @@ class TestEdgeFloors:
             edge_lb_any_r(0)
 
 
+class TestArgumentChecks:
+    @pytest.mark.parametrize(
+        "check, args, message",
+        [
+            (gamma_of, (0,), "n must be positive"),
+            (edge_lb_gamma_even, (0,), "gamma must be positive"),
+            (r_upper_bound_from_edges, (4, -1), "edge count must be non-negative"),
+            (min_degree_lb_rs, (0, 1), "r and s must be positive"),
+            (edge_lb_gamma_gamma, (1,), "n must be at least 2"),
+            (turan_number, (5, 1), "k must be at least 2"),
+            (turan_clique_threshold, (0,), "gamma must be positive"),
+            (necessary_clique_size, (1,), "n must be at least 2"),
+            (prop1_gamma_gamma_check, (complete_graph(1),), "n must be at least 2"),
+        ],
+    )
+    def test_out_of_range_arguments(self, check, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check(*args)
+
+    def test_unknown_check_name(self):
+        with pytest.raises(KeyError, match="no_such_check"):
+            certificate_report(complete_graph(4)).check("no_such_check")
+
+
 class TestRUpperBound:
     @pytest.mark.parametrize(
         "n,m,expected", [(9, 30, 5), (9, 29, 4), (10, 32, 4), (10, 33, 5), (4, 4, 1)]

@@ -3,7 +3,10 @@ from __future__ import annotations
 import json
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -496,15 +499,18 @@ class TestOutputsInPlace:
         assert {stat.S_IMODE((tmp_path / name).stat().st_mode) for name in expected} == {0o640}
         assert {name: (tmp_path / name).read_bytes() for name in expected} == expected
 
-    # /dev/null cannot be truncated.  A link to it is not the device: its
-    # sidecars are written beside the link.
+    # /dev/null cannot be truncated.  A link to it is treated as the device
+    # it names: the trajectory goes through the link, and no sidecars are
+    # written beside it.
     @pytest.mark.skipif(not os.path.exists(os.devnull) or os.name != "posix",
                         reason="needs a POSIX null device")
     def test_trajectory_to_the_null_device(self, g9, tmp_path, capsys):
         (tmp_path / "t.csv").symlink_to(os.devnull)
         assert run_cli(*self.argv("simulate", g9, tmp_path)) == 0
         assert capsys.readouterr().err == ""
-        assert json.loads((tmp_path / "t.roles.json").read_text())["F"] == 2
+        assert (tmp_path / "t.csv").is_symlink()
+        assert not (tmp_path / "t.roles.json").exists()
+        assert not (tmp_path / "t.metrics.json").exists()
 
     NULL_SIDECARS = {
         "construct": ("recipe_path",),
@@ -512,13 +518,13 @@ class TestOutputsInPlace:
     }
 
     @staticmethod
-    def null_sidecar_states():
+    def null_sidecar_states(out=os.devnull):
         # a stale file there (from a run before sidecars skipped devices) is
         # left alone; the run must neither create nor touch one
         states = {}
         for suffix in (".recipe.json", ".roles.json", ".metrics.json"):
             try:
-                st = os.stat(os.devnull + suffix)
+                st = os.stat(out + suffix)
             except FileNotFoundError:
                 states[suffix] = None
             else:
@@ -549,6 +555,30 @@ class TestOutputsInPlace:
         assert run_cli("construct", "--n", "9", "--kind", "r", "--out", os.devnull) == 0
         assert self.null_sidecar_states() == before
         assert capsys.readouterr().out.splitlines()[1:] == [f"graph: {os.devnull}", "recipe: none"]
+
+    # /dev/stdout is a link to the process's fd 1, here a pipe: the output
+    # goes down the pipe and no sidecar lands in /dev.  A subprocess, since
+    # pytest's own fd 1 may be a regular file.
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout") or os.name != "posix",
+                        reason="needs /dev/stdout")
+    @pytest.mark.parametrize("command", ["construct", "simulate"])
+    def test_standard_output_gets_no_sidecars(self, g9, tmp_path, command):
+        expected = self.fresh_bytes(command, g9, tmp_path)[self.OUTPUTS[command][0]]
+        argv = self.argv(command, g9, tmp_path)[:-1] + ("/dev/stdout", "--json")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+        before = self.null_sidecar_states("/dev/stdout")
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from mergraph.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, check=False,
+        )
+        assert self.null_sidecar_states("/dev/stdout") == before
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout.startswith(expected)
+        payload = json.loads(done.stdout[len(expected):])
+        assert all(payload[key] is None for key in self.NULL_SIDECARS[command])
 
     @pytest.mark.parametrize("command", ["construct", "simulate"])
     def test_missing_directory(self, g9, tmp_path, capsys, command):

@@ -289,6 +289,10 @@ class TestSerialization:
     def test_bad_edge_text_rejected(self):
         with pytest.raises(ValueError):
             graph_from_edge_text("3\n0 1 2\n")
+        # text with no token at all, before any count is read
+        for parse, text in [(graph_from_edge_text, ""), (parse_graph, " \n")]:
+            with pytest.raises(ValueError, match="^empty edge-list text$"):
+                parse(text)
         # tokens int() takes but that are not ASCII digits, named in the error
         for text, token in [
             ("12\n0 1_0\n+1 -0\n", "1_0"),

@@ -99,6 +99,20 @@ class TestReachability:
             assert reachable_count(g, nodes, r) == brute_reachable_count(g, nodes, r)
 
 
+class TestSubsetPair:
+    @pytest.mark.parametrize(
+        "s1, s2, message",
+        [
+            ((), (1,), "both subsets must be nonempty"),
+            ((0,), (), "both subsets must be nonempty"),
+            ((0, 1), (1, 2), "subsets must be disjoint"),
+        ],
+    )
+    def test_validation(self, s1, s2, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            oracle.SubsetPair(frozenset(s1), frozenset(s2))
+
+
 class TestRRobust:
     def test_complete_graphs_hit_the_ceiling(self):
         for n in range(3, 11):
@@ -196,6 +210,10 @@ class TestRsRobust:
 class TestMaxS:
     def test_complete_9(self):
         assert max_s_given_r(complete_graph(9), 5) == 9
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="^r must be a positive integer$"):
+            max_s_given_r(complete_graph(4), 0)
 
     def test_9_node_construction_regression(self):
         # frozen oracle output: the minimal 5-robust graph on 9 nodes is

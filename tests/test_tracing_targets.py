@@ -30,3 +30,15 @@ def test_every_traced_name_resolves(monkeypatch):
     for module_name, attr, *_ in targets:
         module = importlib.import_module(f"mergraph.{module_name}")
         assert callable(getattr(module, attr, None)), f"mergraph.{module_name}.{attr}"
+
+
+def test_a_traced_construct_records_each_build(monkeypatch, tmp_path):
+    # cli looks its builders up in construction at each call, so the
+    # wrappers the tracer installs there see every build
+    tracing = load_tracing(monkeypatch)
+    modules = {name: importlib.import_module(f"mergraph.{name}") for name, *_ in tracing.TARGETS}
+    with tracing.Tracer(modules) as tracer:
+        for kind in ("r", "rs"):
+            out = str(tmp_path / f"{kind}.json")
+            assert modules["cli"].main(["construct", "--n", "9", "--kind", kind, "--out", out]) == 0
+    assert [s.name for s in tracer.spans].count("construction.construct") == 2

@@ -272,6 +272,8 @@ class TestRunSimulation:
             make_config(g, [AgentRole.NORMAL] * 3, -1, 5, [0.0] * 3)
         with pytest.raises(ValueError):
             make_config(g, [AgentRole.NORMAL] * 3, 0, 0, [0.0] * 3)
+        with pytest.raises(ValueError, match="^initial_states must cover every node$"):
+            make_config(g, [AgentRole.NORMAL] * 3, 0, 5, [0.0] * 2)
 
     def test_trajectory_cell_limit(self):
         g = complete_graph(4)
@@ -359,10 +361,10 @@ class TestScenarioAssembly:
     @pytest.mark.parametrize(
         "scenario, n, message",
         [
-            (SCENARIO_BYZ_SPLIT, 1, "split-Byzantine scenario needs n >= 8"),
-            (SCENARIO_BYZ_SPLIT, 7, "split-Byzantine scenario needs n >= 8"),
-            (SCENARIO_BYZ_CONST, 3, "constant-Byzantine scenario needs n >= 6"),
-            (SCENARIO_BYZ_CONST, 5, "constant-Byzantine scenario needs n >= 6"),
+            (SCENARIO_BYZ_SPLIT, 1, "scenario 'viiB-gamma' needs n >= 8"),
+            (SCENARIO_BYZ_SPLIT, 7, "scenario 'viiB-gamma' needs n >= 8"),
+            (SCENARIO_BYZ_CONST, 3, "scenario 'viiB-gammagamma' needs n >= 6"),
+            (SCENARIO_BYZ_CONST, 5, "scenario 'viiB-gammagamma' needs n >= 6"),
         ],
     )
     def test_too_few_nodes(self, scenario, n, message):
@@ -377,7 +379,7 @@ class TestScenarioAssembly:
 
     def test_trig_needs_f_below_n(self):
         for f in (0, 9):
-            with pytest.raises(ValueError, match="trig-malicious scenario needs 1 <= f < n"):
+            with pytest.raises(ValueError, match="scenario 'viiA-malicious' needs 1 <= f < n"):
                 build_scenario(complete_graph(9), SCENARIO_TRIG_MALICIOUS, f=f)
 
     def test_none_scenario_runs_plain_consensus(self):
@@ -388,6 +390,11 @@ class TestScenarioAssembly:
 
 
 class TestTrajectoryOutputs:
+    def test_normal_states_needs_a_normal_agent(self):
+        traj = Trajectory(states=np.zeros((2, 2)), roles=(AgentRole.BYZANTINE,) * 2, f=2)
+        with pytest.raises(ValueError, match="^trajectory has no normal agents$"):
+            traj.normal_states()
+
     def test_csv_round_trip_is_lossless(self):
         g, _ = construct_gamma_merg(9)
         config, strategy = build_scenario(g, SCENARIO_BYZ_SPLIT, steps=15, seed=2)
