@@ -24,9 +24,12 @@ truncated to zero and rewritten starts writeback of its data: on a 2-vCPU
 VM rewriting a 200 B file took about 150 us that way and 5 us in place, a
 3.1 MB file 3.6 ms and 0.64 ms.  Neither way is atomic: a crash mid-write
 used to leave a short file and now leaves old bytes after the new ones.
-An ``--out`` that exists and is not a regular file once links are followed
-(``/dev/null``, ``/dev/stdout`` or a link to either, say) gets no sidecar
-files, and their paths are reported as ``null``.
+An ``--out`` that is this process's stdout (``/dev/stdout`` or
+``/proc/self/fd/1``, wherever stdout goes) is written through fd 1 and never
+cut, so the report lines printed before and after it keep their order.
+Only an ``--out`` that is a regular file once links are followed, and not
+stdout, gets sidecar files; for any other (stdout, ``/dev/null`` or a link
+to it, say) their paths are reported as ``null``.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -73,19 +77,30 @@ def _load_graph(path: str) -> Graph:
         raise CliError(f"cannot parse graph file {path}: {exc}") from exc
 
 
-def _write(path: str | Path, text: str) -> None:
-    """Write ``text`` as UTF-8 over ``path`` in place (see the module docstring)."""
+def _write(path: str | Path, text: str) -> bool:
+    """Write ``text`` as UTF-8 over ``path`` in place (see the module
+    docstring); True iff ``path`` takes sidecar files: it is a regular file,
+    links followed, and not this process's stdout.  Stdout is written
+    through fd 1, at its own offset and after what ``sys.stdout`` holds, and
+    never cut: through a second open of a regular file it would start at
+    offset 0, and the report lines printed afterwards would overwrite it."""
     data = text.encode()
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
+        st = os.fstat(fd)
+        # with stdout closed, sys.stdout is None and fd may be 1 itself
+        to_stdout = sys.stdout is not None and os.path.samestat(st, os.fstat(1))
+        if to_stdout:
+            sys.stdout.flush()
         view = memoryview(data)
         while view:
-            view = view[os.write(fd, view):]
+            view = view[os.write(1 if to_stdout else fd, view):]
         # only a longer file is cut: /dev/null, say, cannot be truncated
-        if os.fstat(fd).st_size > len(data):
+        if not to_stdout and st.st_size > len(data):
             os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
+    return stat.S_ISREG(st.st_mode) and not to_stdout
 
 
 def _emit(payload: dict, as_json: bool, human_lines: list[str]) -> None:
@@ -96,14 +111,11 @@ def _emit(payload: dict, as_json: bool, human_lines: list[str]) -> None:
             print(line)
 
 
-def _sidecar(out: Path, suffix: str) -> str | None:
+def _sidecar(out: Path, suffix: str) -> str:
     """``out`` with its suffix replaced by ``suffix``, or appended if it has
-    none; ``None`` when ``out`` exists and, links followed, is not a regular
-    file: a device, FIFO or pipe takes no sidecar (beside ``/dev/null`` or
-    ``/dev/stdout`` it would land in ``/dev``).  A link to a regular file
-    keeps its sidecars beside the link."""
-    if os.path.exists(out) and not os.path.isfile(out):
-        return None
+    none.  Called only when ``_write`` said ``out`` takes sidecars: beside
+    ``/dev/null`` or ``/dev/stdout`` they would land in ``/dev``.  A link to
+    a regular file keeps its sidecars beside the link."""
     return str(out.with_suffix(suffix) if out.suffix else Path(str(out) + suffix))
 
 
@@ -175,9 +187,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     build = getattr(construction, _BUILDERS[args.kind])
     graph, recipe = build(args.n, variant=args.variant)
     out = Path(args.out)
-    recipe_path = _sidecar(out, ".recipe.json")
-    _write(out, graph_to_json(graph))
-    if recipe_path is not None:
+    recipe_path = None
+    if _write(out, graph_to_json(graph)):
+        recipe_path = _sidecar(out, ".recipe.json")
         _write(recipe_path, recipe.to_json())
     payload = {
         "n": graph.n,
@@ -290,13 +302,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     # before any output is written: a bad --tol leaves no files behind
     metrics = wmsr.trajectory_metrics(traj, tol=args.tol)
     out = Path(args.out)
-    metrics_path = _sidecar(out, ".metrics.json")
-    roles_path = _sidecar(out, ".roles.json")
     metrics["scenario"] = args.scenario
     metrics["seed"] = args.seed
     metrics["removed_edge"] = list(removed_edge) if removed_edge is not None else None
-    _write(out, wmsr.trajectory_to_csv(traj))
-    if roles_path is not None:  # and so metrics_path: both sit beside out
+    metrics_path = roles_path = None
+    if _write(out, wmsr.trajectory_to_csv(traj)):
+        roles_path, metrics_path = _sidecar(out, ".roles.json"), _sidecar(out, ".metrics.json")
         _write(roles_path, wmsr.roles_to_json(traj))
         _write(metrics_path, json.dumps(metrics, indent=2, sort_keys=True) + "\n")
     payload = {

@@ -45,6 +45,13 @@ counts and degrees are at most n <= 254, so a pair holding ``_ABSENT``
 max r is at most ceil(n/2) <= 127 and s at most n <= 254, so the answers
 are plain minima and a check fails when the worst value is below s.
 
+``_decide`` is the one (r, s) decision: it checks the levels, builds the
+lattice and the marked x table, and runs ``_best_pair`` once.
+``is_r_robust`` (s = 1), ``is_rs_robust``, ``max_s_given_r`` (s = 1, the
+worst sum capped at n) and the input check of ``minimality_sweep`` all call
+it, and a failing check reads its witness from what it returns.
+``max_r_robustness`` runs ``_best_pair`` on its maxout table itself.
+
 Every table is one array expression over two (classes, cells) grids: the
 counts a_c, and the outside degree of a member of each class (0 where the
 set has none).  x[a] sums a_c over the classes whose degree reaches r, and
@@ -296,17 +303,6 @@ def _x_count_table(g: Graph, r: int, lat: _Lattice) -> np.ndarray:
     return terms.sum(0, dtype=np.uint8)
 
 
-def _pair_table(g: Graph, r: int, lat: _Lattice) -> np.ndarray:
-    """The x table with ``_ABSENT`` over the cells whose members all reach r.
-
-    Those cells, the empty one among them (x = 0 = |S|), cannot be in a
-    failing pair.
-    """
-    x = _x_count_table(g, r, lat)
-    x[x == lat.counts.sum(0, dtype=np.uint8)] = _ABSENT
-    return x
-
-
 def _subset_min(vals: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """``out[a]`` = min of ``vals[b]`` over all cells b <= a of the C-order
     lattice ``shape`` (for shape (2,)*n: over all subsets, the zeta transform).
@@ -423,19 +419,32 @@ def _witness(t: np.ndarray, below: np.ndarray, lat: _Lattice, s: int) -> SubsetP
 
 # -- public checks -------------------------------------------------------------
 
-def _failing_pair(g: Graph, r: int, s: int) -> SubsetPair | None:
-    """The pair breaking (r, s)-robustness, or None when it holds."""
+def _decide(g: Graph, r: int, s: int) -> tuple[int, np.ndarray, np.ndarray, _Lattice]:
+    """The (r, s) decision every pair check shares: the worst pair-table sum
+    ``worst`` (the level fails iff it is below s), the pair table ``t``, its
+    subset-min ``below`` and the lattice ``lat``, from which ``_witness``
+    reads a failing level's pair.
+
+    The levels are checked before the lattice, so a bad one is reported as
+    such and never as ``CapExceededError``.  ``t`` is the x table with
+    ``_ABSENT`` over the cells whose members all reach r: those, the empty
+    one among them (x = 0 = |S|), cannot be in a failing pair.
+    """
+    if r < 1:
+        raise ValueError("r must be a positive integer")
+    if not (1 <= s <= g.n):
+        raise ValueError(f"s must lie in [1, {g.n}]")
     lat = _lattice(g)
-    t = _pair_table(g, r, lat)
+    t = _x_count_table(g, r, lat)
+    t[t == lat.counts.sum(0, dtype=np.uint8)] = _ABSENT
     worst, below = _best_pair(t, lat.shape, np.add)
-    return None if worst >= s else _witness(t, below, lat, s)
+    return worst, t, below, lat
 
 
 def is_r_robust(g: Graph, r: int) -> RobustnessVerdict:
     """Exact r-robustness check, the (r, 1) case, with a counterexample witness on failure."""
-    if r < 1:
-        raise ValueError("r must be a positive integer")
-    witness = _failing_pair(g, r, 1)
+    worst, t, below, lat = _decide(g, r, 1)
+    witness = None if worst >= 1 else _witness(t, below, lat, 1)
     return RobustnessVerdict(witness is None, r, witness=witness)
 
 
@@ -459,11 +468,8 @@ def max_r_robustness(g: Graph) -> int:
 
 def is_rs_robust(g: Graph, r: int, s: int) -> RobustnessVerdict:
     """Exact (r, s)-robustness check with a counterexample witness on failure."""
-    if r < 1:
-        raise ValueError("r must be a positive integer")
-    if not (1 <= s <= g.n):
-        raise ValueError(f"s must lie in [1, {g.n}]")
-    witness = _failing_pair(g, r, s)
+    worst, t, below, lat = _decide(g, r, s)
+    witness = None if worst >= s else _witness(t, below, lat, s)
     return RobustnessVerdict(witness is None, r, s=s, witness=witness)
 
 
@@ -473,10 +479,7 @@ def max_s_given_r(g: Graph, r: int) -> int:
     (r, s)-robustness is monotone in s, so the answer is the smallest
     pair-table sum over disjoint pairs, capped at n.
     """
-    if r < 1:
-        raise ValueError("r must be a positive integer")
-    lat = _lattice(g)
-    return min(_best_pair(_pair_table(g, r, lat), lat.shape, np.add)[0], g.n)
+    return min(_decide(g, r, 1)[0], g.n)
 
 
 def minimality_sweep(g: Graph, r: int, s: int | None = None) -> MinimalitySweep:
@@ -495,13 +498,9 @@ def minimality_sweep(g: Graph, r: int, s: int | None = None) -> MinimalitySweep:
     budget raises ``CapExceededError`` at the same edge as deciding every
     edge would.
     """
-    if r < 1:
-        raise ValueError("r must be a positive integer")
     need = 1 if s is None else s
-    if not (1 <= need <= g.n):
-        raise ValueError(f"s must lie in [1, {g.n}]")
-    lat = _lattice(g)
-    if _best_pair(_pair_table(g, r, lat), lat.shape, np.add)[0] < need:
+    worst, _, _, lat = _decide(g, r, need)
+    if worst < need:
         raise ValueError("graph does not satisfy the target robustness to begin with")
     group = _class_groups(lat)
     group_of = {u: group[c] for c, nodes in enumerate(lat.classes) for u in nodes}

@@ -580,6 +580,55 @@ class TestOutputsInPlace:
         payload = json.loads(done.stdout[len(expected):])
         assert all(payload[key] is None for key in self.NULL_SIDECARS[command])
 
+    @staticmethod
+    def spawn(argv, shell_redirect="", **kwargs):
+        """Run ``python -m mergraph.cli argv`` in a subprocess, through
+        ``sh`` with ``shell_redirect`` applied when one is given."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+        command = [sys.executable, "-m", "mergraph.cli", *argv]
+        if shell_redirect:
+            command = ["sh", "-c", f'"$@" {shell_redirect}', "sh", *command]
+        return subprocess.run(command, stderr=subprocess.PIPE, env=env, check=False, **kwargs)
+
+    # stdout redirected to a regular file, and --out naming that file
+    # through fd 1: the output goes through fd 1, so the report printed
+    # after it follows it rather than overwriting its start, and no sidecar
+    # is tried beside /proc/self/fd/1.  (/dev/stdout would do the same, but
+    # code that missed the stdout case would write sidecars into /dev.)
+    @pytest.mark.skipif(not os.path.exists("/proc/self/fd/1"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
+    @pytest.mark.parametrize("command", ["construct", "simulate"])
+    def test_standard_output_redirected_to_a_file(self, g9, tmp_path, command, as_json):
+        expected = self.fresh_bytes(command, g9, tmp_path)[self.OUTPUTS[command][0]]
+        argv = self.argv(command, g9, tmp_path)[:-1] + ("/proc/self/fd/1",)
+        argv += ("--json",) * as_json
+        stdout_path = tmp_path / "stdout.txt"
+        with open(stdout_path, "wb") as stdout:
+            done = self.spawn(argv, stdout=stdout)
+        assert (done.returncode, done.stderr) == (0, b"")
+        written = stdout_path.read_bytes()
+        assert written.startswith(expected)
+        report = written[len(expected):].decode()
+        if as_json:
+            payload = json.loads(report)
+            assert all(payload[key] is None for key in self.NULL_SIDECARS[command])
+        elif command == "construct":
+            assert report.splitlines()[1:] == ["graph: /proc/self/fd/1", "recipe: none"]
+        else:
+            assert report.splitlines()[-1] == "trajectory: /proc/self/fd/1"
+        assert sorted(os.listdir(tmp_path)) == ["fresh", "g9.json", "g9.recipe.json", "stdout.txt"]
+
+    # with stdout closed, the --out file itself may get fd 1: it is still a
+    # regular file that takes its sidecars, and the report goes nowhere
+    @pytest.mark.skipif(os.name != "posix", reason="closing fd 1 needs a POSIX shell")
+    def test_closed_standard_output(self, g9, tmp_path):
+        expected = self.fresh_bytes("simulate", g9, tmp_path)
+        done = self.spawn(self.argv("simulate", g9, tmp_path), ">&-")
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert {name: (tmp_path / name).read_bytes() for name in expected} == expected
+
     @pytest.mark.parametrize("command", ["construct", "simulate"])
     def test_missing_directory(self, g9, tmp_path, capsys, command):
         missing = tmp_path / "missing"

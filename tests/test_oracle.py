@@ -53,6 +53,12 @@ def path3():
     return path(3)
 
 
+# graphs that _lattice refuses: P17's lattice has 2^17 cells, and P255 is
+# past the uint8 limit.  A bad level must still raise its own ValueError,
+# so the level checks come before any table.
+REFUSED_PATHS = (17, 255)
+
+
 class TestReachability:
     def test_whole_vertex_set_never_reachable(self):
         g = complete_graph(6)
@@ -128,9 +134,10 @@ class TestRRobust:
         g, _ = construct_gamma_merg(9)
         assert is_r_robust(g, 5).holds
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            is_r_robust(path3(), 0)
+    @pytest.mark.parametrize("n", (3, *REFUSED_PATHS))
+    def test_validation(self, n):
+        with pytest.raises(ValueError, match="^r must be a positive integer$"):
+            is_r_robust(path(n), 0)
 
     def test_cap(self):
         # P_17 has no twins, so its lattice is all 2^17 subsets
@@ -197,23 +204,27 @@ class TestRsRobust:
         g, _ = construct_gamma_gamma_merg(10)
         assert not is_rs_robust(g.remove_edge(0, 2), 5, 5).holds
 
-    def test_validation(self):
-        g = complete_graph(4)
-        with pytest.raises(ValueError):
-            is_rs_robust(g, 0, 1)
-        with pytest.raises(ValueError):
-            is_rs_robust(g, 1, 0)
-        with pytest.raises(ValueError):
-            is_rs_robust(g, 1, 5)
+    @pytest.mark.parametrize("g", [complete_graph(4), *map(path, REFUSED_PATHS)],
+                             ids=lambda g: f"n{g.n}")
+    @pytest.mark.parametrize("r, s_of, message", [
+        (0, lambda n: 1, "r must be a positive integer"),
+        (1, lambda n: 0, "s must lie in [1, {n}]"),
+        (1, lambda n: n + 1, "s must lie in [1, {n}]"),
+    ], ids=["r=0", "s=0", "s=n+1"])
+    def test_validation(self, g, r, s_of, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(n=g.n))}$"):
+            is_rs_robust(g, r, s_of(g.n))
 
 
 class TestMaxS:
     def test_complete_9(self):
         assert max_s_given_r(complete_graph(9), 5) == 9
 
-    def test_validation(self):
+    @pytest.mark.parametrize("g", [complete_graph(4), *map(path, REFUSED_PATHS)],
+                             ids=lambda g: f"n{g.n}")
+    def test_validation(self, g):
         with pytest.raises(ValueError, match="^r must be a positive integer$"):
-            max_s_given_r(complete_graph(4), 0)
+            max_s_given_r(g, 0)
 
     def test_9_node_construction_regression(self):
         # frozen oracle output: the minimal 5-robust graph on 9 nodes is
@@ -645,19 +656,21 @@ class TestMinimalitySweep:
         with pytest.raises(ValueError):
             minimality_sweep(c4, 2)
 
+    @pytest.mark.parametrize("g", [construct_gamma_gamma_merg(10)[0], *map(path, REFUSED_PATHS)],
+                             ids=lambda g: f"n{g.n}")
     @pytest.mark.parametrize(
-        "r, s, message",
+        "r, s_of, message",
         [
-            (5, 0, "s must lie in [1, 10]"),
-            (5, 11, "s must lie in [1, 10]"),
-            (0, 5, "r must be a positive integer"),
-            (0, None, "r must be a positive integer"),
+            (5, lambda n: 0, "s must lie in [1, {n}]"),
+            (5, lambda n: n + 1, "s must lie in [1, {n}]"),
+            (0, lambda n: 5, "r must be a positive integer"),
+            (0, lambda n: None, "r must be a positive integer"),
         ],
+        ids=["s=0", "s=n+1", "r=0", "r=0-s=None"],
     )
-    def test_out_of_range_targets(self, r, s, message):
-        g, _ = construct_gamma_gamma_merg(10)
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            minimality_sweep(g, r, s)
+    def test_out_of_range_targets(self, g, r, s_of, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(n=g.n))}$"):
+            minimality_sweep(g, r, s_of(g.n))
 
 
 def sweep_levels(rng, g):
