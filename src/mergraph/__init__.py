@@ -14,14 +14,12 @@ from .certificates import (
     edge_lb_gamma_even,
     edge_lb_gamma_gamma,
     edge_lb_gamma_odd,
-    gamma_of,
     lemma4_dense_subgraph_holds,
     min_degree_lb_rs,
     necessary_clique_size,
     prop1_gamma_gamma_check,
     r_upper_bound_from_edges,
     turan_clique_threshold,
-    turan_number,
 )
 from .construction import (
     ConstructionRecipe,
@@ -35,6 +33,7 @@ from .graph_core import (
     Graph,
     complement,
     complete_graph,
+    gamma_of,
     graph_from_edge_text,
     graph_from_json,
     graph_to_json,
@@ -47,7 +46,6 @@ from .oracle import (
     MinimalitySweep,
     RobustnessVerdict,
     SubsetPair,
-    is_r_reachable,
     is_r_robust,
     is_rs_robust,
     max_r_robustness,
@@ -61,7 +59,6 @@ from .wmsr import (
     Trajectory,
     build_scenario,
     is_f_local,
-    is_f_total,
     run_simulation,
     trajectory_metrics,
     trajectory_to_csv,

@@ -37,9 +37,9 @@ import numpy as np
 # ``certificates.complement`` because the benchmark tracer (bench/tracing.py,
 # TARGETS) hooks it under that name, and tests/test_tracing_targets.py
 # requires every hooked name to resolve
-from .graph_core import CapExceededError, Graph, complement, max_clique_size  # noqa: F401
+from .graph_core import CapExceededError, Graph, complement, gamma_of, max_clique_size  # noqa: F401
 
-Parity = Literal["odd", "even", "unknown"]
+Parity = Literal["odd", "even"]
 
 # the report's clique checks run up to this many nodes and are None above it
 MAX_CLIQUE_NODES = 40
@@ -47,13 +47,6 @@ MAX_CLIQUE_NODES = 40
 # the dense-subgraph check raises CapExceededError above this many nodes;
 # its table holds 2^n counts, 4 MiB at n = 22
 MAX_DENSE_NODES = 22
-
-
-def gamma_of(n: int) -> int:
-    """ceil(n/2), the maximum r-robustness achievable on n nodes."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return (n + 1) // 2
 
 
 def edge_lb_gamma_odd(gamma: int) -> int:
@@ -70,7 +63,7 @@ def edge_lb_gamma_even(gamma: int) -> int:
     return (gamma * (3 * gamma - 2) + 2) // 2
 
 
-def edge_lb_any_r(r: int, parity: Parity = "unknown") -> int:
+def edge_lb_any_r(r: int, parity: Parity) -> int:
     """Edge floor for any r-robust graph; the even-n form is strictly stronger."""
     if r < 1:
         raise ValueError("r must be positive")
@@ -117,23 +110,6 @@ def edge_lb_gamma_gamma(n: int) -> int:
     if n % 2 == 1:
         return (gamma - 1) * (2 * gamma - 1)
     return 2 * gamma * (gamma - 1) + (gamma + 1) // 2
-
-
-def turan_number(n: int, k: int) -> int:
-    """Maximum edges of an n-node graph with no k-clique (k >= 2).
-
-    Realized by the complete (k-1)-partite graph with balanced parts; counted
-    exactly rather than through the quadratic upper-bound form, which is loose
-    whenever k - 1 does not divide n.
-    """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    parts = k - 1
-    if parts >= n:
-        return n * (n - 1) // 2
-    q, rem = divmod(n, parts)
-    internal = rem * comb(q + 1, 2) + (parts - rem) * comb(q, 2)
-    return comb(n, 2) - internal
 
 
 def turan_clique_threshold(gamma: int) -> int:

@@ -43,7 +43,7 @@ import sys
 from pathlib import Path
 
 from . import certificates, construction, oracle, wmsr
-from .graph_core import CapExceededError, Graph, graph_to_json, parse_graph
+from .graph_core import CapExceededError, Graph, gamma_of, graph_to_json, parse_graph
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -210,7 +210,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_robustness(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     if args.rs or args.s is not None:
-        r = args.r if args.r is not None else certificates.gamma_of(g.n)
+        r = args.r if args.r is not None else gamma_of(g.n)
         if args.s is None:
             max_s = oracle.max_s_given_r(g, r)
             _emit({"r": r, "max_s": max_s}, args.json, [f"r={r}: max s = {max_s}"])
@@ -249,7 +249,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_minimality(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    gamma = certificates.gamma_of(g.n)
+    gamma = gamma_of(g.n)
     r = args.r if args.r is not None else gamma
     s = args.s
     if args.kind == "r" and s is not None:

@@ -37,8 +37,7 @@ from itertools import chain
 
 import numpy as np
 
-from .certificates import gamma_of
-from .graph_core import MAX_NODES, Edge, Graph
+from .graph_core import MAX_NODES, Edge, Graph, gamma_of
 
 KIND_GAMMA = "gamma"
 KIND_GAMMA_GAMMA = "gamma_gamma"

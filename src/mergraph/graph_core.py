@@ -69,6 +69,13 @@ class CapExceededError(RuntimeError):
     """An exact check was asked to exceed its combinatorial budget."""
 
 
+def gamma_of(n: int) -> int:
+    """ceil(n/2), the maximum r-robustness achievable on n nodes."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return (n + 1) // 2
+
+
 # maps the digits of bin() to the bytes 0 and 1, which compress() reads as
 # false and true
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
@@ -152,23 +159,6 @@ class Graph:
         """The edge set as ``(u, v)`` pairs with ``u < v``, built once from the masks."""
         return frozenset(self.edge_pairs())
 
-    def _check_node(self, i: int) -> None:
-        if not (0 <= i < self.n):
-            raise ValueError(f"node {i} out of range for n={self.n}")
-
-    def neighbors(self, i: int) -> set[int]:
-        self._check_node(i)
-        return set(members(self.adjacency[i]))
-
-    def degree(self, i: int) -> int:
-        self._check_node(i)
-        return self.adjacency[i].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_node(u)
-        self._check_node(v)
-        return bool(self.adjacency[u] >> v & 1)
-
     def remove_edge(self, u: int, v: int) -> "Graph":
         """Return a copy with one edge removed; the edge must exist."""
         e = (min(u, v), max(u, v))
@@ -183,7 +173,8 @@ class Graph:
         """Bitmask for a set of nodes, validating membership."""
         mask = 0
         for i in s:
-            self._check_node(i)
+            if not (0 <= i < self.n):
+                raise ValueError(f"node {i} out of range for n={self.n}")
             mask |= 1 << i
         return mask
 

@@ -110,7 +110,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph_core import CapExceededError, Edge, Graph, mask_bits, masks_from_bits, members
+from .graph_core import CapExceededError, Edge, Graph, gamma_of, mask_bits, masks_from_bits, members
 
 EXACT_CELL_BUDGET = 1 << 16
 
@@ -164,11 +164,6 @@ def reachable_count(g: Graph, s: Iterable[int], r: int) -> int:
         raise ValueError("subset must be nonempty")
     outside = ((1 << g.n) - 1) ^ mask
     return sum((g.adjacency[i] & outside).bit_count() >= r for i in members(mask))
-
-
-def is_r_reachable(g: Graph, s: Iterable[int], r: int) -> bool:
-    """True iff some node of ``s`` has at least ``r`` neighbors outside ``s``."""
-    return reachable_count(g, s, r) >= 1
 
 
 # -- twin classes and the lattice tables ---------------------------------------
@@ -460,10 +455,9 @@ def max_r_robustness(g: Graph) -> int:
     0 signals "not even 1-robust" (disconnected or edgeless).
     """
     lat = _lattice(g)
-    gamma = (g.n + 1) // 2
     maxout = lat.out.max(0)
     maxout[0] = _ABSENT
-    return min(gamma, _best_pair(maxout, lat.shape, np.maximum)[0])
+    return min(gamma_of(g.n), _best_pair(maxout, lat.shape, np.maximum)[0])
 
 
 def is_rs_robust(g: Graph, r: int, s: int) -> RobustnessVerdict:

@@ -2,9 +2,13 @@
 
 The brute-force functions below check definitions directly over explicit
 subset enumerations (itertools-based, no bitmask tricks) so they stay
-independent of the code paths they validate.  ``subset_pair_assignments``
-walks the ~3^n/2 pairs in the oracle's canonical witness order; it is the
-reference the oracle's lattice witness is compared with up to n = 16.
+independent of the code paths they validate.  They read a graph through
+``has_edge``, ``neighbors`` and ``degree``, which test one bit of a node's
+mask at a time (``g.adjacency[u] >> v & 1``), so no reference goes through
+the package's bit walks (``graph_core.members`` and ``_later_neighbors``)
+or its edge set.  ``subset_pair_assignments`` walks the ~3^n/2 pairs in the
+oracle's canonical witness order; it is the reference the oracle's lattice
+witness is compared with up to n = 16.
 ``count_pair_first_failing_pair`` finds the same pair by looping over the
 count pairs of the twin classes, the reference above that.
 ``brute_best_pair`` is the pair loop that the oracle's pair transform is
@@ -25,9 +29,11 @@ trajectory CSV back into its state matrix, and
 ``reference_trajectory_to_csv`` writes one row at a time, formatting every
 cell, the bytes the distinct-value renderer must match.
 ``reference_graph_to_json`` and ``reference_graph_to_edge_text`` write a
-graph by sorting its edge set, the bytes the bit-walking serializers must
-match; ``reference_turan_clique_threshold`` finds the Turán clique threshold
-by scanning k, the reference for its closed form.
+graph's edges in the order one bit test per pair finds them, the bytes the
+bit-walking serializers must match.  ``turan_number`` counts the edges of
+the balanced complete (k-1)-partite graph, and
+``reference_turan_clique_threshold`` finds the Turán clique threshold by
+scanning k with it, the reference for the threshold's closed form.
 """
 
 from __future__ import annotations
@@ -42,7 +48,23 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from mergraph import AgentRole, Graph, Trajectory, new_graph
-from mergraph.certificates import edge_lb_gamma_gamma, turan_number
+from mergraph.certificates import edge_lb_gamma_gamma
+
+
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    """Whether ``u`` and ``v`` are adjacent: bit ``v`` of ``u``'s mask."""
+    return bool(g.adjacency[u] >> v & 1)
+
+
+def neighbors(g: Graph, u: int) -> set[int]:
+    """The neighbors of ``u``, one bit test per node."""
+    mask = g.adjacency[u]
+    return {v for v in range(g.n) if mask >> v & 1}
+
+
+def degree(g: Graph, u: int) -> int:
+    """The number of neighbors of ``u``, from the same bit tests."""
+    return len(neighbors(g, u))
 
 
 def subset_pair_assignments(n: int) -> Iterator[tuple[int, int]]:
@@ -96,7 +118,7 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 
 
 def brute_outside_degree(g: Graph, node: int, s: frozenset[int]) -> int:
-    return sum(1 for j in g.neighbors(node) if j not in s)
+    return sum(1 for j in neighbors(g, node) if j not in s)
 
 
 def brute_reachable_count(g: Graph, s: frozenset[int], r: int) -> int:
@@ -159,7 +181,7 @@ def twin_classes(g: Graph) -> list[list[int]]:
     classes: list[list[int]] = []
     for v in range(g.n):
         for c in classes:
-            if g.neighbors(c[0]) - {v} == g.neighbors(v) - {c[0]}:
+            if neighbors(g, c[0]) - {v} == neighbors(g, v) - {c[0]}:
                 c.append(v)
                 break
         else:
@@ -203,12 +225,12 @@ def count_pair_first_failing_pair(
     is the canonical witness, and its lowest assigned node lies in S1.
     """
     classes = twin_classes(g)
-    neighbors = [g.neighbors(i) for i in range(g.n)]
+    adjacent = [neighbors(g, i) for i in range(g.n)]
     weight = [3 ** (g.n - 1 - i) for i in range(g.n)]
 
     @lru_cache(maxsize=None)
     def reach(nodes: frozenset[int]) -> int:
-        return sum(1 for i in nodes if len(neighbors[i] - nodes) >= r)
+        return sum(1 for i in nodes if len(adjacent[i] - nodes) >= r)
 
     best = None
     for a in product(*(range(len(c) + 1) for c in classes)):
@@ -283,9 +305,9 @@ def copied_class_graph(rng: random.Random, n: int, base: int, p: float) -> Graph
     c = rng.choice([c for c in classes if len(c) > 1] or classes)
     copy = {u: n + k for k, u in enumerate(c)}
     edges = list(g.edges)
-    edges += [(copy[u], copy[w]) for u, w in combinations(c, 2) if g.has_edge(u, w)]
-    edges += [(w, copy[u]) for u in c for w in g.neighbors(u) - set(c)]
-    if len(c) == 1 or not g.has_edge(c[0], c[1]):
+    edges += [(copy[u], copy[w]) for u, w in combinations(c, 2) if has_edge(g, u, w)]
+    edges += [(w, copy[u]) for u in c for w in neighbors(g, u) - set(c)]
+    if len(c) == 1 or not has_edge(g, c[0], c[1]):
         edges += [(u, copy[w]) for u in c for w in c]
     label = list(range(n + len(c)))
     rng.shuffle(label)
@@ -297,7 +319,7 @@ def brute_max_clique(g: Graph) -> int:
     for k in range(2, g.n + 1):
         found = False
         for subset in combinations(range(g.n), k):
-            if all(g.has_edge(u, v) for u, v in combinations(subset, 2)):
+            if all(has_edge(g, u, v) for u, v in combinations(subset, 2)):
                 found = True
                 break
         if found:
@@ -318,7 +340,7 @@ def brute_dense_subgraph(g: Graph) -> bool:
     gamma = g.n // 2
     need = (gamma * gamma + 2) // 2
     for subset in combinations(range(g.n), gamma + 1):
-        if sum(1 for e in combinations(subset, 2) if e in g.edges) >= need:
+        if sum(1 for u, v in combinations(subset, 2) if has_edge(g, u, v)) >= need:
             return True
     return False
 
@@ -402,7 +424,7 @@ def reference_run_simulation(config, adversary=None):
     if any(r is not AgentRole.NORMAL for r in roles) and not hasattr(adversary, "send"):
         raise ValueError("adversarial roles present but strategy has no send")
 
-    neighbor_lists = [sorted(g.neighbors(i)) for i in range(n)]
+    neighbor_lists = [sorted(neighbors(g, i)) for i in range(n)]
 
     def sent(j: int, receiver: int, t: int, x: list[float]) -> float:
         role = roles[j]
@@ -466,8 +488,10 @@ def trajectory_states_from_csv(text: str) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _sorted_edges(g: Graph) -> list[tuple[int, int]]:
-    # one sort serves both references when a test writes a graph both ways
-    return sorted(g.edges)
+    """Every edge ``(u, v)`` with ``u < v``, in lexicographic order, from one
+    bit test per pair; one pass serves both references when a test writes a
+    graph both ways."""
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if has_edge(g, u, v)]
 
 
 def reference_graph_to_json(g: Graph) -> str:
@@ -481,6 +505,21 @@ def reference_graph_to_edge_text(g: Graph) -> str:
     lines = [str(g.n)]
     lines.extend(f"{u} {v}" for u, v in _sorted_edges(g))
     return "\n".join(lines) + "\n"
+
+
+def turan_number(n: int, k: int) -> int:
+    """Maximum edges of an n-node graph with no k-clique (k >= 2).
+
+    Realized by the complete (k-1)-partite graph with balanced parts; counted
+    exactly rather than through the quadratic upper-bound form, which is loose
+    whenever k - 1 does not divide n.
+    """
+    parts = k - 1
+    if parts >= n:
+        return n * (n - 1) // 2
+    q, rem = divmod(n, parts)
+    internal = rem * math.comb(q + 1, 2) + (parts - rem) * math.comb(q, 2)
+    return math.comb(n, 2) - internal
 
 
 def reference_turan_clique_threshold(gamma: int) -> int:

@@ -44,7 +44,7 @@ from mergraph.wmsr import (
     SCENARIO_BYZ_SPLIT,
     SCENARIO_TRIG_MALICIOUS,
 )
-from conftest import PerValue, nominal_step, random_graph, wmsr_step
+from conftest import PerValue, degree, nominal_step, random_graph, wmsr_step
 
 DATA = Path(__file__).parent / "data"
 
@@ -174,7 +174,7 @@ def test_criterion_6_lemma_property_suites(suite5_graphs):
         m = len(g.edges)
         if max_clique_size(g) < necessary_clique_size(g.n):
             violations.append(("clique", g))
-        if m < edge_lb_any_r(gamma, "unknown"):
+        if m < edge_lb_any_r(gamma, "odd"):
             violations.append(("edge floor (any parity)", g))
         if g.n % 2 == 0:
             if not lemma4_dense_subgraph_holds(g):
@@ -182,7 +182,7 @@ def test_criterion_6_lemma_property_suites(suite5_graphs):
             if m < edge_lb_any_r(gamma, "even"):
                 violations.append(("edge floor (even)", g))
         if is_rs_robust(g, gamma, gamma).holds:
-            if min(g.degree(i) for i in range(g.n)) < 2 * (gamma - 1):
+            if min(degree(g, i) for i in range(g.n)) < 2 * (gamma - 1):
                 violations.append(("min degree", g))
             if m < g.n * (gamma - 1):
                 violations.append(("(r,r) edge floor", g))

@@ -20,6 +20,7 @@ from mergraph import (
     edge_lb_gamma_gamma,
     edge_lb_gamma_odd,
     gamma_of,
+    graph_core,
     is_r_robust,
     is_rs_robust,
     lemma4_dense_subgraph_holds,
@@ -31,14 +32,15 @@ from mergraph import (
     prop1_gamma_gamma_check,
     r_upper_bound_from_edges,
     turan_clique_threshold,
-    turan_number,
 )
 from mergraph.certificates import MAX_DENSE_NODES, _induced_edge_table
 from conftest import (
     brute_dense_subgraph,
     brute_max_clique,
+    degree,
     random_graph,
     reference_turan_clique_threshold,
+    turan_number,
 )
 
 
@@ -60,20 +62,17 @@ class TestEdgeFloors:
         assert edge_lb_gamma_even(gamma) == expected
 
     def test_any_r_uses_parity(self):
-        assert edge_lb_any_r(5) == 30
         assert edge_lb_any_r(5, "odd") == 30
         assert edge_lb_any_r(5, "even") == 33
         assert edge_lb_any_r(2, "even") == 5
 
     def test_even_floor_is_strictly_stronger(self):
         for r in range(2, 30):
-            assert edge_lb_any_r(r, "even") > edge_lb_any_r(r, "unknown")
+            assert edge_lb_any_r(r, "even") > edge_lb_any_r(r, "odd")
 
     def test_validation(self):
         with pytest.raises(ValueError):
             edge_lb_gamma_odd(0)
-        with pytest.raises(ValueError):
-            edge_lb_any_r(0)
 
 
 class TestArgumentChecks:
@@ -85,7 +84,7 @@ class TestArgumentChecks:
             (r_upper_bound_from_edges, (4, -1), "edge count must be non-negative"),
             (min_degree_lb_rs, (0, 1), "r and s must be positive"),
             (edge_lb_gamma_gamma, (1,), "n must be at least 2"),
-            (turan_number, (5, 1), "k must be at least 2"),
+            (edge_lb_any_r, (0, "odd"), "r must be positive"),
             (turan_clique_threshold, (0,), "gamma must be positive"),
             (necessary_clique_size, (1,), "n must be at least 2"),
             (prop1_gamma_gamma_check, (complete_graph(1),), "n must be at least 2"),
@@ -94,6 +93,10 @@ class TestArgumentChecks:
     def test_out_of_range_arguments(self, check, args, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             check(*args)
+
+    def test_gamma_of_has_one_owner(self):
+        # graph_core defines it; the package and certificates re-export it
+        assert gamma_of is certificates.gamma_of is graph_core.gamma_of
 
     def test_unknown_check_name(self):
         with pytest.raises(KeyError, match="no_such_check"):
@@ -338,7 +341,7 @@ class TestLemmaProperties:
             assert lemma4_dense_subgraph_holds(g)
             assert len(g.edges) >= edge_lb_any_r(gamma, "even")
             if is_rs_robust(g, gamma, gamma).holds:
-                assert min(g.degree(i) for i in range(n)) >= 2 * (gamma - 1)
+                assert min(degree(g, i) for i in range(n)) >= 2 * (gamma - 1)
                 assert len(g.edges) >= n * (gamma - 1)
                 assert max_clique_size(g) >= turan_clique_threshold(gamma)
         assert certified > 0

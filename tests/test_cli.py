@@ -14,8 +14,8 @@ from mergraph import (
     construct_gamma_merg,
     graph_from_json,
     graph_to_json,
-    is_r_reachable,
     max_r_robustness,
+    reachable_count,
 )
 from mergraph.cli import build_parser, main
 from mergraph.graph_core import FAST_JSON_MIN_CHARS, MAX_MASK_BITS, MAX_NODES
@@ -121,7 +121,7 @@ class TestRobustness:
         g = graph_from_json(out.read_text())
         s1, s2 = set(witness["s1"]), set(witness["s2"])
         assert s1 and s2 and not s1 & s2
-        assert not is_r_reachable(g, s1, 26) and not is_r_reachable(g, s2, 26)
+        assert reachable_count(g, s1, 26) == 0 and reachable_count(g, s2, 26) == 0
 
     def test_unreadable_graph(self, tmp_path):
         assert run_cli("robustness", "--graph", str(tmp_path / "nope.json")) == 1

@@ -16,7 +16,6 @@ from mergraph import (
     complete_graph,
     construct_gamma_gamma_merg,
     construct_gamma_merg,
-    is_r_reachable,
     is_r_robust,
     is_rs_robust,
     max_r_robustness,
@@ -37,6 +36,8 @@ from conftest import (
     brute_reachable_count,
     copied_class_graph,
     count_pair_first_failing_pair,
+    has_edge,
+    neighbors,
     random_graph,
     reference_class_groups,
     subset_pair_assignments,
@@ -62,15 +63,15 @@ REFUSED_PATHS = (17, 255)
 class TestReachability:
     def test_whole_vertex_set_never_reachable(self):
         g = complete_graph(6)
-        assert not is_r_reachable(g, set(range(6)), 1)
+        assert reachable_count(g, set(range(6)), 1) == 0
         assert reachable_count(g, set(range(6)), 3) == 0
 
     def test_single_node_in_complete_graph(self):
-        assert is_r_reachable(complete_graph(5), {0}, 4)
+        assert reachable_count(complete_graph(5), {0}, 4) == 1
 
     def test_peripheral_nodes_of_9_node_construction(self):
         g, _ = construct_gamma_merg(9)
-        assert is_r_reachable(g, {6, 7, 8}, 5)
+        assert reachable_count(g, {6, 7, 8}, 5) == 3
 
     def test_k6_triple(self):
         assert reachable_count(complete_graph(6), {0, 1, 2}, 3) == 3
@@ -87,11 +88,11 @@ class TestReachability:
 
     def test_validation(self):
         g = complete_graph(4)
-        with pytest.raises(ValueError):
-            is_r_reachable(g, set(), 1)
-        with pytest.raises(ValueError):
-            is_r_reachable(g, {0}, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^subset must be nonempty$"):
+            reachable_count(g, set(), 1)
+        with pytest.raises(ValueError, match="^r must be a positive integer$"):
+            reachable_count(g, {0}, 0)
+        with pytest.raises(ValueError, match="^node 9 out of range for n=4$"):
             reachable_count(g, {9}, 1)
 
     def test_matches_brute_force(self):
@@ -281,7 +282,7 @@ class TestTables:
             assert [c[0] for c in classes] == sorted(c[0] for c in classes)
             label = {i: k for k, c in enumerate(classes) for i in c}
             for u, v in combinations(range(g.n), 2):
-                twins = g.neighbors(u) - {v} == g.neighbors(v) - {u}
+                twins = neighbors(g, u) - {v} == neighbors(g, v) - {u}
                 assert twins == (label[u] == label[v]), (g, u, v)
 
     def test_tables_match_brute_force_on_every_subset(self):
@@ -390,8 +391,8 @@ class TestWitnesses:
                 continue
             seen += 1
             w = verdict.witness
-            assert not is_r_reachable(g, w.s1, r)
-            assert not is_r_reachable(g, w.s2, r)
+            assert reachable_count(g, w.s1, r) == 0
+            assert reachable_count(g, w.s2, r) == 0
             assert not (w.s1 & w.s2)
             s = rng.randint(1, g.n)
             rs = is_rs_robust(g, r, s)
@@ -527,8 +528,8 @@ class TestWitnessesAbove16Nodes:
             if x1 + x2 == 0 or max_r_robustness(g) < r:
                 plain = is_r_robust(g, r)
                 assert not plain.holds
-                assert not is_r_reachable(g, plain.witness.s1, r)
-                assert not is_r_reachable(g, plain.witness.s2, r)
+                assert reachable_count(g, plain.witness.s1, r) == 0
+                assert reachable_count(g, plain.witness.s2, r) == 0
 
     def test_k315_witnesses_are_canonical(self):
         # K_{3,15}: classes A = {0, 1, 2} and B = {3..17}, shape (4, 16).
@@ -782,12 +783,12 @@ class TestEdgeOrbits:
                 # swappable classes are never single nodes, and two of them
                 # are joined exactly when they are false-twin classes
                 assert len(classes[c]) > 1
-                assert g.has_edge(classes[c][0], classes[d][0]) != closed[c]
+                assert has_edge(g, classes[c][0], classes[d][0]) != closed[c]
                 image = list(range(g.n))
                 for u, v in zip(classes[c], classes[d], strict=True):
                     image[u], image[v] = v, u
                 for u in range(g.n):
-                    mapped = sum(1 << image[w] for w in g.neighbors(u))
+                    mapped = sum(1 << image[w] for w in neighbors(g, u))
                     assert mapped == g.adjacency[image[u]], (g, classes[c], classes[d])
                 swaps += 1
         assert swaps >= 100, swaps

@@ -23,7 +23,6 @@ from mergraph import (
     is_r_robust,
     is_rs_robust,
     is_f_local,
-    is_f_total,
     new_graph,
     run_simulation,
     trajectory_metrics,
@@ -49,6 +48,9 @@ from mergraph.wmsr import (
 )
 from conftest import (
     PerValue,
+    degree,
+    has_edge,
+    neighbors,
     nominal_step,
     random_graph,
     reference_run_simulation,
@@ -156,10 +158,6 @@ class TestScopeModels:
         star = new_graph(5, [(0, i) for i in range(1, 5)])
         assert is_f_local(star, {0}, 1)
 
-    def test_f_total(self):
-        roles = (AgentRole.MALICIOUS, AgentRole.NORMAL, AgentRole.BYZANTINE)
-        assert is_f_total(roles, 2)
-        assert not is_f_total(roles, 1)
 
 
 class TestInitialStates:
@@ -346,7 +344,7 @@ class TestScenarioAssembly:
         assert config.f == 2
         assert config.roles[:2] == (AgentRole.BYZANTINE, AgentRole.BYZANTINE)
         assert isinstance(strategy, SplitByReceiver)
-        assert is_f_total(config.roles, config.f)
+        assert sum(role is not AgentRole.NORMAL for role in config.roles) <= config.f
 
     def test_trig_needs_explicit_f(self):
         g, _ = construct_gamma_merg(9)
@@ -559,13 +557,13 @@ def _received(config, adversary, states: np.ndarray, t: int, i: int) -> list[flo
     """What normal agent ``i`` receives at step ``t``, in ascending neighbor order."""
     g = config.graph
     out = []
-    for j in sorted(g.neighbors(i)):
+    for j in sorted(neighbors(g, i)):
         role = config.roles[j]
         if role is AgentRole.NORMAL:
             out.append(float(states[t, j]))
         else:
             # a malicious agent broadcasts what it sends its lowest neighbor
-            receiver = i if role is AgentRole.BYZANTINE else min(g.neighbors(j))
+            receiver = i if role is AgentRole.BYZANTINE else min(neighbors(g, j))
             out.append(adversary.value(j, receiver, t))
     return out
 
@@ -624,8 +622,8 @@ def hypothesis_runs(draw):
 def _scalar_gather_index(g, rows) -> list[list[int]]:
     """Each row node's neighbors ascending, padded with the node itself to
     the widest degree, then the node once more: one column per row node."""
-    width = max((g.degree(r) for r in rows), default=0)
-    columns = [sorted(g.neighbors(r)) for r in rows]
+    width = max((degree(g, r) for r in rows), default=0)
+    columns = [sorted(neighbors(g, r)) for r in rows]
     columns = [c + [r] * (width + 1 - len(c)) for r, c in zip(rows, columns)]
     return [list(row) for row in zip(*columns)] if rows else [[]]
 
@@ -674,7 +672,7 @@ class TestArrayRoundMatchesReference:
             expected = _outcome(reference_run_simulation, config, adversary)
             assert _outcome(run_simulation, config, adversary) == expected, case
             g = config.graph
-            degrees = [g.degree(i) for i in range(g.n)]
+            degrees = [degree(g, i) for i in range(g.n)]
             seen["ties"] += adversary.integers
             seen["isolated"] += 0 in degrees
             seen["f_ge_degree"] += config.f >= max(degrees)
@@ -703,7 +701,7 @@ class TestArrayRoundMatchesReference:
                 for i in normal
             ]
             seen["infinite"] += any(math.isinf(v) for _, values in received for v in values)
-            seen["long"] += max((g.degree(i) for i in normal), default=0) > 8
+            seen["long"] += max((degree(g, i) for i in normal), default=0) > 8
             seen["split"] += any(_cut_splits_a_run(own, values, config.f) for own, values in received)
         assert min(seen.values()) >= 20, seen
 
@@ -768,7 +766,7 @@ class TestArrayRoundMatchesReference:
         for scenario in SCENARIOS:
             graphs = [intact]
             removal = SCENARIO_TABLE[scenario].removals.get(n)
-            if removal is not None and intact.has_edge(*removal):
+            if removal is not None and has_edge(intact, *removal):
                 graphs.append(intact.remove_edge(*removal))
             f = None
             if scenario == SCENARIO_TRIG_MALICIOUS:
@@ -981,7 +979,7 @@ class TestDefaultRemovals:
     def test_edge_breaks_the_target_and_touches_a_normal_agent(self, scenario, n, edge):
         builder, target = self.FAMILIES[scenario]
         g, _ = builder(n)
-        assert g.has_edge(*edge)
+        assert has_edge(g, *edge)
         gamma = (n + 1) // 2
         assert target(g, gamma).holds
         assert not target(g.remove_edge(*edge), gamma).holds
