@@ -39,6 +39,7 @@ from mergraph.graph_core import (
 from conftest import (
     brute_max_clique,
     degree,
+    has_edge,
     neighbors,
     random_graph,
     reference_graph_to_edge_text,
@@ -190,6 +191,16 @@ class TestMasksAreTheGraph:
         assert g.edges == drawn
         assert list(g.edge_pairs()) == sorted(drawn)
         assert g.edge_count == len(drawn)
+
+    @settings(max_examples=80)
+    @given(graphs(max_n=12))
+    def test_bit_tests_agree_with_the_edge_set(self, g):
+        # the conftest helpers every reference reads a graph through
+        for u in range(g.n):
+            assert neighbors(g, u) == {v for v in range(g.n) if (min(u, v), max(u, v)) in g.edges}
+            assert degree(g, u) == sum(1 for e in g.edges if u in e)
+            for v in range(g.n):
+                assert has_edge(g, u, v) == ((min(u, v), max(u, v)) in g.edges)
 
     def test_edge_set_is_built_once(self):
         g, _ = construct_gamma_merg(10)

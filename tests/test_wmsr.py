@@ -158,6 +158,15 @@ class TestScopeModels:
         star = new_graph(5, [(0, i) for i in range(1, 5)])
         assert is_f_local(star, {0}, 1)
 
+    def test_f_total(self):
+        # Scenario.roles holds the F-total model: at most f adversaries in all
+        roles = get_scenario(SCENARIO_TRIG_MALICIOUS).roles(5, 2)
+        assert roles == (AgentRole.MALICIOUS,) * 2 + (AgentRole.NORMAL,) * 3
+        const = get_scenario(SCENARIO_BYZ_CONST)
+        assert sum(role is not AgentRole.NORMAL for role in const.roles(10, 4)) == 4
+        message = "^scenario claims f-total misbehavior but has more adversaries than f$"
+        with pytest.raises(ValueError, match=message):
+            const.roles(10, 3)
 
 
 class TestInitialStates:
