@@ -15,15 +15,24 @@ Exit codes: 0 success / requested level holds; 2 requested level fails;
 3 exact check infeasible at this size; 1 any other error.  ``--json``
 switches the human-readable report on stdout to machine-readable JSON.
 
-Output files are written in place: an existing file is opened without
-truncating it, overwritten, and cut to the new length only if it was
-longer, so its inode, mode and owner are kept and a symlink's target is
-rewritten.  Opening with truncation is what ``open(path, "w")`` does, and on
-an ext4 mount with ``auto_da_alloc`` (the default) closing a file that was
-truncated to zero and rewritten starts writeback of its data: on a 2-vCPU
-VM rewriting a 200 B file took about 150 us that way and 5 us in place, a
-3.1 MB file 3.6 ms and 0.64 ms.  Neither way is atomic: a crash mid-write
-used to leave a short file and now leaves old bytes after the new ones.
+Graph files are read as bytes: a leading UTF-8 byte-order mark is dropped,
+a canonical JSON text is read undecoded, and any other text is decoded as
+UTF-8 (a file that is not UTF-8 cannot be read), with no newline
+translation.
+
+Output files are written in place and in batches: the text, or the pieces
+a graph is rendered in, go out about 64 KiB (``graph_core._CHUNK_CHARS``
+characters) at a write, so a graph file is never held whole.  An existing
+file is opened without truncating it, overwritten, and cut to the new
+length only if it was longer, so its inode, mode and owner are kept and a
+symlink's target is rewritten.  Opening with truncation is what
+``open(path, "w")`` does, and on an ext4 mount with ``auto_da_alloc`` (the
+default) closing a file that was truncated to zero and rewritten starts
+writeback of its data: on a 2-vCPU VM rewriting a 200 B file took about
+150 us that way and 5 us in place, a 3.1 MB file 3.6 ms and 0.64 ms.
+Neither way is atomic, and the batches change nothing there: a crash
+mid-write used to leave a short file and still leaves old bytes after the
+new ones.
 An ``--out`` that is this process's stdout (``/dev/stdout`` or
 ``/proc/self/fd/1``, wherever stdout goes) is written through fd 1 and never
 cut, so the report lines printed before and after it keep their order.
@@ -35,15 +44,25 @@ to it, say) their paths are reported as ``null``.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import json
 import os
 import stat
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import certificates, construction, oracle, wmsr
-from .graph_core import CapExceededError, Graph, gamma_of, graph_to_json, parse_graph
+from .graph_core import (
+    _CHUNK_CHARS,
+    CapExceededError,
+    Graph,
+    gamma_of,
+    graph_json_pieces,
+    graph_to_json,  # noqa: F401 - a name bench/tracing.py wraps; construct streams the pieces
+    parse_graph,
+)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -62,29 +81,47 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_graph(path: str) -> Graph:
     try:
-        # open() rather than Path.read_text(): pathlib interns every path
-        # component, and that churn keeps growing the interpreter's table.
-        # UTF-8 whatever the locale: both formats are ASCII, and a file that
-        # is not UTF-8 is reported with its path; a leading byte-order mark
-        # is dropped
-        with open(path, encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        # open() rather than Path.read_bytes(): pathlib interns every path
+        # component, and that churn keeps growing the interpreter's table
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
         raise CliError(f"cannot read graph file {path}: {exc}") from exc
     try:
-        return parse_graph(text)
+        # the bytes as they are, a leading byte-order mark dropped: the
+        # canonical fast path reads them undecoded, and the rest is decoded
+        # as UTF-8 whatever the locale; both formats are ASCII, and a file
+        # that is not UTF-8 is reported with its path
+        return parse_graph(data.removeprefix(codecs.BOM_UTF8))
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read graph file {path}: {exc}") from exc
     except ValueError as exc:
         raise CliError(f"cannot parse graph file {path}: {exc}") from exc
 
 
-def _write(path: str | Path, text: str) -> bool:
-    """Write ``text`` as UTF-8 over ``path`` in place (see the module
-    docstring); True iff ``path`` takes sidecar files: it is a regular file,
-    links followed, and not this process's stdout.  Stdout is written
-    through fd 1, at its own offset and after what ``sys.stdout`` holds, and
-    never cut: through a second open of a regular file it would start at
-    offset 0, and the report lines printed afterwards would overwrite it."""
-    data = text.encode()
+def _batches(pieces: Iterable[str]) -> Iterator[str]:
+    """``pieces`` joined into runs of at least ``_CHUNK_CHARS`` characters
+    (the last may be shorter); a single piece comes back as it is."""
+    batch: list[str] = []
+    size = 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _CHUNK_CHARS:
+            yield "".join(batch)
+            batch, size = [], 0
+    if batch:
+        yield "".join(batch)
+
+
+def _write(path: str | Path, text: str | Iterable[str]) -> bool:
+    """Write ``text``, a ``str`` or pieces of one, as UTF-8 over ``path`` in
+    place and in batches (see the module docstring); True iff ``path`` takes
+    sidecar files: it is a regular file, links followed, and not this
+    process's stdout.  Stdout is written through fd 1, at its own offset and
+    after what ``sys.stdout`` holds, and never cut: through a second open of
+    a regular file it would start at offset 0, and the report lines printed
+    afterwards would overwrite it."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         st = os.fstat(fd)
@@ -92,12 +129,15 @@ def _write(path: str | Path, text: str) -> bool:
         to_stdout = sys.stdout is not None and os.path.samestat(st, os.fstat(1))
         if to_stdout:
             sys.stdout.flush()
-        view = memoryview(data)
-        while view:
-            view = view[os.write(1 if to_stdout else fd, view):]
+        written = 0
+        for batch in _batches([text] if isinstance(text, str) else text):
+            view = memoryview(batch.encode())
+            written += len(view)
+            while view:
+                view = view[os.write(1 if to_stdout else fd, view):]
         # only a longer file is cut: /dev/null, say, cannot be truncated
-        if not to_stdout and st.st_size > len(data):
-            os.ftruncate(fd, len(data))
+        if not to_stdout and st.st_size > written:
+            os.ftruncate(fd, written)
     finally:
         os.close(fd)
     return stat.S_ISREG(st.st_mode) and not to_stdout
@@ -188,19 +228,20 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     graph, recipe = build(args.n, variant=args.variant)
     out = Path(args.out)
     recipe_path = None
-    if _write(out, graph_to_json(graph)):
+    if _write(out, graph_json_pieces(graph)):
         recipe_path = _sidecar(out, ".recipe.json")
         _write(recipe_path, recipe.to_json())
+    edges = graph.edge_count
     payload = {
         "n": graph.n,
         "gamma": recipe.gamma,
         "kind": args.kind,
-        "edges": graph.edge_count,
+        "edges": edges,
         "graph_path": str(out),
         "recipe_path": recipe_path,
     }
     _emit(payload, args.json, [
-        f"n={graph.n} gamma={recipe.gamma} kind={args.kind} edges={graph.edge_count}",
+        f"n={graph.n} gamma={recipe.gamma} kind={args.kind} edges={edges}",
         f"graph: {out}",
         f"recipe: {recipe_path or 'none'}",
     ])

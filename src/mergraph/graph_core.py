@@ -20,7 +20,9 @@ Two serialized forms are read:
 
 Graphs are written as canonical JSON only, by walking the set bits of each
 mask above the node itself, so the pairs come out in lexicographic order
-without a sort.
+without a sort.  :func:`graph_json_pieces` yields the text one node's
+pairs at a time, so a writer can stream it; :func:`graph_to_json` joins
+the same pieces.
 
 Reading canonical JSON has a fast path.  A JSON text of at least
 ``FAST_JSON_MIN_CHARS`` characters is first read in one pass over its
@@ -32,10 +34,14 @@ re-renders to themselves, the canonical serializations, for which the
 general parser (``json.loads`` and :func:`new_graph`) would have built the
 same graph; the re-render itself is not run.  Any other text, and every
 shorter one, is read by the general parser, which gives every error
-message.  The fast path sets each edge's bits in a square matrix with one
-row and one column per node id up to the highest id on an edge, and leaves
-a text to the general parser when that matrix would take more bytes than
-the text has characters.  Edge-list text always takes its general parser.
+message.  The fast path reads a file's bytes as they are
+(:func:`parse_graph` takes bytes, and decodes only the texts it leaves), or
+a ``str`` a chunk at a time.  It sets each edge's bits in a square matrix
+with one row and one column per node id up to the highest id read so far
+(grown when a chunk names a higher one) as soon as the edge's chunk is
+checked, so no ids of the whole text are kept, and it leaves a text to the
+general parser when that matrix would take more bytes than the text has
+characters.  Edge-list text always takes its general parser.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress, count, repeat
+from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -288,11 +295,21 @@ def max_clique_size(g: Graph) -> int:
 
 # -- serialization -----------------------------------------------------------
 
+def graph_json_pieces(g: Graph) -> Iterator[str]:
+    """The canonical JSON of ``g`` in pieces: the envelope's head, one piece
+    per node with a later neighbor (its pairs, in order), and the tail."""
+    yield f'{{"n":{g.n},"edges":['
+    labels = [str(i) for i in range(g.n)]
+    lead = "["
+    for u, vs in _later_neighbors(g.adjacency, labels):
+        yield f"{lead}{u}," + f"],[{u},".join(vs) + "]"
+        lead = ",["
+    yield "]}\n"
+
+
 def graph_to_json(g: Graph) -> str:
     """Canonical JSON, byte for byte what ``json.dumps`` gives with compact separators."""
-    rows = _later_neighbors(g.adjacency, [str(i) for i in range(g.n)])
-    body = ",".join(f"[{u}," + f"],[{u},".join(vs) + "]" for u, vs in rows)
-    return f'{{"n":{g.n},"edges":[{body}]}}\n'
+    return "".join(graph_json_pieces(g))
 
 
 # JSON texts this long or longer try the fast path first; below it the fixed
@@ -300,13 +317,17 @@ def graph_to_json(g: Graph) -> str:
 # (the two paths cross at 2-4 KB, n of about 24-32 on the constructions)
 FAST_JSON_MIN_CHARS = 4096
 
-# the envelope graph_to_json writes around the pairs; seven digits cover
-# every n up to MAX_NODES
-_CANONICAL_HEAD = re.compile(r'\{"n":([1-9][0-9]{0,6}),"edges":\[')
-_CANONICAL_TAIL = "]}\n"
-# the pairs are read in chunks of about this many characters: the arrays of
-# one chunk, several bytes a character, then stay small next to the ids of a
-# large text, which are kept (unchunked, they held about 14 times the text)
+# the envelope graph_to_json writes around the pairs, and the "],[" between
+# two pairs, as bytes; seven digits cover every n up to MAX_NODES
+_CANONICAL_HEAD = re.compile(rb'\{"n":([1-9][0-9]{0,6}),"edges":\[')
+_CANONICAL_TAIL = b"]}\n"
+_PAIR_BREAK = b"],["
+# the longest head, '{"n":1234567,"edges":['
+_HEAD_CHARS = 22
+# the pairs are read in chunks of about this many characters, so the arrays
+# of one chunk (several bytes a character) stay small however long the text
+# (read in one chunk, the body held about 14 times the text); outputs are
+# written in batches of this many characters
 _CHUNK_CHARS = 1 << 16
 # the longest pair, "[1234567,1234567]": from any position in a canonical
 # body, the next "]" is at most this many characters on
@@ -314,45 +335,62 @@ _PAIR_CHARS = 17
 _DIGITS = b"0123456789"
 
 
-def _canonical_json_graph(text: str) -> Graph | None:
+def _canonical_json_graph(text: str | bytes) -> Graph | None:
     """The graph whose canonical JSON is exactly ``text``, else ``None``.
 
-    The envelope must be the one :func:`graph_to_json` writes.  Its body is
-    cut into chunks of about ``_CHUNK_CHARS`` characters after the ``]`` of
-    a ``],[`` (the ``,`` is skipped), and :func:`_chunk_ids` accepts a chunk
-    only if it is pairs ``[u,v]`` joined by ``,`` with every id a decimal of
-    at most seven digits and no leading zero; the ids must then hold
-    ``0 <= u < v < n`` with ``u * n + v`` strictly increasing over the whole
-    body.  These are exactly the texts :func:`graph_to_json` re-renders to
-    themselves: it writes each edge once, as ``u < v``, in lexicographic
-    order, each id as ``str`` does and nothing between them but that
-    punctuation.  So the general parser (``json.loads`` and
-    :func:`new_graph`) would have built the same graph.  Never raises.
+    ``text`` is the file's bytes, or a ``str``, which is read a chunk at a
+    time in the same way (each chunk is encoded on its own, so the whole
+    text is never copied).  The envelope must be the one
+    :func:`graph_to_json` writes.  Its body is cut into chunks of about
+    ``_CHUNK_CHARS`` characters after the ``]`` of a ``],[`` (the ``,`` is
+    skipped), and :func:`_chunk_ids` accepts a chunk only if it is pairs
+    ``[u,v]`` joined by ``,`` with every id a decimal of at most seven
+    digits and no leading zero; the ids must then hold ``0 <= u < v < n``
+    with ``u * n + v`` strictly increasing over the whole body.  These are
+    exactly the texts :func:`graph_to_json` re-renders to themselves: it
+    writes each edge once, as ``u < v``, in lexicographic order, each id as
+    ``str`` does and nothing between them but that punctuation.  So the
+    general parser (``json.loads`` and :func:`new_graph`) would have built
+    the same graph.  Never raises.
 
     Each pair sets two distinct bits in a square bool matrix indexed by node
-    id, ``width`` rows of ``width`` bits where ``width`` is the least
-    multiple of 8 above the highest id on an edge; :func:`masks_from_bits`
-    turns row ``u`` into the mask of node ``u``, and nodes at or above
-    ``width`` get zero masks.  A text whose matrix would take more bytes
-    than it has characters (a few edges on high ids) is left to the general
-    parser, so this path never costs more memory than that one.
+    id as soon as its chunk is checked, so no chunk's ids outlive it;
+    :func:`masks_from_bits` turns row ``u`` into the mask of node ``u``.
+    The matrix is ``width`` rows of ``width`` bits, ``width`` a multiple of
+    8 above the highest id read so far: the first chunk sizes it, and a
+    chunk that names a higher id grows it to at least twice its width, but
+    never past the declared ``n`` rounded up to a multiple of 8 nor past a
+    matrix of as many bytes as the text has characters.  A text whose
+    highest id needs more than that (a few edges on high ids) is left to
+    the general parser at the first chunk that names it, so this path never
+    costs more memory than that one.  The paper's graphs name ``n - 1`` in
+    their first chunk, so their matrix is allocated once, from ``n``.
     """
-    head = _CANONICAL_HEAD.match(text)
-    # a canonical text is ASCII; its characters are then its bytes, and no
-    # chunk can fail to encode
-    if head is None or not text.endswith(_CANONICAL_TAIL) or not text.isascii():
+    if isinstance(text, str):
+        # a canonical text is ASCII (a flag a str keeps): its characters
+        # are then its bytes, and every slice of it encodes
+        if not text.isascii():
+            return None
+        head = _CANONICAL_HEAD.match(text[:_HEAD_CHARS].encode())
+        tail, pair_break = _CANONICAL_TAIL.decode(), _PAIR_BREAK.decode()
+    else:
+        head = _CANONICAL_HEAD.match(text, 0, _HEAD_CHARS)
+        tail, pair_break = _CANONICAL_TAIL, _PAIR_BREAK
+    if head is None or not text.endswith(tail):
         return None
     n = int(head.group(1))
     if n > MAX_NODES:
         return None
-    chunks: list[np.ndarray] = []
-    last_key, v_max = -1, 0
-    a, end = head.end(), len(text) - len(_CANONICAL_TAIL)
+    # the widest matrix the graph can use, and the widest the text pays for
+    room = min(8 * -(-n // 8), 8 * (isqrt(len(text)) // 8))
+    bits = np.zeros((0, 0), dtype=bool)
+    last_key = -1
+    a, end = head.end(), len(text) - len(tail)
     while a < end:
         b = min(a + _CHUNK_CHARS, end)
         if b < end:
             # the next "]" is followed by ",[" unless it ends the body
-            cut = text.find("],[", b, b + _PAIR_CHARS + 3)
+            cut = text.find(pair_break, b, b + _PAIR_CHARS + 3)
             if cut < 0 and end - b > _PAIR_CHARS + 1:
                 return None
             b = cut + 1 if cut >= 0 else end
@@ -363,24 +401,26 @@ def _canonical_json_graph(text: str) -> Graph | None:
         key = u * n + v
         if (u >= v).any() or (v >= n).any() or key[0] <= last_key or (np.diff(key) <= 0).any():
             return None
-        chunks.append(ids)
-        last_key, v_max = int(key[-1]), max(v_max, int(v.max()))
+        need = 8 * (int(v.max()) // 8 + 1)
+        if need > len(bits):
+            if need > room:
+                return None
+            grown = np.zeros((min(max(need, 2 * len(bits)), room),) * 2, dtype=bool)
+            grown[: len(bits), : len(bits)] = bits
+            bits = grown
+        width = len(bits)
+        flat = bits.reshape(-1)
+        flat[u * width + v] = True
+        flat[v * width + u] = True
+        last_key = int(key[-1])
         a = b + 1
-    width = 8 * (v_max // 8 + 1)
-    if width * width > len(text):
-        return None
-    bits = np.zeros((width, width), dtype=bool)
-    for ids in chunks:
-        u, v = ids[0::2], ids[1::2]
-        bits[u, v] = True
-        bits[v, u] = True
     return Graph._from_masks(n, masks_from_bits(bits, n))
 
 
-def _chunk_ids(chunk: str) -> np.ndarray | None:
+def _chunk_ids(chunk: str | bytes) -> np.ndarray | None:
     """The node ids of ``chunk``, in order, as int64, if it is exactly pairs
     ``[u,v]`` joined by ``,`` with every id a decimal of 1-7 digits and no
-    leading zero; else ``None``.
+    leading zero; else ``None``.  A ``str`` chunk must be ASCII.
 
     One pass over the bytes: one ``flatnonzero`` finds where each run of
     digits begins and ends, the runs must lie exactly where those pairs put
@@ -388,9 +428,9 @@ def _chunk_ids(chunk: str) -> np.ndarray | None:
     there, and the ids are summed place by place on arrays of one entry per
     id.
     """
-    if chunk[0] != "[" or chunk[-1] != "]":
+    data = chunk.encode() if isinstance(chunk, str) else chunk
+    if data[:1] != b"[" or data[-1:] != b"]":
         return None
-    data = chunk.encode()
     raw = np.frombuffer(data, dtype=np.uint8)
     # uint8 wraps every byte below "0", so the digits alone are below 10
     digits = raw - 48
@@ -436,14 +476,17 @@ def _parsed_json_graph(text: str) -> Graph:
     return new_graph(payload["n"], payload["edges"])
 
 
+def _fast_json_graph(text: str | bytes) -> Graph | None:
+    """The fast path's graph for ``text`` when it is a canonical JSON text of
+    at least ``FAST_JSON_MIN_CHARS`` characters, else ``None``."""
+    return _canonical_json_graph(text) if len(text) >= FAST_JSON_MIN_CHARS else None
+
+
 def graph_from_json(text: str) -> Graph:
     """Read a graph from JSON; canonical texts of ``FAST_JSON_MIN_CHARS`` or
     more characters take the fast path (see the module docstring)."""
-    if len(text) >= FAST_JSON_MIN_CHARS:
-        g = _canonical_json_graph(text)
-        if g is not None:
-            return g
-    return _parsed_json_graph(text)
+    g = _fast_json_graph(text)
+    return g if g is not None else _parsed_json_graph(text)
 
 
 def graph_from_edge_text(text: str) -> Graph:
@@ -467,17 +510,24 @@ def graph_from_edge_text(text: str) -> Graph:
     return new_graph(n, pairs)
 
 
-def parse_graph(text: str) -> Graph:
+def parse_graph(text: str | bytes) -> Graph:
     """Parse either of the two accepted formats, sniffing on the first byte.
 
-    Text opening with ``{`` or ``[`` goes to :func:`graph_from_json`, so an
-    array gets the JSON errors (not an object, nested too deeply): a text of
-    at least ``FAST_JSON_MIN_CHARS`` characters is read by one chunked pass
-    over its bytes when it is exactly the canonical JSON of its graph, else
-    (and below that size) by ``json.loads`` and :func:`new_graph`.  Any
-    other text takes :func:`graph_from_edge_text`.
+    ``text`` is a ``str`` or the UTF-8 bytes of one.  A text of at least
+    ``FAST_JSON_MIN_CHARS`` characters that is exactly the canonical JSON
+    of its graph is read by one chunked pass over its bytes; bytes are
+    decoded only when that pass does not take them (``UnicodeDecodeError``
+    if they are not UTF-8), and no text is read twice.  Otherwise text
+    opening with ``{`` or ``[`` goes to ``json.loads`` and
+    :func:`new_graph`, so an array gets the JSON errors (not an object,
+    nested too deeply), and any other text takes
+    :func:`graph_from_edge_text`.
     """
-    stripped = text.lstrip()
-    if stripped.startswith(("{", "[")):
-        return graph_from_json(text)
+    g = _fast_json_graph(text)
+    if g is not None:
+        return g
+    if isinstance(text, bytes):
+        text = text.decode()
+    if text.lstrip().startswith(("{", "[")):
+        return _parsed_json_graph(text)
     return graph_from_edge_text(text)

@@ -30,7 +30,9 @@ trajectory CSV back into its state matrix, and
 cell, the bytes the distinct-value renderer must match.
 ``reference_graph_to_json`` and ``reference_graph_to_edge_text`` write a
 graph's edges in the order one bit test per pair finds them, the bytes the
-bit-walking serializers must match.  ``turan_number`` counts the edges of
+bit-walking serializers must match.  ``MUTATION_BASES`` holds canonical
+graph texts of one chunk and of two, with the places ``chunk_cuts`` says
+the fast JSON reader cuts them, for the tests that mutate them.  ``turan_number`` counts the edges of
 the balanced complete (k-1)-partite graph, and
 ``reference_turan_clique_threshold`` finds the Turán clique threshold by
 scanning k with it, the reference for the threshold's closed form.
@@ -47,8 +49,17 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from mergraph import AgentRole, Graph, Trajectory, new_graph
+from mergraph import (
+    AgentRole,
+    Graph,
+    Trajectory,
+    construct_gamma_gamma_merg,
+    construct_gamma_merg,
+    graph_to_json,
+    new_graph,
+)
 from mergraph.certificates import edge_lb_gamma_gamma
+from mergraph.graph_core import _CHUNK_CHARS
 
 
 def has_edge(g: Graph, u: int, v: int) -> bool:
@@ -534,3 +545,21 @@ def reference_turan_clique_threshold(gamma: int) -> int:
         else:
             break
     return best
+
+
+def chunk_cuts(text: str) -> list[int]:
+    """Where the fast reader cuts ``text`` into chunks: at the "]" of the
+    first "],[" ``_CHUNK_CHARS`` or more characters into each chunk."""
+    cuts, start = [], text.index("[[") + 1
+    while (cut := text.find("],[", start + _CHUNK_CHARS)) >= 0:
+        cuts.append(cut)
+        start = cut + 2
+    return cuts
+
+
+# canonical texts of one chunk (n = 50) and of two (n = 150), with their cuts
+MUTATION_BASES = [
+    (text, chunk_cuts(text))
+    for build in (construct_gamma_merg, construct_gamma_gamma_merg)
+    for text in (graph_to_json(build(n)[0]) for n in (50, 150))
+]

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import codecs
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -15,10 +17,12 @@ from mergraph import (
     graph_from_json,
     graph_to_json,
     max_r_robustness,
+    parse_graph,
     reachable_count,
 )
-from mergraph.cli import build_parser, main
-from mergraph.graph_core import FAST_JSON_MIN_CHARS, MAX_MASK_BITS, MAX_NODES
+from mergraph.cli import _load_graph, _write, build_parser, main
+from mergraph.graph_core import _CHUNK_CHARS, FAST_JSON_MIN_CHARS, MAX_MASK_BITS, MAX_NODES
+from conftest import MUTATION_BASES
 
 
 def run_cli(*argv):
@@ -135,6 +139,23 @@ class TestRobustness:
         assert err.startswith(f"error: cannot read graph file {path}: 'utf-8' codec can't decode")
         assert "Traceback" not in err
 
+    # above the fast path's gate, a byte that is not UTF-8 in the body of a
+    # canonical text, or after it, is refused by the byte reader and then
+    # fails to decode: the same message, and nothing parsed
+    @pytest.mark.parametrize("at", [100, None], ids=["body", "end"])
+    def test_large_graph_file_that_is_not_utf8(self, tmp_path, capsys, at):
+        data = bytearray(graph_to_json(construct_gamma_merg(50)[0]).encode())
+        assert len(data) >= FAST_JSON_MIN_CHARS
+        at = len(data) if at is None else at
+        data[at:at] = b"\xff"
+        path = tmp_path / "latin1.json"
+        path.write_bytes(bytes(data))
+        assert run_cli("bounds", "--graph", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read graph file {path}: 'utf-8' codec can't decode "
+                              f"byte 0xff in position {at}")
+        assert "Traceback" not in err
+
 
     @pytest.mark.parametrize(
         "text",
@@ -210,6 +231,16 @@ class TestBounds:
         expected = capsys.readouterr()
         assert run_cli("bounds", "--graph", str(marked)) == 0
         assert capsys.readouterr() == expected
+
+    # the canonical texts of one chunk and of two, read from a file with and
+    # without a byte-order mark, give the graph their str gives
+    @pytest.mark.parametrize("text", [text for text, _ in MUTATION_BASES])
+    @pytest.mark.parametrize("mark", [b"", codecs.BOM_UTF8], ids=["plain", "marked"])
+    def test_canonical_files_read_as_their_text(self, tmp_path, text, mark):
+        path = tmp_path / "g.json"
+        path.write_bytes(mark + text.encode())
+        got, expected = _load_graph(str(path)), parse_graph(text)
+        assert got == expected and got.adjacency == expected.adjacency
 
     def test_report_for_construction(self, g9, capsys):
         assert run_cli("bounds", "--graph", str(g9)) == 0
@@ -439,6 +470,77 @@ class TestSimulate:
         assert (tmp_path / "a.metrics.json").read_bytes() == (tmp_path / "b.metrics.json").read_bytes()
 
 
+class TestBatchedWrites:
+    """``_write`` takes a str or its pieces and sends them in batches of at
+    least ``_CHUNK_CHARS`` characters: the bytes are those of the joined
+    text written at once, whatever the file held before."""
+
+    SIZES = [0, 100, _CHUNK_CHARS - 1, _CHUNK_CHARS, _CHUNK_CHARS + 1, 3 * _CHUNK_CHARS + 17]
+
+    @staticmethod
+    def pieces(size):
+        # "é" is two bytes in UTF-8, so bytes run ahead of characters
+        rng = random.Random(size)
+        pieces, left = [], size
+        while left:
+            k = min(left, rng.choice([1, 7, 300, 5000]))
+            pieces.append("".join(rng.choice("ab,[]\né") for _ in range(k)))
+            left -= k
+        return pieces
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_pieces_write_the_bytes_of_one_write(self, tmp_path, size, monkeypatch):
+        pieces = self.pieces(size)
+        text = "".join(pieces)
+        assert _write(tmp_path / "whole", text)
+        writes = []
+        real_write = os.write
+
+        def counted(fd, data):
+            writes.append(len(data))
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", counted)
+        assert _write(tmp_path / "pieces", iter(pieces))
+        assert (tmp_path / "pieces").read_bytes() == (tmp_path / "whole").read_bytes() == text.encode()
+        # not a write a piece: every write but the last carries a full batch
+        assert len(writes) <= size // _CHUNK_CHARS + 1
+        assert all(w >= _CHUNK_CHARS for w in writes[:-1])
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_a_longer_file_is_cut_to_length(self, tmp_path, size):
+        pieces = self.pieces(size)
+        expected = "".join(pieces).encode()
+        path = tmp_path / "out"
+        path.write_bytes(b"#" * (len(expected) + _CHUNK_CHARS + 5))
+        inode = path.stat().st_ino
+        assert _write(path, iter(pieces))
+        assert path.read_bytes() == expected
+        assert path.stat().st_ino == inode
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull) or os.name != "posix",
+                        reason="needs a POSIX null device")
+    @pytest.mark.parametrize("size", [100, 3 * _CHUNK_CHARS + 17])
+    def test_the_null_device_takes_the_pieces(self, size):
+        assert _write(os.devnull, iter(self.pieces(size))) is False
+
+    def test_construct_streams_a_large_graph(self, tmp_path, capsys):
+        # the n = 800 (gamma,gamma) text is 3.1 MB; rendered a node at a time
+        # and written 64 KiB at a write, construct peaks at about 0.5 MB (the
+        # build, one batch and its bytes), where holding the text cost 6.4 MB
+        path = tmp_path / "g800.json"
+        tracemalloc.start()
+        try:
+            assert run_cli("construct", "--n", "800", "--kind", "rs", "--out", str(path)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 3_000_000
+        assert peak < size // 3
+        assert f"edges={graph_from_json(path.read_text()).edge_count}" in capsys.readouterr().out
+
+
 class TestOutputsInPlace:
     """Every output file is overwritten in place and cut to length: the
     bytes are those of a run into a fresh directory, whatever was there."""
@@ -619,6 +721,25 @@ class TestOutputsInPlace:
         else:
             assert report.splitlines()[-1] == "trajectory: /proc/self/fd/1"
         assert sorted(os.listdir(tmp_path)) == ["fresh", "g9.json", "g9.recipe.json", "stdout.txt"]
+
+    # a graph of many batches to /dev/stdout redirected to a regular file:
+    # each batch goes through fd 1 after the last, and the report follows
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout") or os.name != "posix",
+                        reason="needs /dev/stdout")
+    def test_a_large_graph_to_standard_output_redirected_to_a_file(self, tmp_path):
+        fresh = tmp_path / "g800.json"
+        argv = ("construct", "--n", "800", "--kind", "rs", "--out")
+        assert run_cli(*argv, str(fresh)) == 0
+        expected = fresh.read_bytes()
+        assert len(expected) > 40 * _CHUNK_CHARS
+        stdout_path = tmp_path / "stdout.txt"
+        with open(stdout_path, "wb") as stdout:
+            done = self.spawn((*argv, "/dev/stdout"), stdout=stdout)
+        assert (done.returncode, done.stderr) == (0, b"")
+        written = stdout_path.read_bytes()
+        assert written.startswith(expected)
+        assert written[len(expected):].decode().splitlines()[1:] == [
+            "graph: /dev/stdout", "recipe: none"]
 
     # with stdout closed, the --out file itself may get fd 1: it is still a
     # regular file that takes its sidecars, and the report goes nowhere

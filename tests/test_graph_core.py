@@ -37,6 +37,7 @@ from mergraph.graph_core import (
     members,
 )
 from conftest import (
+    MUTATION_BASES,
     brute_max_clique,
     degree,
     has_edge,
@@ -324,22 +325,24 @@ def parse_outcome(parse, text):
         return str(exc)
 
 
-def chunk_cuts(text: str) -> list[int]:
-    """Where the fast reader cuts ``text`` into chunks: at the "]" of the
-    first "],[" ``_CHUNK_CHARS`` or more characters into each chunk."""
-    cuts, start = [], text.index("[[") + 1
-    while (cut := text.find("],[", start + _CHUNK_CHARS)) >= 0:
-        cuts.append(cut)
-        start = cut + 2
-    return cuts
+def assert_same_outcome(got, expected):
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert_same_graph(got, expected)
 
 
-# canonical texts of one chunk (n = 50) and of two (n = 150), with their cuts
-MUTATION_BASES = [
-    (text, chunk_cuts(text))
-    for build in (construct_gamma_merg, construct_gamma_gamma_merg)
-    for text in (graph_to_json(build(n)[0]) for n in (50, 150))
-]
+def draw_mutation(data) -> str:
+    """One of ``MUTATION_BASES`` with one character inserted, deleted or
+    replaced, half the time within 3 bytes of a "]" the reader cuts after."""
+    text, cuts = data.draw(st.sampled_from(MUTATION_BASES))
+    if cuts and data.draw(st.booleans()):
+        at = data.draw(st.sampled_from(cuts)) + data.draw(st.integers(-3, 3))
+    else:
+        at = data.draw(st.integers(0, len(text) - 1))
+    char = data.draw(st.sampled_from("0123456789[], "))
+    edit = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+    return text[:at] + (char if edit != "delete" else "") + text[at + (edit != "insert") :]
 
 
 class TestFastJsonPath:
@@ -373,33 +376,67 @@ class TestFastJsonPath:
             assert_same_graph(fast, expected)
         assert_same_graph(graph_from_json(text), expected)
 
+    @pytest.mark.parametrize("encode", [False, True], ids=["str", "bytes"])
     @pytest.mark.parametrize("build", [construct_gamma_merg, construct_gamma_gamma_merg])
     @pytest.mark.parametrize("n", [400, 800])
-    def test_peak_memory_is_a_few_times_the_text(self, build, n):
-        # the ids of the whole text (about 1.6 times it) and the arrays of one
-        # chunk: about 3 times the text at n = 400 and 2 at n = 800; read in
-        # one chunk, the body would hold about 14 times it
+    def test_peak_memory_is_a_few_times_the_text(self, build, n, encode):
+        # the arrays of one chunk (about 15 bytes a character of it) and the
+        # n-by-n bit matrix with the masks read off it, no ids of the whole
+        # text: 1.16-1.23 MB at n = 400 (2.1-2.2 / 1.5-1.6 times the text,
+        # gamma / (gamma,gamma)) and 1.64-1.71 MB at n = 800 (0.7 / 0.55
+        # times it); read in one chunk, the body would hold about 14 times it
         text = graph_to_json(build(n)[0])
+        if encode:
+            text = text.encode()
         tracemalloc.start()
         try:
             assert _canonical_json_graph(text) is not None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * len(text)
+        assert peak < 18 * _CHUNK_CHARS + 2 * n * n
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bytes_read_as_their_str_on_one_character_mutations(self, data):
+        text = draw_mutation(data)
+        fast, fast_bytes = _canonical_json_graph(text), _canonical_json_graph(text.encode())
+        assert (fast is None) == (fast_bytes is None)
+        if fast is not None:
+            assert_same_graph(fast_bytes, fast)
+        assert_same_outcome(parse_outcome(parse_graph, text.encode()),
+                            parse_outcome(parse_graph, text))
+
+    @pytest.mark.parametrize("text", [
+        # n = 400 with edges only among ids 0..199: a matrix sized from n
+        # (160,000 bytes) would not fit the text; one sized from the
+        # highest id read (40,000 bytes) does
+        graph_to_json(new_graph(400, construct_gamma_merg(200)[0].edge_pairs())),
+        # two 130-cliques: the first chunk names ids below 130 only, the
+        # second names 259, and the matrix grows from 136 to 264 wide
+        graph_to_json(new_graph(260, [e for k in (0, 130)
+                                      for e in combinations(range(k, k + 130), 2)])),
+    ], ids=["isolated-high-ids", "grown"])
+    def test_the_matrix_follows_the_highest_id_read(self, text):
+        assert len(text) > _CHUNK_CHARS
+        expected = _parsed_json_graph(text)
+        for got in (_canonical_json_graph(text), _canonical_json_graph(text.encode()),
+                    parse_graph(text), parse_graph(text.encode())):
+            assert_same_graph(got, expected)
+
+    @pytest.mark.parametrize("at", [0, 40, -3], ids=["head", "body", "tail"])
+    def test_bytes_that_are_not_utf8_raise_a_decode_error(self, at):
+        # above the gate: the fast path refuses the bytes, and decoding them
+        # for the general parser raises
+        data = bytearray(self.CANONICAL_50.encode())
+        data[at:at] = b"\xff"
+        with pytest.raises(UnicodeDecodeError, match="'utf-8' codec can't decode byte 0xff"):
+            parse_graph(bytes(data))
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_one_character_mutations_read_as_the_reference_reads_them(self, data):
-        text, cuts = data.draw(st.sampled_from(MUTATION_BASES))
-        if cuts and data.draw(st.booleans()):
-            # within 3 bytes of the "]" the reader cuts a chunk after
-            at = data.draw(st.sampled_from(cuts)) + data.draw(st.integers(-3, 3))
-        else:
-            at = data.draw(st.integers(0, len(text) - 1))
-        char = data.draw(st.sampled_from("0123456789[], "))
-        edit = data.draw(st.sampled_from(["insert", "delete", "replace"]))
-        text = text[:at] + (char if edit != "delete" else "") + text[at + (edit != "insert") :]
+        text = draw_mutation(data)
         fast = _canonical_json_graph(text)
         expected = parse_outcome(_parsed_json_graph, text)
         if fast is None:
@@ -484,11 +521,7 @@ class TestFastJsonPath:
         assert _canonical_json_graph(text) is None
         expected = parse_outcome(_parsed_json_graph, text)
         for parse in (graph_from_json, parse_graph):
-            got = parse_outcome(parse, text)
-            if isinstance(expected, str):
-                assert got == expected
-            else:
-                assert_same_graph(got, expected)
+            assert_same_outcome(parse_outcome(parse, text), expected)
 
 
 class TestMembers:
