@@ -34,8 +34,6 @@ from .graph_core import (
     complement,
     complete_graph,
     gamma_of,
-    graph_from_edge_text,
-    graph_from_json,
     graph_to_json,
     max_clique_size,
     new_graph,

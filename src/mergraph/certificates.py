@@ -67,6 +67,8 @@ def edge_lb_any_r(r: int, parity: Parity) -> int:
     """Edge floor for any r-robust graph; the even-n form is strictly stronger."""
     if r < 1:
         raise ValueError("r must be positive")
+    if parity not in ("odd", "even"):
+        raise ValueError(f"parity must be 'odd' or 'even', not {parity!r}")
     if parity == "even":
         return edge_lb_gamma_even(r)
     return edge_lb_gamma_odd(r)

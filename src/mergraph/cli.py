@@ -15,22 +15,22 @@ Exit codes: 0 success / requested level holds; 2 requested level fails;
 3 exact check infeasible at this size; 1 any other error.  ``--json``
 switches the human-readable report on stdout to machine-readable JSON.
 
-Graph files are read as bytes: a leading UTF-8 byte-order mark is dropped,
-a canonical JSON text is read undecoded, and any other text is decoded as
-UTF-8 (a file that is not UTF-8 cannot be read), with no newline
-translation.
+Graph files are handed to ``graph_core.parse_graph`` as the bytes read,
+with no newline translation; it owns the format (the byte-order mark, the
+fast canonical path, the UTF-8 decode), and a file it cannot decode or
+parse is reported with its path.
 
-Output files are written in place and in batches: the text, or the pieces
-a graph is rendered in, go out about 64 KiB (``graph_core._CHUNK_CHARS``
-characters) at a write, so a graph file is never held whole.  An existing
-file is opened without truncating it, overwritten, and cut to the new
-length only if it was longer, so its inode, mode and owner are kept and a
-symlink's target is rewritten.  Opening with truncation is what
+Output files are written in place, one write a piece: a text is one
+piece, and ``construct`` writes the pieces of about 64 KiB that
+``graph_core`` renders a graph in, so a graph file is never held whole.
+An existing file is opened without truncating it, overwritten, and cut to
+the new length only if it was longer, so its inode, mode and owner are
+kept and a symlink's target is rewritten.  Opening with truncation is what
 ``open(path, "w")`` does, and on an ext4 mount with ``auto_da_alloc`` (the
 default) closing a file that was truncated to zero and rewritten starts
 writeback of its data: on a 2-vCPU VM rewriting a 200 B file took about
 150 us that way and 5 us in place, a 3.1 MB file 3.6 ms and 0.64 ms.
-Neither way is atomic, and the batches change nothing there: a crash
+Neither way is atomic, and the pieces change nothing there: a crash
 mid-write used to leave a short file and still leaves old bytes after the
 new ones.
 An ``--out`` that is this process's stdout (``/dev/stdout`` or
@@ -44,18 +44,16 @@ to it, say) their paths are reported as ``null``.
 from __future__ import annotations
 
 import argparse
-import codecs
 import functools
 import json
 import os
 import stat
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import certificates, construction, oracle, wmsr
 from .graph_core import (
-    _CHUNK_CHARS,
     CapExceededError,
     Graph,
     gamma_of,
@@ -88,40 +86,22 @@ def _load_graph(path: str) -> Graph:
     except OSError as exc:
         raise CliError(f"cannot read graph file {path}: {exc}") from exc
     try:
-        # the bytes as they are, a leading byte-order mark dropped: the
-        # canonical fast path reads them undecoded, and the rest is decoded
-        # as UTF-8 whatever the locale; both formats are ASCII, and a file
-        # that is not UTF-8 is reported with its path
-        return parse_graph(data.removeprefix(codecs.BOM_UTF8))
+        return parse_graph(data)
     except UnicodeDecodeError as exc:
         raise CliError(f"cannot read graph file {path}: {exc}") from exc
     except ValueError as exc:
         raise CliError(f"cannot parse graph file {path}: {exc}") from exc
 
 
-def _batches(pieces: Iterable[str]) -> Iterator[str]:
-    """``pieces`` joined into runs of at least ``_CHUNK_CHARS`` characters
-    (the last may be shorter); a single piece comes back as it is."""
-    batch: list[str] = []
-    size = 0
-    for piece in pieces:
-        batch.append(piece)
-        size += len(piece)
-        if size >= _CHUNK_CHARS:
-            yield "".join(batch)
-            batch, size = [], 0
-    if batch:
-        yield "".join(batch)
-
-
 def _write(path: str | Path, text: str | Iterable[str]) -> bool:
     """Write ``text``, a ``str`` or pieces of one, as UTF-8 over ``path`` in
-    place and in batches (see the module docstring); True iff ``path`` takes
-    sidecar files: it is a regular file, links followed, and not this
-    process's stdout.  Stdout is written through fd 1, at its own offset and
-    after what ``sys.stdout`` holds, and never cut: through a second open of
-    a regular file it would start at offset 0, and the report lines printed
-    afterwards would overwrite it."""
+    place, one write a piece, a ``str`` being one (see the module
+    docstring); True iff ``path`` takes sidecar files: it is a regular
+    file, links followed, and not this process's stdout.  Stdout is
+    written through fd 1, at its own offset and after what ``sys.stdout``
+    holds, and never cut: through a second open of a regular file it would
+    start at offset 0, and the report lines printed afterwards would
+    overwrite it."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         st = os.fstat(fd)
@@ -130,8 +110,8 @@ def _write(path: str | Path, text: str | Iterable[str]) -> bool:
         if to_stdout:
             sys.stdout.flush()
         written = 0
-        for batch in _batches([text] if isinstance(text, str) else text):
-            view = memoryview(batch.encode())
+        for piece in [text] if isinstance(text, str) else text:
+            view = memoryview(piece.encode())
             written += len(view)
             while view:
                 view = view[os.write(1 if to_stdout else fd, view):]

@@ -11,7 +11,8 @@ is one way to build a graph from pairs, :func:`new_graph`, which checks
 each pair and accepts it in either order; ``Graph`` has no public
 constructor.
 
-Two serialized forms are read:
+This module owns the graph file format, both ways.  A graph file is bytes,
+in one of two forms:
 
 * canonical JSON: ``{"n": <int>, "edges": [[u, v], ...]}`` with ``u < v`` and
   the pairs sorted lexicographically, rendered compactly so equal graphs
@@ -20,32 +21,33 @@ Two serialized forms are read:
 
 Graphs are written as canonical JSON only, by walking the set bits of each
 mask above the node itself, so the pairs come out in lexicographic order
-without a sort.  :func:`graph_json_pieces` yields the text one node's
-pairs at a time, so a writer can stream it; :func:`graph_to_json` joins
-the same pieces.
+without a sort.  :func:`graph_json_pieces` yields the text in pieces of
+about 64 KiB, each ending after a node's pairs, so a writer can stream it
+one write a piece; :func:`graph_to_json` joins the same pieces.
 
-Reading canonical JSON has a fast path.  A JSON text of at least
-``FAST_JSON_MIN_CHARS`` characters is first read in one pass over its
-bytes, a chunk at a time: the envelope, every byte between the node ids and
-the digits of every id must be exactly what :func:`graph_to_json` writes,
-and the ids must be in range with ``u < v`` and the pairs strictly
-increasing.  Those checks accept exactly the texts that :func:`graph_to_json`
-re-renders to themselves, the canonical serializations, for which the
-general parser (``json.loads`` and :func:`new_graph`) would have built the
-same graph; the re-render itself is not run.  Any other text, and every
-shorter one, is read by the general parser, which gives every error
-message.  The fast path reads a file's bytes as they are
-(:func:`parse_graph` takes bytes, and decodes only the texts it leaves), or
-a ``str`` a chunk at a time.  It sets each edge's bits in a square matrix
-with one row and one column per node id up to the highest id read so far
-(grown when a chunk names a higher one) as soon as the edge's chunk is
-checked, so no ids of the whole text are kept, and it leaves a text to the
-general parser when that matrix would take more bytes than the text has
-characters.  Edge-list text always takes its general parser.
+:func:`parse_graph` is the one reader, and it takes bytes only: a file's
+bytes as read, of which it drops one leading UTF-8 byte-order mark.
+Reading canonical JSON has a fast path.  Bytes of at least
+``FAST_JSON_MIN_CHARS`` are first read in one undecoded pass, a chunk at a
+time: the envelope, every byte between the node ids and the digits of every
+id must be exactly what :func:`graph_to_json` writes, and the ids must be
+in range with ``u < v`` and the pairs strictly increasing.  Those checks
+accept exactly the texts that :func:`graph_to_json` re-renders to
+themselves, the canonical serializations, for which the general parser
+(``json.loads`` and :func:`new_graph`) would have built the same graph; the
+re-render itself is not run.  Any other bytes, and all shorter ones, are
+decoded as UTF-8 and read by the general parser, which gives every error
+message.  The fast path sets each edge's bits in a square matrix with one
+row and one column per node id up to the highest id read so far (grown when
+a chunk names a higher one) as soon as the edge's chunk is checked, so no
+ids of the whole text are kept, and it leaves a text to the general parser
+when that matrix would take more bytes than the text has.  Edge-list text
+always takes its general parser.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 import re
 from dataclasses import dataclass
@@ -295,16 +297,31 @@ def max_clique_size(g: Graph) -> int:
 
 # -- serialization -----------------------------------------------------------
 
+# graphs are rendered in pieces of about this many characters, and read in
+# chunks of about this many bytes, so the arrays of one chunk (several bytes
+# a byte of it) stay small however long the text (read in one chunk, the
+# body held about 14 times the text)
+_CHUNK_CHARS = 1 << 16
+
+
 def graph_json_pieces(g: Graph) -> Iterator[str]:
-    """The canonical JSON of ``g`` in pieces: the envelope's head, one piece
-    per node with a later neighbor (its pairs, in order), and the tail."""
-    yield f'{{"n":{g.n},"edges":['
+    """The canonical JSON of ``g`` in pieces of at least ``_CHUNK_CHARS``
+    characters, the last of which may be shorter: each but the last ends
+    after a node's pairs, and the last ends with the envelope's tail."""
+    # size counts the pairs of the piece, which alone reach _CHUNK_CHARS
+    piece, size = [f'{{"n":{g.n},"edges":['], 0
     labels = [str(i) for i in range(g.n)]
     lead = "["
     for u, vs in _later_neighbors(g.adjacency, labels):
-        yield f"{lead}{u}," + f"],[{u},".join(vs) + "]"
+        pairs = f"{lead}{u}," + f"],[{u},".join(vs) + "]"
+        piece.append(pairs)
+        size += len(pairs)
+        if size >= _CHUNK_CHARS:
+            yield "".join(piece)
+            piece, size = [], 0
         lead = ",["
-    yield "]}\n"
+    piece.append("]}\n")
+    yield "".join(piece)
 
 
 def graph_to_json(g: Graph) -> str:
@@ -322,27 +339,19 @@ FAST_JSON_MIN_CHARS = 4096
 _CANONICAL_HEAD = re.compile(rb'\{"n":([1-9][0-9]{0,6}),"edges":\[')
 _CANONICAL_TAIL = b"]}\n"
 _PAIR_BREAK = b"],["
-# the longest head, '{"n":1234567,"edges":['
-_HEAD_CHARS = 22
-# the pairs are read in chunks of about this many characters, so the arrays
-# of one chunk (several bytes a character) stay small however long the text
-# (read in one chunk, the body held about 14 times the text); outputs are
-# written in batches of this many characters
-_CHUNK_CHARS = 1 << 16
 # the longest pair, "[1234567,1234567]": from any position in a canonical
 # body, the next "]" is at most this many characters on
 _PAIR_CHARS = 17
 _DIGITS = b"0123456789"
 
 
-def _canonical_json_graph(text: str | bytes) -> Graph | None:
-    """The graph whose canonical JSON is exactly ``text``, else ``None``.
+def _canonical_json_graph(data: bytes) -> Graph | None:
+    """The graph whose canonical JSON is exactly the bytes ``data``, else
+    ``None``.
 
-    ``text`` is the file's bytes, or a ``str``, which is read a chunk at a
-    time in the same way (each chunk is encoded on its own, so the whole
-    text is never copied).  The envelope must be the one
-    :func:`graph_to_json` writes.  Its body is cut into chunks of about
-    ``_CHUNK_CHARS`` characters after the ``]`` of a ``],[`` (the ``,`` is
+    ``data`` is read undecoded, a chunk at a time.  The envelope must be
+    the one :func:`graph_to_json` writes.  Its body is cut into chunks of
+    about ``_CHUNK_CHARS`` bytes after the ``]`` of a ``],[`` (the ``,`` is
     skipped), and :func:`_chunk_ids` accepts a chunk only if it is pairs
     ``[u,v]`` joined by ``,`` with every id a decimal of at most seven
     digits and no leading zero; the ids must then hold ``0 <= u < v < n``
@@ -360,41 +369,32 @@ def _canonical_json_graph(text: str | bytes) -> Graph | None:
     8 above the highest id read so far: the first chunk sizes it, and a
     chunk that names a higher id grows it to at least twice its width, but
     never past the declared ``n`` rounded up to a multiple of 8 nor past a
-    matrix of as many bytes as the text has characters.  A text whose
-    highest id needs more than that (a few edges on high ids) is left to
-    the general parser at the first chunk that names it, so this path never
-    costs more memory than that one.  The paper's graphs name ``n - 1`` in
-    their first chunk, so their matrix is allocated once, from ``n``.
+    matrix of as many bytes as ``data`` has.  A text whose highest id needs
+    more than that (a few edges on high ids) is left to the general parser
+    at the first chunk that names it, so this path never costs more memory
+    than that one.  The paper's graphs name ``n - 1`` in their first
+    chunk, so their matrix is allocated once, from ``n``.
     """
-    if isinstance(text, str):
-        # a canonical text is ASCII (a flag a str keeps): its characters
-        # are then its bytes, and every slice of it encodes
-        if not text.isascii():
-            return None
-        head = _CANONICAL_HEAD.match(text[:_HEAD_CHARS].encode())
-        tail, pair_break = _CANONICAL_TAIL.decode(), _PAIR_BREAK.decode()
-    else:
-        head = _CANONICAL_HEAD.match(text, 0, _HEAD_CHARS)
-        tail, pair_break = _CANONICAL_TAIL, _PAIR_BREAK
-    if head is None or not text.endswith(tail):
+    head = _CANONICAL_HEAD.match(data)
+    if head is None or not data.endswith(_CANONICAL_TAIL):
         return None
     n = int(head.group(1))
     if n > MAX_NODES:
         return None
     # the widest matrix the graph can use, and the widest the text pays for
-    room = min(8 * -(-n // 8), 8 * (isqrt(len(text)) // 8))
+    room = min(8 * -(-n // 8), 8 * (isqrt(len(data)) // 8))
     bits = np.zeros((0, 0), dtype=bool)
     last_key = -1
-    a, end = head.end(), len(text) - len(tail)
+    a, end = head.end(), len(data) - len(_CANONICAL_TAIL)
     while a < end:
         b = min(a + _CHUNK_CHARS, end)
         if b < end:
             # the next "]" is followed by ",[" unless it ends the body
-            cut = text.find(pair_break, b, b + _PAIR_CHARS + 3)
+            cut = data.find(_PAIR_BREAK, b, b + _PAIR_CHARS + 3)
             if cut < 0 and end - b > _PAIR_CHARS + 1:
                 return None
             b = cut + 1 if cut >= 0 else end
-        ids = _chunk_ids(text[a:b])
+        ids = _chunk_ids(data[a:b])
         if ids is None:
             return None
         u, v = ids[0::2], ids[1::2]
@@ -417,10 +417,10 @@ def _canonical_json_graph(text: str | bytes) -> Graph | None:
     return Graph._from_masks(n, masks_from_bits(bits, n))
 
 
-def _chunk_ids(chunk: str | bytes) -> np.ndarray | None:
-    """The node ids of ``chunk``, in order, as int64, if it is exactly pairs
-    ``[u,v]`` joined by ``,`` with every id a decimal of 1-7 digits and no
-    leading zero; else ``None``.  A ``str`` chunk must be ASCII.
+def _chunk_ids(chunk: bytes) -> np.ndarray | None:
+    """The node ids of the bytes ``chunk``, in order, as int64, if it is
+    exactly pairs ``[u,v]`` joined by ``,`` with every id a decimal of 1-7
+    digits and no leading zero; else ``None``.
 
     One pass over the bytes: one ``flatnonzero`` finds where each run of
     digits begins and ends, the runs must lie exactly where those pairs put
@@ -428,10 +428,9 @@ def _chunk_ids(chunk: str | bytes) -> np.ndarray | None:
     there, and the ids are summed place by place on arrays of one entry per
     id.
     """
-    data = chunk.encode() if isinstance(chunk, str) else chunk
-    if data[:1] != b"[" or data[-1:] != b"]":
+    if chunk[:1] != b"[" or chunk[-1:] != b"]":
         return None
-    raw = np.frombuffer(data, dtype=np.uint8)
+    raw = np.frombuffer(chunk, dtype=np.uint8)
     # uint8 wraps every byte below "0", so the digits alone are below 10
     digits = raw - 48
     is_digit = digits < 10
@@ -445,7 +444,7 @@ def _chunk_ids(chunk: str | bytes) -> np.ndarray | None:
     # the bytes that are not digits number 4 a pair less one; with three
     # between pairs, that leaves one between the ids of a pair and one at
     # each end, so read in order they fix every byte
-    if (before[2::2] - last[1:-1:2] != 3).any() or data.translate(None, _DIGITS) != (
+    if (before[2::2] - last[1:-1:2] != 3).any() or chunk.translate(None, _DIGITS) != (
         b"[" + b",],[" * (pairs - 1) + b",]"
     ):
         return None
@@ -476,20 +475,7 @@ def _parsed_json_graph(text: str) -> Graph:
     return new_graph(payload["n"], payload["edges"])
 
 
-def _fast_json_graph(text: str | bytes) -> Graph | None:
-    """The fast path's graph for ``text`` when it is a canonical JSON text of
-    at least ``FAST_JSON_MIN_CHARS`` characters, else ``None``."""
-    return _canonical_json_graph(text) if len(text) >= FAST_JSON_MIN_CHARS else None
-
-
-def graph_from_json(text: str) -> Graph:
-    """Read a graph from JSON; canonical texts of ``FAST_JSON_MIN_CHARS`` or
-    more characters take the fast path (see the module docstring)."""
-    g = _fast_json_graph(text)
-    return g if g is not None else _parsed_json_graph(text)
-
-
-def graph_from_edge_text(text: str) -> Graph:
+def _edge_text_graph(text: str) -> Graph:
     """Read ``n`` and then ``u v`` pairs, whitespace-separated.
 
     Every token must be ASCII digits: ``int`` would also take signs,
@@ -510,24 +496,25 @@ def graph_from_edge_text(text: str) -> Graph:
     return new_graph(n, pairs)
 
 
-def parse_graph(text: str | bytes) -> Graph:
-    """Parse either of the two accepted formats, sniffing on the first byte.
+def parse_graph(data: bytes) -> Graph:
+    """Read a graph file's bytes, either format, sniffing on the first byte.
 
-    ``text`` is a ``str`` or the UTF-8 bytes of one.  A text of at least
-    ``FAST_JSON_MIN_CHARS`` characters that is exactly the canonical JSON
-    of its graph is read by one chunked pass over its bytes; bytes are
-    decoded only when that pass does not take them (``UnicodeDecodeError``
-    if they are not UTF-8), and no text is read twice.  Otherwise text
-    opening with ``{`` or ``[`` goes to ``json.loads`` and
+    ``data`` is the file's bytes as read; a ``str`` raises ``TypeError``
+    (a caller holding text passes ``text.encode()``).  One leading UTF-8
+    byte-order mark is dropped.  At least ``FAST_JSON_MIN_CHARS`` bytes
+    that are exactly the canonical JSON of their graph are read by one
+    chunked, undecoded pass.  Any other bytes are decoded as UTF-8
+    (``UnicodeDecodeError`` if they are not), and no text is read twice:
+    text opening with ``{`` or ``[`` goes to ``json.loads`` and
     :func:`new_graph`, so an array gets the JSON errors (not an object,
-    nested too deeply), and any other text takes
-    :func:`graph_from_edge_text`.
+    nested too deeply), and any other text is read as an edge list.
     """
-    g = _fast_json_graph(text)
-    if g is not None:
+    if not isinstance(data, bytes):
+        raise TypeError(f"parse_graph expects bytes, not {type(data).__name__}")
+    data = data.removeprefix(codecs.BOM_UTF8)
+    if len(data) >= FAST_JSON_MIN_CHARS and (g := _canonical_json_graph(data)) is not None:
         return g
-    if isinstance(text, bytes):
-        text = text.decode()
+    text = data.decode()
     if text.lstrip().startswith(("{", "[")):
         return _parsed_json_graph(text)
-    return graph_from_edge_text(text)
+    return _edge_text_graph(text)

@@ -88,6 +88,9 @@ class TestArgumentChecks:
             (turan_clique_threshold, (0,), "gamma must be positive"),
             (necessary_clique_size, (1,), "n must be at least 2"),
             (prop1_gamma_gamma_check, (complete_graph(1),), "n must be at least 2"),
+            (edge_lb_any_r, (5, "Even"), "parity must be 'odd' or 'even', not 'Even'"),
+            (edge_lb_any_r, (5, None), "parity must be 'odd' or 'even', not None"),
+            (edge_lb_any_r, (5, 0), "parity must be 'odd' or 'even', not 0"),
         ],
     )
     def test_out_of_range_arguments(self, check, args, message):

@@ -8,20 +8,26 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
 
 from mergraph import (
     construct_gamma_merg,
-    graph_from_json,
     graph_to_json,
     max_r_robustness,
     parse_graph,
     reachable_count,
 )
 from mergraph.cli import _load_graph, _write, build_parser, main
-from mergraph.graph_core import _CHUNK_CHARS, FAST_JSON_MIN_CHARS, MAX_MASK_BITS, MAX_NODES
+from mergraph.graph_core import (
+    _CHUNK_CHARS,
+    FAST_JSON_MIN_CHARS,
+    MAX_MASK_BITS,
+    MAX_NODES,
+    _parsed_json_graph,
+)
 from conftest import MUTATION_BASES
 
 
@@ -44,7 +50,7 @@ class TestConstruct:
         payload = json.loads(capsys.readouterr().out)
         assert payload["edges"] == 43
         assert payload["gamma"] == 5
-        g = graph_from_json(out.read_text())
+        g = parse_graph(out.read_bytes())
         assert len(g.edges) == 43
         recipe = json.loads((tmp_path / "g.recipe.json").read_text())
         assert recipe["kind"] == "gamma_gamma"
@@ -70,7 +76,7 @@ class TestRobustness:
         assert payload["holds"] is True
 
     def test_requested_level_fails_with_witness(self, g9, tmp_path, capsys):
-        g = graph_from_json(g9.read_text()).remove_edge(3, 8)
+        g = parse_graph(g9.read_bytes()).remove_edge(3, 8)
         damaged = tmp_path / "damaged.json"
         damaged.write_text(graph_to_json(g))
         assert run_cli("robustness", "--graph", str(damaged), "--r", "5", "--json") == 2
@@ -122,7 +128,7 @@ class TestRobustness:
         assert json.loads(capsys.readouterr().out)["max_s"] == (1 if kind == "r" else 49)
         assert run_cli("robustness", "--graph", str(out), "--r", "26", "--json") == 2
         witness = json.loads(capsys.readouterr().out)["witness"]
-        g = graph_from_json(out.read_text())
+        g = parse_graph(out.read_bytes())
         s1, s2 = set(witness["s1"]), set(witness["s2"])
         assert s1 and s2 and not s1 & s2
         assert reachable_count(g, s1, 26) == 0 and reachable_count(g, s2, 26) == 0
@@ -233,13 +239,13 @@ class TestBounds:
         assert capsys.readouterr() == expected
 
     # the canonical texts of one chunk and of two, read from a file with and
-    # without a byte-order mark, give the graph their str gives
+    # without a byte-order mark, give the graph the general parser reads
     @pytest.mark.parametrize("text", [text for text, _ in MUTATION_BASES])
     @pytest.mark.parametrize("mark", [b"", codecs.BOM_UTF8], ids=["plain", "marked"])
     def test_canonical_files_read_as_their_text(self, tmp_path, text, mark):
         path = tmp_path / "g.json"
         path.write_bytes(mark + text.encode())
-        got, expected = _load_graph(str(path)), parse_graph(text)
+        got, expected = _load_graph(str(path)), _parsed_json_graph(text)
         assert got == expected and got.adjacency == expected.adjacency
 
     def test_report_for_construction(self, g9, capsys):
@@ -471,9 +477,10 @@ class TestSimulate:
 
 
 class TestBatchedWrites:
-    """``_write`` takes a str or its pieces and sends them in batches of at
-    least ``_CHUNK_CHARS`` characters: the bytes are those of the joined
-    text written at once, whatever the file held before."""
+    """``_write`` takes a str or its pieces and sends each piece in one
+    write: the bytes are those of the joined text written at once, whatever
+    the file held before.  ``construct`` hands it the pieces of at least
+    ``_CHUNK_CHARS`` characters that ``graph_json_pieces`` renders."""
 
     SIZES = [0, 100, _CHUNK_CHARS - 1, _CHUNK_CHARS, _CHUNK_CHARS + 1, 3 * _CHUNK_CHARS + 17]
 
@@ -488,24 +495,29 @@ class TestBatchedWrites:
             left -= k
         return pieces
 
-    @pytest.mark.parametrize("size", SIZES)
-    def test_pieces_write_the_bytes_of_one_write(self, tmp_path, size, monkeypatch):
-        pieces = self.pieces(size)
-        text = "".join(pieces)
-        assert _write(tmp_path / "whole", text)
-        writes = []
+    @pytest.fixture()
+    def writes(self, monkeypatch):
+        """The byte count of every ``os.write`` from here on, in order."""
+        counts = []
         real_write = os.write
 
         def counted(fd, data):
-            writes.append(len(data))
+            counts.append(len(data))
             return real_write(fd, data)
 
         monkeypatch.setattr(os, "write", counted)
+        return counts
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_pieces_write_the_bytes_of_one_write(self, tmp_path, size, writes):
+        pieces = self.pieces(size)
+        text = "".join(pieces)
+        assert _write(tmp_path / "whole", text)
+        writes.clear()
         assert _write(tmp_path / "pieces", iter(pieces))
         assert (tmp_path / "pieces").read_bytes() == (tmp_path / "whole").read_bytes() == text.encode()
-        # not a write a piece: every write but the last carries a full batch
-        assert len(writes) <= size // _CHUNK_CHARS + 1
-        assert all(w >= _CHUNK_CHARS for w in writes[:-1])
+        # one write a piece, of the piece's bytes
+        assert writes == [len(piece.encode()) for piece in pieces]
 
     @pytest.mark.parametrize("size", SIZES)
     def test_a_longer_file_is_cut_to_length(self, tmp_path, size):
@@ -524,10 +536,10 @@ class TestBatchedWrites:
     def test_the_null_device_takes_the_pieces(self, size):
         assert _write(os.devnull, iter(self.pieces(size))) is False
 
-    def test_construct_streams_a_large_graph(self, tmp_path, capsys):
-        # the n = 800 (gamma,gamma) text is 3.1 MB; rendered a node at a time
-        # and written 64 KiB at a write, construct peaks at about 0.5 MB (the
-        # build, one batch and its bytes), where holding the text cost 6.4 MB
+    def test_construct_streams_a_large_graph(self, tmp_path, capsys, writes):
+        # the n = 800 (gamma,gamma) text is 3.1 MB; rendered in 64 KiB pieces
+        # and written a piece at a write, construct peaks at about 0.7 MB (the
+        # build, one piece and its bytes), where holding the text cost 6.4 MB
         path = tmp_path / "g800.json"
         tracemalloc.start()
         try:
@@ -538,7 +550,12 @@ class TestBatchedWrites:
         size = path.stat().st_size
         assert size > 3_000_000
         assert peak < size // 3
-        assert f"edges={graph_from_json(path.read_text()).edge_count}" in capsys.readouterr().out
+        assert f"edges={parse_graph(path.read_bytes()).edge_count}" in capsys.readouterr().out
+        # the graph's writes come first, then the recipe's: every one but the
+        # graph's last carries 64 KiB or more
+        graph_writes = writes[: list(accumulate(writes)).index(size) + 1]
+        assert all(w >= 65536 for w in graph_writes[:-1])
+        assert len(graph_writes) <= size // 65536 + 1
 
 
 class TestOutputsInPlace:

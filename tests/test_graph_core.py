@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import inspect
 import random
 import re
@@ -17,8 +18,7 @@ from mergraph import (
     complete_graph,
     construct_gamma_gamma_merg,
     construct_gamma_merg,
-    graph_from_edge_text,
-    graph_from_json,
+    graph_core,
     graph_to_json,
     max_clique_size,
     new_graph,
@@ -31,7 +31,9 @@ from mergraph.graph_core import (
     _CHUNK_CHARS,
     _canonical_json_graph,
     _chunk_ids,
+    _edge_text_graph,
     _parsed_json_graph,
+    graph_json_pieces,
     mask_bits,
     masks_from_bits,
     members,
@@ -238,12 +240,12 @@ class TestSerialization:
     @given(graphs(max_n=12))
     def test_parse_round_trips(self, g):
         assert graph_to_json(g) == reference_graph_to_json(g)
-        assert parse_graph(graph_to_json(g)) == g
-        assert parse_graph(reference_graph_to_edge_text(g)) == g
+        assert parse_graph(graph_to_json(g).encode()) == g
+        assert parse_graph(reference_graph_to_edge_text(g).encode()) == g
 
     def test_json_round_trip(self):
         g, _ = construct_gamma_merg(10)
-        assert graph_from_json(graph_to_json(g)) == g
+        assert parse_graph(graph_to_json(g).encode()) == g
 
     def test_json_is_canonical(self):
         g = new_graph(4, [(2, 3), (0, 1)])
@@ -251,17 +253,17 @@ class TestSerialization:
 
     def test_edge_text_round_trip(self):
         g, _ = construct_gamma_gamma_merg(10)
-        assert graph_from_edge_text(reference_graph_to_edge_text(g)) == g
+        assert _edge_text_graph(reference_graph_to_edge_text(g)) == g
 
     def test_parse_sniffs_format(self):
         g = new_graph(3, [(0, 2)])
-        assert parse_graph(graph_to_json(g)) == g
-        assert parse_graph(reference_graph_to_edge_text(g)) == g
-        assert parse_graph("3\n0 2\n") == g
+        assert parse_graph(graph_to_json(g).encode()) == g
+        assert parse_graph(reference_graph_to_edge_text(g).encode()) == g
+        assert parse_graph(b"3\n0 2\n") == g
 
     def test_bad_json_rejected(self):
         with pytest.raises(ValueError):
-            graph_from_json('{"nodes": 3}')
+            parse_graph(b'{"nodes": 3}')
 
     @pytest.mark.parametrize(
         "text",
@@ -281,7 +283,7 @@ class TestSerialization:
     )
     def test_malformed_json_graph_rejected(self, text):
         with pytest.raises(ValueError):
-            graph_from_json(text)
+            parse_graph(text.encode())
 
     @pytest.mark.parametrize("n, edges", [(2.0, []), (3, [(0, 1.0)]), (3, [(False, 1)]), (3, [0])])
     def test_new_graph_requires_int_pairs(self, n, edges):
@@ -290,11 +292,11 @@ class TestSerialization:
 
     def test_bad_edge_text_rejected(self):
         with pytest.raises(ValueError):
-            graph_from_edge_text("3\n0 1 2\n")
+            parse_graph(b"3\n0 1 2\n")
         # text with no token at all, before any count is read
-        for parse, text in [(graph_from_edge_text, ""), (parse_graph, " \n")]:
+        for parse, data in [(_edge_text_graph, ""), (parse_graph, b" \n")]:
             with pytest.raises(ValueError, match="^empty edge-list text$"):
-                parse(text)
+                parse(data)
         # tokens int() takes but that are not ASCII digits, named in the error
         for text, token in [
             ("12\n0 1_0\n+1 -0\n", "1_0"),
@@ -307,9 +309,89 @@ class TestSerialization:
             ("3\n0 0x1\n", "0x1"),
             ("3\n0 1.0\n", "1.0"),
         ]:
-            for parse in (graph_from_edge_text, parse_graph):
+            for parse, data in [(_edge_text_graph, text), (parse_graph, text.encode())]:
                 with pytest.raises(ValueError, match=f"token {re.escape(repr(token))} is not"):
-                    parse(text)
+                    parse(data)
+
+
+class TestParseGraphTakesBytes:
+    """parse_graph owns the file format: bytes only, one leading UTF-8
+    byte-order mark dropped, whichever path reads the rest."""
+
+    @pytest.mark.parametrize("text", [
+        graph_to_json(construct_gamma_merg(50)[0]),
+        '{"n":3,"edges":[[0,1]]}\n',
+        "4\n0 1\n1 2\n2 3\n0 3\n",
+    ], ids=["json-above-the-gate", "json", "edge-list"])
+    def test_a_marked_text_reads_as_the_plain_text(self, monkeypatch, text):
+        plain = parse_graph(text.encode())
+        if len(text) >= FAST_JSON_MIN_CHARS:
+            # the fast path takes the marked bytes: the general parser is never called
+            def general(text):
+                raise AssertionError("the canonical text left the fast path")
+
+            monkeypatch.setattr(graph_core, "_parsed_json_graph", general)
+        assert_same_graph(parse_graph(codecs.BOM_UTF8 + text.encode()), plain)
+
+    def test_only_one_mark_is_dropped(self):
+        message = "edge-list token '\\ufeff3' is not a decimal node count or id"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_graph(codecs.BOM_UTF8 * 2 + b"3\n0 1\n")
+
+    def test_text_is_refused(self):
+        with pytest.raises(TypeError, match="^parse_graph expects bytes, not str$"):
+            parse_graph("3\n0 1\n")
+
+
+def graph_of_chars(chars: int) -> Graph:
+    """A graph on 1000 nodes whose canonical JSON is exactly ``chars``
+    characters: the first pairs of K_1000 in order, past ``chars`` by 30 to
+    39, less pairs ``(0, v)`` of 6 and 7 characters with their comma."""
+    pairs, size = [], len('{"n":1000,"edges":[]}\n') - 1
+    for u, v in combinations(range(1000), 2):
+        if size >= chars + 30:
+            break
+        pairs.append((u, v))
+        size += len(f"[{u},{v}],")
+    over = size - chars
+    sevens = over % 6  # 7 * sevens leaves a multiple of 6 for the sixes
+    dropped = {(0, v) for v in range(1, 1 + (over - 7 * sevens) // 6)}
+    dropped |= {(0, v) for v in range(10, 10 + sevens)}
+    return new_graph(1000, [pair for pair in pairs if pair not in dropped])
+
+
+class TestJsonPieces:
+    """graph_json_pieces renders pieces of at least _CHUNK_CHARS characters,
+    the last excepted, each cut between two nodes' pairs."""
+
+    @staticmethod
+    def assert_pieces(g):
+        pieces = list(graph_json_pieces(g))
+        assert all(len(piece) >= _CHUNK_CHARS for piece in pieces[:-1])
+        for piece, after in zip(pieces, pieces[1:]):
+            # a node's pairs end one piece, and the next opens on a later node
+            if after != "]}\n":
+                last_u = int(piece[piece.rindex("[") + 1 : piece.rindex(",")])
+                assert after.startswith(",[") and int(after[2 : after.index(",", 2)]) > last_u
+        assert "".join(pieces) == graph_to_json(g) == reference_graph_to_json(g)
+        return pieces
+
+    @pytest.mark.parametrize("build", [construct_gamma_merg, construct_gamma_gamma_merg])
+    @pytest.mark.parametrize("n", [200, 800])
+    def test_constructions(self, build, n):
+        pieces = self.assert_pieces(build(n)[0])
+        assert len(pieces) > 1
+
+    # the text just below, at and just above 64 KiB, then its pairs (the
+    # text less its 19-character head and 3-character tail) just below, at
+    # and just above it: from there the pairs alone fill a piece, and the
+    # tail is a piece of its own
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 21, 22, 23])
+    def test_texts_about_one_piece_long(self, extra):
+        g = graph_of_chars(_CHUNK_CHARS + extra)
+        assert len(graph_to_json(g)) == _CHUNK_CHARS + extra
+        pieces = self.assert_pieces(g)
+        assert len(pieces) == (1 if extra < 22 else 2)
 
 
 def assert_same_graph(got, expected):
@@ -357,8 +439,8 @@ class TestFastJsonPath:
     def test_constructions_match_the_reference(self, build, n, variant):
         text = graph_to_json(build(n, variant=variant)[0])
         expected = _parsed_json_graph(text)
-        assert_same_graph(_canonical_json_graph(text), expected)
-        assert_same_graph(graph_from_json(text), expected)
+        assert_same_graph(_canonical_json_graph(text.encode()), expected)
+        assert_same_graph(parse_graph(text.encode()), expected)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -369,43 +451,29 @@ class TestFastJsonPath:
     def test_random_graphs_above_the_gate_match_the_reference(self, n, p, seed):
         text = graph_to_json(random_graph(random.Random(seed), n, p))
         expected = _parsed_json_graph(text)
-        fast = _canonical_json_graph(text)
+        fast = _canonical_json_graph(text.encode())
         if len(text) >= FAST_JSON_MIN_CHARS:
             assert fast is not None
         if fast is not None:
             assert_same_graph(fast, expected)
-        assert_same_graph(graph_from_json(text), expected)
+        assert_same_graph(parse_graph(text.encode()), expected)
 
-    @pytest.mark.parametrize("encode", [False, True], ids=["str", "bytes"])
     @pytest.mark.parametrize("build", [construct_gamma_merg, construct_gamma_gamma_merg])
     @pytest.mark.parametrize("n", [400, 800])
-    def test_peak_memory_is_a_few_times_the_text(self, build, n, encode):
-        # the arrays of one chunk (about 15 bytes a character of it) and the
+    def test_peak_memory_is_a_few_times_the_text(self, build, n):
+        # the arrays of one chunk (about 15 bytes a byte of it) and the
         # n-by-n bit matrix with the masks read off it, no ids of the whole
         # text: 1.16-1.23 MB at n = 400 (2.1-2.2 / 1.5-1.6 times the text,
         # gamma / (gamma,gamma)) and 1.64-1.71 MB at n = 800 (0.7 / 0.55
         # times it); read in one chunk, the body would hold about 14 times it
-        text = graph_to_json(build(n)[0])
-        if encode:
-            text = text.encode()
+        data = graph_to_json(build(n)[0]).encode()
         tracemalloc.start()
         try:
-            assert _canonical_json_graph(text) is not None
+            assert _canonical_json_graph(data) is not None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 18 * _CHUNK_CHARS + 2 * n * n
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_bytes_read_as_their_str_on_one_character_mutations(self, data):
-        text = draw_mutation(data)
-        fast, fast_bytes = _canonical_json_graph(text), _canonical_json_graph(text.encode())
-        assert (fast is None) == (fast_bytes is None)
-        if fast is not None:
-            assert_same_graph(fast_bytes, fast)
-        assert_same_outcome(parse_outcome(parse_graph, text.encode()),
-                            parse_outcome(parse_graph, text))
 
     @pytest.mark.parametrize("text", [
         # n = 400 with edges only among ids 0..199: a matrix sized from n
@@ -420,8 +488,7 @@ class TestFastJsonPath:
     def test_the_matrix_follows_the_highest_id_read(self, text):
         assert len(text) > _CHUNK_CHARS
         expected = _parsed_json_graph(text)
-        for got in (_canonical_json_graph(text), _canonical_json_graph(text.encode()),
-                    parse_graph(text), parse_graph(text.encode())):
+        for got in (_canonical_json_graph(text.encode()), parse_graph(text.encode())):
             assert_same_graph(got, expected)
 
     @pytest.mark.parametrize("at", [0, 40, -3], ids=["head", "body", "tail"])
@@ -437,7 +504,7 @@ class TestFastJsonPath:
     @given(st.data())
     def test_one_character_mutations_read_as_the_reference_reads_them(self, data):
         text = draw_mutation(data)
-        fast = _canonical_json_graph(text)
+        fast = _canonical_json_graph(text.encode())
         expected = parse_outcome(_parsed_json_graph, text)
         if fast is None:
             # every text that re-renders to itself takes the fast path
@@ -445,6 +512,11 @@ class TestFastJsonPath:
         else:
             assert_same_graph(fast, expected)
             assert graph_to_json(fast) == text
+        # parse_graph reads the bytes as the general parser of the format
+        # they open with reads the text
+        if not text.lstrip().startswith(("{", "[")):
+            expected = parse_outcome(_edge_text_graph, text)
+        assert_same_outcome(parse_outcome(parse_graph, text.encode()), expected)
 
     @pytest.mark.parametrize("low, chars, fast", [(110, 40_070, True), (120, 31_620, False)])
     def test_the_matrix_guard_on_both_sides(self, low, chars, fast):
@@ -453,19 +525,19 @@ class TestFastJsonPath:
         text = graph_to_json(new_graph(200, combinations(range(low, 200), 2)))
         assert len(text) == chars
         expected = _parsed_json_graph(text)
-        got = _canonical_json_graph(text)
+        got = _canonical_json_graph(text.encode())
         if fast:
             assert_same_graph(got, expected)
         else:
             assert got is None
-        assert_same_graph(graph_from_json(text), expected)
+        assert_same_graph(parse_graph(text.encode()), expected)
 
     @pytest.mark.parametrize(
         "chunk",
         [
-            "1[2,]3",  # digits outside the pairs
-            "[1,2]3,4[,],[5,6]",  # a pair break moved into the ids
-            "[1,]2,3[,4]",  # ids moved across the punctuation
+            b"1[2,]3",  # digits outside the pairs
+            b"[1,2]3,4[,],[5,6]",  # a pair break moved into the ids
+            b"[1,]2,3[,4]",  # ids moved across the punctuation
         ],
     )
     def test_punctuation_in_order_with_digits_out_of_place_is_refused(self, chunk):
@@ -476,10 +548,10 @@ class TestFastJsonPath:
     def test_a_body_that_cannot_be_cut_is_refused_before_a_chunk_is_read(self):
         # a chunk's arrays hold about 14 times its text, so a body with no
         # "],[" where a cut is due must not become one long chunk
-        text = '{"n":3,"edges":[[0,1' + ",1" * 100_000 + "]]}\n"
+        data = b'{"n":3,"edges":[[0,1' + b",1" * 100_000 + b"]]}\n"
         tracemalloc.start()
         try:
-            assert _canonical_json_graph(text) is None
+            assert _canonical_json_graph(data) is None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -511,17 +583,15 @@ class TestFastJsonPath:
             ("[24,49]]", "[49,24]]"),  # a reversed pair still in key order
             ("[24,49]]", "[24,18446744073709551665]]"),  # 2^64 + 49
             ("[0,2]", "[0,\u0662]"),  # a digit that is not ASCII
-            ("[0,2]", "[0,2\ud800]"),  # a lone surrogate, which cannot encode
         ],
     )
     def test_non_canonical_texts_read_as_the_reference_reads_them(self, old, new):
         assert old in self.CANONICAL_50
         text = self.CANONICAL_50.replace(old, new, 1)
         assert len(text) >= FAST_JSON_MIN_CHARS
-        assert _canonical_json_graph(text) is None
-        expected = parse_outcome(_parsed_json_graph, text)
-        for parse in (graph_from_json, parse_graph):
-            assert_same_outcome(parse_outcome(parse, text), expected)
+        assert _canonical_json_graph(text.encode()) is None
+        assert_same_outcome(parse_outcome(parse_graph, text.encode()),
+                            parse_outcome(_parsed_json_graph, text))
 
 
 class TestMembers:
@@ -559,38 +629,36 @@ class TestDeclaredSize:
     allocated for it."""
 
     @staticmethod
-    def refused_without_allocating(parse, text):
+    def refused_without_allocating(text):
+        data = text.encode()
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="exceeds the limit of"):
-                parse(text)
+                parse_graph(data)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("parse", [graph_from_json, parse_graph])
     @pytest.mark.parametrize("n", [10**18, MAX_NODES + 1])
-    def test_json(self, parse, n):
-        self.refused_without_allocating(parse, f'{{"n":{n},"edges":[[0,1]]}}')
+    def test_json(self, n):
+        self.refused_without_allocating(f'{{"n":{n},"edges":[[0,1]]}}')
 
-    @pytest.mark.parametrize("parse", [graph_from_edge_text, parse_graph])
     @pytest.mark.parametrize("n", [10**18, MAX_NODES + 1])
-    def test_edge_text(self, parse, n):
-        self.refused_without_allocating(parse, f"{n}\n0 1\n")
+    def test_edge_text(self, n):
+        self.refused_without_allocating(f"{n}\n0 1\n")
 
-    @pytest.mark.parametrize("parse", [graph_from_json, parse_graph])
-    def test_json_above_the_fast_path_gate(self, parse):
+    def test_json_above_the_fast_path_gate(self):
         pairs = ",".join(f"[0,{v}]" for v in range(1, 1000))
         text = f'{{"n":{MAX_NODES + 1},"edges":[{pairs}]}}\n'
         assert len(text) >= FAST_JSON_MIN_CHARS
-        self.refused_without_allocating(parse, text)
+        self.refused_without_allocating(text)
 
     def test_high_ids_cost_the_fast_path_no_more_than_the_reference(self):
         n = 1 << 17
         text = graph_to_json(new_graph(n, [(i, n - 1) for i in range(300)]))
 
-        def peak(parse):
+        def peak(parse, text):
             tracemalloc.start()
             try:
                 g = parse(text)
@@ -598,14 +666,14 @@ class TestDeclaredSize:
             finally:
                 tracemalloc.stop()
 
-        expected, reference_peak = peak(_parsed_json_graph)
-        fast, fast_peak = peak(_canonical_json_graph)
+        expected, reference_peak = peak(_parsed_json_graph, text)
+        fast, fast_peak = peak(_canonical_json_graph, text.encode())
         assert fast is None or fast == expected
         assert fast_peak <= reference_peak
-        assert_same_graph(graph_from_json(text), expected)
+        assert_same_graph(parse_graph(text.encode()), expected)
 
     def test_the_limit_itself_is_admitted(self):
-        assert graph_from_json(f'{{"n":{MAX_NODES},"edges":[[0,1]]}}').edge_count == 1
+        assert parse_graph(f'{{"n":{MAX_NODES},"edges":[[0,1]]}}'.encode()).edge_count == 1
 
 
 class TestMaskBound:
@@ -617,10 +685,11 @@ class TestMaskBound:
         # 100 edges are 1,098 bytes of text; unbounded, they held 22.4 MB
         # after the parse, and 10,000 would hold about 1.3 GB
         text = f"{MAX_NODES}\n" + "".join(f"{i} {MAX_NODES - 1}\n" for i in range(edges))
+        data = text.encode()
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=f"above {MAX_MASK_BITS} bits$"):
-                parse_graph(text)
+                parse_graph(data)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -640,6 +709,6 @@ class TestMaskBound:
     @pytest.mark.parametrize("build", [construct_gamma_merg, construct_gamma_gamma_merg])
     def test_the_largest_benchmark_files_parse(self, build):
         g, _ = build(800, variant=61)
-        assert parse_graph(reference_graph_to_edge_text(g)) == g
-        assert parse_graph(graph_to_json(g)) == g
+        assert parse_graph(reference_graph_to_edge_text(g).encode()) == g
+        assert parse_graph(graph_to_json(g).encode()) == g
         assert _parsed_json_graph(graph_to_json(g)) == g
