@@ -6,6 +6,8 @@ lattice of twin classes, closed-form necessary-condition certificates, and
 a resilient-consensus simulator with malicious and Byzantine adversaries.
 """
 
+from types import ModuleType as _ModuleType
+
 from .certificates import (
     CertificateCheck,
     CertificateReport,
@@ -63,5 +65,7 @@ from .wmsr import (
     trig_malicious_value,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, not the submodules those imports bound
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

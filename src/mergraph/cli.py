@@ -11,6 +11,14 @@ Subcommands:
 * ``simulate``    run a consensus scenario and write trajectory CSV,
   metrics JSON, and the roles sidecar.
 
+Each call's argv is parsed once: when it starts with a subcommand, that
+subcommand's parser (the one ``build_parser`` builds) takes the rest.  The
+full parser runs only for what that cannot handle (top-level help, a
+missing or unknown subcommand, an option before it), so a message, an exit
+code or a namespace is what the full parser gives.  Through the full
+parser a call is parsed twice: the top level classifies every argument
+before the subcommand's parser parses the tail again.
+
 Exit codes: 0 success / requested level holds; 2 requested level fails;
 3 exact check infeasible at this size; 1 any other error.  ``--json``
 switches the human-readable report on stdout to machine-readable JSON.
@@ -73,6 +81,9 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # the top-level parser's subcommand parsers by name (see build_parser)
+    subcommands: dict[str, argparse.ArgumentParser]
+
     def error(self, message: str) -> None:  # noqa: A003 - argparse API
         raise CliError(message)
 
@@ -145,10 +156,12 @@ _BUILDERS = {"r": "construct_gamma_merg", "rs": "construct_gamma_gamma_merg"}
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process; parsing leaves it unchanged."""
+def build_parser() -> _Parser:
+    """The CLI parser, built once per process; parsing leaves it unchanged.
+    Its ``subcommands`` are the parsers of the subcommands by name."""
     parser = _Parser(prog="mergraph", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices
 
     p = sub.add_parser("construct", help="build a minimal maximally robust graph")
     p.set_defaults(run=_cmd_construct)
@@ -347,10 +360,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, parsed once: a leading
+    subcommand's parser takes the rest of ``argv`` itself (see the module
+    docstring)."""
     parser = build_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         return args.run(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

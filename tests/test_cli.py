@@ -20,7 +20,7 @@ from mergraph import (
     parse_graph,
     reachable_count,
 )
-from mergraph.cli import _load_graph, _write, build_parser, main
+from mergraph.cli import _load_graph, _parse_args, _write, build_parser, main
 from mergraph.graph_core import (
     _CHUNK_CHARS,
     FAST_JSON_MIN_CHARS,
@@ -804,3 +804,80 @@ class TestParserReuse:
         assert build_parser() is build_parser()
         for _ in range(2):
             assert [outcome(argv) for argv in calls] == fresh
+
+
+class TestDispatch:
+    SUBCOMMANDS = ("construct", "robustness", "bounds", "minimality", "simulate")
+    PARSED = [
+        ("construct", "--n", "9", "--kind", "r", "--out", "g.json"),
+        ("construct", "--n", "10", "--kind", "rs", "--variant", "3", "--out", "g.json", "--json"),
+        ("robustness", "--graph", "g.json"),
+        ("robustness", "--graph", "g.json", "--r", "4", "--rs", "--s", "2", "--json"),
+        ("robustness", "--graph=g.json", "--r", "4"),
+        ("bounds", "--graph", "g.json"),
+        ("bounds", "--json", "--graph", "g.json"),
+        ("minimality", "--graph", "g.json", "--kind", "r"),
+        ("minimality", "--graph", "g.json", "--kind", "rs", "--r", "3", "--s", "4", "--json"),
+        ("simulate", "--graph", "g.json", "--out", "t.csv"),
+        ("simulate", "--graph", "g.json", "--scenario", "viiB-gamma", "--f", "2", "--steps", "5",
+         "--seed", "7", "--remove-edge", "default", "--tol", "1e-3", "--out", "t.csv", "--json"),
+        ("simulate", "--gr", "g.json", "--remove-edge=0,1", "--out", "t.csv"),
+    ]
+    # the full parser's cases, then errors and help of a subcommand's parser
+    FALLBACKS = [(), ("nosuch",), ("--help",), ("-h", "bounds"), ("--kind", "x"),
+                 ("robustness", "-h"), ("robustness", "--r", "3"), ("bounds", "--graph"),
+                 ("bounds", "--graph", "g.json", "extra"), ("robustness", "--graph", "g", "--"),
+                 ("construct", "--n", "x", "--kind", "r", "--out", "g.json"),
+                 ("simulate", "--graph", "g.json", "--out", "t.csv", "--scenario", "bad")]
+
+    @pytest.mark.parametrize("argv", PARSED, ids=" ".join)
+    def test_namespace_is_the_full_parsers(self, argv):
+        assert vars(_parse_args(list(argv))) == vars(build_parser().parse_args(list(argv)))
+
+    def test_every_subcommand_is_covered(self):
+        assert set(build_parser().subcommands) == set(self.SUBCOMMANDS)
+        assert {argv[0] for argv in self.PARSED} == set(self.SUBCOMMANDS)
+
+    def test_a_subcommand_is_parsed_by_its_own_parser_alone(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the full parser ran")
+
+        monkeypatch.setattr(build_parser(), "parse_args", refused)
+        for argv in self.PARSED:
+            assert _parse_args(list(argv)).command == argv[0]
+
+    @staticmethod
+    def outcome(argv, capsys):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", FALLBACKS, ids=lambda argv: " ".join(argv) or "none")
+    def test_errors_and_help_are_the_full_parsers(self, argv, capsys, monkeypatch):
+        got = self.outcome(argv, capsys)
+        monkeypatch.setattr("mergraph.cli._parse_args", lambda argv: build_parser().parse_args(argv))
+        assert got == self.outcome(argv, capsys)
+
+    def test_fallback_messages(self, capsys):
+        code, out, err = self.outcome((), capsys)
+        assert (code, out, err) == (1, "", "error: the following arguments are required: command\n")
+        code, out, err = self.outcome(("nosuch",), capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: argument command: invalid choice: 'nosuch' (choose from ")
+        code, out, err = self.outcome(("--help",), capsys)
+        assert code == 0 and err == "" and out.startswith("usage: mergraph [-h]")
+        assert all(name in out.split("positional arguments:")[1] for name in self.SUBCOMMANDS)
+        code, out, err = self.outcome(("robustness", "-h"), capsys)
+        assert code == 0 and err == "" and out.startswith("usage: mergraph robustness [-h] --graph")
+        code, out, err = self.outcome(("--kind", "x"), capsys)
+        assert code == 1 and out == "" and err.startswith("error: ")
+        code, out, err = self.outcome(("robustness", "--r", "3"), capsys)
+        assert (code, out, err) == (1, "", "error: the following arguments are required: --graph\n")
+
+    def test_no_argv_reads_sys_argv(self, g9, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["mergraph", "robustness", "--graph", str(g9), "--json"])
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out) == {"max_r": 5, "n": 9}

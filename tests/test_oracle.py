@@ -303,6 +303,47 @@ class TestTables:
                               for s in subsets]
 
 
+def per_position_subset_min(vals: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The subset-min as a running minimum along each axis, one
+    ``np.minimum`` per position: the reference for ``oracle._subset_min``."""
+    v = np.array(vals, dtype=vals.dtype).reshape(shape)
+    for axis, width in enumerate(shape):
+        lines = np.moveaxis(v, axis, 0)
+        for j in range(1, width):
+            np.minimum(lines[j:j + 1], lines[j - 1:j], out=lines[j:j + 1])
+    return v.ravel()
+
+
+class TestSubsetMin:
+    # random widths 2-12 take both paths (a 4+ wide axis with few lanes, the
+    # other axes' cells, is accumulated); so do these 200+ wide axes, with
+    # few lanes and with more than their width
+    WIDE = [(201,), (2, 210), (247, 3, 2, 2, 2, 2, 2, 2), (247, 4, 2, 2, 2, 2, 2),
+            (3, 230, 5), (256, 256)]
+
+    @staticmethod
+    def random_shapes(rng: random.Random, count: int) -> list[tuple[int, ...]]:
+        shapes = []
+        while len(shapes) < count:
+            shape = tuple(rng.randint(2, 12) for _ in range(rng.randint(1, 5)))
+            if prod(shape) <= oracle.EXACT_CELL_BUDGET:
+                shapes.append(shape)
+        return shapes
+
+    @pytest.mark.parametrize("sliced", [False, True], ids=["whole", "sliced"])
+    def test_matches_per_position_loop(self, sliced):
+        # a sliced box is what the witness reads: the lattice from offsets q up
+        rng = random.Random(61)
+        values = np.random.default_rng(61)
+        for shape in self.random_shapes(rng, 150) + self.WIDE:
+            grid = values.integers(0, 256, size=prod(shape), dtype=np.uint8).reshape(shape)
+            box = grid[tuple(slice(rng.randrange(w) if sliced else 0, None) for w in shape)]
+            before = box.copy()
+            got = oracle._subset_min(box, box.shape)
+            assert (got.ravel() == per_position_subset_min(before, box.shape)).all(), shape
+            assert (box == before).all()
+
+
 class TestBestPair:
     COMBINES = [np.add, np.maximum]
     SHAPES = [(2,) * n for n in range(1, 9)] + [(3,), (9,), (4, 2), (3, 3, 2), (2, 5, 3), (6, 4)]
