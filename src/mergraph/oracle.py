@@ -302,20 +302,17 @@ def _subset_min(vals: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """``out[a]`` = min of ``vals[b]`` over all cells b <= a of the C-order
     lattice ``shape`` (for shape (2,)*n: over all subsets, the zeta transform).
 
-    A running minimum along each axis.  ``np.minimum.accumulate`` pays per
-    lane (a line of cells along the axis), ``np.minimum`` per call, so an
-    axis at least 4 wide with at most max(128, width) lanes takes one
-    accumulate, and any other axis one ``np.minimum`` per position.  On a
-    2-vCPU VM with numpy 2.4, accumulate is about 17x slower on the 2-wide
-    axes of a twin-free 2^16 lattice and 10x on the 4-wide axes of a 4^8
-    one, but 3-13x faster on a 247-wide axis with 192 lanes.
+    A running minimum along each axis: an axis at least 4 wide takes one
+    ``np.minimum.accumulate``, a narrower one one ``np.minimum`` per
+    position.  On a 2-vCPU VM with numpy 2.4, accumulate is about 17x slower
+    on the 2-wide axes of a twin-free 2^16 lattice, which keep the loop.
     """
     v = vals.copy()
     after = v.size
     for width in shape:
         after //= width
         axis = v.reshape(-1, width, after)
-        if width >= 4 and v.size // width <= max(128, width):
+        if width >= 4:
             np.minimum.accumulate(axis, axis=1, out=axis)
             continue
         for j in range(1, width):

@@ -315,9 +315,8 @@ def per_position_subset_min(vals: np.ndarray, shape: tuple[int, ...]) -> np.ndar
 
 
 class TestSubsetMin:
-    # random widths 2-12 take both paths (a 4+ wide axis with few lanes, the
-    # other axes' cells, is accumulated); so do these 200+ wide axes, with
-    # few lanes and with more than their width
+    # random widths 2-12 take both paths (an axis at least 4 wide is
+    # accumulated); so do these 200+ wide axes
     WIDE = [(201,), (2, 210), (247, 3, 2, 2, 2, 2, 2, 2), (247, 4, 2, 2, 2, 2, 2),
             (3, 230, 5), (256, 256)]
 
