@@ -27,7 +27,6 @@ from .construction import (
     ConstructionRecipe,
     construct_gamma_gamma_merg,
     construct_gamma_merg,
-    recipe_from_dict,
     replay_recipe,
 )
 from .graph_core import (

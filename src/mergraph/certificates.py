@@ -249,12 +249,6 @@ class CertificateReport:
     prop1_gamma_gamma: bool
     flags: tuple[str, ...]
 
-    def check(self, name: str) -> CertificateCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def to_dict(self) -> dict:
         """The fields as a JSON-ready dict (tuples encode as arrays), plus a note."""
         return {

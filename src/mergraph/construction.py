@@ -23,10 +23,10 @@ robustness is label-invariant, and a ``variant`` seed applies a recorded
 label permutation to the hub and the removed pairs for generating
 differently labeled instances.  Every builder writes only a recipe and
 returns it together with the graph that :func:`replay_recipe` builds from
-it, so the recipe is the single source of each graph's edges.  Replay
-checks the recipe's size, node ids and pairs first, then emits the neighbor
-bitmasks directly, with no edge list in between.
-:func:`recipe_from_dict` checks the types of a recipe read from JSON.
+it, so the recipe is the single source of each graph's edges.
+:func:`replay_recipe` is the one recipe boundary: it checks the recipe's
+size, kind, node ids (their type included) and pairs first, then emits the
+neighbor bitmasks directly, with no edge list in between.
 """
 
 from __future__ import annotations
@@ -73,46 +73,6 @@ class ConstructionRecipe:
         return json.dumps(vars(self), indent=2, sort_keys=True) + "\n"
 
 
-def _int(value: object) -> int:
-    if type(value) is not int:
-        raise ValueError(f"recipe value {value!r} is not an integer")
-    return value
-
-
-def _ints(values: object) -> tuple[int, ...]:
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"recipe entry {values!r} is not a list of node ids")
-    return tuple(_int(v) for v in values)
-
-
-def _pair(value: object) -> tuple:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValueError(f"recipe entry {value!r} is not a pair")
-    return tuple(value)
-
-
-def recipe_from_dict(payload: dict) -> ConstructionRecipe:
-    """The recipe a decoded :meth:`ConstructionRecipe.to_json` payload
-    describes; its hub and pairs may be tuples or lists.
-
-    Refuses, with ``ValueError``, an unknown ``kind``, a count or node id
-    that is not an ``int`` (a ``bool`` is refused too) and a removed pair
-    that is not a pair.  Ranges, repeats and the size limits are checked on
-    replay.
-    """
-    if payload["kind"] not in (KIND_GAMMA, KIND_GAMMA_GAMMA):
-        raise ValueError(f"unknown recipe kind {payload['kind']!r}")
-    variant = payload.get("variant")
-    return ConstructionRecipe(
-        kind=payload["kind"],
-        n=_int(payload["n"]),
-        gamma=_int(payload["gamma"]),
-        hub=_ints(payload["hub"]),
-        removed_pairs=tuple(_ints(_pair(e)) for e in payload["removed_pairs"]),
-        variant=None if variant is None else _int(variant),
-    )
-
-
 def _check_edges(n: int, hub_size: int) -> None:
     """Refuse a hub of ``hub_size`` nodes on n nodes above ``MAX_EDGES`` edges."""
     edges = hub_size * (hub_size - 1) // 2 + hub_size * (n - hub_size)
@@ -125,14 +85,18 @@ def replay_recipe(recipe: ConstructionRecipe) -> Graph:
 
     Each hub node's mask is every other node, any other node's mask is the
     hub, and each removed pair then clears its two bits; the family does
-    not enter.  The node count must lie in [1, ``MAX_NODES``] and the edges
-    before removals must not exceed ``MAX_EDGES``.  Every node id is
-    range-checked, the hub checked for a repeated node and every removed
-    pair for a self-pair, for a pair that is no edge (neither end in the
-    hub) and for a node another pair has too, before any mask is built, so
-    a bad recipe raises ``ValueError`` instead of describing a wrong graph.
-    Disjoint pairs each hold a hub node of their own, so the masks of their
-    other ends take at most about 2 * ``MAX_EDGES`` + n bits.
+    not enter.  This is the one check of a recipe from outside the builders,
+    such as one decoded from a ``.recipe.json`` sidecar.  The node count
+    must be an ``int`` in [1, ``MAX_NODES``] and the edges before removals
+    must not exceed ``MAX_EDGES``.  Every node id must be an ``int`` (a
+    ``bool`` or a float is refused, as by ``new_graph``) in [0, n); then the
+    hub is checked for a repeated node and every removed pair for a
+    self-pair, for a pair that is no edge (neither end in the hub) and for a
+    node another pair has too, all before any mask is built, so a recipe of
+    the declared shape (a tuple of ids, a tuple of pairs) with a bad value
+    raises ``ValueError`` instead of describing a wrong graph.  Disjoint
+    pairs each hold a hub node of their own, so the masks of their other
+    ends take at most about 2 * ``MAX_EDGES`` + n bits.
     """
     n, hub = recipe.n, recipe.hub
     if type(n) is not int or n < 1:
@@ -141,12 +105,14 @@ def replay_recipe(recipe: ConstructionRecipe) -> Graph:
         raise ValueError(f"recipe node count {n} exceeds the limit of {MAX_NODES} nodes")
     if recipe.kind not in (KIND_GAMMA, KIND_GAMMA_GAMMA):
         raise ValueError(f"unknown recipe kind {recipe.kind!r}")
-    if len(set(hub)) != len(hub):
-        raise ValueError("recipe hub repeats a node")
     _check_edges(n, len(hub))
     for v in chain(hub, *recipe.removed_pairs):
+        if type(v) is not int:
+            raise ValueError(f"recipe node id {v!r} is not an integer")
         if not 0 <= v < n:
             raise ValueError(f"recipe node {v} out of range for n={n}")
+    if len(set(hub)) != len(hub):
+        raise ValueError("recipe hub repeats a node")
     group = sum(1 << v for v in hub)
     for u, v in recipe.removed_pairs:
         if u == v:
@@ -167,9 +133,11 @@ def replay_recipe(recipe: ConstructionRecipe) -> Graph:
 
 def _apply_variant(recipe: ConstructionRecipe, variant: int | None) -> ConstructionRecipe:
     """The recipe with its hub and removed pairs relabeled by the variant
-    seed's permutation of the nodes."""
+    seed's permutation of the nodes; a negative seed is refused."""
     if variant is None:
         return recipe
+    if variant < 0:
+        raise ValueError(f"variant must be non-negative, got {variant}")
     perm = np.random.Generator(np.random.PCG64(variant)).permutation(recipe.n).tolist()
     return replace(
         recipe,

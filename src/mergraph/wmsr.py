@@ -486,10 +486,12 @@ class Scenario:
         One draw per drawn node, in ascending node order, so the values are
         reproducible.  Nodes the scenario fixes as misbehaving keep a
         cosmetic 0.0 (their entries never influence a run: trajectories log
-        their emitted values instead).
+        their emitted values instead).  A negative seed is refused.
         """
         if n < self.min_n:
             raise ValueError(f"scenario {self.name!r} needs n >= {self.min_n}")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         lo = np.zeros(n)
         hi = np.zeros(n)
         for first, band_lo, band_hi in self.bands:

@@ -36,6 +36,10 @@ the fast JSON reader cuts them, for the tests that mutate them.  ``turan_number`
 the balanced complete (k-1)-partite graph, and
 ``reference_turan_clique_threshold`` finds the Turán clique threshold by
 scanning k with it, the reference for the threshold's closed form.
+``recipe_from_dict`` reads a decoded ``.recipe.json`` payload back into a
+recipe, checking its types, for the round-trip tests of the recipe
+boundary, and ``report_check`` looks up one certificate check of a report
+by name.
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ from mergraph import (
     graph_to_json,
     new_graph,
 )
-from mergraph.certificates import edge_lb_gamma_gamma
+from mergraph.certificates import CertificateCheck, CertificateReport, edge_lb_gamma_gamma
+from mergraph.construction import KIND_GAMMA, KIND_GAMMA_GAMMA, ConstructionRecipe
 from mergraph.graph_core import _CHUNK_CHARS
 
 
@@ -563,3 +568,51 @@ MUTATION_BASES = [
     for build in (construct_gamma_merg, construct_gamma_gamma_merg)
     for text in (graph_to_json(build(n)[0]) for n in (50, 150))
 ]
+
+
+def _int(value: object) -> int:
+    if type(value) is not int:
+        raise ValueError(f"recipe value {value!r} is not an integer")
+    return value
+
+
+def _ints(values: object) -> tuple[int, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"recipe entry {values!r} is not a list of node ids")
+    return tuple(_int(v) for v in values)
+
+
+def _pair(value: object) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"recipe entry {value!r} is not a pair")
+    return tuple(value)
+
+
+def recipe_from_dict(payload: dict) -> ConstructionRecipe:
+    """The recipe a decoded :meth:`ConstructionRecipe.to_json` payload
+    describes; its hub and pairs may be tuples or lists.
+
+    Refuses, with ``ValueError``, an unknown ``kind``, a count or node id
+    that is not an ``int`` (a ``bool`` is refused too) and a removed pair
+    that is not a pair.  Ranges, repeats and the size limits are checked on
+    replay.
+    """
+    if payload["kind"] not in (KIND_GAMMA, KIND_GAMMA_GAMMA):
+        raise ValueError(f"unknown recipe kind {payload['kind']!r}")
+    variant = payload.get("variant")
+    return ConstructionRecipe(
+        kind=payload["kind"],
+        n=_int(payload["n"]),
+        gamma=_int(payload["gamma"]),
+        hub=_ints(payload["hub"]),
+        removed_pairs=tuple(_ints(_pair(e)) for e in payload["removed_pairs"]),
+        variant=None if variant is None else _int(variant),
+    )
+
+
+def report_check(report: CertificateReport, name: str) -> CertificateCheck:
+    """The check of ``report`` named ``name``; ``KeyError`` if it has none."""
+    for c in report.checks:
+        if c.name == name:
+            return c
+    raise KeyError(name)

@@ -40,6 +40,7 @@ from conftest import (
     degree,
     random_graph,
     reference_turan_clique_threshold,
+    report_check,
     turan_number,
 )
 
@@ -103,7 +104,7 @@ class TestArgumentChecks:
 
     def test_unknown_check_name(self):
         with pytest.raises(KeyError, match="no_such_check"):
-            certificate_report(complete_graph(4)).check("no_such_check")
+            report_check(certificate_report(complete_graph(4)), "no_such_check")
 
 
 class TestRUpperBound:
@@ -288,8 +289,8 @@ class TestDenseSubgraphMatchesScan:
         assert peak < 1 << 20
 
     def test_report_leaves_the_check_unevaluated_above_the_budget(self):
-        assert certificate_report(cycle(22)).check("dense_subgraph_gamma").passed is False
-        assert certificate_report(cycle(24)).check("dense_subgraph_gamma").passed is None
+        assert report_check(certificate_report(cycle(22)), "dense_subgraph_gamma").passed is False
+        assert report_check(certificate_report(cycle(24)), "dense_subgraph_gamma").passed is None
 
 
 class TestProp1:
@@ -355,14 +356,14 @@ class TestReport:
         report = certificate_report(cycle(4))
         assert report.implied_r_upper_bound == 1
         assert any("cannot be 2-robust" in flag for flag in report.flags)
-        assert not report.check("edge_floor_gamma").passed
+        assert not report_check(report, "edge_floor_gamma").passed
 
     def test_minimal_9_node_graph(self):
         g, _ = construct_gamma_merg(9)
         report = certificate_report(g)
         assert report.implied_r_upper_bound == 5
-        assert report.check("edge_floor_gamma").passed
-        assert report.check("clique_gamma").passed
+        assert report_check(report, "edge_floor_gamma").passed
+        assert report_check(report, "clique_gamma").passed
         assert not report.prop1_gamma_gamma
 
     def test_complete_10(self):
@@ -375,11 +376,11 @@ class TestReport:
         g, _ = construct_gamma_merg(10)
         report = certificate_report(g)
         gamma = report.gamma
-        assert report.check("edge_floor_gamma").required == edge_lb_gamma_even(gamma)
-        assert report.check("edge_floor_gamma_gamma").required == edge_lb_gamma_gamma(10)
-        assert report.check("min_degree_gamma_gamma").required == min_degree_lb_rs(gamma, gamma)
-        assert report.check("clique_gamma").required == necessary_clique_size(10)
-        assert report.check("clique_gamma_gamma_turan").required == turan_clique_threshold(gamma)
+        assert report_check(report, "edge_floor_gamma").required == edge_lb_gamma_even(gamma)
+        assert report_check(report, "edge_floor_gamma_gamma").required == edge_lb_gamma_gamma(10)
+        assert report_check(report, "min_degree_gamma_gamma").required == min_degree_lb_rs(gamma, gamma)
+        assert report_check(report, "clique_gamma").required == necessary_clique_size(10)
+        assert report_check(report, "clique_gamma_gamma_turan").required == turan_clique_threshold(gamma)
 
     def test_json_round_trip_and_stability(self):
         g, _ = construct_gamma_gamma_merg(10)

@@ -61,6 +61,14 @@ class TestConstruct:
     def test_missing_flag_is_an_error(self):
         assert run_cli("construct", "--n", "9") == 1
 
+    def test_negative_variant_is_named(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run_cli(
+            "construct", "--n", "9", "--kind", "r", "--variant", "-1", "--out", str(out)
+        ) == 1
+        assert capsys.readouterr().err == "error: variant must be non-negative, got -1\n"
+        assert list(tmp_path.glob("x*")) == []
+
     def test_identical_flags_identical_bytes(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -435,6 +443,15 @@ class TestSimulate:
             "--f", "-1", "--out", str(out),
         ) == 1
         assert capsys.readouterr().err == "error: f must be non-negative\n"
+        assert list(tmp_path.glob("x*")) == []
+
+    def test_negative_seed_is_named(self, g9, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli(
+            "simulate", "--graph", str(g9), "--scenario", "viiB-gamma",
+            "--seed", "-1", "--out", str(out),
+        ) == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
         assert list(tmp_path.glob("x*")) == []
 
     def test_oversized_trajectory_is_refused(self, g9, tmp_path, capsys):

@@ -24,9 +24,9 @@ from mergraph import (
     new_graph,
     prop1_gamma_gamma_check,
 )
-from mergraph.construction import MAX_EDGES, recipe_from_dict, replay_recipe
+from mergraph.construction import MAX_EDGES, replay_recipe
 from mergraph.graph_core import MAX_MASK_BITS, MAX_NODES
-from conftest import degree
+from conftest import degree, recipe_from_dict
 
 
 class TestGammaMerg:
@@ -242,6 +242,23 @@ class TestRecipeBoundary:
         with pytest.raises(ValueError):
             replay_recipe(recipe)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("hub", (0, True, 2)),
+            ("hub", (0, 1.0, 2)),
+            ("hub", (0, [1], 2)),
+            ("removed_pairs", ((0, True),)),
+            ("removed_pairs", ((0, 1.0),)),
+        ],
+    )
+    def test_replay_refuses_node_ids_that_are_not_ints(self, field, value):
+        # unchecked, a bool would replay as node 0 or 1, and a float or a
+        # list would raise TypeError
+        recipe = dataclasses.replace(construct_gamma_merg(5)[1], **{field: value})
+        with pytest.raises(ValueError, match="is not an integer"):
+            replay_recipe(recipe)
+
     def test_replay_rejects_an_unknown_kind_or_node_count(self):
         _, recipe = construct_gamma_merg(10)
         with pytest.raises(ValueError, match="unknown recipe kind"):
@@ -346,6 +363,11 @@ class TestVariants:
     def test_variant_is_deterministic(self):
         assert construct_gamma_merg(12, variant=5) == construct_gamma_merg(12, variant=5)
         assert construct_gamma_gamma_merg(12, variant=5) == construct_gamma_gamma_merg(12, variant=5)
+
+    @pytest.mark.parametrize("builder", [construct_gamma_merg, construct_gamma_gamma_merg])
+    def test_negative_variant_is_named(self, builder):
+        with pytest.raises(ValueError, match="^variant must be non-negative, got -1$"):
+            builder(10, variant=-1)
 
     @pytest.mark.parametrize("variant", [1, 2, 3])
     def test_robustness_is_label_invariant(self, variant):

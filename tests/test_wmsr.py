@@ -198,6 +198,13 @@ class TestInitialStates:
         with pytest.raises(ValueError):
             get_scenario("mystery").initial_states(10, seed=0)
 
+    def test_negative_seed_is_named(self):
+        message = "^seed must be non-negative, got -1$"
+        with pytest.raises(ValueError, match=message):
+            get_scenario(SCENARIO_BYZ_SPLIT).initial_states(10, seed=-1)
+        with pytest.raises(ValueError, match=message):
+            build_scenario(complete_graph(9), SCENARIO_BYZ_SPLIT, seed=-1)
+
 
 def make_config(g, roles, f, steps, initial):
     return SimConfig(
