@@ -88,7 +88,9 @@ def replay_recipe(recipe: ConstructionRecipe) -> Graph:
     not enter.  This is the one check of a recipe from outside the builders,
     such as one decoded from a ``.recipe.json`` sidecar.  The node count
     must be an ``int`` in [1, ``MAX_NODES``] and the edges before removals
-    must not exceed ``MAX_EDGES``.  Every node id must be an ``int`` (a
+    must not exceed ``MAX_EDGES``.  The hub must be a tuple or list of ids
+    and the removed pairs a tuple or list of two-id tuples or lists, or a
+    ``ValueError`` names the field.  Every node id must be an ``int`` (a
     ``bool`` or a float is refused, as by ``new_graph``) in [0, n); then the
     hub is checked for a repeated node and every removed pair for a
     self-pair, for a pair that is no edge (neither end in the hub) and for a
@@ -105,6 +107,14 @@ def replay_recipe(recipe: ConstructionRecipe) -> Graph:
         raise ValueError(f"recipe node count {n} exceeds the limit of {MAX_NODES} nodes")
     if recipe.kind not in (KIND_GAMMA, KIND_GAMMA_GAMMA):
         raise ValueError(f"unknown recipe kind {recipe.kind!r}")
+    if not isinstance(hub, (tuple, list)):
+        raise ValueError(f"recipe hub of type {type(hub).__name__} is not a sequence of node ids")
+    if not isinstance(recipe.removed_pairs, (tuple, list)):
+        raise ValueError(f"recipe removed_pairs of type {type(recipe.removed_pairs).__name__}"
+                         " is not a sequence of pairs")
+    for pair in recipe.removed_pairs:
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            raise ValueError(f"recipe removed_pairs holds {pair!r}, not a pair of node ids")
     _check_edges(n, len(hub))
     for v in chain(hub, *recipe.removed_pairs):
         if type(v) is not int:

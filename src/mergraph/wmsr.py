@@ -31,21 +31,26 @@ may omit the axes of arguments it ignores.  The role fixes delivery: a
 malicious agent broadcasts what it sends its lowest-indexed neighbor, and a
 Byzantine agent sends each receiver its own value.  A strategy that needs
 per-role behavior branches on the agent.  :func:`run_simulation` asks once
-per run for every step's logged values and once per round for what the
-Byzantine agents send normal agents, so at most steps + 1 times.
-Strategies must be pure functions of their arguments: a run may ask for a
-value more than once, or for values it does not use, such as those of steps
-after an error.  A NaN strategy value is an error naming the agent and the
-step; an infinite one is an ordinary extreme, which the trim removes like
-any other.  A normal agent whose update sums +inf and -inf is an error too,
-and so is one whose update is infinite with no infinite value among those
-it kept, its own state included: finite values overflowed.
+per run for every step's logged values, with ``t`` a column, and once per
+block of rounds for what the Byzantine agents send normal agents, ``t``
+again a column: a block holds as many rounds as fit in the trajectory's
+(steps + 1) * n cells, and at least one.  So it asks at most steps + 1
+times.  Strategies must be pure functions of their arguments: a run may ask
+for a value more than once, or for values it does not use, such as those of
+steps after an error.  A NaN strategy value is an error naming the agent
+and the step; an infinite one is an ordinary extreme, which the trim
+removes like any other.  A normal agent whose update sums +inf and -inf is
+an error too, and so is one whose update is infinite with no infinite value
+among those it kept, its own state included: finite values overflowed.
 
 Determinism: given an identical configuration a run produces a bit-identical
-trajectory.  Randomness enters only through the initial states, which the
-packaged scenarios draw from a seeded numpy PCG64 generator whose stream is
-stable across platforms; regression data should still store full
-trajectories rather than just seeds.
+trajectory.  A round is a function of the step's states row and the values
+sent at the step alone, so a round whose inputs repeat the last round's bit
+for bit (-0.0 and 0.0 differ) is copied, not recomputed.  Randomness
+enters only through the initial states, which the packaged scenarios draw
+from a seeded numpy PCG64 generator whose stream is stable across
+platforms; regression data should still store full trajectories rather than
+just seeds.
 
 Trajectory CSV format: header ``t,node_0,...,node_{n-1}``, one row per step
 including t = 0, values rendered with 17 significant digits (lossless for
@@ -341,8 +346,11 @@ def run_simulation(config: SimConfig, adversary: object | None = None) -> Trajec
     is called once per run for every step's logged values, what each
     adversary sends its lowest-indexed neighbor, which go straight into the
     trajectory and are also the malicious broadcasts, and once more per
-    round for what the Byzantine agents send normal agents.  So it is called
-    at most steps + 1 times.
+    block of rounds for what the Byzantine agents send normal agents, with
+    ``t`` a column and one NaN check per block.  A block is as many rounds
+    as fit in the trajectory's (steps + 1) * n cells, and at least one, so
+    the values fetched never outgrow what the run returns, and ``send`` is
+    called at most steps + 1 times.
 
     A NaN raises ``ValueError`` naming the agent and the step, steps in
     order; within a step the logged values come first (malicious, then
@@ -366,6 +374,16 @@ def run_simulation(config: SimConfig, adversary: object | None = None) -> Trajec
     zeroed and each column is folded top to bottom from 0.0 by one
     row-wise reduce, own last: addition commutes, so that is own plus the
     retained values' sum.
+
+    A round reads nothing but the step's states row and the values sent at
+    the step.  So where both equal the previous round's as ``uint64`` bits,
+    the round is not run: the normal agents keep their states.  Rows are
+    compared only at steps whose logged and sent adversary values repeat
+    the step before's, which a block knows in advance, so a strategy that
+    changes every step costs no comparison; once the normal states repeat,
+    the block's following rounds whose adversary values repeat too are
+    filled in one assignment.  Trajectories and errors are those of running
+    every round.
     """
     g = config.graph
     n = g.n
@@ -399,8 +417,17 @@ def run_simulation(config: SimConfig, adversary: object | None = None) -> Trajec
     if emitters.size:
         lowest = adj[emitters].argmax(axis=1)
         states[:, emitters] = send(emitters, lowest, np.arange(steps + 1)[:, None])
+    # compared as bits, so -0.0 and 0.0 stay apart
+    bits = states.view(np.uint64)
+    logged = bits[:, emitters]
+    # steady[t]: every logged adversary value of step t repeats step t - 1's
+    steady = np.concatenate([[False], (logged[1:] == logged[:-1]).all(axis=1)])
     logged_nan = np.isnan(states[:, emitters]).any(axis=1)
     nan_step = int(logged_nan.argmax()) if logged_nan.any() else steps + 1
+    rounds = min(nan_step, steps)
+    # the Byzantine values of a block of rounds come from one send: at most
+    # the trajectory's cells, and at least one round
+    block = max(1, (steps + 1) * n // max(1, slots.size))
 
     received = np.empty(index.shape)
     total = np.empty(normal.size)
@@ -408,23 +435,48 @@ def run_simulation(config: SimConfig, adversary: object | None = None) -> Trajec
     # a sum of +inf and -inf or one past the largest float is an error,
     # raised below rather than warned of
     with np.errstate(invalid="ignore", over="ignore"):
-        for t in range(min(nan_step, steps)):
-            states[t].take(index, out=received, mode="clip")
+        for start in range(0, rounds, block):
+            end = stop = min(start + block, rounds)
+            # repeats[t - start]: round t's adversary values repeat round t - 1's
+            repeats = steady[start:end].copy()
             if slots.size:
-                sent = send(slot_agents, slot_receivers, t)
+                ts = np.arange(start, end)[:, None]
+                sent = np.broadcast_to(np.asarray(send(slot_agents, slot_receivers, ts),
+                                                  dtype=np.float64), (end - start, slots.size))
                 # the least value is NaN if any value is
                 if math.isnan(np.minimum.reduce(sent, axis=None)):
-                    raise _nan_error(slot_agents, sent, t)
-                np.put(received, slots, sent)
-            zeroed, weight = trim(received)
-            np.putmask(received, zeroed, 0.0)
-            # the last row is own: ((0.0 + v0) + ...) + own is own + the sum
-            np.add.reduce(received, axis=0, out=total, initial=0.0)
-            np.multiply(total, weight, out=total)
-            # the screen: the totals' sum is finite if every total is
-            if not math.isfinite(np.add.reduce(total)):
-                _check_updates(normal, received, total, t)
-            states[t + 1, normal] = total
+                    stop = start + int(np.isnan(sent).any(axis=1).argmax())
+                sent_bits = sent.view(np.uint64)
+                repeats[1:] &= (sent_bits[1:] == sent_bits[:-1]).all(axis=1)
+                if start:
+                    repeats[0] &= np.array_equal(sent_bits[0], last_sent)
+                last_sent = sent_bits[-1]
+            t = start
+            while t < stop:
+                if repeats[t - start] and np.array_equal(bits[t], bits[t - 1]):
+                    # round t - 1 ran on these inputs, so round t and every
+                    # following round of the block whose adversary values
+                    # repeat leave the normal states as they are
+                    held = repeats[t - start + 1:stop - start]
+                    last = t + (held.size if held.all() else int(held.argmin()))
+                    states[t + 1:last + 2, normal] = states[t, normal]
+                    t = last + 1
+                    continue
+                states[t].take(index, out=received, mode="clip")
+                if slots.size:
+                    np.put(received, slots, sent[t - start])
+                zeroed, weight = trim(received)
+                np.putmask(received, zeroed, 0.0)
+                # the last row is own: ((0.0 + v0) + ...) + own is own + the sum
+                np.add.reduce(received, axis=0, out=total, initial=0.0)
+                np.multiply(total, weight, out=total)
+                # the screen: the totals' sum is finite if every total is
+                if not math.isfinite(np.add.reduce(total)):
+                    _check_updates(normal, received, total, t)
+                states[t + 1, normal] = total
+                t += 1
+            if stop < end:
+                raise _nan_error(slot_agents, sent[stop - start], stop)
     if nan_step <= steps:
         raise _nan_error(emitters, states[nan_step, emitters], nan_step)
     return Trajectory(states=states, roles=roles, f=config.f)

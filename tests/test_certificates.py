@@ -247,6 +247,25 @@ class TestDenseSubgraphMatchesScan:
             verdicts[expected] += 1
         assert min(verdicts.values()) >= 100
 
+    @pytest.mark.parametrize("n, count", [(14, 40), (16, 24)])
+    def test_planted_cores_at_the_certify_sizes(self, n, count):
+        # the certify workload's commonest sizes: a (gamma+1)-node core one
+        # or two edges either side of the threshold, random edges elsewhere;
+        # "reached" counts the cores below it that other edges make dense
+        rng = random.Random(n)
+        seen = {True: 0, False: 0, "reached": 0}
+        for _ in range(count):
+            inside = list(combinations(sorted(rng.sample(range(n), n // 2 + 1)), 2))
+            planted = rng.sample(inside, dense_need(n) + rng.choice([-2, -1, 0, 1]))
+            others = [e for e in combinations(range(n), 2) if e not in set(inside)]
+            p = rng.choice([0.1, 0.3, 0.5])
+            g = new_graph(n, planted + [e for e in others if rng.random() < p])
+            expected = brute_dense_subgraph(g)
+            assert lemma4_dense_subgraph_holds(g) == expected
+            seen[expected] += 1
+            seen["reached"] += expected and len(planted) < dense_need(n)
+        assert min(seen[True], seen[False]) >= count // 4 and seen["reached"], seen
+
     @pytest.mark.parametrize("n", [10, 12])
     @pytest.mark.parametrize("build", [construct_gamma_merg, construct_gamma_gamma_merg])
     def test_every_single_edge_removal_of_the_families(self, build, n):

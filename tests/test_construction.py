@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -257,6 +258,24 @@ class TestRecipeBoundary:
         # list would raise TypeError
         recipe = dataclasses.replace(construct_gamma_merg(5)[1], **{field: value})
         with pytest.raises(ValueError, match="is not an integer"):
+            replay_recipe(recipe)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("hub", 5, "recipe hub of type int is not a sequence of node ids"),
+            ("removed_pairs", 0, "recipe removed_pairs of type int is not a sequence of pairs"),
+            ("removed_pairs", (0,), "recipe removed_pairs holds 0, not a pair of node ids"),
+            ("removed_pairs", ((0, 1, 2),),
+             "recipe removed_pairs holds (0, 1, 2), not a pair of node ids"),
+            ("removed_pairs", ((0,),), "recipe removed_pairs holds (0,), not a pair of node ids"),
+        ],
+    )
+    def test_replay_names_the_field_of_a_wrongly_shaped_recipe(self, field, value, message):
+        # unchecked, these raised TypeError from len() or iteration, or a
+        # ValueError from unpacking that named neither recipe nor field
+        recipe = dataclasses.replace(construct_gamma_merg(6)[1], **{field: value})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             replay_recipe(recipe)
 
     def test_replay_rejects_an_unknown_kind_or_node_count(self):

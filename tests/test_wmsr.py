@@ -821,37 +821,177 @@ class PoisonedAdversary(PerValue):
         return math.nan if (agent, receiver, t) in self.poison else 1.0
 
 
-class CountingAdversary(TieAdversary):
-    """A TieAdversary that counts the calls of ``send``."""
+class RecordingAdversary:
+    """Wraps a strategy and records each ``send`` call as (values asked
+    for, rounds asked for): the arguments' broadcast size and ``t``'s."""
 
-    def __init__(self, seed: int, integers: bool):
-        super().__init__(seed, integers)
-        self.calls = 0
+    def __init__(self, strategy):
+        self.strategy = strategy
+        self.calls = []
 
     def send(self, agents, receivers, t):
-        self.calls += 1
-        return super().send(agents, receivers, t)
+        self.calls.append((np.broadcast(agents, receivers, t).size, np.size(t)))
+        return self.strategy.send(agents, receivers, t)
+
+
+class LateChange(PerValue):
+    """Sends ``before``, and from step ``late`` on ``after`` to receivers
+    ``first`` and above."""
+
+    def __init__(self, late: int, before: float, after: float, first: int = 0):
+        self.late, self.before, self.after, self.first = late, before, after, first
+
+    def value(self, agent: int, receiver: int, t: int) -> float:
+        return self.after if t >= self.late and receiver >= self.first else self.before
+
+
+class SignedZeros(PerValue):
+    """Sends 0.0 at even steps and -0.0 at odd ones."""
+
+    def value(self, agent: int, receiver: int, t: int) -> float:
+        return -0.0 if t % 2 else 0.0
+
+
+def _block_bound_ok(config, calls) -> bool:
+    """Every call holds at most the trajectory's cells, or one round."""
+    cells = (config.steps + 1) * config.graph.n
+    return all(values <= max(values // rounds, cells) for values, rounds in calls)
 
 
 class TestStrategyCalls:
     def test_send_is_called_at_most_steps_plus_one_times(self):
+        # once for the logged values, then once per block of rounds for the
+        # Byzantine values; at least 20 runs fetch several rounds at once
         rng = random.Random(47)
         seen = 0
         for case in range(200):
             config, _ = _random_run(rng, case)
-            adversary = CountingAdversary(case, integers=True)
+            adversary = RecordingAdversary(TieAdversary(case, integers=True))
             expected = trajectory_to_csv(reference_run_simulation(config, adversary))
-            adversary.calls = 0
+            adversary.calls.clear()
             assert trajectory_to_csv(run_simulation(config, adversary)) == expected, case
-            assert adversary.calls <= config.steps + 1, (case, adversary.calls)
-            seen += adversary.calls == config.steps + 1
+            assert len(adversary.calls) <= config.steps + 1, (case, adversary.calls)
+            assert _block_bound_ok(config, adversary.calls), (case, adversary.calls)
+            seen += any(rounds > 1 for _, rounds in adversary.calls[1:])
         assert seen >= 20
 
     def test_strategies_are_not_called_for_absent_roles(self):
-        adversary = CountingAdversary(0, integers=True)
+        adversary = RecordingAdversary(TieAdversary(0, integers=True))
         config = make_config(complete_graph(4), [AgentRole.NORMAL] * 4, 1, 6, [0.0, 1.0, 2.0, 3.0])
         run_simulation(config, adversary)
-        assert adversary.calls == 0
+        assert adversary.calls == []
+
+    # K_12 with agents 0-5 Byzantine: each round sends the normal agents 36
+    # values, more than the 24 cells of a one-step trajectory; ten steps
+    # take blocks of three rounds, 30 steps blocks of ten
+    K12_ROLES = [AgentRole.BYZANTINE] * 6 + [AgentRole.NORMAL] * 6
+
+    @pytest.mark.parametrize("steps", [1, 2, 5, 10, 30])
+    @pytest.mark.parametrize(
+        "strategy, initial",
+        [
+            pytest.param(TieAdversary(12, integers=True), range(12), id="ties"),
+            # everyone starts at 4.0, so rounds repeat until the change
+            pytest.param(LateChange(4, 4.0, 6.0), [4.0] * 12, id="late-change"),
+            # only what the normal agents 6-11 receive changes, not the
+            # logged values, which go to agents 0 and 1: at a block's first
+            # round, or inside a block
+            pytest.param(LateChange(6, 4.0, 6.0, first=6), [4.0] * 12, id="change-at-6"),
+            pytest.param(LateChange(10, 4.0, 6.0, first=6), [4.0] * 12, id="change-at-10"),
+        ],
+    )
+    def test_byzantine_values_past_the_block_bound(self, steps, strategy, initial):
+        config = make_config(complete_graph(12), self.K12_ROLES, 2, steps, initial)
+        adversary = RecordingAdversary(strategy)
+        expected = trajectory_to_csv(reference_run_simulation(config, adversary))
+        adversary.calls.clear()
+        assert trajectory_to_csv(run_simulation(config, adversary)) == expected
+        assert len(adversary.calls) <= steps + 1
+        assert _block_bound_ok(config, adversary.calls), adversary.calls
+
+    @pytest.mark.parametrize(
+        "poison, message",
+        [
+            ({(4, 9, 7)}, "agent 4 sent NaN at step 7"),
+            # the logged value of step 7 comes before what is sent at step 7
+            ({(4, 9, 7), (5, 0, 7)}, "agent 5 sent NaN at step 7"),
+            ({(4, 9, 7), (2, 0, 8)}, "agent 4 sent NaN at step 7"),
+            # within a step, by neighbor rank before receiver
+            ({(5, 6, 7), (2, 11, 7)}, "agent 2 sent NaN at step 7"),
+            # the first round of a block
+            ({(5, 6, 6), (2, 11, 7)}, "agent 5 sent NaN at step 6"),
+            ({(0, 6, 9)}, "agent 0 sent NaN at step 9"),
+            ({(0, 1, 10)}, "agent 0 sent NaN at step 10"),
+        ],
+    )
+    def test_nan_in_a_later_block(self, poison, message):
+        # every round after the first repeats, so the NaN ends a copied run
+        config = make_config(complete_graph(12), self.K12_ROLES, 2, 10, [1.0] * 12)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_simulation(config, PoisonedAdversary(poison))
+
+
+@pytest.fixture
+def counted_run(monkeypatch):
+    """``run_simulation`` that also returns the rounds it computed, counted
+    as calls of its trim."""
+    calls = []
+
+    class CountingTrim(wmsr._Trim):
+        def __call__(self, received):
+            calls.append(None)
+            return super().__call__(received)
+
+    monkeypatch.setattr(wmsr, "_Trim", CountingTrim)
+
+    def run(config, adversary=None):
+        calls.clear()
+        return run_simulation(config, adversary), len(calls)
+
+    return run
+
+
+class TestRepeatedRounds:
+    """A round whose inputs repeat the last round's bit for bit is copied."""
+
+    @pytest.mark.parametrize("scenario", [SCENARIO_NONE, SCENARIO_BYZ_SPLIT, SCENARIO_BYZ_CONST])
+    def test_converging_gamma_gamma_runs_skip_rounds(self, counted_run, scenario):
+        g, _ = construct_gamma_gamma_merg(50)
+        config, strategy = build_scenario(g, scenario, steps=30, seed=1)
+        traj, computed = counted_run(config, strategy)
+        assert computed < 30
+        expected = trajectory_to_csv(reference_run_simulation(config, strategy))
+        assert trajectory_to_csv(traj) == expected
+
+    def test_a_trig_wave_run_computes_every_round(self, counted_run):
+        g, _ = construct_gamma_gamma_merg(50)
+        config, strategy = build_scenario(g, SCENARIO_TRIG_MALICIOUS, f=24, steps=30, seed=1)
+        assert counted_run(config, strategy)[1] == 30
+
+    def test_a_constant_strategy_that_changes_late(self, counted_run):
+        # F = 0 on the (2, 2) graph on 4 nodes: agents 2 and 3 reach 4.0
+        # exactly at step 35, leave it when the sent value turns to 6.0 at
+        # step 40 and reach 6.0 exactly before step 80
+        g, _ = construct_gamma_gamma_merg(4)
+        roles = [AgentRole.BYZANTINE] * 2 + [AgentRole.NORMAL] * 2
+        config = make_config(g, roles, 0, 80, [0.0, 1.0, 2.0, 3.0])
+        adversary = LateChange(40, 4.0, 6.0)
+        traj, computed = counted_run(config, adversary)
+        normal = traj.normal_states()
+        assert (normal[35:41] == 4.0).all() and (normal[41] > 4.0).all()
+        assert (normal[-2:] == 6.0).all()
+        assert computed < 70
+        expected = trajectory_to_csv(reference_run_simulation(config, adversary))
+        assert trajectory_to_csv(traj) == expected
+
+    @pytest.mark.parametrize("role", [AgentRole.MALICIOUS, AgentRole.BYZANTINE])
+    @pytest.mark.parametrize("initial", [0.0, -0.0])
+    def test_signed_zeros_alternate(self, role, initial):
+        roles = [role] * 2 + [AgentRole.NORMAL] * 4
+        config = make_config(complete_graph(6), roles, 1, 12, [initial] * 6)
+        adversary = SignedZeros()
+        expected = trajectory_to_csv(reference_run_simulation(config, adversary))
+        assert trajectory_to_csv(run_simulation(config, adversary)) == expected
 
 
 class TestNonFiniteAdversaryValues:
