@@ -134,9 +134,14 @@ def _write(path: str | Path, text: str | Iterable[str]) -> bool:
     return stat.S_ISREG(st.st_mode) and not to_stdout
 
 
+# the encoder every --json line goes through: json.dumps with sort_keys
+# builds a new one per call
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def _emit(payload: dict, as_json: bool, human_lines: list[str]) -> None:
     if as_json:
-        print(json.dumps(payload, sort_keys=True))
+        print(_JSON.encode(payload))
     else:
         for line in human_lines:
             print(line)
@@ -275,7 +280,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     report = certificates.certificate_report(g)
     if args.json:
-        print(json.dumps(report.to_dict(), sort_keys=True))
+        print(_JSON.encode(report.to_dict()))
     else:
         print(report.to_json(), end="")
     return EXIT_OK

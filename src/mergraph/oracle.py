@@ -52,13 +52,18 @@ worst sum capped at n) and the input check of ``minimality_sweep`` all call
 it, and a failing check reads its witness from what it returns.
 ``max_r_robustness`` runs ``_best_pair`` on its maxout table itself.
 
-Every table is one array expression over two (classes, cells) grids: the
-counts a_c, and the outside degree of a member of each class (0 where the
-set has none).  x[a] sums a_c over the classes whose degree reaches r, and
-maxout[a] is the column maximum of the degrees.  The degree grid is the
-class degrees minus the link matrix times the counts, that product taken
-over a leading (hi) and a trailing (lo) split of the class axes of about
-sqrt(cells) cells each and broadcast to the full grid.
+Every table is one array expression over the two halves of the lattice:
+a leading (hi) and a trailing (lo) split of the class axes of about
+sqrt(cells) cells each, a cell being a hi cell followed by a lo cell.
+Cached per half-shape are its count terms, (classes, cells) grids of the
+counts a_c, the members left |c| - a_c and the presence min(a_c, 1), and
+its sizes, the sum of a_c per cell; |S| is a hi size plus a lo size.  The
+outside degree of a member of class c is the link matrix times the
+members left, a hi part plus a lo part, ``out_hi[c, h] + out_lo[c, l]``.
+x[a] sums a_c over the classes whose degree reaches r, read off one
+comparison of ``out_lo`` with r - ``out_hi`` broadcast to the full grid,
+and maxout[a] is the column maximum of the degrees, the two parts' sum
+times the presence.  Nothing the size of the lattice is cached.
 
 Budget.  A graph is decided when its lattice has at most
 ``EXACT_CELL_BUDGET`` = 2^16 cells, the size of the 2^n table of a
@@ -72,10 +77,14 @@ Witnesses.  Only failing checks read a witness from their pair table, and
 it is canonical: the first failing pair in the order below.  ``_witness``
 fixes the nodes from 0 upward, each to the smallest digit that some
 failing pair still agrees with; the pairs agreeing with the digits fixed
-so far are a box of count pairs, tested with the decision's own
-subset-min.  Until S2 gains a member its box is the whole lattice, whose
-subset-min the decision has just built, so ``_best_pair`` hands that array
-on and a failing check transforms the whole lattice once.
+so far are a box of count pairs, tested with a subset-min of the S2 side.
+Until S2 gains a member its box is the whole lattice, whose subset-min the
+decision has just built, so ``_best_pair`` hands that array on and a
+failing check transforms the whole lattice once; a later S2 box spans one
+count of each class with no free member left, so only the others are
+transformed.  A box test is one uint8 comparison of the partner values
+with what each S1 cell needs to fail, s - min(t[a], s), and a count of
+the cells below.
 
 Canonical order: each node gets a digit in {0 = unassigned, 1 = S1,
 2 = S2}; digit vectors are compared lexicographically with node 0 most
@@ -173,12 +182,29 @@ def reachable_count(g: Graph, s: Iterable[int], r: int) -> int:
 _ABSENT = np.uint8(255)
 
 
+class _Counts(NamedTuple):
+    """The count terms of one lattice, read-only, each a uint8 grid with one
+    row per class and one column per cell (C order): ``counts[c, a]`` =
+    a_c, ``left[c, a]`` = |c| - a_c (the members a set leaves out) and
+    ``present[c, a]`` = min(a_c, 1); ``size[a]`` = the sum of a_c, |S|."""
+
+    counts: np.ndarray
+    left: np.ndarray
+    present: np.ndarray
+    size: np.ndarray
+
+
 class _Lattice(NamedTuple):
     """The twin classes of a graph, the class link matrix, the shape of
-    their count lattice and two uint8 grids with one row per class and one
-    column per cell (C order): ``counts[c, a]`` = a_c, and ``out[c, a]`` =
-    the outside degree of a member of class c in a set with count vector a,
-    0 when a_c = 0.
+    their count lattice and the outside degrees over it, in two halves.
+
+    A cell is a cell of the leading (hi) class axes followed by one of the
+    trailing (lo) axes; ``hi`` and ``lo`` are their count terms.
+    ``out_hi[c, h]`` (uint8, one row per class) is the number of members of
+    the hi classes that a member of class c counts as neighbors outside a
+    set whose hi counts are cell h, and ``out_lo[c, l]`` the same over the
+    lo classes, so a member of class c in a set with cell (h, l) has
+    ``out_hi[c, h] + out_lo[c, l]`` neighbors outside it.
 
     ``link[c, d]`` = 1 (uint8) when a member of class c counts the members
     of class d outside a set as neighbors: d adjacent to c, or d = c a
@@ -187,8 +213,10 @@ class _Lattice(NamedTuple):
     classes: tuple[tuple[int, ...], ...]
     link: np.ndarray
     shape: tuple[int, ...]
-    counts: np.ndarray
-    out: np.ndarray
+    hi: _Counts
+    lo: _Counts
+    out_hi: np.ndarray
+    out_lo: np.ndarray
 
 
 def _twins(keys: Sequence[int]) -> list[tuple[list[int], bool]]:
@@ -235,20 +263,23 @@ def _class_groups(lat: _Lattice) -> list[int]:
 
 
 # cached: the same shapes recur from call to call (every twin-free graph on
-# n nodes has the lattice (2,) * n)
+# n nodes has the half-lattices (2,) * (n - n // 2) and (2,) * (n // 2))
 @lru_cache(maxsize=64)
-def _counts(shape: tuple[int, ...]) -> np.ndarray:
-    """``counts[c, a]`` = a_c over the cells of ``shape``, read-only."""
+def _counts(shape: tuple[int, ...]) -> _Counts:
+    """The count terms over the cells of ``shape``."""
     counts = np.indices(shape, dtype=np.uint8).reshape(len(shape), prod(shape))
-    counts.flags.writeable = False
-    return counts
+    left = np.array(shape, dtype=np.uint8)[:, None] - np.uint8(1) - counts
+    terms = _Counts(counts, left, np.minimum(counts, 1), counts.sum(0, dtype=np.uint8))
+    for term in terms:
+        term.flags.writeable = False
+    return terms
 
 
 def _lattice(g: Graph) -> _Lattice:
-    """Partition ``g`` into twin classes and build the outside degrees over
-    their lattice; refuse, before any array exists, a graph whose tables
-    would exceed ``EXACT_CELL_BUDGET`` cells or whose counts could reach
-    ``_ABSENT``."""
+    """Partition ``g`` into twin classes and build the two parts of the
+    outside degrees over their lattice; refuse, before any array exists, a
+    graph whose tables would exceed ``EXACT_CELL_BUDGET`` cells or whose
+    counts could reach ``_ABSENT``."""
     if g.n >= _ABSENT:
         raise CapExceededError(
             f"exact robustness check infeasible for n={g.n}"
@@ -266,26 +297,19 @@ def _lattice(g: Graph) -> _Lattice:
             f" (budget is {EXACT_CELL_BUDGET})"
         )
     reps = [c[0] for c in classes]
-    link = mask_bits([g.adjacency[u] | cl << u for u, cl in zip(reps, closed)], g.n)[:, reps]
-    # out = deg - link @ counts, the product taken over a leading (hi) and a
-    # trailing (lo) split of the class axes of about sqrt(cells) cells each;
-    # in uint8 no step wraps, as every partial result is an outside degree
-    hi, rows = 0, 1
+    # take, not [:, reps]: about a third of the time on matrices this small
+    link = mask_bits([g.adjacency[u] | cl << u for u, cl in zip(reps, closed)], g.n).take(reps, 1)
+    # the outside degrees link @ (|c| - a), taken over a leading (hi) and a
+    # trailing (lo) split of the class axes of about sqrt(cells) cells
+    # each; in uint8 no sum wraps, as it is at most an outside degree
+    split, rows = 0, 1
     while rows * rows < cells:
-        rows *= shape[hi]
-        hi += 1
-    deg = link @ (np.array(shape, dtype=np.uint8) - 1)
-    counts_hi, counts_lo = _counts(shape[:hi]), _counts(shape[hi:])
-    out_hi = deg[:, None] - link[:, :hi] @ counts_hi
-    out_lo = link[:, hi:] @ counts_lo
-    out = out_hi[:, :, None] - out_lo[:, None, :]
-    # times min(a_c, 1), in place: a second full-size temporary costs more
-    # than the whole product (page faults on every call, measured)
-    out[:hi] *= np.minimum(counts_hi, 1)[:, :, None]
-    out[hi:] *= np.minimum(counts_lo, 1)[:, None, :]
+        rows *= shape[split]
+        split += 1
+    hi, lo = _counts(shape[:split]), _counts(shape[split:])
     classes = tuple([tuple(c) for c in classes])
-    out = out.reshape(len(shape), cells)
-    return _Lattice(classes, link, shape, _counts(shape), out)
+    out_hi, out_lo = link[:, :split] @ hi.left, link[:, split:] @ lo.left
+    return _Lattice(classes, link, shape, hi, lo, out_hi, out_lo)
 
 
 def _x_count_table(g: Graph, r: int, lat: _Lattice) -> np.ndarray:
@@ -293,9 +317,28 @@ def _x_count_table(g: Graph, r: int, lat: _Lattice) -> np.ndarray:
     >= r neighbors outside it, over the lattice ``lat`` of ``g``."""
     # no outside degree reaches n, so every r >= n gives the same table; the
     # clamp keeps the bound inside uint8
-    terms = (lat.out >= min(r, g.n)).view(np.uint8)
-    terms *= lat.counts
-    return terms.sum(0, dtype=np.uint8)
+    r = min(r, g.n)
+    # a member of class c reaches r iff out_lo >= r - out_hi, a bound kept
+    # in uint8 by taking it from min(out_hi, r); over the classes a set has
+    # no member of, a term is zeroed by its count
+    bound = r - np.minimum(lat.out_hi, r)
+    terms = (lat.out_lo[:, None, :] >= bound[:, :, None]).view(np.uint8)
+    split = len(lat.hi.counts)
+    terms[:split] *= lat.hi.counts[:, :, None]
+    terms[split:] *= lat.lo.counts[:, None, :]
+    return terms.sum(0, dtype=np.uint8).reshape(-1)
+
+
+def _maxout_table(lat: _Lattice) -> np.ndarray:
+    """``maxout[a]`` = the largest outside degree of a member of a set with
+    count vector ``a``, 0 for the empty set."""
+    out = lat.out_hi[:, :, None] + lat.out_lo[:, None, :]
+    # times min(a_c, 1), in place: a second full-size temporary costs more
+    # than the whole product (page faults on every call, measured)
+    split = len(lat.hi.counts)
+    out[:split] *= lat.hi.present[:, :, None]
+    out[split:] *= lat.lo.present[:, None, :]
+    return out.max(0).reshape(-1)
 
 
 def _subset_min(vals: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -331,7 +374,7 @@ def _best_pair(t: np.ndarray, shape: tuple[int, ...], combine: np.ufunc) -> tupl
     best partner.  uint16 keeps a sum with ``_ABSENT`` at or above it.
     """
     below = _subset_min(t, shape)
-    return int(combine(t, below[::-1], dtype=np.uint16).min()), below
+    return int(np.minimum.reduce(combine(t, below[::-1], dtype=np.uint16), axis=None)), below
 
 
 # -- witnesses ------------------------------------------------------------------
@@ -360,10 +403,21 @@ def _witness(t: np.ndarray, below: np.ndarray, lat: _Lattice, s: int) -> SubsetP
     S1, S2) that some failing pair still agrees with.  With p_c members of
     class c fixed in S1, q_c in S2 and f_c still free, the agreeing pairs are
     a = p + x and b = q + y with x + y <= f: the S1 box (p <= a <= p + f)
-    read against the subset-min of the S2 box (b >= q) at every complement
-    f - x, as in ``_best_pair``.  That subset-min does not depend on f, so
-    it is only rebuilt when S2 has gained a member; before that the S2 box
-    is the whole lattice, and ``below`` is its subset-min from the decision.
+    read against the partner table, the subset-min of the S2 box
+    (q <= b <= q + f), at every complement f - x, as in ``_best_pair``.  A
+    pair of the boxes fails iff its partner value is below ``need`` at its
+    S1 cell, s - min(t[a], s), so a box test is one comparison and a count
+    in uint8 (an ``_ABSENT`` cell needs 0, and an ``_ABSENT`` partner is
+    above every need, as s <= 254).
+
+    The partner table serves every later box until S2 gains a member, as f
+    only shrinks: before that the S2 box is the whole lattice, and
+    ``below`` is its subset-min from the decision.  After, it is rebuilt
+    when a run next tests a box; a fixed class (f_c = 0) spans one count
+    there, so only the classes with free members are transformed, and the
+    box tests index it with an int, which drops its axis.  Each box test
+    rewrites only the index of the axis it varies, and each run the
+    indices of its class.
 
     Swapping two free members of a class maps agreeing failing pairs to
     agreeing failing pairs, and fixing a digit only removes pairs, so a
@@ -381,26 +435,30 @@ def _witness(t: np.ndarray, below: np.ndarray, lat: _Lattice, s: int) -> SubsetP
     one per node.
     """
     grid = t.reshape(lat.shape)
+    need = s - np.minimum(grid, s)
+    partners = below.reshape(lat.shape)
     p, q, lowest = [0] * len(lat.shape), [0] * len(lat.shape), [0] * len(lat.shape)
     free = [w - 1 for w in lat.shape]
-    # the S2 box's subset-min and the q it was built for
-    below, below_q = below.reshape(lat.shape), q.copy()
+    # per class c, the index of its axis in the S1 box, p_c..p_c + f_c, and
+    # in the partner table, f_c..0; once the class is fixed, ints (p_c and
+    # 0) that drop its axis from both
+    s1_index = [slice(None)] * len(lat.shape)
+    s2_index = [slice(None, None, -1)] * len(lat.shape)
+    built_q = q.copy()  # the q the partner table was built for
 
     def fails(c: int, p_c: int, free_c: int) -> bool:
-        nonlocal below, below_q
-        p[c], free[c] = p_c, free_c
-        if below_q != q:
-            s2_box = grid[tuple([slice(b, None) for b in q])]
-            below, below_q = _subset_min(s2_box, s2_box.shape), q.copy()
-        s1_box = grid[tuple([slice(a, a + f + 1) for a, f in zip(p, free)])]
-        partners = below[tuple([slice(f, None, -1) for f in free])]
-        return int(np.add(s1_box, partners, dtype=np.uint16).min()) < s
+        s1_index[c] = slice(p_c, p_c + free_c + 1)
+        s2_index[c] = slice(free_c, None, -1)
+        return np.count_nonzero(partners[tuple(s2_index)] < need[tuple(s1_index)]) > 0
 
     class_of = {i: c for c, nodes in enumerate(lat.classes) for i in nodes}
     s1: list[int] = []
     s2: list[int] = []
     for c, run in groupby(range(len(class_of)), class_of.__getitem__):
         run = list(run)
+        if lowest[c] < 2 and built_q != q:
+            box = grid[tuple([slice(b, b + f + 1) for b, f in zip(q, free)])]
+            partners, built_q = _subset_min(box, box.shape), q.copy()
         p_c, free_c = p[c], free[c] - len(run)  # free_c: after the run
         unassigned = in_s1 = 0
         if lowest[c] == 0:
@@ -411,6 +469,8 @@ def _witness(t: np.ndarray, below: np.ndarray, lat: _Lattice, s: int) -> SubsetP
             in_s1 = _leading(rest, lambda k: fails(c, p_c + k + 1, free_c + rest - k - 1))
             lowest[c] = 1 + (in_s1 < rest)
         p[c], q[c], free[c] = p_c + in_s1, q[c] + rest - in_s1, free_c
+        s1_index[c] = slice(p[c], p[c] + free_c + 1) if free_c else p[c]
+        s2_index[c] = slice(free_c, None, -1) if free_c else 0
         s1 += run[unassigned:unassigned + in_s1]
         s2 += run[unassigned + in_s1:]
     return SubsetPair(frozenset(s1), frozenset(s2))
@@ -435,7 +495,9 @@ def _decide(g: Graph, r: int, s: int) -> tuple[int, np.ndarray, np.ndarray, _Lat
         raise ValueError(f"s must lie in [1, {g.n}]")
     lat = _lattice(g)
     t = _x_count_table(g, r, lat)
-    t[t == lat.counts.sum(0, dtype=np.uint8)] = _ABSENT
+    # |S| is the hi half's size plus the lo half's
+    grid = t.reshape(lat.hi.size.size, lat.lo.size.size)
+    grid[grid == lat.hi.size[:, None] + lat.lo.size] = _ABSENT
     worst, below = _best_pair(t, lat.shape, np.add)
     return worst, t, below, lat
 
@@ -459,7 +521,7 @@ def max_r_robustness(g: Graph) -> int:
     0 signals "not even 1-robust" (disconnected or edgeless).
     """
     lat = _lattice(g)
-    maxout = lat.out.max(0)
+    maxout = _maxout_table(lat)
     maxout[0] = _ABSENT
     return min(gamma_of(g.n), _best_pair(maxout, lat.shape, np.maximum)[0])
 

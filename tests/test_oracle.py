@@ -298,9 +298,28 @@ class TestTables:
                 assert x.dtype == np.uint8 and x.size == prod(lat.shape)
                 assert x[cells].tolist() == [brute_reachable_count(g, s, r) for s in subsets]
             assert not oracle._x_count_table(g, 10**9, lat).any()
-            maxout = lat.out.max(0)[cells].tolist()
+            maxout = oracle._maxout_table(lat)[cells].tolist()
             assert maxout == [max((brute_outside_degree(g, i, s) for i in s), default=0)
                               for s in subsets]
+
+    def test_count_terms_match_their_definitions(self):
+        # the per-half-shape terms the tables are built from: a_c, |c| - a_c,
+        # min(a_c, 1) and the sum of a_c, one column per cell in C order
+        rng = random.Random(47)
+        shapes = [(), (2,), (255,)] + [
+            tuple(rng.randint(2, 6) for _ in range(rng.randint(1, 6))) for _ in range(40)]
+        for shape in shapes:
+            terms = oracle._counts(shape)
+            counts = np.indices(shape).reshape(len(shape), prod(shape))
+            sizes = np.array(shape, dtype=int)[:, None] - 1
+            assert terms.counts.tolist() == counts.tolist()
+            assert terms.left.tolist() == (sizes - counts).tolist()
+            assert terms.present.tolist() == np.minimum(counts, 1).tolist()
+            assert terms.size.tolist() == counts.sum(0).tolist()
+            for term in terms:
+                assert term.dtype == np.uint8 and not term.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    term[...] = 0
 
 
 def per_position_subset_min(vals: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -414,7 +433,7 @@ class TestWitnesses:
             sizes.clear()
             if check(g).holds:
                 continue
-            cells = oracle._lattice(g).counts.shape[1]
+            cells = prod(oracle._lattice(g).shape)
             assert sizes.count(cells) == 1, (g, sizes)
             assert max(sizes) == cells
             failed += 1
@@ -470,6 +489,62 @@ class TestWitnesses:
             r = rng.randint(1, (n + 1) // 2)
             checked_r += self.assert_canonical(g, r)
             checked_rs += self.assert_canonical(g, r, rng.randint(2, n))
+
+    @staticmethod
+    def s2_before_a_later_run(g, witness) -> bool:
+        """Whether a member of S2 has a later twin in another run of its
+        class: the scan then fixes S2 members of a class that still has
+        free members, and its next box tests read a rebuilt partner table
+        that keeps that class's axis."""
+        label = {u: k for k, c in enumerate(twin_classes(g)) for u in c}
+        for u in witness.s2:
+            later = [v for v in range(u + 1, g.n) if label[v] == label[u]]
+            if later and any(label[w] != label[u] for w in range(u + 1, later[-1])):
+                return True
+        return False
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_relabelled_family_witnesses_are_canonical(self, n):
+        # a variant relabels the family, so its twin classes interleave in
+        # node order and a class can be split over several runs
+        gamma = (n + 1) // 2
+        interleaved = 0
+        for build, s in ((construct_gamma_merg, None), (construct_gamma_gamma_merg, gamma)):
+            g, _ = build(n, variant=2)
+            assert not self.assert_canonical(g, gamma, s)
+            for e in sorted(g.edges):
+                h = g.remove_edge(*e)
+                assert self.assert_canonical(h, gamma, s), e
+                verdict = is_r_robust(h, gamma) if s is None else is_rs_robust(h, gamma, s)
+                interleaved += self.s2_before_a_later_run(h, verdict.witness)
+        assert interleaved >= 20, interleaved
+
+    def test_twin_rich_witnesses_are_canonical(self):
+        rng = random.Random(79)
+        checked = interleaved = 0
+        while checked < 80:
+            n = rng.randint(4, 10)
+            g = twin_rich_graph(rng, n, rng.randint(2, 4), rng.random())
+            r = rng.randint(1, (n + 1) // 2)
+            for s in (None, rng.randint(2, n)):
+                if self.assert_canonical(g, r, s):
+                    checked += 1
+                    verdict = is_r_robust(g, r) if s is None else is_rs_robust(g, r, s)
+                    interleaved += self.s2_before_a_later_run(g, verdict.witness)
+        assert interleaved >= 5, interleaved
+
+    def test_witnesses_on_full_lattices(self):
+        # twin-free graphs on 16 nodes fill the 2^16-cell budget, out of the
+        # brute force's reach: pinned witnesses, each replayed as a failure
+        cases = [(path(16), 2, 1, {13, 14}, {15})]
+        g = random_graph(random.Random(1), 16, 0.35)
+        cases += [(g, 3, 1, {8}, {10}), (g, 3, 4, {10}, {11, 15})]
+        for g, r, s, s1, s2 in cases:
+            assert prod(oracle._lattice(g).shape) == oracle.EXACT_CELL_BUDGET
+            verdict = is_r_robust(g, r) if s == 1 else is_rs_robust(g, r, s)
+            assert verdict.witness == oracle.SubsetPair(frozenset(s1), frozenset(s2))
+            x1, x2 = reachable_count(g, s1, r), reachable_count(g, s2, r)
+            assert x1 < len(s1) and x2 < len(s2) and x1 + x2 <= s - 1
 
     @pytest.mark.parametrize("n", [9, 10])
     def test_family_removal_witnesses_are_canonical(self, n):
