@@ -321,11 +321,12 @@ def _parse_removal(arg: str, scenario: str, n: int) -> tuple[int, int]:
         if edge is None:
             raise CliError(f"no documented default removal edge for {scenario} at n={n}")
         return edge
-    try:
-        u, v = (int(part) for part in arg.split(","))
-    except ValueError as exc:
-        raise CliError(f"--remove-edge expects 'u,v' or 'default', got {arg!r}") from exc
-    return u, v
+    # ASCII digits only: int() would also take signs, spaces, underscores
+    # and other scripts' digits
+    u, _, v = arg.partition(",")
+    if not all(part.isascii() and part.isdigit() for part in (u, v)):
+        raise CliError(f"--remove-edge expects 'u,v' or 'default', got {arg!r}")
+    return int(u), int(v)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

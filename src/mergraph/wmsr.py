@@ -30,27 +30,20 @@ float array that broadcasts to the arguments' common shape, so a strategy
 may omit the axes of arguments it ignores.  The role fixes delivery: a
 malicious agent broadcasts what it sends its lowest-indexed neighbor, and a
 Byzantine agent sends each receiver its own value.  A strategy that needs
-per-role behavior branches on the agent.  :func:`run_simulation` asks once
-per run for every step's logged values, with ``t`` a column, and once per
-block of rounds for what the Byzantine agents send normal agents, ``t``
-again a column: a block holds as many rounds as fit in the trajectory's
-(steps + 1) * n cells, and at least one.  So it asks at most steps + 1
-times.  Strategies must be pure functions of their arguments: a run may ask
-for a value more than once, or for values it does not use, such as those of
-steps after an error.  A NaN strategy value is an error naming the agent
-and the step; an infinite one is an ordinary extreme, which the trim
-removes like any other.  A normal agent whose update sums +inf and -inf is
-an error too, and so is one whose update is infinite with no infinite value
-among those it kept, its own state included: finite values overflowed.
+per-role behavior branches on the agent.  Strategies must be pure
+functions of their arguments: a run may ask for a value more than once, or
+for values it does not use, such as those of steps after an error.  A NaN
+among the values a run uses is an error; an infinite value is an ordinary
+extreme, which the trim removes like any other.  A normal agent whose update
+sums +inf and -inf is an error too, and so is one whose update is infinite
+with no infinite value among those it kept, its own state included: finite
+values overflowed.
 
 Determinism: given an identical configuration a run produces a bit-identical
-trajectory.  A round is a function of the step's states row and the values
-sent at the step alone, so a round whose inputs repeat the last round's bit
-for bit (-0.0 and 0.0 differ) is copied, not recomputed.  Randomness
-enters only through the initial states, which the packaged scenarios draw
-from a seeded numpy PCG64 generator whose stream is stable across
-platforms; regression data should still store full trajectories rather than
-just seeds.
+trajectory.  Randomness enters only through the initial states, which the
+packaged scenarios draw from a seeded numpy PCG64 generator whose stream is
+stable across platforms; regression data should still store full
+trajectories rather than just seeds.
 
 Trajectory CSV format: header ``t,node_0,...,node_{n-1}``, one row per step
 including t = 0, values rendered with 17 significant digits (lossless for
@@ -316,12 +309,6 @@ class _Trim:
         return self.zeroed, self.weights.take(self.zeroed_count, out=self.round_weight)
 
 
-def _nan_error(agents: np.ndarray, values: np.ndarray, t: int) -> ValueError:
-    """The error for the first NaN of ``values``, sent by ``agents`` at ``t``."""
-    first = int(np.isnan(np.broadcast_to(values, agents.shape)).argmax())
-    return ValueError(f"agent {agents.flat[first]} sent NaN at step {t}")
-
-
 def _check_updates(agents: np.ndarray, kept: np.ndarray, total: np.ndarray, t: int) -> None:
     """Raise for the lowest of ``agents`` whose update ``total`` is wrong:
     NaN, or infinite with no infinity among the values the agent kept
@@ -340,28 +327,21 @@ def run_simulation(config: SimConfig, adversary: object | None = None) -> Trajec
     """Run synchronous rounds: everyone emits, then normal agents trim-average.
 
     Normal agents emit their current state; adversaries emit what the
-    strategy's ``send`` (see the module docstring) gives for their role:
-    malicious agents one broadcast value, Byzantine agents one value per
-    receiver.  Adversarial roles without a ``send`` are rejected.  ``send``
-    is called once per run for every step's logged values, what each
-    adversary sends its lowest-indexed neighbor, which go straight into the
-    trajectory and are also the malicious broadcasts, and once more per
-    block of rounds for what the Byzantine agents send normal agents, with
-    ``t`` a column and one NaN check per block.  A block is as many rounds
-    as fit in the trajectory's (steps + 1) * n cells, and at least one, so
-    the values fetched never outgrow what the run returns, and ``send`` is
-    called at most steps + 1 times.
+    strategy's ``send`` gives for their role (see the module docstring).
+    Adversarial roles without a ``send`` are rejected.  One ``send`` call
+    covers a block of steps, ``t`` a column, and asks at each step first
+    for the logged values (malicious, then Byzantine agents, each
+    ascending), then for what the Byzantine agents send normal agents (by
+    neighbor rank, then receiver).  A block holds as many steps as fit in
+    the trajectory's (steps + 1) * n cells, and at least one, so the values
+    asked for never outgrow what the run returns, and ``send`` is called at
+    most steps + 1 times.
 
-    A NaN raises ``ValueError`` naming the agent and the step, steps in
-    order; within a step the logged values come first (malicious, then
-    Byzantine agents, each ascending), then the values sent to normal agents
-    (by neighbor rank, then receiver), then the normal agents' updates.
-    An update that sums +inf and -inf raises ``ValueError`` naming the agent
-    and the step, and so does one that overflows, infinite (or NaN) with no
-    infinite value among those the agent kept, its own state included; the
-    lowest such agent of the round is named.  No round runs at or after the
-    step of a NaN strategy value.  An infinite value is trimmed like any
-    other extreme, and one that is kept makes the update infinite.
+    An error raises ``ValueError`` naming the agent and the step, steps in
+    order.  Within a step a NaN comes first, the first in the order asked,
+    then a wrong update, that of the lowest such agent.  What is sent to
+    normal agents at the last step feeds no round and is not checked.  No
+    round runs at or after the step of a NaN.
 
     A round is a fixed sequence of in-place array operations on what the
     normal agents see: one column per agent, its neighbors' values in
@@ -376,14 +356,12 @@ def run_simulation(config: SimConfig, adversary: object | None = None) -> Trajec
     retained values' sum.
 
     A round reads nothing but the step's states row and the values sent at
-    the step.  So where both equal the previous round's as ``uint64`` bits,
-    the round is not run: the normal agents keep their states.  Rows are
-    compared only at steps whose logged and sent adversary values repeat
-    the step before's, which a block knows in advance, so a strategy that
-    changes every step costs no comparison; once the normal states repeat,
-    the block's following rounds whose adversary values repeat too are
-    filled in one assignment.  Trajectories and errors are those of running
-    every round.
+    the step.  So where both repeat the previous round's bit for bit (-0.0
+    and 0.0 differ), the round is not run: the normal agents keep their
+    states.  Rows are compared only at steps whose adversary values, logged
+    and sent, repeat the step before's, which a block knows in advance, so
+    a strategy that changes every step costs no comparison.  Trajectories
+    and errors are those of running every round.
     """
     g = config.graph
     n = g.n
@@ -414,20 +392,11 @@ def run_simulation(config: SimConfig, adversary: object | None = None) -> Trajec
 
     states = np.zeros((steps + 1, n))
     states[0, normal] = np.array(config.initial_states)[normal]
-    if emitters.size:
-        lowest = adj[emitters].argmax(axis=1)
-        states[:, emitters] = send(emitters, lowest, np.arange(steps + 1)[:, None])
-    # compared as bits, so -0.0 and 0.0 stay apart
-    bits = states.view(np.uint64)
-    logged = bits[:, emitters]
-    # steady[t]: every logged adversary value of step t repeats step t - 1's
-    steady = np.concatenate([[False], (logged[1:] == logged[:-1]).all(axis=1)])
-    logged_nan = np.isnan(states[:, emitters]).any(axis=1)
-    nan_step = int(logged_nan.argmax()) if logged_nan.any() else steps + 1
-    rounds = min(nan_step, steps)
-    # the Byzantine values of a block of rounds come from one send: at most
-    # the trajectory's cells, and at least one round
-    block = max(1, (steps + 1) * n // max(1, slots.size))
+    # one send asks a block of steps for the logged values, what each emitter
+    # sends its lowest-indexed neighbor, and then the slots' values
+    agents = np.concatenate([emitters, slot_agents])
+    receivers = np.concatenate([adj[emitters].argmax(axis=1), slot_receivers])
+    block = max(1, (steps + 1) * n // max(1, agents.size))
 
     received = np.empty(index.shape)
     total = np.empty(normal.size)
@@ -435,50 +404,42 @@ def run_simulation(config: SimConfig, adversary: object | None = None) -> Trajec
     # a sum of +inf and -inf or one past the largest float is an error,
     # raised below rather than warned of
     with np.errstate(invalid="ignore", over="ignore"):
-        for start in range(0, rounds, block):
-            end = stop = min(start + block, rounds)
-            # repeats[t - start]: round t's adversary values repeat round t - 1's
-            repeats = steady[start:end].copy()
-            if slots.size:
-                ts = np.arange(start, end)[:, None]
-                sent = np.broadcast_to(np.asarray(send(slot_agents, slot_receivers, ts),
-                                                  dtype=np.float64), (end - start, slots.size))
-                # the least value is NaN if any value is
-                if math.isnan(np.minimum.reduce(sent, axis=None)):
-                    stop = start + int(np.isnan(sent).any(axis=1).argmax())
-                sent_bits = sent.view(np.uint64)
-                repeats[1:] &= (sent_bits[1:] == sent_bits[:-1]).all(axis=1)
-                if start:
-                    repeats[0] &= np.array_equal(sent_bits[0], last_sent)
-                last_sent = sent_bits[-1]
-            t = start
-            while t < stop:
-                if repeats[t - start] and np.array_equal(bits[t], bits[t - 1]):
-                    # round t - 1 ran on these inputs, so round t and every
-                    # following round of the block whose adversary values
-                    # repeat leave the normal states as they are
-                    held = repeats[t - start + 1:stop - start]
-                    last = t + (held.size if held.all() else int(held.argmin()))
-                    states[t + 1:last + 2, normal] = states[t, normal]
-                    t = last + 1
-                    continue
-                states[t].take(index, out=received, mode="clip")
-                if slots.size:
-                    np.put(received, slots, sent[t - start])
-                zeroed, weight = trim(received)
-                np.putmask(received, zeroed, 0.0)
-                # the last row is own: ((0.0 + v0) + ...) + own is own + the sum
-                np.add.reduce(received, axis=0, out=total, initial=0.0)
-                np.multiply(total, weight, out=total)
-                # the screen: the totals' sum is finite if every total is
-                if not math.isfinite(np.add.reduce(total)):
-                    _check_updates(normal, received, total, t)
+        for start in range(0, steps + 1, block):
+            end = min(start + block, steps + 1)
+            ts = np.arange(start, end)[:, None]
+            values = np.broadcast_to(np.asarray(send(agents, receivers, ts) if agents.size else 0.0,
+                                                dtype=np.float64), (end - start, agents.size))
+            states[start:end, emitters] = values[:, :emitters.size]
+            sent = values[:, emitters.size:]
+            nan = np.isnan(values)
+            # what is sent at the last step feeds no round
+            nan[steps - start:, emitters.size:] = False
+            nan_rows = nan.any(axis=1)
+            stop = start + int(nan_rows.argmax()) if nan_rows.any() else end
+            # repeats[t - start]: step t's adversary values repeat step t - 1's
+            value_bits = values.view(np.uint64)
+            repeats = np.empty(end - start, dtype=bool)
+            repeats[0] = start > 0 and np.array_equal(value_bits[0], last)
+            repeats[1:] = (value_bits[1:] == value_bits[:-1]).all(axis=1)
+            last = value_bits[-1]
+            for t in range(start, min(stop, steps)):
+                # a round whose inputs repeat round t - 1's keeps the totals
+                # that round left; bytes compare as bits, -0.0 apart from 0.0
+                if not (repeats[t - start] and states[t].tobytes() == states[t - 1].tobytes()):
+                    states[t].take(index, out=received, mode="clip")
+                    received.put(slots, sent[t - start])
+                    zeroed, weight = trim(received)
+                    np.putmask(received, zeroed, 0.0)
+                    # the last row is own: ((0.0 + v0) + ...) + own is own + the sum
+                    np.add.reduce(received, axis=0, out=total, initial=0.0)
+                    np.multiply(total, weight, out=total)
+                    # the screen: the totals' sum is finite if every total is
+                    if not math.isfinite(np.add.reduce(total)):
+                        _check_updates(normal, received, total, t)
                 states[t + 1, normal] = total
-                t += 1
             if stop < end:
-                raise _nan_error(slot_agents, sent[stop - start], stop)
-    if nan_step <= steps:
-        raise _nan_error(emitters, states[nan_step, emitters], nan_step)
+                agent = agents[int(nan[stop - start].argmax())]
+                raise ValueError(f"agent {agent} sent NaN at step {stop}")
     return Trajectory(states=states, roles=roles, f=config.f)
 
 

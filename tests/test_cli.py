@@ -420,11 +420,16 @@ class TestSimulate:
             "--remove-edge", "6,7", "--out", str(tmp_path / "x.csv"),
         ) == 1
 
-    def test_bad_removal_syntax(self, g9, tmp_path):
+    # int() reads "0_1" as 1, so "0_1,5" used to remove edge (1, 5)
+    @pytest.mark.parametrize("arg", ["abc", "0_1,5", "+0,5", " 0,5", "0,5 ", "\u0660,5", "0,\u00b2",
+                                     "0,5,6", "0,", ",5", ""])
+    def test_bad_removal_syntax(self, g9, tmp_path, capsys, arg):
         assert run_cli(
             "simulate", "--graph", str(g9), "--scenario", "viiB-gamma",
-            "--remove-edge", "abc", "--out", str(tmp_path / "x.csv"),
+            "--remove-edge", arg, "--out", str(tmp_path / "x.csv"),
         ) == 1
+        assert f"--remove-edge expects 'u,v' or 'default', got {arg!r}" in capsys.readouterr().err
+        assert list(tmp_path.glob("x*")) == []
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_tolerance_must_be_finite_and_positive(self, g9, tmp_path, capsys, tol):

@@ -860,8 +860,9 @@ def _block_bound_ok(config, calls) -> bool:
 
 class TestStrategyCalls:
     def test_send_is_called_at_most_steps_plus_one_times(self):
-        # once for the logged values, then once per block of rounds for the
-        # Byzantine values; at least 20 runs fetch several rounds at once
+        # once per block of steps, for the logged and the Byzantine values
+        # together; at least 20 runs with a Byzantine agent fetch several
+        # rounds at once
         rng = random.Random(47)
         seen = 0
         for case in range(200):
@@ -872,7 +873,8 @@ class TestStrategyCalls:
             assert trajectory_to_csv(run_simulation(config, adversary)) == expected, case
             assert len(adversary.calls) <= config.steps + 1, (case, adversary.calls)
             assert _block_bound_ok(config, adversary.calls), (case, adversary.calls)
-            seen += any(rounds > 1 for _, rounds in adversary.calls[1:])
+            byzantine = AgentRole.BYZANTINE in config.roles
+            seen += byzantine and any(rounds > 1 for _, rounds in adversary.calls)
         assert seen >= 20
 
     def test_strategies_are_not_called_for_absent_roles(self):
@@ -881,9 +883,10 @@ class TestStrategyCalls:
         run_simulation(config, adversary)
         assert adversary.calls == []
 
-    # K_12 with agents 0-5 Byzantine: each round sends the normal agents 36
-    # values, more than the 24 cells of a one-step trajectory; ten steps
-    # take blocks of three rounds, 30 steps blocks of ten
+    # K_12 with agents 0-5 Byzantine: each step asks for 42 values, six
+    # logged and 36 sent to the normal agents, more than the 24 cells of a
+    # one-step trajectory; ten steps take blocks of three steps, 30 steps
+    # blocks of eight
     K12_ROLES = [AgentRole.BYZANTINE] * 6 + [AgentRole.NORMAL] * 6
 
     @pytest.mark.parametrize("steps", [1, 2, 5, 10, 30])
@@ -908,6 +911,8 @@ class TestStrategyCalls:
         assert trajectory_to_csv(run_simulation(config, adversary)) == expected
         assert len(adversary.calls) <= steps + 1
         assert _block_bound_ok(config, adversary.calls), adversary.calls
+        block = max(1, (steps + 1) * 12 // 42)
+        assert len(adversary.calls) == -(-(steps + 1) // block)
 
     @pytest.mark.parametrize(
         "poison, message",
@@ -1021,12 +1026,21 @@ class TestNonFiniteAdversaryValues:
         ],
     )
     def test_nan_names_the_first_agent_and_step(self, poison, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_simulation(self._k5_config(), PoisonedAdversary(poison))
+
+    def test_nan_sent_to_a_normal_agent_at_the_last_step_is_unused(self):
+        # no round reads what agent 1 sends normal agent 3 at the last step
+        config = self._k5_config()
+        adversary = PoisonedAdversary({(1, 3, 4)})
+        expected = trajectory_to_csv(reference_run_simulation(config, adversary))
+        assert trajectory_to_csv(run_simulation(config, adversary)) == expected
+
+    @staticmethod
+    def _k5_config():
         # agent 1 is Byzantine, agent 2 malicious, agents 0, 3 and 4 normal
         roles = [AgentRole.NORMAL, AgentRole.BYZANTINE, AgentRole.MALICIOUS] + [AgentRole.NORMAL] * 2
-        config = make_config(complete_graph(5), roles, 1, 4, [0.0, 0.0, 0.0, 1.0, 2.0])
-        adversary = PoisonedAdversary(poison)
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            run_simulation(config, adversary)
+        return make_config(complete_graph(5), roles, 1, 4, [0.0, 0.0, 0.0, 1.0, 2.0])
 
     def test_nan_from_the_cli_exits_1(self, tmp_path, monkeypatch, capsys):
         graph = tmp_path / "g9.json"
