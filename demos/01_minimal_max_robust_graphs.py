@@ -4,7 +4,8 @@
 For n nodes the largest achievable r-robustness is gamma = ceil(n/2).  The
 two constructors produce a gamma-robust graph and a (gamma, gamma)-robust
 graph whose edge counts meet the theoretical floors exactly, and the exact
-oracle confirms the robustness levels by exhaustive enumeration.
+oracle confirms the robustness levels, deciding over the twin-class lattice
+without walking the subset pairs one by one.
 """
 
 from mergraph import (

@@ -37,12 +37,12 @@ themselves, the canonical serializations, for which the general parser
 (``json.loads`` and :func:`new_graph`) would have built the same graph; the
 re-render itself is not run.  Any other bytes, and all shorter ones, are
 decoded as UTF-8 and read by the general parser, which gives every error
-message.  The fast path sets each edge's bits in a square matrix with one
-row and one column per node id up to the highest id read so far (grown when
-a chunk names a higher one) as soon as the edge's chunk is checked, so no
-ids of the whole text are kept, and it leaves a text to the general parser
-when that matrix would take more bytes than the text has.  Edge-list text
-always takes its general parser.
+message.  The fast path sets each edge's bits in one square bool matrix,
+allocated before the first chunk, as soon as the edge's chunk is checked, so
+no ids of the whole text are kept; the matrix is ``min(n, isqrt(len))``
+wide, no more bytes than the text has, and a text that names an id past it
+is left to the general parser.  Edge-list text always takes its general
+parser.
 """
 
 from __future__ import annotations
@@ -365,15 +365,11 @@ def _canonical_json_graph(data: bytes) -> Graph | None:
     Each pair sets two distinct bits in a square bool matrix indexed by node
     id as soon as its chunk is checked, so no chunk's ids outlive it;
     :func:`masks_from_bits` turns row ``u`` into the mask of node ``u``.
-    The matrix is ``width`` rows of ``width`` bits, ``width`` a multiple of
-    8 above the highest id read so far: the first chunk sizes it, and a
-    chunk that names a higher id grows it to at least twice its width, but
-    never past the declared ``n`` rounded up to a multiple of 8 nor past a
-    matrix of as many bytes as ``data`` has.  A text whose highest id needs
-    more than that (a few edges on high ids) is left to the general parser
-    at the first chunk that names it, so this path never costs more memory
-    than that one.  The paper's graphs name ``n - 1`` in their first
-    chunk, so their matrix is allocated once, from ``n``.
+    The matrix is allocated once, ``room = min(n, isqrt(len(data)))`` wide,
+    so it never takes more bytes than ``data`` has, and a text that names
+    an id of ``room`` or more (a few edges on high ids) is left to the
+    general parser at the chunk that names it, so this path never costs
+    more memory than that one.
     """
     head = _CANONICAL_HEAD.match(data)
     if head is None or not data.endswith(_CANONICAL_TAIL):
@@ -382,8 +378,9 @@ def _canonical_json_graph(data: bytes) -> Graph | None:
     if n > MAX_NODES:
         return None
     # the widest matrix the graph can use, and the widest the text pays for
-    room = min(8 * -(-n // 8), 8 * (isqrt(len(data)) // 8))
-    bits = np.zeros((0, 0), dtype=bool)
+    room = min(n, isqrt(len(data)))
+    bits = np.zeros((room, room), dtype=bool)
+    flat = bits.reshape(-1)
     last_key = -1
     a, end = head.end(), len(data) - len(_CANONICAL_TAIL)
     while a < end:
@@ -398,20 +395,11 @@ def _canonical_json_graph(data: bytes) -> Graph | None:
         if ids is None:
             return None
         u, v = ids[0::2], ids[1::2]
-        key = u * n + v
-        if (u >= v).any() or (v >= n).any() or key[0] <= last_key or (np.diff(key) <= 0).any():
+        key = u * room + v
+        if (u >= v).any() or (v >= room).any() or key[0] <= last_key or (np.diff(key) <= 0).any():
             return None
-        need = 8 * (int(v.max()) // 8 + 1)
-        if need > len(bits):
-            if need > room:
-                return None
-            grown = np.zeros((min(max(need, 2 * len(bits)), room),) * 2, dtype=bool)
-            grown[: len(bits), : len(bits)] = bits
-            bits = grown
-        width = len(bits)
-        flat = bits.reshape(-1)
-        flat[u * width + v] = True
-        flat[v * width + u] = True
+        flat[key] = True
+        flat[v * room + u] = True
         last_key = int(key[-1])
         a = b + 1
     return Graph._from_masks(n, masks_from_bits(bits, n))

@@ -7,9 +7,10 @@ import re
 import sys
 import tracemalloc
 from itertools import combinations, permutations
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mergraph import (
@@ -477,19 +478,53 @@ class TestFastJsonPath:
 
     @pytest.mark.parametrize("text", [
         # n = 400 with edges only among ids 0..199: a matrix sized from n
-        # (160,000 bytes) would not fit the text; one sized from the
-        # highest id read (40,000 bytes) does
+        # (160,000 bytes) would not fit the text of 127,248 bytes; one
+        # isqrt(len) = 356 wide (126,736 bytes) does
         graph_to_json(new_graph(400, construct_gamma_merg(200)[0].edge_pairs())),
-        # two 130-cliques: the first chunk names ids below 130 only, the
-        # second names 259, and the matrix grows from 136 to 264 wide
+        # two 130-cliques: the first chunk names ids below 130 only and the
+        # second names 259, which the matrix allocated before the first
+        # chunk (260 wide, from n) already holds
         graph_to_json(new_graph(260, [e for k in (0, 130)
                                       for e in combinations(range(k, k + 130), 2)])),
-    ], ids=["isolated-high-ids", "grown"])
-    def test_the_matrix_follows_the_highest_id_read(self, text):
+    ], ids=["isolated-high-ids", "high-ids-after-the-first-chunk"])
+    def test_the_matrix_is_sized_once_from_n_and_the_text(self, text):
         assert len(text) > _CHUNK_CHARS
         expected = _parsed_json_graph(text)
         for got in (_canonical_json_graph(text.encode()), parse_graph(text.encode())):
             assert_same_graph(got, expected)
+
+    # a complete graph on ids 0..47 (8,581 bytes of text with one more edge
+    # on two-digit ids), plus the edge (0, 91): 91 lies below isqrt(8581) =
+    # 92, so the matrix holds it, though below 8 * (92 // 8) = 88 it would
+    # not; (0, 92) names an id past the matrix
+    @example(n=200, k=200, p=1.0, seed=0, extra=[(0, 91)])
+    @example(n=200, k=200, p=1.0, seed=0, extra=[(0, 92)])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=48, max_value=1000),
+        k=st.integers(min_value=48, max_value=1000),
+        p=st.sampled_from([0.7, 0.85, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**32),
+        extra=st.lists(st.tuples(st.integers(0, 999), st.integers(0, 999)), max_size=6),
+    )
+    def test_the_fast_path_takes_exactly_the_ids_below_the_matrix_width(
+        self, n, k, p, seed, extra
+    ):
+        # edges among ids < k <= n: a dense block on ids 0..47 makes the
+        # text long enough for the fast path, and the extra edges reach up
+        # to k - 1, past the matrix width min(n, isqrt(len)) or not
+        k = min(k, n)
+        pairs = list(random_graph(random.Random(seed), 48, p).edge_pairs())
+        pairs += [(a % k, b % k) for a, b in extra if a % k != b % k]
+        text = graph_to_json(new_graph(n, pairs))
+        assert len(text) >= FAST_JSON_MIN_CHARS
+        top = max(max(pair) for pair in pairs)
+        expected = _parsed_json_graph(text)
+        fast = _canonical_json_graph(text.encode())
+        assert (fast is None) == (top >= min(n, isqrt(len(text))))
+        if fast is not None:
+            assert_same_graph(fast, expected)
+        assert_same_graph(parse_graph(text.encode()), expected)
 
     @pytest.mark.parametrize("at", [0, 40, -3], ids=["head", "body", "tail"])
     def test_bytes_that_are_not_utf8_raise_a_decode_error(self, at):
