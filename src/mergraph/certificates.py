@@ -18,10 +18,13 @@ All checks except the last are necessary only: passing never proves
 robustness, failing always disproves it.
 
 The dense-subgraph check is the only one that looks at node subsets.  It
-tabulates the induced edge count of all 2^n subsets in one numpy table
-(see :func:`lemma4_dense_subgraph_holds`), so its budget is a node count,
-``MAX_DENSE_NODES``; above it the report records the check as not
-evaluated.
+meets in the middle: per-node neighbour counts in the subsets of each half
+of the nodes build the induced edge counts of all 2^n subsets as a grid,
+high-half subsets by low-half subsets, and one read over the runs of that
+grid that hold the (gamma+1)-subsets decides it (see
+:func:`lemma4_dense_subgraph_holds`).  The grid is 4 MiB at n = 22, so its
+budget is a node count, ``MAX_DENSE_NODES``; above it the report records
+the check as not evaluated.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ Parity = Literal["odd", "even"]
 MAX_CLIQUE_NODES = 40
 
 # the dense-subgraph check raises CapExceededError above this many nodes;
-# its table holds 2^n counts, 4 MiB at n = 22
+# its grid holds 2^n one-byte counts, 4 MiB at n = 22
 MAX_DENSE_NODES = 22
 
 
@@ -139,49 +142,104 @@ def necessary_clique_size(n: int) -> int:
     return (gamma + 4) // 2
 
 
-def _induced_edge_table(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """``induced[S]`` = number of edges with both ends in subset ``S``, and
-    ``sizes[S]`` = ``|S|``, over all 2^n subsets.
+def _dense_subgraph_floor(gamma: int) -> int:
+    """Lemma 4's floor: a gamma-robust graph on 2*gamma nodes has a
+    (gamma+1)-node subset that induces at least this many edges."""
+    return (gamma * gamma + 2) // 2
 
-    Filled by doubling over the nodes: for S within nodes 0..i-1,
-    induced[S | 1 << i] = induced[S] + popcount(adj[i] & S).  Subset S is
-    ``h << lo_bits | l`` for ``l`` in ``lo`` (the low ``n // 2`` bits) and
-    ``h`` in ``hi``, and the popcount is split the same way, so each node
-    costs two vectors of length ~2^(n/2) and broadcast adds into the new
-    half of the table; ``sizes`` is summed from the half popcounts as a
-    (hi.size, lo.size) grid.  The dtype holds C(n, 2), so the counts never
-    wrap.
+
+# per even n: the low-half subsets in popcount order and the flat bounds of
+# every row's run of (gamma+1)-subsets in the induced-edge grid, both
+# O(2^(n/2)); 40 KB in all for n = 2..22
+_RUNS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _popcount_runs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``order`` and ``bounds`` of the even-n grid, built once per n.
+
+    ``order`` lists the low-half subsets (the low ``n // 2`` bits) by
+    popcount, ties in increasing order, so the columns of one popcount q
+    form one run ``starts[q]:starts[q + 1]``.  Row ``h`` of the grid (a
+    high-half subset of popcount p) meets the subsets of size gamma+1 in the
+    run of q = gamma+1-p, which is empty only for h = 0.  ``bounds``
+    interleaves the run start and end of rows 1, 2, ... as flat indices into
+    the grid, the form ``np.maximum.reduceat`` reads (its even-numbered
+    segments are the runs); an end at the grid's size is dropped, since the
+    last segment runs to the end.
+    """
+    runs = _RUNS.get(n)
+    if runs is None:
+        k = n // 2
+        width = 1 << k
+        popcounts = np.bitwise_count(np.arange(width, dtype=np.uint32))
+        order = np.argsort(popcounts, kind="stable").astype(np.min_scalar_type(width - 1))
+        starts = np.concatenate(([0], np.cumsum(np.bincount(popcounts))))
+        row_starts = np.arange(1, width) * width
+        q = k + 1 - popcounts[1:]
+        bounds = np.stack([row_starts + starts[q], row_starts + starts[q + 1]], axis=1).ravel()
+        if bounds[-1] == width * width:
+            bounds = bounds[:-1]
+        runs = _RUNS[n] = (order, bounds.astype(np.int32))
+        for shared in runs:
+            shared.flags.writeable = False
+    return runs
+
+
+def _half_tables(g: Graph, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The induced edge counts of all 2^n subsets of an even-n graph, split.
+
+    The nodes split into a low half and a high half of k = n // 2 nodes
+    each, and a subset into ``h << k | l``.  ``order`` is a permutation of
+    the 2^k low-half subsets.  ``grid[h, c]`` counts the edges inside
+    ``l = order[c]`` and those from ``l`` to ``h``, ``high[h]`` the edges
+    inside ``h``, so ``grid[h, c] + high[h]`` is the induced edge count of
+    ``h << k | order[c]``.
+
+    Each half's own edges are counted at their higher end: one broadcast
+    bit count gives every node's lower neighbours in every subset of its
+    half, kept where the node itself is in the subset and summed per
+    subset.  The grid's row 0 is the low half's own edges; it then doubles
+    over the high-half nodes only, one add of each node's neighbour counts
+    in the low subsets (the cross edges) per node.  The dtype holds
+    C(n, 2), so the counts never wrap.
     """
     n = g.n
-    # table first, then the halves and sizes: the other order raised the
-    # peak RSS of a run of certificate reports at n=16-20 by about 0.9 MB
-    induced = np.zeros(1 << n, dtype=np.min_scalar_type(comb(n, 2)))
-    lo_bits = n // 2
-    lo = np.arange(1 << lo_bits, dtype=np.uint32)
-    hi = np.arange(1 << (n - lo_bits), dtype=np.uint32)
-    sizes = np.bitwise_count(hi)[:, None] + np.bitwise_count(lo)
-    for i, a in enumerate(g.adjacency):
-        below = induced[: 1 << i]
-        new = induced[1 << i : 2 << i]
-        in_lo = np.bitwise_count(lo & (a & (lo.size - 1)))
-        if i < lo_bits:
-            np.add(below, in_lo[: 1 << i], out=new)
-        else:
-            rows = 1 << (i - lo_bits)
-            in_hi = np.bitwise_count(hi[:rows] & (a >> lo_bits))
-            grid = new.reshape(rows, lo.size)
-            np.add(below.reshape(rows, lo.size), in_hi[:, None], out=grid)
-            grid += in_lo
-    return induced, sizes.ravel()
+    k = n // 2
+    width = 1 << k
+    low, high = g.adjacency[:k], g.adjacency[k:]
+    masks = np.array(
+        [
+            [a & ((1 << i) - 1) for i, a in enumerate(low)],
+            [a >> k & ((1 << i) - 1) for i, a in enumerate(high)],
+            [a & (width - 1) for a in high],
+        ],
+        dtype=np.uint32,
+    )
+    subsets = np.arange(width, dtype=np.uint32)
+    member = (subsets >> np.arange(k, dtype=np.uint32)[:, None]).astype(np.uint8) & 1
+    dtype = np.min_scalar_type(comb(n, 2))
+    own = (np.bitwise_count(masks[:2, :, None] & subsets) * member).sum(axis=1, dtype=dtype)
+    cross = np.bitwise_count(masks[2, :, None] & order)
+    grid = np.empty((width, width), dtype=dtype)
+    grid[0] = own[0, order]
+    for t in range(k):
+        rows = 1 << t
+        np.add(grid[:rows], cross[t], out=grid[rows : 2 * rows])
+    return grid, own[1]
 
 
 def lemma4_dense_subgraph_holds(g: Graph) -> bool:
     """Even-n check: some (gamma+1)-node subset induces >= floor((gamma^2+2)/2) edges.
 
-    Necessary for gamma-robustness on even n.  The induced edge count of
-    every one of the 2^n subsets is tabulated at once
-    (:func:`_induced_edge_table`) and read at the subsets of size gamma+1,
-    with no loop over subsets.  Above ``MAX_DENSE_NODES`` nodes it raises
+    Necessary for gamma-robustness on even n.  A meet in the middle: the
+    induced edge counts of all 2^n subsets are a (2^(n/2) x 2^(n/2)) grid,
+    high-half subsets by low-half subsets, plus one count per row for the
+    edges inside the high half (:func:`_half_tables`).  The columns are in
+    popcount order, so each row's (gamma+1)-subsets are one contiguous run
+    (:func:`_popcount_runs`): one ``np.maximum.reduceat`` over those runs,
+    plus each row's own count, gives the densest (gamma+1)-subset with no
+    loop over subsets.  At n = 22 the grid is 4 MiB of uint8 and the call
+    peaks at about 4.1 MiB.  Above ``MAX_DENSE_NODES`` nodes it raises
     ``CapExceededError`` before any table is built.
     """
     if g.n % 2 != 0:
@@ -192,10 +250,10 @@ def lemma4_dense_subgraph_holds(g: Graph) -> bool:
             f"dense-subgraph table of 2^{n} subsets infeasible"
             f" (cap is {MAX_DENSE_NODES} nodes)"
         )
-    gamma = n // 2
-    need = (gamma * gamma + 2) // 2
-    induced, sizes = _induced_edge_table(g)
-    return bool(np.any((sizes == gamma + 1) & (induced >= need)))
+    order, bounds = _popcount_runs(n)
+    grid, high = _half_tables(g, order)
+    densest = np.maximum.reduceat(grid.ravel(), bounds)[::2] + high[1:]
+    return bool(densest.max() >= _dense_subgraph_floor(n // 2))
 
 
 def prop1_gamma_gamma_check(g: Graph) -> bool:
@@ -287,7 +345,7 @@ def certificate_report(g: Graph) -> CertificateReport:
         at_least("clique_gamma", necessary_clique_size(n), clique, r_claim)
     if n % 2 == 0:
         at_least("clique_gamma_gamma_turan", turan_clique_threshold(gamma), clique, rs_claim)
-        dense_need = (gamma * gamma + 2) // 2
+        dense_need = _dense_subgraph_floor(gamma)
         try:
             dense_ok = lemma4_dense_subgraph_holds(g)
         except CapExceededError:

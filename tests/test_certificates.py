@@ -6,7 +6,10 @@ import tracemalloc
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mergraph import (
     CapExceededError,
@@ -33,11 +36,12 @@ from mergraph import (
     r_upper_bound_from_edges,
     turan_clique_threshold,
 )
-from mergraph.certificates import MAX_DENSE_NODES, _induced_edge_table
+from mergraph.certificates import MAX_DENSE_NODES, _half_tables, _popcount_runs
 from conftest import (
     brute_dense_subgraph,
     brute_max_clique,
     degree,
+    mask_dense_subgraph,
     random_graph,
     reference_turan_clique_threshold,
     report_check,
@@ -220,15 +224,43 @@ def dense_need(n: int) -> int:
 
 class TestDenseSubgraphMatchesScan:
     def test_table_counts_every_subset(self):
+        # under any column order, cell (h, c) plus row h's own count is the
+        # number of edges inside h << n // 2 | order[c]
         rng = random.Random(5)
         for _ in range(40):
-            n = rng.randint(1, 9)
+            n = 2 * rng.randint(1, 5)
+            k = n // 2
             g = random_graph(rng, n, rng.random())
-            induced, sizes = _induced_edge_table(g)
-            for mask in range(1 << n):
+            order = np.array(rng.sample(range(1 << k), 1 << k), dtype=np.uint32)
+            grid, high = _half_tables(g, order)
+            assert grid.shape == (1 << k, 1 << k) and high.shape == (1 << k,)
+            for h, c in np.ndindex(grid.shape):
+                mask = h << k | int(order[c])
                 nodes = [i for i in range(n) if mask >> i & 1]
-                assert sizes[mask] == len(nodes)
-                assert induced[mask] == sum(1 for e in combinations(nodes, 2) if e in g.edges)
+                assert grid[h, c] + high[h] == sum(1 for e in combinations(nodes, 2) if e in g.edges)
+
+    @pytest.mark.parametrize("n", range(2, MAX_DENSE_NODES + 1, 2))
+    def test_runs_cover_exactly_the_subsets_of_size_gamma_plus_one(self, n):
+        # run i is bounds[2i]:bounds[2i + 1], the last one possibly open-ended
+        order, bounds = _popcount_runs(n)
+        k = n // 2
+        width = 1 << k
+        assert np.array_equal(np.sort(order), np.arange(width))
+        starts = bounds[0::2]
+        ends = np.append(bounds[1::2], width * width)[: starts.size]
+        covered = np.zeros(width * width, dtype=bool)
+        for start, end in zip(starts.tolist(), ends.tolist()):
+            covered[start:end] = True
+        masks = np.arange(width, dtype=np.uint32)[:, None] << k | order.astype(np.uint32)
+        assert np.array_equal(covered, np.bitwise_count(masks).ravel() == k + 1)
+        assert (ends - starts).sum() == np.count_nonzero(covered) == comb(n, k + 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=6), st.sampled_from([0.2, 0.5, 0.8, 0.95]),
+           st.randoms(use_true_random=False))
+    def test_matches_the_subset_scan(self, half, p, rng):
+        g = random_graph(rng, 2 * half, p)
+        assert lemma4_dense_subgraph_holds(g) == brute_dense_subgraph(g)
 
     def test_random_graphs_around_the_threshold(self):
         # a (gamma+1)-node core with a few edges fewer or more than needed,
@@ -247,24 +279,36 @@ class TestDenseSubgraphMatchesScan:
             verdicts[expected] += 1
         assert min(verdicts.values()) >= 100
 
-    @pytest.mark.parametrize("n, count", [(14, 40), (16, 24)])
+    @pytest.mark.parametrize("n, count", [(14, 40), (16, 24), (18, 32)])
     def test_planted_cores_at_the_certify_sizes(self, n, count):
-        # the certify workload's commonest sizes: a (gamma+1)-node core one
-        # or two edges either side of the threshold, random edges elsewhere;
-        # "reached" counts the cores below it that other edges make dense
+        # the certify workload's commonest sizes, and n = 18 with its two
+        # 9-node halves: a (gamma+1)-node core one or two edges either side
+        # of the threshold, random edges elsewhere; "reached" counts the
+        # cores below it that other edges make dense
         rng = random.Random(n)
         seen = {True: 0, False: 0, "reached": 0}
+        reference = brute_dense_subgraph if n < 18 else mask_dense_subgraph
         for _ in range(count):
             inside = list(combinations(sorted(rng.sample(range(n), n // 2 + 1)), 2))
             planted = rng.sample(inside, dense_need(n) + rng.choice([-2, -1, 0, 1]))
             others = [e for e in combinations(range(n), 2) if e not in set(inside)]
             p = rng.choice([0.1, 0.3, 0.5])
             g = new_graph(n, planted + [e for e in others if rng.random() < p])
-            expected = brute_dense_subgraph(g)
+            expected = reference(g)
             assert lemma4_dense_subgraph_holds(g) == expected
             seen[expected] += 1
             seen["reached"] += expected and len(planted) < dense_need(n)
         assert min(seen[True], seen[False]) >= count // 4 and seen["reached"], seen
+
+    def test_mask_reference_agrees_with_the_pair_scan(self):
+        rng = random.Random(41)
+        verdicts = []
+        for _ in range(200):
+            n = rng.choice([2, 4, 6, 8, 10])
+            g = random_graph(rng, n, rng.choice([0.3, 0.6, 0.8, 0.9]))
+            verdicts.append(mask_dense_subgraph(g))
+            assert verdicts[-1] == brute_dense_subgraph(g)
+        assert 50 <= sum(verdicts) <= 150
 
     @pytest.mark.parametrize("n", [10, 12])
     @pytest.mark.parametrize("build", [construct_gamma_merg, construct_gamma_gamma_merg])
@@ -306,6 +350,24 @@ class TestDenseSubgraphMatchesScan:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+        assert g.n not in certificates._RUNS
+
+    def test_n22_peak_and_the_per_n_cache(self, monkeypatch):
+        # the grid is 2^22 uint8 counts (4 MiB); the runs cached for each
+        # even n are O(2^(n/2)), never a 2^n- or C(n, gamma+1)-sized index
+        monkeypatch.setattr(certificates, "_RUNS", {})
+        g = new_graph(22, list(combinations(range(12), 2))[:60])
+        tracemalloc.start()
+        try:
+            assert not lemma4_dense_subgraph_holds(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20
+        for n in range(2, MAX_DENSE_NODES + 1, 2):
+            lemma4_dense_subgraph_holds(cycle(n))
+        assert sorted(certificates._RUNS) == list(range(2, MAX_DENSE_NODES + 1, 2))
+        assert sum(a.nbytes for runs in certificates._RUNS.values() for a in runs) < 64_000
 
     def test_report_leaves_the_check_unevaluated_above_the_budget(self):
         assert report_check(certificate_report(cycle(22)), "dense_subgraph_gamma").passed is False
