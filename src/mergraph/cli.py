@@ -11,13 +11,22 @@ Subcommands:
 * ``simulate``    run a consensus scenario and write trajectory CSV,
   metrics JSON, and the roles sidecar.
 
-Each call's argv is parsed once: when it starts with a subcommand, that
-subcommand's parser (the one ``build_parser`` builds) takes the rest.  The
-full parser runs only for what that cannot handle (top-level help, a
-missing or unknown subcommand, an option before it), so a message, an exit
-code or a namespace is what the full parser gives.  Through the full
-parser a call is parsed twice: the top level classifies every argument
-before the subcommand's parser parses the tail again.
+A call's argv is parsed by the first of three steps that applies.
+The plain step takes argv that starts with a subcommand and goes on with
+that subcommand's option strings only, each spelled in full and given
+once: a flag alone, any other option followed by one value that does not
+start with ``-`` and that its type and choices accept, and no required
+option missing.  It builds the namespace argparse would, from the actions
+of the parsers ``build_parser`` builds, without running argparse: on a
+2-vCPU VM an argparse parse cost 48-74 us of a 0.2-0.3 ms op between
+other ops, against a few us for the plain step.  Any other argv that
+starts with a subcommand goes to that subcommand's parser: abbreviations,
+``--opt=value``, repeats, ``-h``, a value such as ``-1``, and every error.
+The full parser runs only for what neither can handle (top-level help, a
+missing or unknown subcommand, an option before it); its top level
+classifies every argument before the subcommand's parser parses the tail
+again.  So argparse gives every message, exit code and help text, and
+every namespace is what the full parser gives.
 
 Exit codes: 0 success / requested level holds; 2 requested level fails;
 3 exact check infeasible at this size; 1 any other error.  ``--json``
@@ -58,7 +67,7 @@ import os
 import stat
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import certificates, construction, oracle, wmsr
 from .graph_core import (
@@ -81,8 +90,10 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # the top-level parser's subcommand parsers by name (see build_parser)
+    # the top-level parser's subcommand parsers by name, and the plain
+    # step's table of each (see build_parser)
     subcommands: dict[str, argparse.ArgumentParser]
+    plain: dict[str, _PlainTable]
 
     def error(self, message: str) -> None:  # noqa: A003 - argparse API
         raise CliError(message)
@@ -216,7 +227,69 @@ def build_parser() -> _Parser:
                    help="convergence tolerance on the final normal-agent spread")
     p.add_argument("--out", required=True, help="trajectory CSV path")
     p.add_argument("--json", action="store_true")
+    parser.plain = {name: _plain_table(name, p) for name, p in parser.subcommands.items()}
     return parser
+
+
+class _PlainTable(NamedTuple):
+    start: dict  # the namespace argparse starts from, in its key order
+    options: dict[str, argparse.Action]  # the option strings the step takes
+    required: frozenset[str]  # the dests that must be given
+
+
+def _plain_table(name: str, sub: argparse.ArgumentParser) -> _PlainTable:
+    """The plain step's table of subcommand ``name``, read from its parser.
+
+    argparse starts the namespace with ``command``, then each action's
+    default in action order (the help action's is ``SUPPRESS``, so it has
+    none), then the parser's ``set_defaults``.  (It would also pass a
+    string default left unset through the action's type; no option here
+    has both.)  The step takes only ``store`` options of one value and
+    ``store_true`` flags, so ``-h`` and anything else argparse acts on goes
+    to argparse.
+    """
+    start = {"command": name}
+    for action in sub._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            start.setdefault(action.dest, action.default)
+    for dest, default in sub._defaults.items():
+        start.setdefault(dest, default)
+    options = {
+        string: action for string, action in sub._option_string_actions.items()
+        if (type(action) is argparse._StoreAction and action.nargs is None)
+        or type(action) is argparse._StoreTrueAction
+    }
+    required = frozenset(action.dest for action in sub._actions if action.required)
+    return _PlainTable(start, options, required)
+
+
+def _plain_namespace(table: _PlainTable, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace of ``argv`` (a subcommand, then its options) if the
+    plain step takes it (see the module docstring), else None."""
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = table.options.get(token)
+        if action is None or action.dest in given:
+            return None
+        if action.nargs == 0:
+            given[action.dest] = action.const
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            # what argparse reports as an invalid value
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+    if not table.required <= given.keys():
+        return None
+    return argparse.Namespace(**{**table.start, **given})
 
 
 # -- subcommand bodies ---------------------------------------------------------
@@ -326,7 +399,10 @@ def _parse_removal(arg: str, scenario: str, n: int) -> tuple[int, int]:
     u, _, v = arg.partition(",")
     if not all(part.isascii() and part.isdigit() for part in (u, v)):
         raise CliError(f"--remove-edge expects 'u,v' or 'default', got {arg!r}")
-    return int(u), int(v)
+    try:
+        return int(u), int(v)
+    except ValueError:  # ASCII digits fail only past int()'s digit limit
+        raise CliError(f"--remove-edge id of {max(len(u), len(v))} digits is too long") from None
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -367,13 +443,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, parsed once: a leading
-    subcommand's parser takes the rest of ``argv`` itself (see the module
-    docstring)."""
+    """``build_parser().parse_args(argv)``, by the first step that applies
+    (see the module docstring): the plain step, for a leading subcommand
+    and its options in full; that subcommand's parser, for anything else
+    after a leading subcommand; the full parser, for the rest."""
     parser = build_parser()
     sub = parser.subcommands.get(argv[0]) if argv else None
     if sub is None:
         return parser.parse_args(argv)
+    if (args := _plain_namespace(parser.plain[argv[0]], argv)) is not None:
+        return args
     return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
 
 

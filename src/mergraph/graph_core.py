@@ -456,6 +456,10 @@ def _parsed_json_graph(text: str) -> Graph:
         payload = json.loads(text)
     except RecursionError:
         raise ValueError("graph JSON is nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # a number past int()'s digit limit
+        raise ValueError("graph JSON holds an integer of too many digits") from None
     if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
         raise ValueError("graph JSON must be an object with 'n' and 'edges'")
     if not isinstance(payload["edges"], list):
@@ -479,8 +483,11 @@ def _edge_text_graph(text: str) -> Graph:
         raise ValueError(f"edge-list token {bad!r} is not a decimal node count or id")
     if len(tokens) % 2 != 1:
         raise ValueError("edge-list text must be 'n' followed by 'u v' pairs")
-    n = int(tokens[0])
-    pairs = [(int(tokens[i]), int(tokens[i + 1])) for i in range(1, len(tokens), 2)]
+    try:
+        n = int(tokens[0])
+        pairs = [(int(tokens[i]), int(tokens[i + 1])) for i in range(1, len(tokens), 2)]
+    except ValueError:  # ASCII digits fail only past int()'s digit limit
+        raise ValueError(f"edge-list token of {max(map(len, tokens))} digits is too long") from None
     return new_graph(n, pairs)
 
 

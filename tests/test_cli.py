@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import argparse
 import codecs
+import contextlib
+import io
 import json
 import os
 import random
@@ -12,6 +15,8 @@ from itertools import accumulate
 from pathlib import Path
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from mergraph import (
     construct_gamma_merg,
@@ -20,7 +25,15 @@ from mergraph import (
     parse_graph,
     reachable_count,
 )
-from mergraph.cli import _load_graph, _parse_args, _write, build_parser, main
+from mergraph.cli import (
+    CliError,
+    _load_graph,
+    _parse_args,
+    _plain_namespace,
+    _write,
+    build_parser,
+    main,
+)
 from mergraph.graph_core import (
     _CHUNK_CHARS,
     FAST_JSON_MIN_CHARS,
@@ -431,6 +444,17 @@ class TestSimulate:
         assert f"--remove-edge expects 'u,v' or 'default', got {arg!r}" in capsys.readouterr().err
         assert list(tmp_path.glob("x*")) == []
 
+    # past int()'s digit limit (4300 by default) the message names the
+    # option, not the interpreter's setting
+    @pytest.mark.parametrize("arg", ["0," + "1" * 5000, "1" * 5000 + ",0"], ids=["v", "u"])
+    def test_over_long_removal_id(self, g9, tmp_path, capsys, arg):
+        assert run_cli(
+            "simulate", "--graph", str(g9), "--scenario", "viiB-gamma",
+            "--remove-edge", arg, "--out", str(tmp_path / "x.csv"),
+        ) == 1
+        assert capsys.readouterr().err == "error: --remove-edge id of 5000 digits is too long\n"
+        assert list(tmp_path.glob("x*")) == []
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_tolerance_must_be_finite_and_positive(self, g9, tmp_path, capsys, tol):
         out = tmp_path / "x.csv"
@@ -828,6 +852,66 @@ class TestParserReuse:
             assert [outcome(argv) for argv in calls] == fresh
 
 
+def option_actions(name):
+    """The options of subcommand ``name``'s parser, its help left out."""
+    return [action for action in build_parser().subcommands[name]._actions
+            if action.option_strings and action.dest != "help"]
+
+
+def valid_value(action):
+    return action.choices[0] if action.choices else {int: "3", float: "0.5", None: "g.json"}[action.type]
+
+
+# values that test the plain step's rules: what int() and float() take
+# beyond plain ASCII digits, and strings that start with "-"
+ODD_VALUES = ["nan", "inf", "-1", "1_0", "+3", " 7", "\u0663", "", "-", "--", "-x", "-1e3",
+              "1e-3", "0", "12", "g.json", "0,1", "default"]
+
+
+@st.composite
+def subcommand_argv(draw):
+    """A subcommand, then its options in full, each once, in any order,
+    most with a valid value; then a few odd tokens anywhere: abbreviations,
+    ``--opt=value`` forms, repeats, ``-h``, stray and odd values, each
+    choice and near-misses of it."""
+    name = draw(st.sampled_from(TestDispatch.SUBCOMMANDS))
+    actions = build_parser().subcommands[name]._actions
+    strings = [string for action in actions for string in action.option_strings]
+    choices = [choice for action in actions if action.choices for choice in action.choices]
+    near_misses = [miss for c in choices for miss in (c.upper(), c + " ", c[:-1], c + "x")]
+    value = st.sampled_from(ODD_VALUES + choices + near_misses)
+    odd = st.one_of(
+        st.sampled_from(strings),
+        st.sampled_from(strings).map(lambda string: string[:-1]),
+        st.builds("{}={}".format, st.sampled_from(strings), value),
+        value,
+    )
+    argv = [name]
+    for action in draw(st.permutations(option_actions(name))):
+        if draw(st.integers(0, 9)) < (9 if action.required else 4):
+            argv.append(action.option_strings[0])
+            pick = draw(st.integers(0, 5)) if action.nargs != 0 else 0
+            if pick:  # 0: no value, 1: an odd one, else a valid one
+                argv.append(draw(value) if pick == 1 else valid_value(action))
+    if draw(st.integers(0, 2)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(odd))
+    return argv
+
+
+def parse_outcome(parse):
+    """What ``parse()`` gives: the namespace's items in order, NaN made
+    equal to itself, or argparse's error or exit with what it printed."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = parse()
+    except CliError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+    return [(key, "nan" if value != value else value) for key, value in vars(args).items()]
+
+
 class TestDispatch:
     SUBCOMMANDS = ("construct", "robustness", "bounds", "minimality", "simulate")
     PARSED = [
@@ -866,6 +950,67 @@ class TestDispatch:
 
         monkeypatch.setattr(build_parser(), "parse_args", refused)
         for argv in self.PARSED:
+            assert _parse_args(list(argv)).command == argv[0]
+
+    # the plain step builds argparse's namespace, key order included, and
+    # what it declines goes to the subcommand's parser unchanged
+    @settings(max_examples=400, deadline=None)
+    @given(argv=subcommand_argv())
+    @example(argv=["construct", "--n", "3", "--kind", "R", "--out", "g.json"])
+    @example(argv=["construct", "--n", "1_0", "--kind", "r", "--out", "g.json"])
+    @example(argv=["simulate", "--graph", "g.json", "--seed", "-1", "--out", "t.csv"])
+    @example(argv=["simulate", "--graph", "g.json", "--tol", "nan", "--out", "t.csv"])
+    @example(argv=["bounds", "--graph", "a.json", "--graph", "b.json"])
+    @example(argv=["bounds", "--graph", "g.json", "--json", "--json"])
+    @example(argv=["bounds", "--gr", "g.json"])
+    @example(argv=["bounds", "--graph=g.json"])
+    @example(argv=["bounds", "--graph", "g.json", "-h"])
+    @example(argv=["bounds", "--graph"])
+    @example(argv=["bounds", "--json"])
+    def test_the_plain_step_is_argparse(self, argv):
+        parser = build_parser()
+        sub = parser.subcommands[argv[0]]
+        expected = parse_outcome(lambda: sub.parse_args(argv[1:], argparse.Namespace(command=argv[0])))
+        plain = _plain_namespace(parser.plain[argv[0]], argv)
+        event("plain step" if plain is not None else "argparse")
+        if plain is not None:
+            assert parse_outcome(lambda: plain) == expected
+        assert parse_outcome(lambda: _parse_args(list(argv))) == expected
+
+    # the argv shapes the benchmark sends
+    BENCH = [
+        ("robustness", "--graph", "g.json", "--json"),
+        ("robustness", "--graph", "g.json", "--rs", "--json"),
+        ("robustness", "--graph", "g.json", "--r", "6", "--json"),
+        ("robustness", "--graph", "g.json", "--r", "6", "--s", "6", "--json"),
+        ("minimality", "--graph", "g.json", "--kind", "rs", "--json"),
+        ("bounds", "--graph", "g.json", "--json"),
+        ("simulate", "--graph", "g.json", "--scenario", "viiB-gamma", "--seed", "5", "--f", "2",
+         "--remove-edge", "default", "--out", "t.csv", "--json"),
+        ("construct", "--n", "200", "--kind", "rs", "--variant", "3", "--out", "g.json", "--json"),
+    ]
+
+    # a silent fallback to argparse would change no output, only the cost
+    def test_plain_argv_never_reaches_argparse(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("argparse ran")
+
+        parser = build_parser()
+        for p in (parser, *parser.subcommands.values()):
+            monkeypatch.setattr(p, "parse_args", refused)
+            monkeypatch.setattr(p, "parse_known_args", refused)
+        every_option = []
+        for name in self.SUBCOMMANDS:
+            argv = [name]
+            for action in option_actions(name):
+                argv.append(action.option_strings[0])
+                if action.nargs != 0:
+                    argv.append(valid_value(action))
+            every_option.append(argv)
+        plain_parsed = [argv for argv in self.PARSED
+                        if not {"--graph=g.json", "--gr", "--remove-edge=0,1"} & set(argv)]
+        assert len(plain_parsed) == len(self.PARSED) - 2
+        for argv in every_option + plain_parsed + self.BENCH:
             assert _parse_args(list(argv)).command == argv[0]
 
     @staticmethod

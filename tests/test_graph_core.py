@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import codecs
 import inspect
+import json
 import random
 import re
 import sys
@@ -313,6 +314,26 @@ class TestSerialization:
             for parse, data in [(_edge_text_graph, text), (parse_graph, text.encode())]:
                 with pytest.raises(ValueError, match=f"token {re.escape(repr(token))} is not"):
                     parse(data)
+
+    # ids past int()'s digit limit (4300 by default) are refused with a
+    # message about the input, not about the interpreter's setting
+    LONG_ID = "1" * 5000
+
+    @pytest.mark.parametrize("text", [f"3\n0 {LONG_ID}\n", f"{LONG_ID}\n0 1\n"], ids=["id", "n"])
+    def test_an_over_long_edge_list_token_is_named(self, text):
+        with pytest.raises(ValueError) as info:
+            parse_graph(text.encode())
+        assert str(info.value) == "edge-list token of 5000 digits is too long"
+
+    @pytest.mark.parametrize("text", [f'{{"n": 3, "edges": [[0, {LONG_ID}]]}}',
+                                      f'{{"n": {LONG_ID}, "edges": []}}'], ids=["id", "n"])
+    def test_an_over_long_json_integer_is_named(self, text):
+        with pytest.raises(ValueError) as info:
+            parse_graph(text.encode())
+        assert str(info.value) == "graph JSON holds an integer of too many digits"
+        # a JSON syntax error before the number keeps json's own message
+        with pytest.raises(json.JSONDecodeError, match="^Expecting property name"):
+            parse_graph(text.replace('"n"', "n", 1).encode())
 
 
 class TestParseGraphTakesBytes:
