@@ -5,7 +5,7 @@ subset enumerations (itertools-based, no bitmask tricks) so they stay
 independent of the code paths they validate.  They read a graph through
 ``has_edge``, ``neighbors`` and ``degree``, which test one bit of a node's
 mask at a time (``g.adjacency[u] >> v & 1``), so no reference goes through
-the package's bit walks (``graph_core.members`` and ``_later_neighbors``)
+the package's bit walks (``graph_core.members`` and ``Graph.edge_pairs``)
 or its edge set.  ``subset_pair_assignments`` walks the ~3^n/2 pairs in the
 oracle's canonical witness order; it is the reference the oracle's lattice
 witness is compared with up to n = 16.

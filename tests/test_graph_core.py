@@ -7,6 +7,7 @@ import random
 import re
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import combinations, permutations
 from math import isqrt
 
@@ -31,6 +32,7 @@ from mergraph.graph_core import (
     MAX_MASK_BITS,
     MAX_NODES,
     _CHUNK_CHARS,
+    _RUN_NEIGHBORS,
     _canonical_json_graph,
     _chunk_ids,
     _edge_text_graph,
@@ -66,6 +68,32 @@ def graphs(draw, max_n: int = 10):
     n = draw(st.integers(min_value=1, max_value=max_n))
     possible = list(combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(possible), max_size=len(possible))) if possible else []
+    return new_graph(n, edges)
+
+
+@st.composite
+def graphs_of_runs(draw, max_n: int = 100):
+    """A graph whose rows above the diagonal are each empty, scattered
+    single nodes or drawn runs of consecutive nodes: up to six runs, each
+    1 node long up to the rest of the row, between gaps of 1-12 nodes, the
+    first run at the row's first node or after a gap, the last run ending
+    at the row's last node or before one."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    edges = []
+    for u in range(n - 1):
+        kind = draw(st.sampled_from(["empty", "runs", "scattered"]))
+        if kind == "runs":
+            v = u + 1 + draw(st.integers(min_value=0, max_value=3))
+            for _ in range(6):
+                if v >= n:
+                    break
+                rest = n - v
+                length = rest if draw(st.booleans()) else draw(st.integers(1, min(rest, 24)))
+                edges += [(u, w) for w in range(v, v + length)]
+                v += length + draw(st.integers(min_value=1, max_value=12))
+        elif kind == "scattered":
+            later = range(u + 1, n)
+            edges += [(u, v) for v in set(draw(st.lists(st.sampled_from(later), max_size=len(later))))]
     return new_graph(n, edges)
 
 
@@ -238,6 +266,25 @@ class TestSerialization:
                 g, _ = build(n, variant=variant)
                 assert graph_to_json(g) == reference_graph_to_json(g)
 
+    def test_rows_of_runs_match_the_reference(self):
+        # rows are rendered by runs or one neighbor at a time, chosen by
+        # their neighbors a run; the rows of each kind are counted here,
+        # from bit tests, and both must have been drawn
+        rows = Counter()
+
+        @settings(max_examples=120, deadline=None)
+        @given(graphs_of_runs())
+        def check(g):
+            assert graph_to_json(g) == "".join(graph_json_pieces(g)) == reference_graph_to_json(g)
+            for u in range(g.n):
+                later = [v for v in range(u + 1, g.n) if has_edge(g, u, v)]
+                runs = sum(v - 1 == u or not has_edge(g, u, v - 1) for v in later)
+                if later:
+                    rows["by runs" if len(later) >= _RUN_NEIGHBORS * runs else "each"] += 1
+
+        check()
+        assert rows["by runs"] and rows["each"], rows
+
     @settings(max_examples=80)
     @given(graphs(max_n=12))
     def test_parse_round_trips(self, g):
@@ -398,10 +445,13 @@ class TestJsonPieces:
         assert "".join(pieces) == graph_to_json(g) == reference_graph_to_json(g)
         return pieces
 
+    # canonical labels, whose rows are one or two runs each, and a
+    # relabelling, about half of whose gamma family rows are short runs
+    @pytest.mark.parametrize("variant", [None, 61])
     @pytest.mark.parametrize("build", [construct_gamma_merg, construct_gamma_gamma_merg])
     @pytest.mark.parametrize("n", [200, 800])
-    def test_constructions(self, build, n):
-        pieces = self.assert_pieces(build(n)[0])
+    def test_constructions(self, build, n, variant):
+        pieces = self.assert_pieces(build(n, variant=variant)[0])
         assert len(pieces) > 1
 
     # the text just below, at and just above 64 KiB, then its pairs (the
