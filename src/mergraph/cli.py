@@ -32,10 +32,14 @@ Exit codes: 0 success / requested level holds; 2 requested level fails;
 3 exact check infeasible at this size; 1 any other error.  ``--json``
 switches the human-readable report on stdout to machine-readable JSON.
 
-Graph files are handed to ``graph_core.parse_graph`` as the bytes read,
-with no newline translation; it owns the format (the byte-order mark, the
-fast canonical path, the UTF-8 decode), and a file it cannot decode or
-parse is reported with its path.
+A regular graph file longer than one block (64 KiB) is read a block at a
+time by ``graph_core.read_canonical_json``, so no graph file is held whole.
+Any other file (a shorter one, a pipe, ``/dev/stdin`` on a pipe) is read
+whole, and so is a text that pass refuses, after a seek back to the start;
+the bytes read go to ``graph_core.parse_graph``, with no newline
+translation.  ``graph_core`` owns the format (the byte-order mark, the fast
+canonical path, the UTF-8 decode), the two readers build the same graph,
+and a file it cannot decode or parse is reported with its path.
 
 Output files are written in place, one write a piece: a text is one
 piece, and ``construct`` writes the pieces of about 64 KiB that
@@ -67,16 +71,18 @@ import os
 import stat
 import sys
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import BinaryIO, Iterable, NamedTuple
 
 from . import certificates, construction, oracle, wmsr
 from .graph_core import (
+    _CHUNK_CHARS,
     CapExceededError,
     Graph,
     gamma_of,
     graph_json_pieces,
     graph_to_json,  # noqa: F401 - a name bench/tracing.py wraps; construct streams the pieces
     parse_graph,
+    read_canonical_json,
 )
 
 EXIT_OK = 0
@@ -102,17 +108,29 @@ class _Parser(argparse.ArgumentParser):
 def _load_graph(path: str) -> Graph:
     try:
         # open() rather than Path.read_bytes(): pathlib interns every path
-        # component, and that churn keeps growing the interpreter's table
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise CliError(f"cannot read graph file {path}: {exc}") from exc
-    try:
-        return parse_graph(data)
-    except UnicodeDecodeError as exc:
+        # component, and that churn keeps growing the interpreter's table.
+        # Unbuffered, every read goes straight to the file, and no buffer
+        # is set up for a file read once: that pays for the fstat
+        with open(path, "rb", buffering=0) as fh:
+            st = os.fstat(fh.fileno())
+            return _read_graph(fh, st.st_size if stat.S_ISREG(st.st_mode) else None)
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read graph file {path}: {exc}") from exc
     except ValueError as exc:
         raise CliError(f"cannot parse graph file {path}: {exc}") from exc
+
+
+def _read_graph(fh: BinaryIO, size: int | None) -> Graph:
+    """The graph in ``fh``, open at offset 0: a file of ``size`` bytes, or
+    ``None`` if it is not a regular file.  A regular file longer than one
+    block goes first to ``read_canonical_json``, and is read again from
+    offset 0 if that refuses it; any other file is read once.  Bytes read
+    whole go to ``parse_graph``."""
+    if size is not None and size > _CHUNK_CHARS:
+        if (g := read_canonical_json(fh, size)) is not None:
+            return g
+        fh.seek(0)
+    return parse_graph(fh.read())
 
 
 def _write(path: str | Path, text: str | Iterable[str]) -> bool:

@@ -27,24 +27,31 @@ text in pieces of about 64 KiB, each ending after a node's pairs, so a
 writer can stream it one write a piece; :func:`graph_to_json` joins the
 same pieces.
 
-:func:`parse_graph` is the one reader, and it takes bytes only: a file's
-bytes as read, of which it drops one leading UTF-8 byte-order mark.
-Reading canonical JSON has a fast path.  Bytes of at least
-``FAST_JSON_MIN_CHARS`` are first read in one undecoded pass, a chunk at a
-time: the envelope, every byte between the node ids and the digits of every
-id must be exactly what :func:`graph_to_json` writes, and the ids must be
-in range with ``u < v`` and the pairs strictly increasing.  Those checks
-accept exactly the texts that :func:`graph_to_json` re-renders to
-themselves, the canonical serializations, for which the general parser
-(``json.loads`` and :func:`new_graph`) would have built the same graph; the
-re-render itself is not run.  Any other bytes, and all shorter ones, are
-decoded as UTF-8 and read by the general parser, which gives every error
-message.  The fast path sets each edge's bits in one square bool matrix,
-allocated before the first chunk, as soon as the edge's chunk is checked, so
-no ids of the whole text are kept; the matrix is ``min(n, isqrt(len))``
-wide, no more bytes than the text has, and a text that names an id past it
-is left to the general parser.  Edge-list text always takes its general
-parser.
+:func:`parse_graph` reads bytes only: a file's bytes as read, of which it
+drops one leading UTF-8 byte-order mark.  Reading canonical JSON has a fast
+path.  Bytes of at least ``FAST_JSON_MIN_CHARS`` are first read in one
+undecoded pass, a chunk at a time: the envelope, every byte between the
+node ids and the digits of every id must be exactly what
+:func:`graph_to_json` writes, and the ids must be in range with ``u < v``
+and the pairs strictly increasing.  Those checks accept exactly the texts
+that :func:`graph_to_json` re-renders to themselves, the canonical
+serializations, for which the general parser (``json.loads`` and
+:func:`new_graph`) would have built the same graph; the re-render itself is
+not run.  Any other bytes, and all shorter ones, are decoded as UTF-8 and
+read by the general parser, which gives every error message.  The fast path
+sets each edge's bits in one square bool matrix, allocated before the first
+chunk, as soon as the edge's chunk is checked, so no ids of the whole text
+are kept; the matrix is ``min(n, isqrt(len))`` wide, no more bytes than the
+text has, and a text that names an id past it is left to the general
+parser.  Edge-list text always takes its general parser.
+
+:func:`read_canonical_json` runs the same pass on an open file longer than
+one block, read a block of ``_CHUNK_CHARS`` bytes at a time into one reused
+buffer, so such a file is never held whole.  One chunk cutter,
+:func:`_canonical_graph`, serves both: it is fed windows, the whole text for
+:func:`parse_graph` and each read behind the partial pair the last read left
+for the file.  What the file pass refuses, its caller reads whole and hands
+to :func:`parse_graph`.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress, count, repeat
 from math import isqrt
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -375,66 +382,153 @@ _PAIR_BREAK = b"],["
 # the longest pair, "[1234567,1234567]": from any position in a canonical
 # body, the next "]" is at most this many characters on
 _PAIR_CHARS = 17
+# the most a window of a canonical text leaves after its last "],[": the
+# last pair and the tail
+_CARRY_CHARS = _PAIR_CHARS + len(_CANONICAL_TAIL)
 _DIGITS = b"0123456789"
 
 
 def _canonical_json_graph(data: bytes) -> Graph | None:
     """The graph whose canonical JSON is exactly the bytes ``data``, else
-    ``None``.
+    ``None``: :func:`_canonical_graph` with the whole text as its one
+    window, so no byte of it is copied but into the chunks."""
+    return _canonical_graph(iter([(data, len(data), True)]), len(data))
 
-    ``data`` is read undecoded, a chunk at a time.  The envelope must be
-    the one :func:`graph_to_json` writes.  Its body is cut into chunks of
-    about ``_CHUNK_CHARS`` bytes after the ``]`` of a ``],[`` (the ``,`` is
-    skipped), and :func:`_chunk_ids` accepts a chunk only if it is pairs
-    ``[u,v]`` joined by ``,`` with every id a decimal of at most seven
-    digits and no leading zero; the ids must then hold ``0 <= u < v < n``
-    with ``u * n + v`` strictly increasing over the whole body.  These are
-    exactly the texts :func:`graph_to_json` re-renders to themselves: it
-    writes each edge once, as ``u < v``, in lexicographic order, each id as
-    ``str`` does and nothing between them but that punctuation.  So the
-    general parser (``json.loads`` and :func:`new_graph`) would have built
-    the same graph.  Never raises.
+
+def read_canonical_json(fh: BinaryIO, size: int) -> Graph | None:
+    """The graph whose canonical JSON the open binary file ``fh`` holds from
+    its offset to its end, read a block at a time, else ``None``.
+
+    ``size`` is the length of the file, as ``fstat`` states it.  The file
+    is read into one reused buffer of ``_CHUNK_CHARS`` bytes and the
+    partial pair each block leaves for the next, and the buffer's windows
+    go to :func:`_canonical_graph`, which applies every rule of
+    :func:`parse_graph`'s fast path: one leading UTF-8 byte-order mark is
+    dropped, and the matrix is ``min(n, isqrt(size))`` wide, ``size`` less
+    the mark.  So a graph it returns is the one :func:`parse_graph` builds
+    from the file's bytes.  A file that ends before ``size`` bytes, or goes
+    on after them, is refused.  Raises only what a read of ``fh`` raises;
+    the caller rereads whatever is refused, from where it started, whole.
+    """
+    buf = bytearray(_CHUNK_CHARS + _CARRY_CHARS)
+    # the mark is read apart, so the windows hold only the text
+    kept = fh.readinto(memoryview(buf)[:3])
+    if buf[:kept] == codecs.BOM_UTF8:
+        kept, size = 0, size - 3
+    g = _canonical_graph(_file_windows(fh, buf, kept, size - kept), size)
+    return g if g is not None and not fh.read(1) else None
+
+
+def _file_windows(fh: BinaryIO, buf: bytearray, kept: int, left: int):
+    """Windows ``(buf, stop, final)`` of ``buf[:stop]`` over the next
+    ``left`` bytes of ``fh``: each holds the bytes the last one left, moved
+    to the front (at first the ``kept`` bytes already there), then one read
+    of up to ``_CHUNK_CHARS`` more.  The window whose read takes the last of
+    them, or gives none, is final.  The cutter sends back how many bytes at
+    the end of each window it left."""
+    view = memoryview(buf)
+    while True:
+        got = fh.readinto(view[kept : kept + min(_CHUNK_CHARS, left)])
+        left -= got
+        stop = kept + got
+        kept = yield buf, stop, not (got and left)
+        buf[:kept] = buf[stop - kept : stop]
+
+
+def _canonical_graph(
+    windows: Iterator[tuple[bytes | bytearray, int, bool]], size: int
+) -> Graph | None:
+    """The graph whose canonical JSON is the text the ``windows`` hold, a
+    text of ``size`` bytes, else ``None``: the one chunk cutter of both
+    readers.
+
+    Each window is ``(window, stop, final)``, its text ``window[:stop]``:
+    the text's first bytes at first, then what the last window left and
+    the bytes that follow it, and ``final`` on the window that ends the
+    text.  A generator of windows is sent how many bytes at the end of
+    each window are left for the next.  The first window must open with
+    the envelope :func:`graph_to_json` writes, and the final one end with
+    its tail.  The body between is cut into chunks of about
+    ``_CHUNK_CHARS`` bytes after the ``]`` of a ``],[`` (the ``,`` is
+    skipped), and a rest of at most ``_CHUNK_CHARS + _CARRY_CHARS`` bytes
+    is one chunk; a window that is not final is cut up to its last ``],[``,
+    and whatever follows it, at most a pair and the tail, is left.
+    :func:`_chunk_ids` accepts a chunk only if it is pairs ``[u,v]`` joined
+    by ``,`` with every id a decimal of at most seven digits and no leading
+    zero; the ids must then hold ``0 <= u < v < n`` with ``u * n + v``
+    strictly increasing over the whole body.  These are exactly the texts
+    :func:`graph_to_json` re-renders to themselves: it writes each edge
+    once, as ``u < v``, in lexicographic order, each id as ``str`` does and
+    nothing between them but that punctuation.  So the general parser
+    (``json.loads`` and :func:`new_graph`) would have built the same graph;
+    and as a chunk is cut only at a ``],[``, where it is cut changes
+    nothing of that.  A text that is not ``size`` bytes long is refused.
+    Never raises but what a window's source raises.
 
     Each pair sets two distinct bits in a square bool matrix indexed by node
     id as soon as its chunk is checked, so no chunk's ids outlive it;
     :func:`masks_from_bits` turns row ``u`` into the mask of node ``u``.
-    The matrix is allocated once, ``room = min(n, isqrt(len(data)))`` wide,
-    so it never takes more bytes than ``data`` has, and a text that names
-    an id of ``room`` or more (a few edges on high ids) is left to the
-    general parser at the chunk that names it, so this path never costs
-    more memory than that one.
+    The matrix is allocated once, ``room = min(n, isqrt(size))`` wide, so
+    it never takes more bytes than the text has, and a text that names an
+    id of ``room`` or more (a few edges on high ids) is left to the general
+    parser at the chunk that names it, so this path never costs more memory
+    than that one.
     """
-    head = _CANONICAL_HEAD.match(data)
-    if head is None or not data.endswith(_CANONICAL_TAIL):
+    window, stop, final = next(windows)
+    head = _CANONICAL_HEAD.match(window, 0, stop)
+    if head is None:
         return None
     n = int(head.group(1))
     if n > MAX_NODES:
         return None
     # the widest matrix the graph can use, and the widest the text pays for
-    room = min(n, isqrt(len(data)))
+    room = min(n, isqrt(size))
     bits = np.zeros((room, room), dtype=bool)
     flat = bits.reshape(-1)
     last_key = -1
-    a, end = head.end(), len(data) - len(_CANONICAL_TAIL)
-    while a < end:
-        b = min(a + _CHUNK_CHARS, end)
-        if b < end:
-            # the next "]" is followed by ",[" unless it ends the body
-            cut = data.find(_PAIR_BREAK, b, b + _PAIR_CHARS + 3)
-            if cut < 0 and end - b > _PAIR_CHARS + 1:
+    a, seen = head.end(), stop
+    while True:
+        # each chunk is copied once, into bytes: bytearray.translate, which
+        # _chunk_ids runs, takes about a quarter longer
+        view = memoryview(window)
+        if final:
+            if window[stop - len(_CANONICAL_TAIL) : stop] != _CANONICAL_TAIL:
                 return None
-            b = cut + 1 if cut >= 0 else end
-        ids = _chunk_ids(data[a:b])
-        if ids is None:
+            end = stop - len(_CANONICAL_TAIL)
+        else:
+            # after the "]" of the last "],[": 0 if there is none
+            end = window.rfind(_PAIR_BREAK, a, stop) + 1
+        while a < end:
+            # a rest of one chunk and a pair is not cut, so a window of the
+            # file, at most that long, is one chunk
+            b = end if end - a <= _CHUNK_CHARS + _CARRY_CHARS else a + _CHUNK_CHARS
+            if b < end:
+                # the next "]" is followed by ",[" unless it ends the body
+                cut = window.find(_PAIR_BREAK, b, b + _PAIR_CHARS + 3)
+                if cut < 0 and end - b > _PAIR_CHARS + 1:
+                    return None
+                b = cut + 1 if cut >= 0 else end
+            ids = _chunk_ids(bytes(view[a:b]))
+            if ids is None:
+                return None
+            u, v = ids[0::2], ids[1::2]
+            key = u * room + v
+            if (u >= v).any() or (v >= room).any() or key[0] <= last_key or (np.diff(key) <= 0).any():
+                return None
+            flat[key] = True
+            flat[v * room + u] = True
+            last_key = int(key[-1])
+            a = b + 1
+        if final:
+            break
+        left = stop - a
+        if left > _CARRY_CHARS:
             return None
-        u, v = ids[0::2], ids[1::2]
-        key = u * room + v
-        if (u >= v).any() or (v >= room).any() or key[0] <= last_key or (np.diff(key) <= 0).any():
-            return None
-        flat[key] = True
-        flat[v * room + u] = True
-        last_key = int(key[-1])
-        a = b + 1
+        window, stop, final = windows.send(left)
+        a, seen = 0, seen + stop - left
+    # the matrix is as wide as a text of size bytes pays for
+    if seen != size:
+        return None
     return Graph._from_masks(n, masks_from_bits(bits, n))
 
 

@@ -582,12 +582,30 @@ def reference_turan_clique_threshold(gamma: int) -> int:
 
 def chunk_cuts(text: str) -> list[int]:
     """Where the fast reader cuts ``text`` into chunks: at the "]" of the
-    first "],[" ``_CHUNK_CHARS`` or more characters into each chunk."""
-    cuts, start = [], text.index("[[") + 1
-    while (cut := text.find("],[", start + _CHUNK_CHARS)) >= 0:
+    first "],[" ``_CHUNK_CHARS`` or more characters into each chunk, unless
+    the rest of the body is at most 20 characters longer than that."""
+    cuts, start, end = [], text.index("[[") + 1, len(text) - len("]}\n")
+    while end - start > _CHUNK_CHARS + 20 and (cut := text.find("],[", start + _CHUNK_CHARS)) >= 0:
         cuts.append(cut)
         start = cut + 2
     return cuts
+
+
+def graph_of_chars(chars: int, n: int = 1000) -> Graph:
+    """A graph on ``n`` nodes whose canonical JSON is exactly ``chars``
+    characters: the first pairs of K_n in order, past ``chars`` by 30 to
+    39, less pairs ``(0, v)`` of 6 and 7 characters with their comma."""
+    pairs, size = [], len(f'{{"n":{n},"edges":[]}}\n') - 1
+    for u, v in combinations(range(n), 2):
+        if size >= chars + 30:
+            break
+        pairs.append((u, v))
+        size += len(f"[{u},{v}],")
+    over = size - chars
+    sevens = over % 6  # 7 * sevens leaves a multiple of 6 for the sixes
+    dropped = {(0, v) for v in range(1, 1 + (over - 7 * sevens) // 6)}
+    dropped |= {(0, v) for v in range(10, 10 + sevens)}
+    return new_graph(n, [pair for pair in pairs if pair not in dropped])
 
 
 # canonical texts of one chunk (n = 50) and of two (n = 150), with their cuts

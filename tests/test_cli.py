@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import codecs
 import contextlib
+import functools
 import io
 import json
 import os
@@ -10,8 +11,10 @@ import random
 import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from itertools import accumulate
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -19,9 +22,12 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from mergraph import (
+    cli,
+    construct_gamma_gamma_merg,
     construct_gamma_merg,
     graph_to_json,
     max_r_robustness,
+    new_graph,
     parse_graph,
     reachable_count,
 )
@@ -29,6 +35,7 @@ from mergraph.cli import (
     CliError,
     _load_graph,
     _parse_args,
+    _read_graph,
     _plain_namespace,
     _write,
     build_parser,
@@ -41,7 +48,7 @@ from mergraph.graph_core import (
     MAX_NODES,
     _parsed_json_graph,
 )
-from conftest import MUTATION_BASES
+from conftest import MUTATION_BASES, graph_of_chars, random_graph
 
 
 def run_cli(*argv):
@@ -317,6 +324,204 @@ class TestDeclaredSize:
         first = MAX_MASK_BITS // (MAX_NODES + 1)
         prefix = f"error: cannot parse graph file {path}: edge ({first}, {MAX_NODES - 1})"
         assert err.startswith(prefix)
+
+
+@functools.cache
+def canonical_bytes(kind: str, n: int, variant: int | None = None) -> bytes:
+    build = construct_gamma_merg if kind == "r" else construct_gamma_gamma_merg
+    return graph_to_json(build(n, variant=variant)[0]).encode()
+
+
+def load_outcome(path) -> object:
+    """What ``_load_graph`` gives for ``path``: a graph, or the type of the
+    error behind its ``CliError`` and the CLI's message."""
+    try:
+        return _load_graph(str(path))
+    except CliError as exc:
+        return type(exc.__cause__), str(exc)
+
+
+def bytes_outcome(path, data: bytes) -> object:
+    """What ``parse_graph`` gives for ``data``: a graph, or the type of its
+    error and the message the CLI reports it by for a file at ``path``."""
+    try:
+        return parse_graph(data)
+    except UnicodeDecodeError as exc:
+        return type(exc), f"cannot read graph file {path}: {exc}"
+    except ValueError as exc:
+        return type(exc), f"cannot parse graph file {path}: {exc}"
+
+
+def assert_same_outcome(got, expected):
+    assert type(got) is type(expected)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert got == expected and got.adjacency == expected.adjacency
+
+
+class TestStreamedGraphFiles:
+    """A regular file longer than one block is read a block at a time, and
+    only what that pass refuses is read whole: ``_load_graph`` gives
+    exactly what ``parse_graph`` gives for the file's bytes."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """The lengths of the texts handed to ``parse_graph``, in order."""
+        seen = []
+
+        def spy(data):
+            seen.append(len(data))
+            return parse_graph(data)
+
+        monkeypatch.setattr(cli, "parse_graph", spy)
+        return seen
+
+    def check(self, path, calls, streamed: bool | None = None):
+        expected = bytes_outcome(path, path.read_bytes())
+        assert_same_outcome(load_outcome(path), expected)
+        if streamed is not None:
+            assert calls == ([] if streamed else [path.stat().st_size])
+
+    @pytest.mark.parametrize("variant", [None, 7])
+    @pytest.mark.parametrize("kind", ["r", "rs"])
+    @pytest.mark.parametrize("n", [200, 400, 800])
+    def test_constructions_are_streamed(self, tmp_path, calls, kind, n, variant):
+        path = tmp_path / "g.json"
+        path.write_bytes(canonical_bytes(kind, n, variant))
+        assert path.stat().st_size > _CHUNK_CHARS
+        self.check(path, calls, streamed=True)
+
+    @pytest.mark.parametrize("mark", [b"", codecs.BOM_UTF8], ids=["plain", "marked"])
+    def test_a_random_graph_is_streamed(self, tmp_path, calls, mark):
+        path = tmp_path / "g.json"
+        path.write_bytes(mark + graph_to_json(random_graph(random.Random(3), 300, 0.3)).encode())
+        assert path.stat().st_size > _CHUNK_CHARS
+        self.check(path, calls, streamed=True)
+
+    # a text of at most one block is read whole, one of a block and a byte
+    # a block at a time (its ids, below 200, all fit the matrix)
+    @pytest.mark.parametrize("extra, streamed", [(0, False), (1, True)])
+    def test_only_files_longer_than_one_block_are_streamed(self, tmp_path, calls, extra, streamed):
+        path = tmp_path / "g.json"
+        path.write_bytes(graph_to_json(graph_of_chars(_CHUNK_CHARS + extra, 200)).encode())
+        self.check(path, calls, streamed=streamed)
+
+    # (gamma, gamma) at n = 200, 176,630 bytes: three blocks, the carry of
+    # each window moved to the front of the next
+    BASE = ("rs", 200)
+    SPOTS = {"first": 100, "first-edge": _CHUNK_CHARS + 2, "middle": 100_000,
+             "middle-edge": 2 * _CHUNK_CHARS + 1, "last": -30, "tail": -2}
+
+    @pytest.mark.parametrize("mark", [b"", codecs.BOM_UTF8], ids=["plain", "marked"])
+    @pytest.mark.parametrize("spot", SPOTS)
+    @pytest.mark.parametrize("edit", ["digit", "comma", "space", "bracket", "non-utf8",
+                                      "insert", "delete", "truncate"])
+    def test_damaged_files_read_as_their_bytes(self, tmp_path, calls, mark, spot, edit):
+        data = bytearray(canonical_bytes(*self.BASE))
+        at = self.SPOTS[spot] % len(data)
+        if edit == "truncate":
+            del data[at:]
+        elif edit == "insert":
+            data[at:at] = b"7"
+        elif edit == "delete":
+            del data[at]
+        else:
+            data[at] = {"digit": b"9", "comma": b",", "space": b" ", "bracket": b"]",
+                        "non-utf8": b"\xff"}[edit][0]
+        path = tmp_path / "g.json"
+        path.write_bytes(mark + bytes(data))
+        self.check(path, calls)
+
+    @pytest.mark.parametrize("mark", [b"", codecs.BOM_UTF8], ids=["plain", "marked"])
+    def test_a_file_without_its_tail(self, tmp_path, calls, mark):
+        path = tmp_path / "g.json"
+        path.write_bytes(mark + canonical_bytes(*self.BASE)[:-3])
+        self.check(path, calls, streamed=False)
+        assert isinstance(load_outcome(path), tuple)
+
+    @pytest.mark.parametrize("mark", [b"", codecs.BOM_UTF8], ids=["plain", "marked"])
+    @pytest.mark.parametrize("shift, streamed", [(-1, True), (0, False), (1, False)],
+                             ids=["below", "at", "past"])
+    def test_an_id_at_the_matrix_width(self, tmp_path, calls, mark, shift, streamed):
+        # the gamma graph on 200 nodes as a graph on 1000, so the matrix is
+        # isqrt(size) wide, plus one edge (0, w) with w just below, at or
+        # just past that width: at or past it the pass refuses the text,
+        # which the general parser reads
+        pairs = list(construct_gamma_merg(200)[0].edge_pairs())
+        width = isqrt(len(graph_to_json(new_graph(1000, pairs + [(0, 500)]))))
+        text = graph_to_json(new_graph(1000, pairs + [(0, width + shift)]))
+        assert isqrt(len(text)) == width
+        path = tmp_path / "g.json"
+        path.write_bytes(mark + text.encode())
+        self.check(path, calls, streamed=streamed)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("data", [canonical_bytes("rs", 200), b"3\n0 1\n1 2\n"],
+                             ids=["canonical", "edge-list"])
+    def test_a_named_pipe_is_read_whole(self, tmp_path, calls, monkeypatch, data):
+        def refused(*args):
+            raise AssertionError("a pipe was read a block at a time")
+
+        monkeypatch.setattr(cli, "read_canonical_json", refused)
+        path = tmp_path / "g.fifo"
+        os.mkfifo(path)
+
+        def feed():
+            with open(path, "wb") as fh:
+                fh.write(data)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            got = load_outcome(path)
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert_same_outcome(got, parse_graph(data))
+        assert calls == [len(data)]
+
+    # a stated size that is not the length of the bytes read makes the pass
+    # refuse the text at its end, or (at most one block) never start it
+    @pytest.mark.parametrize("mark", [b"", codecs.BOM_UTF8], ids=["plain", "marked"])
+    @pytest.mark.parametrize("stated", [-1, 1, 3, -_CHUNK_CHARS, _CHUNK_CHARS, 1 << 20, None],
+                             ids=["short-1", "long-1", "long-3", "short-block", "long-block",
+                                  "long-1MiB", "none"])
+    def test_a_stated_size_that_is_wrong(self, mark, stated):
+        data = mark + canonical_bytes("r", 200, 7)
+        size = None if stated is None else len(data) + stated
+        assert_same_outcome(_read_graph(io.BytesIO(data), size), parse_graph(data))
+
+    # a damaged text, and a canonical one with bytes after it that the
+    # stated size leaves out, raise what parse_graph raises for all of it
+    @pytest.mark.parametrize("damage", ["comma", "after"])
+    @pytest.mark.parametrize("stated", [0, 100, 10**9])
+    def test_a_stated_size_that_is_wrong_on_a_damaged_text(self, damage, stated):
+        text = canonical_bytes("r", 200, 7)
+        if damage == "comma":
+            data = text.replace(b"],[", b"],[,", 1)
+        else:
+            data, stated = text + b"[]\n", stated - 3
+        with pytest.raises(json.JSONDecodeError) as expected:
+            parse_graph(data)
+        with pytest.raises(json.JSONDecodeError) as got:
+            _read_graph(io.BytesIO(data), len(data) + stated)
+        assert str(got.value) == str(expected.value)
+
+    def test_peak_memory_is_below_the_file_size(self, tmp_path):
+        # the (gamma, gamma) graph at n = 800 (3,106,130 bytes): a block,
+        # one chunk's arrays and the 640,000-byte bit matrix, 1.6 MiB; read
+        # whole, the text alone took its size, and the peak was 4.5 MiB
+        path = tmp_path / "g800.json"
+        path.write_bytes(canonical_bytes("rs", 800))
+        tracemalloc.start()
+        try:
+            g = _load_graph(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == 800
+        assert peak <= 0.7 * path.stat().st_size
 
 
 class TestMinimality:

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import codecs
 import inspect
+import io
 import json
 import random
 import re
 import sys
 import tracemalloc
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, cycle, permutations
 from math import isqrt
 
 import pytest
@@ -41,11 +42,13 @@ from mergraph.graph_core import (
     mask_bits,
     masks_from_bits,
     members,
+    read_canonical_json,
 )
 from conftest import (
     MUTATION_BASES,
     brute_max_clique,
     degree,
+    graph_of_chars,
     has_edge,
     neighbors,
     random_graph,
@@ -412,23 +415,6 @@ class TestParseGraphTakesBytes:
             parse_graph("3\n0 1\n")
 
 
-def graph_of_chars(chars: int) -> Graph:
-    """A graph on 1000 nodes whose canonical JSON is exactly ``chars``
-    characters: the first pairs of K_1000 in order, past ``chars`` by 30 to
-    39, less pairs ``(0, v)`` of 6 and 7 characters with their comma."""
-    pairs, size = [], len('{"n":1000,"edges":[]}\n') - 1
-    for u, v in combinations(range(1000), 2):
-        if size >= chars + 30:
-            break
-        pairs.append((u, v))
-        size += len(f"[{u},{v}],")
-    over = size - chars
-    sevens = over % 6  # 7 * sevens leaves a multiple of 6 for the sixes
-    dropped = {(0, v) for v in range(1, 1 + (over - 7 * sevens) // 6)}
-    dropped |= {(0, v) for v in range(10, 10 + sevens)}
-    return new_graph(1000, [pair for pair in pairs if pair not in dropped])
-
-
 class TestJsonPieces:
     """graph_json_pieces renders pieces of at least _CHUNK_CHARS characters,
     the last excepted, each cut between two nodes' pairs."""
@@ -698,6 +684,64 @@ class TestFastJsonPath:
         assert _canonical_json_graph(text.encode()) is None
         assert_same_outcome(parse_outcome(parse_graph, text.encode()),
                             parse_outcome(_parsed_json_graph, text))
+
+
+class ShortReads(io.BytesIO):
+    """The bytes ``data`` as a file whose reads stop after the next of
+    ``sizes`` bytes, the sizes taken in turn and over again."""
+
+    def __init__(self, data: bytes, sizes: list[int]):
+        super().__init__(data)
+        self.sizes = cycle(sizes)
+
+    def readinto(self, view) -> int:
+        return super().readinto(memoryview(view)[: next(self.sizes)])
+
+
+class TestStreamedReader:
+    """read_canonical_json cuts the same chunks' checks out of a file's
+    reads, wherever the reads stop."""
+
+    # a read of 64 bytes or more holds the head, and, after a window's
+    # carry of at most 20 bytes, a "],[" or the rest of the text
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_any_reads_give_the_fast_paths_graph(self, data):
+        text = (draw_mutation(data) if data.draw(st.booleans())
+                else data.draw(st.sampled_from(MUTATION_BASES))[0])
+        body = text.encode()
+        raw = data.draw(st.sampled_from([b"", codecs.BOM_UTF8])) + body
+        sizes = data.draw(st.lists(st.integers(1, _CHUNK_CHARS + 30), min_size=1, max_size=4))
+        got = read_canonical_json(ShortReads(raw, sizes), len(raw))
+        fast = _canonical_json_graph(body)
+        if got is not None:
+            assert fast is not None
+            assert_same_graph(got, fast)
+        elif fast is not None:
+            assert min(sizes) < 64
+
+    # the matrix is sized from the stated length, and the pass reads no
+    # more than it: a text that ends before it, or goes on after it, is
+    # refused
+    @pytest.mark.parametrize("extra, stated", [(b"", 1), (b"", 1 << 20), (b"\n", 0),
+                                               (b"x" * 70_000, 0)],
+                             ids=["short-1", "short-1MiB", "after-1", "after-a-block"])
+    def test_a_text_of_another_length_than_stated_is_refused(self, extra, stated):
+        data = MUTATION_BASES[1][0].encode()
+        assert read_canonical_json(io.BytesIO(data), len(data)) is not None
+        assert read_canonical_json(io.BytesIO(data + extra), len(data) + stated) is None
+
+    def test_peak_memory_of_a_long_body_that_cannot_be_cut(self):
+        # a body with no "],[" in a window is refused at the window's end,
+        # never carried into the next
+        data = b'{"n":3,"edges":[[0,1' + b",1" * 400_000 + b"]]}\n"
+        tracemalloc.start()
+        try:
+            assert read_canonical_json(io.BytesIO(data), len(data)) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * _CHUNK_CHARS
 
 
 class TestMembers:
