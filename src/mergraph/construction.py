@@ -70,7 +70,21 @@ class ConstructionRecipe:
     variant: int | None = None
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), indent=2, sort_keys=True) + "\n"
+        """``json.dumps(vars(self), indent=2, sort_keys=True) + "\\n"``, byte
+        for byte, without the pure-Python encoder that ``indent`` takes: the
+        keys and the layout are fixed (one hub id a line, each removed pair
+        a list of two lines), so the C encoder writes each field on one line
+        whose item separators carry the line breaks and indents."""
+        hub = json.dumps(self.hub, separators=(",\n    ", ":"))
+        if len(hub) > 2:
+            hub = f"[\n    {hub[1:-1]}\n  ]"
+        pairs = json.dumps(self.removed_pairs, separators=(",\n      ", ":"))
+        if len(pairs) > 2:
+            pairs = pairs[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
+            pairs = f"[\n    [\n      {pairs}\n    ]\n  ]"
+        return (f'{{\n  "gamma": {json.dumps(self.gamma)},\n  "hub": {hub},\n'
+                f'  "kind": {json.dumps(self.kind)},\n  "n": {json.dumps(self.n)},\n'
+                f'  "removed_pairs": {pairs},\n  "variant": {json.dumps(self.variant)}\n}}\n')
 
 
 def _check_edges(n: int, hub_size: int) -> None:

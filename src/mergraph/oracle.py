@@ -46,7 +46,8 @@ max r is at most ceil(n/2) <= 127 and s at most n <= 254, so the answers
 are plain minima and a check fails when the worst value is below s.
 
 ``_decide`` is the one (r, s) decision: it checks the levels, builds the
-lattice and the marked x table, and runs ``_best_pair`` once.
+lattice and the marked x table, and reads the worst pair off the count
+pairs of a small lattice (below) or runs ``_best_pair`` once.
 ``is_r_robust`` (s = 1), ``is_rs_robust``, ``max_s_given_r`` (s = 1, the
 worst sum capped at n) and the input check of ``minimality_sweep`` all call
 it, and a failing check reads its witness from what it returns.
@@ -63,7 +64,21 @@ members left, a hi part plus a lo part, ``out_hi[c, h] + out_lo[c, l]``.
 x[a] sums a_c over the classes whose degree reaches r, read off one
 comparison of ``out_lo`` with r - ``out_hi`` broadcast to the full grid,
 and maxout[a] is the column maximum of the degrees, the two parts' sum
-times the presence.  Nothing the size of the lattice is cached.
+times the presence.  Nothing the size of the lattice is cached but the
+pair indices of small lattices.
+
+Small lattices.  A lattice has P = prod over the classes of C(|c| + 2, 2)
+disjoint count pairs.  When P is at most ``_PAIR_BUDGET`` = 2^12 and n is
+at most 39, ``_decide`` reads the x table at every pair: two read-only
+int32 flat indices (a, b), cached per shape, give the worst sum as one
+``np.add`` of two takes and a minimum, with no subset-min.  A failing
+check's witness is then the failing pair of lowest rank w(S1) + 2 w(S2),
+w(S) the sum of 3^(n-1-i) over i in S, with S2 the last b_c members of
+each class and S1 the a_c just below them (``_pair_witness``); the
+largest rank, 3^n - 1, fits in int64 up to n = 39.  Every larger lattice,
+and ``max_r_robustness`` on any lattice, keeps the subset-min and the box
+scan below.  The (gamma, gamma) graph at n = 11 less an edge has 330
+pairs, and a twin-free graph 3^n: 2187 on 7 nodes, 6561 on 8, over it.
 
 Budget.  A graph is decided when its lattice has at most
 ``EXACT_CELL_BUDGET`` = 2^16 cells, the size of the 2^n table of a
@@ -74,10 +89,11 @@ degenerate: no disjoint nonempty pair exists, so the worst value is
 ``_ABSENT``, every check holds vacuously and each maximum is its cap.
 
 Witnesses.  Only failing checks read a witness from their pair table, and
-it is canonical: the first failing pair in the order below.  ``_witness``
-fixes the nodes from 0 upward, each to the smallest digit that some
-failing pair still agrees with; the pairs agreeing with the digits fixed
-so far are a box of count pairs, tested with a subset-min of the S2 side.
+it is canonical: the first failing pair in the order below.  Above the
+pair budget, ``_witness`` fixes the nodes from 0 upward, each to the
+smallest digit that some failing pair still agrees with; the pairs
+agreeing with the digits fixed so far are a box of count pairs, tested
+with a subset-min of the S2 side.
 Until S2 gains a member its box is the whole lattice, whose subset-min the
 decision has just built, so ``_best_pair`` hands that array on and a
 failing check transforms the whole lattice once; a later S2 box spans one
@@ -112,7 +128,7 @@ check and the class graph off one lattice of the input graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby
 from math import prod
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -377,7 +393,63 @@ def _best_pair(t: np.ndarray, shape: tuple[int, ...], combine: np.ufunc) -> tupl
     return int(np.minimum.reduce(combine(t, below[::-1], dtype=np.uint16), axis=None)), below
 
 
+# a lattice with at most this many disjoint count pairs is decided pair by
+# pair, when its ranks fit in int64: the largest, 3^n - 1, does up to n = 39
+_PAIR_BUDGET = 1 << 12
+_RANK_NODES = 39
+
+
+@lru_cache(maxsize=64)
+def _count_pairs(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The flat cells (a, b) of every disjoint count pair of ``shape`` (a + b
+    <= the class sizes), two read-only int32 arrays; None when there are more
+    than ``_PAIR_BUDGET`` pairs, prod C(|c| + 2, 2), or more than
+    ``_RANK_NODES`` nodes."""
+    if (sum(shape) - len(shape) > _RANK_NODES
+            or prod([w * (w + 1) // 2 for w in shape]) > _PAIR_BUDGET):
+        return None
+    a = b = np.zeros(1, dtype=np.int32)
+    for w in shape:
+        a_c, b_c = np.array([(i, j) for i in range(w) for j in range(w - i)], dtype=np.int32).T
+        a, b = (a[:, None] * w + a_c).ravel(), (b[:, None] * w + b_c).ravel()
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
 # -- witnesses ------------------------------------------------------------------
+
+def _pair_witness(
+    sums: np.ndarray, pairs: tuple[np.ndarray, np.ndarray], lat: _Lattice, s: int
+) -> SubsetPair:
+    """The first pair in canonical order whose ``sums`` (the pair-table
+    values at the count pairs ``pairs``) are below s.
+
+    Of the pairs with counts (a, b), the first takes as S2 the last b_c
+    members of each class c and as S1 the a_c just below them.  Its rank
+    w(S1) + 2 w(S2), w(S) the sum of 3^(n-1-i) over i in S, orders the
+    pairs canonically, and is w(T(a + b)) + w(T(b)) with T(u) the last u_c
+    members of each class: ``weight``, a table over the cells.
+    """
+    n = sum(map(len, lat.classes))
+    weight = np.zeros(1, dtype=np.int64)
+    for c in lat.classes:
+        tail = [0]
+        for i in reversed(c):
+            tail.append(tail[-1] + 3 ** (n - 1 - i))
+        weight = np.add.outer(weight, np.array(tail, dtype=np.int64)).ravel()
+    failing = np.flatnonzero(sums < s)
+    a, b = pairs[0][failing], pairs[1][failing]
+    first = int((weight[a + b] + weight[b]).argmin())
+    a_cell, b_cell = int(a[first]), int(b[first])
+    s1: list[int] = []
+    s2: list[int] = []
+    for c, w in zip(reversed(lat.classes), reversed(lat.shape)):
+        a_cell, a_c = divmod(a_cell, w)
+        b_cell, b_c = divmod(b_cell, w)
+        s1 += c[len(c) - b_c - a_c:len(c) - b_c]
+        s2 += c[len(c) - b_c:]
+    return SubsetPair(frozenset(s1), frozenset(s2))
+
 
 def _leading(length: int, accepted: Callable[[int], bool]) -> int:
     """How many of k = 0, 1, ..., length - 1 pass ``accepted``, which holds
@@ -478,16 +550,16 @@ def _witness(t: np.ndarray, below: np.ndarray, lat: _Lattice, s: int) -> SubsetP
 
 # -- public checks -------------------------------------------------------------
 
-def _decide(g: Graph, r: int, s: int) -> tuple[int, np.ndarray, np.ndarray, _Lattice]:
+def _decide(g: Graph, r: int, s: int) -> tuple[int, _Lattice, Callable[[], SubsetPair]]:
     """The (r, s) decision every pair check shares: the worst pair-table sum
-    ``worst`` (the level fails iff it is below s), the pair table ``t``, its
-    subset-min ``below`` and the lattice ``lat``, from which ``_witness``
-    reads a failing level's pair.
+    ``worst`` (the level fails iff it is below s), the lattice ``lat`` and
+    ``witness``, which reads a failing level's canonical pair off what the
+    decision built: ``_pair_witness`` on a small lattice, else ``_witness``.
 
     The levels are checked before the lattice, so a bad one is reported as
-    such and never as ``CapExceededError``.  ``t`` is the x table with
-    ``_ABSENT`` over the cells whose members all reach r: those, the empty
-    one among them (x = 0 = |S|), cannot be in a failing pair.
+    such and never as ``CapExceededError``.  The pair table ``t`` is the x
+    table with ``_ABSENT`` over the cells whose members all reach r: those,
+    the empty one among them (x = 0 = |S|), cannot be in a failing pair.
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
@@ -498,14 +570,18 @@ def _decide(g: Graph, r: int, s: int) -> tuple[int, np.ndarray, np.ndarray, _Lat
     # |S| is the hi half's size plus the lo half's
     grid = t.reshape(lat.hi.size.size, lat.lo.size.size)
     grid[grid == lat.hi.size[:, None] + lat.lo.size] = _ABSENT
-    worst, below = _best_pair(t, lat.shape, np.add)
-    return worst, t, below, lat
+    pairs = _count_pairs(lat.shape)
+    if pairs is None:
+        worst, below = _best_pair(t, lat.shape, np.add)
+        return worst, lat, partial(_witness, t, below, lat, s)
+    sums = np.add(t.take(pairs[0]), t.take(pairs[1]), dtype=np.uint16)
+    return int(sums.min()), lat, partial(_pair_witness, sums, pairs, lat, s)
 
 
 def is_r_robust(g: Graph, r: int) -> RobustnessVerdict:
     """Exact r-robustness check, the (r, 1) case, with a counterexample witness on failure."""
-    worst, t, below, lat = _decide(g, r, 1)
-    witness = None if worst >= 1 else _witness(t, below, lat, 1)
+    worst, _, witness = _decide(g, r, 1)
+    witness = None if worst >= 1 else witness()
     return RobustnessVerdict(witness is None, r, witness=witness)
 
 
@@ -528,8 +604,8 @@ def max_r_robustness(g: Graph) -> int:
 
 def is_rs_robust(g: Graph, r: int, s: int) -> RobustnessVerdict:
     """Exact (r, s)-robustness check with a counterexample witness on failure."""
-    worst, t, below, lat = _decide(g, r, s)
-    witness = None if worst >= s else _witness(t, below, lat, s)
+    worst, _, witness = _decide(g, r, s)
+    witness = None if worst >= s else witness()
     return RobustnessVerdict(witness is None, r, s=s, witness=witness)
 
 
@@ -559,7 +635,7 @@ def minimality_sweep(g: Graph, r: int, s: int | None = None) -> MinimalitySweep:
     edge would.
     """
     need = 1 if s is None else s
-    worst, _, _, lat = _decide(g, r, need)
+    worst, lat, _ = _decide(g, r, need)
     if worst < need:
         raise ValueError("graph does not satisfy the target robustness to begin with")
     group = _class_groups(lat)

@@ -75,6 +75,8 @@ class AgentRole(str, Enum):
 
 def is_f_local(g: Graph, s: Iterable[int], f: int) -> bool:
     """True iff every node outside ``s`` has at most ``f`` neighbors inside it."""
+    if f < 0:
+        raise ValueError("f must be non-negative")
     mask = g.subset_mask(s)
     outside = ((1 << g.n) - 1) ^ mask
     return all((g.adjacency[i] & mask).bit_count() <= f for i in members(outside))

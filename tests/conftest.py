@@ -25,7 +25,8 @@ sizes the pair-by-pair scan is too slow at.
 ``wmsr_retained``, ``wmsr_step`` and ``nominal_step`` are the scalar
 trimmed update, and ``reference_run_simulation`` the per-agent W-MSR round
 built on them that the simulator's array round is compared with, byte for
-byte.  ``PerValue`` gives a test strategy written one value at a time the
+byte; ``exact_run_simulation`` is the same round in exact arithmetic, which
+the pinned trajectories are checked against.  ``PerValue`` gives a test strategy written one value at a time the
 simulator's array method; ``trajectory_states_from_csv`` reads a
 trajectory CSV back into its state matrix, and
 ``reference_trajectory_to_csv`` writes one row at a time, formatting every
@@ -49,6 +50,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
@@ -506,6 +508,53 @@ def reference_run_simulation(config, adversary=None):
                     raise ValueError(f"agent {i} overflowed at step {t}")
         x = new_x
     return Trajectory(states=states, roles=roles, f=config.f)
+
+
+def exact_run_simulation(config, adversary=None) -> list[list[Fraction]]:
+    """:func:`reference_run_simulation` in exact arithmetic: the state rows
+    of the run as lists of ``fractions.Fraction``.
+
+    The initial states and every value an adversary sends are taken exactly
+    as the floats they are (``Fraction(float)``), the trim is the scalar
+    :func:`wmsr_retained` and each update the exact mean of the agent's own
+    state and the values it kept, so floating-point rounding cannot change a
+    trim.  Non-finite adversary values are refused by ``Fraction``.
+    """
+    g = config.graph
+    roles = config.roles
+    if any(r is not AgentRole.NORMAL for r in roles) and not hasattr(adversary, "send"):
+        raise ValueError("adversarial roles present but strategy has no send")
+    neighbor_lists = [sorted(neighbors(g, i)) for i in range(g.n)]
+
+    def sent(j: int, receiver: int, t: int, x: list[Fraction]) -> Fraction:
+        role = roles[j]
+        if role is AgentRole.NORMAL:
+            return x[j]
+        if role is AgentRole.MALICIOUS:
+            receiver = neighbor_lists[j][0]
+        return Fraction(float(adversary.send(j, receiver, t)))
+
+    x = [Fraction(float(v)) for v in config.initial_states]
+    rows = []
+    for t in range(config.steps + 1):
+        row = []
+        for i in range(g.n):
+            if roles[i] is AgentRole.NORMAL:
+                row.append(x[i])
+            elif neighbor_lists[i]:
+                row.append(sent(i, neighbor_lists[i][0], t, x))
+            else:
+                row.append(Fraction(0))
+        rows.append(row)
+        if t == config.steps:
+            break
+        new_x = list(x)
+        for i in range(g.n):
+            if roles[i] is AgentRole.NORMAL:
+                kept = wmsr_retained(x[i], [sent(j, i, t, x) for j in neighbor_lists[i]], config.f)
+                new_x[i] = (x[i] + sum(kept, Fraction(0))) / (1 + len(kept))
+        x = new_x
+    return rows
 
 
 def reference_trajectory_to_csv(traj: Trajectory) -> str:

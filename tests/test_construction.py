@@ -165,6 +165,23 @@ class TestDeterminismAndRecipes:
         assert construct_gamma_merg(5, variant=3)[1].to_json() == gamma
         assert construct_gamma_gamma_merg(6)[1].to_json() == gamma_gamma
 
+    @pytest.mark.parametrize("n", [*range(2, 41), 199, 200, 799, 800])
+    def test_recipe_json_is_the_stdlib_indent_layout(self, n):
+        # the fixed layout against the pure-Python encoder's, both kinds,
+        # with and without a variant
+        for builder in (construct_gamma_merg, construct_gamma_gamma_merg):
+            for variant in (None, 11):
+                recipe = builder(n, variant=variant)[1]
+                expected = json.dumps(vars(recipe), indent=2, sort_keys=True) + "\n"
+                assert recipe.to_json() == expected, (builder.__name__, n, variant)
+
+    def test_replayed_recipe_without_pairs_writes_the_stdlib_layout(self):
+        recipe = recipe_from_dict(json.loads(construct_gamma_merg(9, variant=2)[1].to_json()))
+        assert recipe.removed_pairs == ()
+        replay_recipe(recipe)
+        assert recipe.to_json() == json.dumps(vars(recipe), indent=2, sort_keys=True) + "\n"
+        assert '"removed_pairs": [],' in recipe.to_json()
+
     @pytest.mark.parametrize("n", [*range(2, 41), 200, 201])
     @pytest.mark.parametrize("variant", [None, 4])
     def test_replay_matches_the_paper_description(self, variant, n):

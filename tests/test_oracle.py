@@ -419,25 +419,47 @@ class TestWitnesses:
     @pytest.mark.parametrize("check", [
         lambda g: is_r_robust(g, 2), lambda g: is_rs_robust(g, 2, 3)])
     def test_failing_check_transforms_the_lattice_once(self, check, monkeypatch):
-        # the decision's subset-min over the whole lattice is the witness's
-        # first S2 box; every later box is a strictly smaller one
+        # above the pair budget, the decision's subset-min over the whole
+        # lattice is the witness's first S2 box; every later box is a
+        # strictly smaller one
         sizes = []
         real = oracle._subset_min
         monkeypatch.setattr(
             oracle, "_subset_min", lambda v, shape: sizes.append(v.size) or real(v, shape))
         rng = random.Random(31)
         failed = 0
-        for k in range(40):
+        for k in range(60):
             p = rng.random()
-            g = twin_rich_graph(rng, 9, 3, p) if k % 2 else random_graph(rng, 9, p)
+            g = twin_rich_graph(rng, 9, 5, p) if k % 2 else random_graph(rng, 9, p)
+            shape = oracle._lattice(g).shape
+            if oracle._count_pairs(shape) is not None:
+                continue
             sizes.clear()
             if check(g).holds:
                 continue
-            cells = prod(oracle._lattice(g).shape)
+            cells = prod(shape)
             assert sizes.count(cells) == 1, (g, sizes)
             assert max(sizes) == cells
             failed += 1
         assert failed >= 10, failed
+
+    @pytest.mark.parametrize("check", [
+        lambda g: is_r_robust(g, 2), lambda g: is_rs_robust(g, 2, 3)])
+    def test_failing_check_on_a_small_lattice_transforms_nothing(self, check, monkeypatch):
+        # under the pair budget both the worst pair and the witness are read
+        # off the count pairs
+        def refuse(*args):
+            raise AssertionError("a small lattice ran a subset-min")
+
+        monkeypatch.setattr(oracle, "_subset_min", refuse)
+        rng = random.Random(37)
+        failed = 0
+        while failed < 20:
+            g = twin_rich_graph(rng, rng.randint(3, 12), rng.randint(1, 3), rng.random())
+            if oracle._count_pairs(oracle._lattice(g).shape) is None:
+                continue
+            failed += not check(g).holds
+            max_s_given_r(g, 2)
 
     def test_witnesses_replay_the_failure(self):
         rng = random.Random(13)
@@ -667,6 +689,103 @@ class TestWitnessesAbove16Nodes:
             assert (witness.s1, witness.s2) == count_pair_first_failing_pair(k315, r, s)
 
 
+def box_path(check, *args):
+    """``check(*args)`` decided by the subset-min and box scan, whatever the
+    lattice's pair count."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_count_pairs", lambda shape: None)
+        return check(*args)
+
+
+def occupied_lattices(rng):
+    """Random graphs on 2..8 nodes, whose 3^n pairs (for twin-free ones)
+    lie on both sides of the pair budget, twin-rich graphs on up to 16 nodes
+    and one single-edge removal of both families per lattice shape at
+    n = 9..13."""
+    for _ in range(12):
+        yield random_graph(rng, rng.randint(2, 8), rng.random())
+    for _ in range(16):
+        yield twin_rich_graph(rng, rng.randint(2, 16), rng.randint(1, 4), rng.random())
+    for n in range(9, 14):
+        for build in (construct_gamma_merg, construct_gamma_gamma_merg):
+            g = build(n)[0]
+            shapes = {}
+            for e in sorted(g.edges):
+                h = g.remove_edge(*e)
+                shapes.setdefault(oracle._lattice(h).shape, h)
+            yield from shapes.values()
+
+
+class TestCountPairPath:
+    """Under ``_PAIR_BUDGET`` disjoint count pairs (and n <= 39) a check
+    reads the worst pair and the witness off the count pairs."""
+
+    def test_count_pairs_lists_every_disjoint_pair_once(self):
+        for shape in ((2,), (3, 2), (2, 4, 3), (5,), (2,) * 7):
+            a, b = oracle._count_pairs(shape)
+            cells = np.indices(shape).reshape(len(shape), -1)
+            pairs = {(x, y) for x in range(prod(shape)) for y in range(prod(shape))
+                     if (cells[:, x] + cells[:, y] < shape).all()}
+            assert sorted(zip(a.tolist(), b.tolist())) == sorted(pairs), shape
+            assert len(pairs) == prod(w * (w + 1) // 2 for w in shape)
+            assert a.dtype == b.dtype == np.int32
+            assert not a.flags.writeable and not b.flags.writeable
+
+    def test_budget_bounds_the_pairs_and_the_nodes(self):
+        # 3^7 twin-free pairs fit, 3^8 do not; K_39 fits, K_40 is past the
+        # int64 rank though its 861 pairs are under the budget
+        assert oracle._count_pairs((2,) * 7) is not None
+        assert oracle._count_pairs((2,) * 8) is None
+        assert oracle._count_pairs((40,)) is not None
+        assert oracle._count_pairs((41,)) is None
+
+    def test_pair_path_matches_the_box_path_and_the_reference(self):
+        rng = random.Random(43)
+        paths = {True: 0, False: 0}
+        referenced = 0
+        for g in occupied_lattices(rng):
+            small = oracle._count_pairs(oracle._lattice(g).shape) is not None
+            paths[small] += 1
+            pairs = prod((len(c) + 1) * (len(c) + 2) // 2 for c in twin_classes(g))
+            for r in range(1, g.n + 1):
+                most = max_s_given_r(g, r)
+                assert most == box_path(max_s_given_r, g, r), (g, r)
+                assert is_r_robust(g, r) == box_path(is_r_robust, g, r), (g, r)
+                for s in range(1, g.n + 1):
+                    verdict = is_rs_robust(g, r, s)
+                    assert verdict == box_path(is_rs_robust, g, r, s), (g, r, s)
+                    assert verdict.holds == (s <= most)
+                    # the pure-Python reference at every level where its
+                    # loop is short, else at the first failing level, for
+                    # up to twice the budget's pairs and r up to gamma + 1
+                    if pairs <= 100 or (pairs <= 2 * oracle._PAIR_BUDGET and s == most + 1
+                                        and r <= (g.n + 3) // 2):
+                        expected = count_pair_first_failing_pair(g, r, s)
+                        witness = verdict.witness
+                        assert expected == (None if witness is None else (witness.s1, witness.s2))
+                        referenced += 1
+        assert min(paths.values()) >= 20, paths
+        assert referenced >= 400, referenced
+
+    @pytest.mark.parametrize("n, small", [(39, True), (40, False)])
+    def test_complete_graphs_at_the_rank_bound(self, n, small, monkeypatch):
+        g = complete_graph(n)
+        assert (oracle._count_pairs(oracle._lattice(g).shape) is not None) == small
+        for r, s in (((n + 1) // 2 + 1, None), ((n + 3) // 2, 3), (n - 1, n)):
+            check, args = (is_r_robust, (g, r)) if s is None else (is_rs_robust, (g, r, s))
+            verdict = check(*args)
+            assert not verdict.holds
+            assert verdict == box_path(check, *args)
+            expected = count_pair_first_failing_pair(g, r, s or 1)
+            assert (verdict.witness.s1, verdict.witness.s2) == expected, (r, s)
+        # the path taken: the box scan's witness only above the rank bound
+        used = []
+        monkeypatch.setattr(oracle, "_witness", lambda *a: used.append("box"))
+        monkeypatch.setattr(oracle, "_pair_witness", lambda *a: used.append("pair"))
+        is_r_robust(g, (n + 1) // 2 + 1)
+        assert used == ["pair" if small else "box"]
+
+
 class TestBudget:
     def test_largest_uint8_graphs_do_not_wrap(self):
         # n = 254 is the largest admitted: every count stays below _ABSENT
@@ -854,6 +973,7 @@ class TestSweepDecisions:
             raise AssertionError("a sweep asked for a witness")
 
         monkeypatch.setattr(oracle, "_witness", refuse)
+        monkeypatch.setattr(oracle, "_pair_witness", refuse)
         for g, r, s in sweep_cases():
             minimality_sweep(g, r, s)
 

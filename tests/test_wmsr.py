@@ -6,6 +6,8 @@ import random
 import re
 import struct
 import tracemalloc
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +51,7 @@ from mergraph.wmsr import (
 from conftest import (
     PerValue,
     degree,
+    exact_run_simulation,
     has_edge,
     neighbors,
     nominal_step,
@@ -157,6 +160,14 @@ class TestScopeModels:
         assert is_f_local(k5, set(), 0)
         star = new_graph(5, [(0, i) for i in range(1, 5)])
         assert is_f_local(star, {0}, 1)
+
+    def test_f_local_refuses_a_negative_f(self):
+        # no count of neighbors is at most -1, so the full node set (no node
+        # outside it) alone would pass
+        k5 = complete_graph(5)
+        for s in (set(), {0}, set(range(5))):
+            with pytest.raises(ValueError, match="^f must be non-negative$"):
+                is_f_local(k5, s, -1)
 
     def test_f_total(self):
         # Scenario.roles holds the F-total model: at most f adversaries in all
@@ -1156,3 +1167,59 @@ class TestDefaultRemovals:
         row = SCENARIO_TABLE[scenario]
         roles = row.roles(n, row.default_f)
         assert AgentRole.NORMAL in (roles[edge[0]], roles[edge[1]])
+
+
+# every pinned trajectory CSV, by the run of the demos (seed 0 for the
+# broadcast attacks, 1 for the Byzantine ones, 30 steps) it records:
+# (builder, n, scenario, f, seed, with the scenario's default edge removed)
+PINNED_RUNS = {
+    **{f"trig_{kind}_n{n}": (build, n, SCENARIO_TRIG_MALICIOUS, f, 0, False)
+       for kind, build, f in (("r", construct_gamma_merg, 12), ("rs", construct_gamma_gamma_merg, 24))
+       for n in (49, 50)},
+    **{f"{name}_n{n}_{state}": (build, n, scenario, None, 1, state == "removed")
+       for name, build, scenario in (("split", construct_gamma_merg, SCENARIO_BYZ_SPLIT),
+                                     ("const", construct_gamma_gamma_merg, SCENARIO_BYZ_CONST))
+       for n in (9, 10) for state in ("intact", "removed")},
+}
+PINNED_CSVS = {
+    **{f"demos/out/{name}.csv": name for name in PINNED_RUNS},
+    "tests/data/trig_n49_f12_seed0.csv": "trig_r_n49",
+    "tests/data/byz_split_n9_removed_3_8_seed1.csv": "split_n9_removed",
+    "tests/data/byz_split_n10_removed_4_9_seed1.csv": "split_n10_removed",
+    "tests/data/byz_const_n9_removed_7_8_seed1.csv": "const_n9_removed",
+    "tests/data/byz_const_n10_removed_7_9_seed1.csv": "const_n10_removed",
+}
+ROOT = Path(__file__).parent.parent
+
+
+@lru_cache(maxsize=None)
+def exact_pinned_run(name: str):
+    """The config of the pinned run ``name`` and its exact state rows."""
+    build, n, scenario, f, seed, removed = PINNED_RUNS[name]
+    g = build(n)[0]
+    if removed:
+        g = g.remove_edge(*SCENARIO_TABLE[scenario].removals[n])
+    config, strategy = build_scenario(g, scenario, f=f, steps=30, seed=seed)
+    return config, exact_run_simulation(config, strategy)
+
+
+class TestExactArithmetic:
+    """The pinned trajectories against W-MSR in exact arithmetic.  All but
+    one agree with it to rounding; trig_r_n50.csv departs from it from step
+    9 on, by up to 0.00154, yet both reach the same verdict."""
+
+    def test_every_pinned_csv_is_listed(self):
+        found = {str(p.relative_to(ROOT)) for d in ("demos/out", "tests/data")
+                 for p in (ROOT / d).glob("*.csv")}
+        assert found == set(PINNED_CSVS)
+
+    @pytest.mark.parametrize("csv", sorted(PINNED_CSVS))
+    def test_exact_run_reaches_the_pinned_verdict_inside_the_hull(self, csv):
+        config, rows = exact_pinned_run(PINNED_CSVS[csv])
+        states = trajectory_states_from_csv((ROOT / csv).read_text())
+        pinned = trajectory_metrics(Trajectory(states=states, roles=config.roles, f=config.f))
+        normal = [i for i, role in enumerate(config.roles) if role is AgentRole.NORMAL]
+        low, high = min(rows[0][i] for i in normal), max(rows[0][i] for i in normal)
+        assert all(low <= row[i] <= high for row in rows for i in normal), csv
+        final = [rows[-1][i] for i in normal]
+        assert (max(final) - min(final) < pinned["tol"]) == pinned["converged"], csv
