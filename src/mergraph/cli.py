@@ -11,21 +11,18 @@ Subcommands:
 * ``simulate``    run a consensus scenario and write trajectory CSV,
   metrics JSON, and the roles sidecar.
 
-A call's argv is parsed by the first of three steps that applies.
-The plain step takes argv that starts with a subcommand and goes on with
-that subcommand's option strings only, each spelled in full and given
-once: a flag alone, any other option followed by one value that does not
-start with ``-`` and that its type and choices accept, and no required
-option missing.  It builds the namespace argparse would, from the actions
-of the parsers ``build_parser`` builds, without running argparse: on a
-2-vCPU VM an argparse parse cost 48-74 us of a 0.2-0.3 ms op between
-other ops, against a few us for the plain step.  Any other argv that
-starts with a subcommand goes to that subcommand's parser: abbreviations,
-``--opt=value``, repeats, ``-h``, a value such as ``-1``, and every error.
-The full parser runs only for what neither can handle (top-level help, a
-missing or unknown subcommand, an option before it); its top level
-classifies every argument before the subcommand's parser parses the tail
-again.  So argparse gives every message, exit code and help text, and
+A call's argv is parsed in one of two steps.  The plain step takes argv
+that starts with a subcommand and goes on with that subcommand's option
+strings only, each spelled in full and given once: a flag alone, any other
+option followed by one value that does not start with ``-`` and that its
+type and choices accept, and no required option missing.  It builds the
+namespace argparse would, from the actions of the parsers ``build_parser``
+builds, without running argparse: on a 2-vCPU VM an argparse parse cost
+48-74 us of a 0.2-0.3 ms op between other ops, against a few us for the
+plain step.  Every argv it refuses goes to the full parser:
+abbreviations, ``--opt=value``, repeats, ``-h``, a value such as ``-1``,
+every error, top-level help, a missing or unknown subcommand and an option
+before it.  So argparse gives every message, exit code and help text, and
 every namespace is what the full parser gives.
 
 Exit codes: 0 success / requested level holds; 2 requested level fails;
@@ -461,17 +458,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, by the first step that applies
-    (see the module docstring): the plain step, for a leading subcommand
-    and its options in full; that subcommand's parser, for anything else
-    after a leading subcommand; the full parser, for the rest."""
+    """``build_parser().parse_args(argv)``, in two steps (see the module
+    docstring): the plain step, for a leading subcommand and its options in
+    full; the full parser, for whatever the plain step refuses."""
     parser = build_parser()
-    sub = parser.subcommands.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    if (args := _plain_namespace(parser.plain[argv[0]], argv)) is not None:
+    table = parser.plain.get(argv[0]) if argv else None
+    if table is not None and (args := _plain_namespace(table, argv)) is not None:
         return args
-    return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

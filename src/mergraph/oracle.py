@@ -46,8 +46,9 @@ max r is at most ceil(n/2) <= 127 and s at most n <= 254, so the answers
 are plain minima and a check fails when the worst value is below s.
 
 ``_decide`` is the one (r, s) decision: it checks the levels, builds the
-lattice and the marked x table, and reads the worst pair off the count
-pairs of a small lattice (below) or runs ``_best_pair`` once.
+lattice and the marked x table, and runs ``_best_pair`` once, which picks
+the path from the lattice's shape: the count pairs of a small lattice
+(below), else the subset-min.
 ``is_r_robust`` (s = 1), ``is_rs_robust``, ``max_s_given_r`` (s = 1, the
 worst sum capped at n) and the input check of ``minimality_sweep`` all call
 it, and a failing check reads its witness from what it returns.
@@ -69,16 +70,16 @@ pair indices of small lattices.
 
 Small lattices.  A lattice has P = prod over the classes of C(|c| + 2, 2)
 disjoint count pairs.  When P is at most ``_PAIR_BUDGET`` = 2^12 and n is
-at most 39, ``_decide`` reads the x table at every pair: two read-only
-int32 flat indices (a, b), cached per shape, give the worst sum as one
-``np.add`` of two takes and a minimum, with no subset-min.  A failing
+at most 39, ``_best_pair`` reads the pair table at every pair: two
+read-only int32 flat indices (a, b), cached per shape, give the worst value
+as one combine of two takes and a minimum, with no subset-min.  A failing
 check's witness is then the failing pair of lowest rank w(S1) + 2 w(S2),
 w(S) the sum of 3^(n-1-i) over i in S, with S2 the last b_c members of
 each class and S1 the a_c just below them (``_pair_witness``); the
-largest rank, 3^n - 1, fits in int64 up to n = 39.  Every larger lattice,
-and ``max_r_robustness`` on any lattice, keeps the subset-min and the box
-scan below.  The (gamma, gamma) graph at n = 11 less an edge has 330
-pairs, and a twin-free graph 3^n: 2187 on 7 nodes, 6561 on 8, over it.
+largest rank, 3^n - 1, fits in int64 up to n = 39.  Every larger lattice
+keeps the subset-min and the box scan below.  The (gamma, gamma) graph at
+n = 11 less an edge has 330 pairs, and a twin-free graph 3^n: 2187 on 7
+nodes, 6561 on 8, over it.
 
 Budget.  A graph is decided when its lattice has at most
 ``EXACT_CELL_BUDGET`` = 2^16 cells, the size of the 2^n table of a
@@ -379,20 +380,6 @@ def _subset_min(vals: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return v
 
 
-def _best_pair(t: np.ndarray, shape: tuple[int, ...], combine: np.ufunc) -> tuple[int, np.ndarray]:
-    """Smallest ``combine(t[a], t[b])`` over disjoint pairs (a + b <= the
-    class sizes), and the subset-min of ``t`` it was read from.  The value
-    is ``_ABSENT`` or more if every pair holds an ``_ABSENT`` cell (``t[0]``
-    must be one), so it is above every cap a caller takes it under.
-
-    ``combine`` is ``np.add`` or ``np.maximum``; both grow with each
-    argument, so the subset-min of ``t`` under the complement of a is a's
-    best partner.  uint16 keeps a sum with ``_ABSENT`` at or above it.
-    """
-    below = _subset_min(t, shape)
-    return int(np.minimum.reduce(combine(t, below[::-1], dtype=np.uint16), axis=None)), below
-
-
 # a lattice with at most this many disjoint count pairs is decided pair by
 # pair, when its ranks fit in int64: the largest, 3^n - 1, does up to n = 39
 _PAIR_BUDGET = 1 << 12
@@ -414,6 +401,31 @@ def _count_pairs(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray] | None
         a, b = (a[:, None] * w + a_c).ravel(), (b[:, None] * w + b_c).ravel()
     a.flags.writeable = b.flags.writeable = False
     return a, b
+
+
+def _best_pair(t: np.ndarray, shape: tuple[int, ...],
+               combine: np.ufunc) -> tuple[int, Callable[[_Lattice, int], SubsetPair]]:
+    """Smallest ``combine(t[a], t[b])`` over disjoint pairs (a + b <= the
+    class sizes), and the reader of the canonical failing pair off what it
+    was read from.  The value is ``_ABSENT`` or more if every pair holds an
+    ``_ABSENT`` cell (``t[0]`` must be one), so it is above every cap a
+    caller takes it under.
+
+    ``combine`` is ``np.add`` or ``np.maximum``, run in uint16, which keeps
+    a sum with ``_ABSENT`` at or above it.  When ``_count_pairs`` lists the
+    pairs of ``shape``, the value is read at every pair, and the reader is
+    ``_pair_witness`` on those values.  Else both combines grow with each
+    argument, so the subset-min of ``t`` under the complement of a is a's
+    best partner, and the reader is ``_witness`` on that subset-min.  The
+    reader takes the lattice and the level s; only ``np.add`` callers call
+    it, as it reads the values as pair-table sums.
+    """
+    if (pairs := _count_pairs(shape)) is not None:
+        values = combine(t.take(pairs[0]), t.take(pairs[1]), dtype=np.uint16)
+        return int(values.min()), partial(_pair_witness, values, pairs)
+    below = _subset_min(t, shape)
+    worst = np.minimum.reduce(combine(t, below[::-1], dtype=np.uint16), axis=None)
+    return int(worst), partial(_witness, t, below)
 
 
 # -- witnesses ------------------------------------------------------------------
@@ -554,7 +566,7 @@ def _decide(g: Graph, r: int, s: int) -> tuple[int, _Lattice, Callable[[], Subse
     """The (r, s) decision every pair check shares: the worst pair-table sum
     ``worst`` (the level fails iff it is below s), the lattice ``lat`` and
     ``witness``, which reads a failing level's canonical pair off what the
-    decision built: ``_pair_witness`` on a small lattice, else ``_witness``.
+    decision built: the reader ``_best_pair`` returns, given ``lat`` and s.
 
     The levels are checked before the lattice, so a bad one is reported as
     such and never as ``CapExceededError``.  The pair table ``t`` is the x
@@ -570,12 +582,8 @@ def _decide(g: Graph, r: int, s: int) -> tuple[int, _Lattice, Callable[[], Subse
     # |S| is the hi half's size plus the lo half's
     grid = t.reshape(lat.hi.size.size, lat.lo.size.size)
     grid[grid == lat.hi.size[:, None] + lat.lo.size] = _ABSENT
-    pairs = _count_pairs(lat.shape)
-    if pairs is None:
-        worst, below = _best_pair(t, lat.shape, np.add)
-        return worst, lat, partial(_witness, t, below, lat, s)
-    sums = np.add(t.take(pairs[0]), t.take(pairs[1]), dtype=np.uint16)
-    return int(sums.min()), lat, partial(_pair_witness, sums, pairs, lat, s)
+    worst, witness = _best_pair(t, lat.shape, np.add)
+    return worst, lat, partial(witness, lat, s)
 
 
 def is_r_robust(g: Graph, r: int) -> RobustnessVerdict:

@@ -366,8 +366,17 @@ class TestBestPair:
     COMBINES = [np.add, np.maximum]
     SHAPES = [(2,) * n for n in range(1, 9)] + [(3,), (9,), (4, 2), (3, 3, 2), (2, 5, 3), (6, 4)]
 
+    @staticmethod
+    def both_paths(t, shape, combine):
+        """The worst value ``_best_pair`` reads on the path the shape picks,
+        and on the subset-min path."""
+        return [oracle._best_pair(t, shape, combine)[0],
+                box_path(oracle._best_pair, t, shape, combine)[0]]
+
     @pytest.mark.parametrize("combine", COMBINES)
     def test_matches_pair_loop_on_random_tables(self, combine):
+        # every shape but (2,) * 8 is under the pair budget
+        assert [oracle._count_pairs(shape) is None for shape in self.SHAPES].count(True) == 1
         rng = np.random.default_rng(59)
         for shape in self.SHAPES:
             cells = prod(shape)
@@ -375,23 +384,22 @@ class TestBestPair:
                 t = rng.integers(0, len(shape) + 1, size=cells, dtype=np.uint8)
                 t[rng.random(cells) < absent_share] = oracle._ABSENT
                 t[0] = oracle._ABSENT  # the empty set is never in a pair
-                worst, below = oracle._best_pair(t, shape, combine)
                 expected = brute_best_pair(t, shape, combine)
-                if expected is None:
-                    assert worst >= oracle._ABSENT
-                else:
-                    assert worst == expected
-                assert (below == oracle._subset_min(t, shape)).all()
+                for worst in self.both_paths(t, shape, combine):
+                    if expected is None:
+                        assert worst >= oracle._ABSENT
+                    else:
+                        assert worst == expected
 
     @pytest.mark.parametrize("combine", COMBINES)
     def test_no_present_pair_gives_absent(self, combine):
         for shape in self.SHAPES:
             absent = np.full(prod(shape), oracle._ABSENT, dtype=np.uint8)
-            assert oracle._best_pair(absent, shape, combine)[0] >= oracle._ABSENT
+            assert min(self.both_paths(absent, shape, combine)) >= oracle._ABSENT
             only_full = absent.copy()
             only_full[-1] = 0
             assert brute_best_pair(only_full, shape, combine) is None
-            assert oracle._best_pair(only_full, shape, combine)[0] >= oracle._ABSENT
+            assert min(self.both_paths(only_full, shape, combine)) >= oracle._ABSENT
 
 
 def brute_max_s(g, r):
@@ -446,8 +454,8 @@ class TestWitnesses:
     @pytest.mark.parametrize("check", [
         lambda g: is_r_robust(g, 2), lambda g: is_rs_robust(g, 2, 3)])
     def test_failing_check_on_a_small_lattice_transforms_nothing(self, check, monkeypatch):
-        # under the pair budget both the worst pair and the witness are read
-        # off the count pairs
+        # under the pair budget the worst pair of every check, max r among
+        # them, and the witness are read off the count pairs
         def refuse(*args):
             raise AssertionError("a small lattice ran a subset-min")
 
@@ -460,6 +468,7 @@ class TestWitnesses:
                 continue
             failed += not check(g).holds
             max_s_given_r(g, 2)
+            max_r_robustness(g)
 
     def test_witnesses_replay_the_failure(self):
         rng = random.Random(13)
@@ -747,6 +756,10 @@ class TestCountPairPath:
             small = oracle._count_pairs(oracle._lattice(g).shape) is not None
             paths[small] += 1
             pairs = prod((len(c) + 1) * (len(c) + 2) // 2 for c in twin_classes(g))
+            max_r = max_r_robustness(g)
+            assert max_r == box_path(max_r_robustness, g), g
+            if g.n <= 8:
+                assert max_r == brute_max_r(g), g
             for r in range(1, g.n + 1):
                 most = max_s_given_r(g, r)
                 assert most == box_path(max_s_given_r, g, r), (g, r)
