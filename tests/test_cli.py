@@ -1149,6 +1149,14 @@ class TestDispatch:
         assert set(build_parser().subcommands) == set(self.SUBCOMMANDS)
         assert {argv[0] for argv in self.PARSED} == set(self.SUBCOMMANDS)
 
+    # whichever step reads it, the namespace is the one the subcommand's
+    # parser gives on its own, abbreviated and --opt=value spellings included
+    def test_a_subcommand_is_parsed_by_its_own_parser_alone(self):
+        for argv in self.PARSED:
+            sub = build_parser().subcommands[argv[0]]
+            alone = sub.parse_args(list(argv[1:]), argparse.Namespace(command=argv[0]))
+            assert list(vars(_parse_args(list(argv))).items()) == list(vars(alone).items())
+
     # the plain step builds argparse's namespace, key order included, and
     # what it declines goes to the full parser, which gives what the
     # subcommand's parser gives
